@@ -3,8 +3,8 @@
 A Veech group element M is lifted by decomposing M into the generator word,
 composing one elementary edge substitution per letter along the SL(2,Z) orbit
 of the origami, and closing up with a relabeling isomorphism from the final
-origami back to the start. Lifts act on the full 2n-dimensional chain space;
-equality is always tested on canonical forms.
+origami back to the start. Lifts are integer matrices on the full
+2n-dimensional chain space; equality is always tested on canonical forms.
 
 The letter substitutions (target origami listed first) are
 
@@ -15,12 +15,13 @@ The letter substitutions (target origami listed first) are
 
 each of which maps the square relations of the source exactly onto those of
 the target and fixes every vertex (so vertex classes carry over by label).
+Each letter's substitution is inverted by the opposite letter's substitution
+on its target, so a word is undone by transporting its inverse word back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .errors import NotAutomorphism, NotInvariant, NotInVeechGroup, OrderExceedsCap
@@ -39,17 +40,14 @@ class EdgeSubstitution:
 
     def apply_rows(self, matrix: Mat) -> Mat:
         """Sparse row product: (substitution) * matrix."""
+        width = range(len(matrix[0]))
         return tuple(
-            tuple(
-                sum((coeff * matrix[col][j] for col, coeff in row), Fraction(0))
-                for j in range(len(matrix))
-            )
+            tuple(sum(coeff * matrix[col][j] for col, coeff in row) for j in width)
             for row in self.rows
         )
 
     def matrix(self) -> Mat:
-        n2 = len(self.rows)
-        return self.apply_rows(linalg.identity(n2))
+        return self.apply_rows(_int_identity(len(self.rows)))
 
 
 def elementary_substitution(letter: str, origami: Origami) -> EdgeSubstitution:
@@ -80,12 +78,28 @@ def elementary_substitution(letter: str, origami: Origami) -> EdgeSubstitution:
     return EdgeSubstitution(origami, target, tuple(tuple(r_) for r_ in rows))
 
 
-def _relabel_matrix(n: int, phi: Perm) -> Mat:
-    out = [[Fraction(0)] * (2 * n) for _ in range(2 * n)]
-    for g in range(n):
-        out[phi(g)][g] = Fraction(1)
-        out[n + phi(g)][n + g] = Fraction(1)
-    return tuple(tuple(row) for row in out)
+def _int_identity(size: int) -> Mat:
+    return tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
+
+
+def transport(origami: Origami, letters: tuple[str, ...]) -> tuple[Origami, Mat]:
+    """Push the letter substitutions of a word (rightmost letter first)
+    through the integer identity: (final origami, chain map into it)."""
+    current = origami
+    total = _int_identity(2 * origami.n)
+    for letter in reversed(letters):
+        sub = elementary_substitution(letter, current)
+        total = sub.apply_rows(total)
+        current = sub.target
+    return current, total
+
+
+def _relabel_rows(matrix: Mat, phi: Perm) -> Mat:
+    """(relabeling by phi) * matrix: row phi(g) <- row g in both blocks."""
+    n = len(matrix) // 2
+    back = phi.inverse()
+    return tuple(matrix[back(g)] for g in range(n)) + \
+        tuple(matrix[n + back(g)] for g in range(n))
 
 
 def _vertex_map_by_label(src: Origami, dst: Origami, phi: Perm | None = None) -> Perm:
@@ -114,18 +128,8 @@ class AffineLift:
     vertex_perm: Perm
     relabeling: Perm | None = None
 
-    @property
-    def marked_fix(self) -> bool:
-        space = chain_space(self.origami)
-        return self.vertex_perm(space.vowner[self.origami.base]) == \
-            space.vowner[self.origami.base]
-
     def apply(self, chain: EdgeChain) -> EdgeChain:
         return EdgeChain.from_flat(linalg.mat_vec(self.matrix, chain.flat()))
-
-    def canonical_images(self) -> tuple[Vec, ...]:
-        space = chain_space(self.origami)
-        return tuple(space.canonical_vec(col) for col in linalg.transpose(self.matrix))
 
     def compose(self, other: "AffineLift") -> "AffineLift":
         """self after other."""
@@ -146,7 +150,7 @@ class AffineLift:
         return AffineLift(
             self.origami,
             mat_inv(self.linear),
-            linalg.mat_inv(self.matrix),
+            tuple(tuple(int(x) for x in row) for row in linalg.mat_inv(self.matrix)),
             self.vertex_perm.inverse(),
             relabeling,
         )
@@ -155,10 +159,9 @@ class AffineLift:
         if self.linear != ID2 or not self.vertex_perm.is_identity():
             return False
         space = chain_space(self.origami)
-        n2 = 2 * self.origami.n
         for j, col in enumerate(linalg.transpose(self.matrix)):
-            unit = tuple(Fraction(1 if k == j else 0) for k in range(n2))
-            if space.canonical_vec(col) != space.canonical_vec(unit):
+            # column j differs from the unit vector e_j by a relation
+            if any(space.canonical_vec(tuple(x - (k == j) for k, x in enumerate(col)))):
                 return False
         return True
 
@@ -179,38 +182,32 @@ class AffineLift:
 
 
 def identity_lift(origami: Origami) -> AffineLift:
-    space = chain_space(origami)
-    return AffineLift(origami, ID2, linalg.identity(2 * origami.n),
-                      Perm.identity(len(space.vclasses)), Perm.identity(origami.n))
+    return automorphism_lift(origami, Perm.identity(origami.n))
 
 
 def automorphism_lift(origami: Origami, a: Perm) -> AffineLift:
     if a * origami.r != origami.r * a or a * origami.u != origami.u * a:
         raise NotAutomorphism("permutation does not commute with r and u")
-    return AffineLift(origami, ID2, _relabel_matrix(origami.n, a),
-                      _vertex_map_by_label(origami, origami, a), a)
+    return _closed(origami, ID2, _int_identity(2 * origami.n), a)
+
+
+def _closed(origami: Origami, m: Mat2, total: Mat, phi: Perm) -> AffineLift:
+    """The lift whose word transport `total` is closed up by relabeling phi.
+
+    Every letter carries vertex classes over by square label, so the vertex
+    action is that of phi alone.
+    """
+    return AffineLift(origami, m, _relabel_rows(total, phi),
+                      _vertex_map_by_label(origami, origami, phi), phi)
 
 
 def lift_all(origami: Origami, m: Mat2) -> list[AffineLift]:
     """All lifts of m, one per closing isomorphism (torsor under Aut)."""
-    word = sl2z_word(m).exact_letters()
-    current = origami
-    total = linalg.identity(2 * origami.n)
-    vmap = Perm.identity(len(chain_space(origami).vclasses))
-    for letter in reversed(word):
-        sub = elementary_substitution(letter, current)
-        total = sub.apply_rows(total)
-        vmap = _vertex_map_by_label(current, sub.target) * vmap
-        current = sub.target
+    current, total = transport(origami, sl2z_word(m).exact_letters())
     closings = isomorphisms(current, origami)
     if not closings:
         raise NotInVeechGroup(f"{m} does not stabilize the origami")
-    lifts = []
-    for phi in closings:
-        matrix = linalg.mat_mul(_relabel_matrix(origami.n, phi), total)
-        vperm = _vertex_map_by_label(current, origami, phi) * vmap
-        lifts.append(AffineLift(origami, m, matrix, vperm, phi))
-    return lifts
+    return [_closed(origami, m, total, phi) for phi in closings]
 
 
 def lift(origami: Origami, m: Mat2, closing: Perm | None = None) -> AffineLift:
@@ -251,14 +248,6 @@ def matrix_on(lift_: AffineLift, subspace: Subspace) -> Mat:
             raise NotInvariant("subspace is not preserved by the lift")
         columns.append(coords)
     return linalg.transpose(tuple(columns))
-
-
-def preserves(lift_: AffineLift, subspace: Subspace) -> bool:
-    try:
-        matrix_on(lift_, subspace)
-        return True
-    except NotInvariant:
-        return False
 
 
 def matrix_in_chain_basis(lift_: AffineLift, basis: "list[Vec] | tuple"):

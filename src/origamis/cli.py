@@ -1,6 +1,7 @@
 """Command-line interface producing deterministic JSON reports.
 
-Exit codes: 0 success, 1 verification failure or domain error, 2 usage error.
+Exit codes: 0 success, 1 verification failure or domain error, 2 usage error
+(including an --origami file that cannot be read as an origami).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from fractions import Fraction
 
 from .affine import automorphism_lift, lift, matrix_on
 from .catalog import catalog, catalog_origami
-from .errors import OrigamiError
+from .errors import BadInputFile, OrigamiError
 from .homology import EdgeChain, chain_space
 from .invariants import cylinders, invariant_supplement, multitwist, spin_parity
 from .origami import (Origami, automorphisms, make_origami, stratum_and_genus,
@@ -50,12 +51,16 @@ def load_origami(args) -> Origami:
     if getattr(args, "name", None):
         return catalog_origami(args.name, q=getattr(args, "q", None))
     if getattr(args, "origami", None):
-        with open(args.origami) as handle:
-            data = json.load(handle)
-        if "vertices" in data:
-            return polygon_to_origami(data["vertices"])
-        return make_origami(data["n"], Perm(data["r"]), Perm(data["u"]),
-                            data.get("base", 0))
+        try:
+            with open(args.origami) as handle:
+                data = json.load(handle)
+            if "vertices" in data:
+                return polygon_to_origami(data["vertices"])
+            return make_origami(data["n"], Perm(data["r"]), Perm(data["u"]),
+                                data.get("base", 0))
+        except (OSError, ValueError, KeyError, TypeError) as err:
+            raise BadInputFile(f"cannot read an origami from {args.origami}: "
+                               f"{type(err).__name__}: {err}") from err
     raise OrigamiError("need --name or --origami")
 
 
@@ -139,7 +144,7 @@ def cmd_action(args) -> dict:
         report["basis"] = args.basis
         report["restricted"] = [list(row) for row in matrix_on(lifted, sub)]
     else:
-        report["chain_matrix"] = [list(row) for row in lifted.matrix]
+        report["chain_matrix"] = [[str(x) for x in row] for row in lifted.matrix]
     return report
 
 
@@ -350,7 +355,7 @@ def run(argv=None) -> int:
         report = args.fn(args)
     except OrigamiError as err:
         emit({"error": type(err).__name__, "message": str(err)})
-        return 1
+        return 2 if isinstance(err, BadInputFile) else 1
     emit(report)
     return 1 if report.get("pass") is False else 0
 

@@ -5,6 +5,10 @@ class OrigamiError(Exception):
     """Base class for all library errors."""
 
 
+class BadInputFile(OrigamiError):
+    """An input file is missing, unreadable or not in the expected format."""
+
+
 class NotPermutation(OrigamiError):
     """Malformed image list: not a bijection of [0, n)."""
 
@@ -79,6 +83,10 @@ class OddOrderZeros(OrigamiError):
 
 class NotUnimodular(OrigamiError):
     """Antisymmetric Gram matrix has determinant != +-1."""
+
+
+class NoMatchingLift(OrigamiError):
+    """No affine lift of the multitwist's derivative matches the twist formula."""
 
 
 class ProbeMovesMarks(OrigamiError):

@@ -14,13 +14,13 @@ from math import gcd
 from typing import Sequence
 
 from . import linalg
-from .affine import AffineLift, elementary_substitution, lift_all
-from .errors import (EvenConeMultiplicity, NotClosed, NotUnimodular,
-                     OddOrderZeros, ProbeMovesMarks)
+from .affine import AffineLift, lift_all, transport
+from .errors import (EvenConeMultiplicity, NoMatchingLift, NotClosed,
+                     NotUnimodular, OddOrderZeros, ProbeMovesMarks)
 from .homology import EdgeChain, chain_space
 from .linalg import Mat, Vec
 from .origami import Origami
-from .sl2z import Mat2, Sl2zWord, sl2z_word
+from .sl2z import INVERSE_LETTER, Mat2, sl2z_word
 
 
 def normalize_direction(p: int, q: int) -> tuple[tuple[int, int], Mat2]:
@@ -29,18 +29,8 @@ def normalize_direction(p: int, q: int) -> tuple[tuple[int, int], Mat2]:
         raise ValueError("zero direction")
     d = gcd(abs(p), abs(q))
     p, q = p // d, q // d
-    # extended euclid: x p + y q = 1
-    old_r, r = p, q
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_x, x = x, old_x - quo * x
-        old_y, y = y, old_y - quo * y
-    if old_r < 0:
-        old_x, old_y = -old_x, -old_y
-    return (p, q), ((old_x, old_y), (-q, p))
+    _, x, y = _xgcd(p, q)  # x p + y q = 1
+    return (p, q), ((x, y), (-q, p))
 
 
 @dataclass(frozen=True)
@@ -72,21 +62,12 @@ class CylinderDecomposition:
         return sum((moved[n + j] for j in cyl.rows[0]), Fraction(0))
 
 
-def _word_substitution(origami: Origami, word: Sl2zWord) -> tuple[Origami, Mat]:
-    current = origami
-    total = linalg.identity(2 * origami.n)
-    for letter in reversed(word.exact_letters()):
-        sub = elementary_substitution(letter, current)
-        total = sub.apply_rows(total)
-        current = sub.target
-    return current, total
-
-
 def cylinders(origami: Origami, direction: tuple[int, int]) -> CylinderDecomposition:
     (p, q), normalizer = normalize_direction(*direction)
-    word = sl2z_word(normalizer)
-    normalized, to_norm = _word_substitution(origami, word)
-    from_norm = linalg.mat_inv(to_norm)
+    letters = sl2z_word(normalizer).exact_letters()
+    normalized, to_norm = transport(origami, letters)
+    inverse = tuple(INVERSE_LETTER[x] for x in reversed(letters))
+    _, from_norm = transport(normalized, inverse)
     space = chain_space(normalized)
     rows = normalized.r.cycles()
     row_of = {}
@@ -230,8 +211,11 @@ def multitwist(origami: Origami, direction: tuple[int, int]) -> MultiTwist:
         formula.append(tuple(image))
     formula_matrix = linalg.transpose(tuple(formula))
 
+    # without a singular vertex, compare relative to a single marked point:
+    # the cylinders merge rows across the regular circles, so no lift can
+    # match the formula relative to every regular vertex
     marked = space.marked_subspace(space.singular_vertices()) \
-        if space.singular_vertices() else space.full_subspace()
+        if space.singular_vertices() else space.absolute_subspace()
     best = None
     for lf in lift_all(origami, linear):
         agree = all(
@@ -242,7 +226,7 @@ def multitwist(origami: Origami, direction: tuple[int, int]) -> MultiTwist:
             best = lf
             break
     if best is None:
-        raise AssertionError("no affine lift matches the twist formula")
+        raise NoMatchingLift("no affine lift matches the twist formula")
     return MultiTwist(decomp.direction, k, linear, counts, decomp, best,
                       formula_matrix)
 

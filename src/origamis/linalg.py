@@ -1,6 +1,9 @@
 """Exact linear algebra over Q and Z on tuple-of-tuples matrices.
 
-Everything here is small and dense; clarity and exactness beat speed.
+Entries are Python ints where the values are integers (affine lifts are
+integer matrices) and Fractions where real denominators occur. The products
+keep the type of their inputs: ints give ints, and any Fraction operand gives
+Fractions; the eliminations (rref, solve, det, mat_inv) work over Q.
 """
 
 from __future__ import annotations

@@ -10,8 +10,10 @@ from origamis.affine import (automorphism_lift, elementary_substitution,
 from origamis.catalog import QUATERNION_ORDER, catalog, quaternion_mul
 from origamis.errors import NotAutomorphism, NotInVeechGroup, OrderExceedsCap
 from origamis.homology import EdgeChain, chain_space
-from origamis.origami import make_origami, vertex_of_square
-from origamis.permutations import Perm
+from origamis.invariants import cylinders
+from origamis.origami import (automorphisms, make_origami, veech_group,
+                              vertex_of_square)
+from origamis.permutations import Perm, random_transitive_pair
 from origamis.sl2z import (ID2, J_MAT, LETTER_MATS, S_MAT, T_MAT, mat_mul,
                            mat_neg, mat_pow)
 
@@ -58,31 +60,61 @@ def test_torus_shear():
     assert linalg.mat_vec(matrix, zeta.flat()) == (sigma + zeta).flat()
 
 
+def _random_origamis():
+    """Seeded random transitive origamis, one of each size n = 5..8."""
+    rng = random.Random(2026)
+    return [make_origami(n, *random_transitive_pair(n, rng)) for n in range(5, 9)]
+
+
+def _cusp_power(origami):
+    """T^w for w the cusp width of the Veech group at the origami."""
+    edges = veech_group(origami).edges
+    node, width = edges[(0, "T")], 1
+    while node != 0:
+        node, width = edges[(node, "T")], width + 1
+    return mat_pow(T_MAT, width)
+
+
 def test_lift_invariants(ew, orn3):
-    for cat, mats in ((ew, (S_MAT, T_MAT)), (orn3, (S_MAT, T_MAT))):
-        origami = cat.origami
+    cases = [(lift(cat.origami, m), m) for cat in (ew, orn3)
+             for m in (S_MAT, T_MAT)]
+    randoms = _random_origamis()
+    for origami in randoms:
+        m = _cusp_power(origami)
+        lifts = lift_all(origami, m)
+        assert len(lifts) == len(automorphisms(origami))
+        cases += [(lf, m) for lf in lifts]
+    for lifted, m in cases:
+        origami = lifted.origami
         space = chain_space(origami)
-        for m in mats:
-            lifted = lift(origami, m)
-            # relation lattice preserved
-            for g in range(origami.n):
-                image = linalg.mat_vec(lifted.matrix,
-                                       space.relation_chain(g).flat())
-                assert all(x == 0 for x in space.canonical_vec(image))
-            # boundary conjugated by the vertex permutation, holonomy by m
-            for j in range(2 * origami.n):
-                unit = tuple(Fraction(1 if k == j else 0)
-                             for k in range(2 * origami.n))
-                chain = EdgeChain.from_flat(unit)
-                image = lifted.apply(chain)
-                expected = [Fraction(0)] * len(space.vclasses)
-                for k, val in enumerate(space.boundary(chain)):
-                    expected[lifted.vertex_perm(k)] += val
-                assert list(space.boundary(image)) == expected
-                hol = chain.holonomy()
-                expected_hol = (m[0][0] * hol[0] + m[0][1] * hol[1],
-                                m[1][0] * hol[0] + m[1][1] * hol[1])
-                assert image.holonomy() == expected_hol
+        assert all(type(x) is int for row in lifted.matrix for x in row)
+        assert lifted.compose(lifted.inverse()).is_identity()
+        # relation lattice preserved
+        for g in range(origami.n):
+            image = linalg.mat_vec(lifted.matrix,
+                                   space.relation_chain(g).flat())
+            assert all(x == 0 for x in space.canonical_vec(image))
+        # boundary conjugated by the vertex permutation, holonomy by m
+        for j in range(2 * origami.n):
+            unit = tuple(Fraction(1 if k == j else 0)
+                         for k in range(2 * origami.n))
+            chain = EdgeChain.from_flat(unit)
+            image = lifted.apply(chain)
+            expected = [Fraction(0)] * len(space.vclasses)
+            for k, val in enumerate(space.boundary(chain)):
+                expected[lifted.vertex_perm(k)] += val
+            assert list(space.boundary(image)) == expected
+            hol = chain.holonomy()
+            expected_hol = (m[0][0] * hol[0] + m[0][1] * hol[1],
+                            m[1][0] * hol[0] + m[1][1] * hol[1])
+            assert image.holonomy() == expected_hol
+    # the normalizing transports of cylinders are mutually inverse
+    for origami in randoms:
+        for direction in ((1, 0), (0, 1), (1, 1), (2, 1)):
+            decomp = cylinders(origami, direction)
+            product = linalg.mat_mul(decomp.to_normalized,
+                                     decomp.from_normalized)
+            assert product == identity_lift(origami).matrix
 
 
 def test_ew_generator_action_tables(ew):

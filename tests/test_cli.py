@@ -128,3 +128,36 @@ def test_decompose_subcommand():
     assert code == 0 and report["pass"] is True
     assert report["subspace_dims"] == {"H1_st": 2, "H_rel": 2,
                                        "H_tau": 2, "H_breve": 4}
+
+
+GENUS_ONE = {"n": 5, "r": [0, 1, 2, 3, 4], "u": [1, 3, 4, 2, 0]}
+
+
+@pytest.mark.parametrize("content", [
+    None,                                    # missing file
+    "directory",                             # unreadable: a directory
+    "{not json",                             # malformed JSON
+    json.dumps({"n": 2, "r": [1, 0]}),       # missing "u"
+    json.dumps({"n": 2, "r": 7, "u": [0, 1]}),  # wrong type
+    json.dumps([1, 2]),                      # not an object
+], ids=["missing", "unreadable", "not-json", "missing-key", "wrong-type",
+        "not-object"])
+def test_bad_origami_file_is_usage_error(tmp_path, content):
+    path = tmp_path / "origami.json"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_text(content)
+    code, text = capture(["info", "--origami", str(path)])
+    assert code == 2
+    assert json.loads(text)["error"] == "BadInputFile"
+
+
+def test_twist_genus_one_file(tmp_path):
+    path = tmp_path / "torus5.json"
+    path.write_text(json.dumps(GENUS_ONE))
+    code, text = capture(["twist", "--origami", str(path), "--dir", "1,0"])
+    assert code == 0
+    report = json.loads(text)
+    assert report["direction"] == [1, 0]
+    assert report["linear"][1][0] == 0 and report["linear"][0][1] > 0

@@ -1,0 +1,49 @@
+"""The stdout of the README commands, compared byte for byte with the
+recorded outputs in tests/golden (regenerate one with
+`python -m origamis.cli ARGS > tests/golden/NAME.json` after a deliberate
+change of output)."""
+
+import contextlib
+import io
+from pathlib import Path
+
+import pytest
+
+from origamis.cli import run
+
+GOLDEN = Path(__file__).parent / "golden"
+
+COMMANDS = {
+    "info": ["info", "--name", "ornithorynque", "--q", "5"],
+    "veech": ["veech", "--name", "eierlegende-wollmilchsau",
+              "--matrix", "[[1,1],[0,1]]"],
+    "homology": ["homology", "--name", "eierlegende-wollmilchsau"],
+    "action": ["action", "--name", "ornithorynque", "--q", "3",
+               "--matrix", "[[1,0],[1,1]]", "--basis", "H_rel"],
+    "action-chain-matrix": ["action", "--name", "ornithorynque", "--q", "3",
+                            "--matrix", "[[0,-1],[1,0]]"],
+    "decompose": ["decompose", "--name", "ornithorynque", "--q", "3"],
+    "group": ["group", "--name", "eierlegende-wollmilchsau",
+              "--subspace", "H0", "--report"],
+    "congruence": ["congruence", "--level", "4"],
+    "growth": ["growth", "--name", "eierlegende-wollmilchsau", "--subspace",
+               "H0", "--len", "1000", "--seed", "20100"],
+    "cylinders": ["cylinders", "--name", "appendix-b", "--dir", "0,1"],
+    "twist": ["twist", "--name", "appendix-b", "--dir", "1,1"],
+    "spin": ["spin", "--name", "ornithorynque", "--q", "3"],
+    "supplement": ["supplement", "--name", "appendix-b",
+                   "--probes", "vert,hor,diag"],
+}
+
+
+def test_every_golden_file_has_a_command():
+    assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_golden_stdout(name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(COMMANDS[name])
+    assert code == 0
+    assert out.getvalue().encode() == (GOLDEN / f"{name}.json").read_bytes()

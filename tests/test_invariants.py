@@ -99,6 +99,18 @@ def test_twist_formula_matches_lift_up_to_automorphism(ew, orn3):
             assert tw.lift.relabeling in [m.relabeling for m in matches]
 
 
+def test_multitwist_genus_one_without_singular_vertex():
+    # every vertex is regular: the five rows merge into one cylinder
+    origami = make_origami(5, Perm([0, 1, 2, 3, 4]), Perm([1, 3, 4, 2, 0]))
+    tw = multitwist(origami, (1, 0))
+    assert tw.linear == ((1, 5), (0, 1)) and tw.twist_counts == [25]
+    assert tw.lift.linear == tw.linear
+    space = chain_space(origami)
+    for b in space.absolute_subspace().basis:
+        assert space.canonical_vec(linalg.mat_vec(tw.lift.matrix, b)) == \
+            space.canonical_vec(linalg.mat_vec(tw.formula_matrix, b))
+
+
 def test_transversal_pairing_row_sums(ew):
     space = chain_space(ew.origami)
     rng = random.Random(8)
