@@ -28,4 +28,19 @@ from .structure import (breve_blocks, cocycle_growth, decompose_ew,
                         decompose_orn, isotypic_multiplicities_quaternion,
                         kernel_is_congruence, tau_character)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "catalog", "catalog_origami", "OrigamiError", "EdgeChain", "Subspace",
+    "boundary", "canonical_form", "chain_space", "holonomy",
+    "intersection_form", "marked_subspace", "relation_lattice",
+    "standard_splitting", "Origami", "Stratum", "VertexClass", "automorphisms",
+    "isomorphisms", "make_origami", "sl2z_act", "stratum_and_genus",
+    "veech_group", "vertex_classes", "AffineLift", "automorphism_lift",
+    "elementary_substitution", "lift", "lift_all", "matrix_on", "power_order",
+    "cylinders", "index_parity", "invariant_supplement", "multitwist",
+    "spin_parity", "symplectic_basis", "transversal_pairing", "Perm",
+    "polygon_to_origami", "detect_d4", "finite_closure", "symplectic_subgroup",
+    "Sl2zWord", "congruence_generators", "sl2z_word", "breve_blocks",
+    "cocycle_growth", "decompose_ew", "decompose_orn",
+    "isotypic_multiplicities_quaternion", "kernel_is_congruence",
+    "tau_character",
+]

@@ -24,7 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import NotAutomorphism, NotInvariant, NotInVeechGroup, OrderExceedsCap
+from .errors import (Inconsistent, NotAutomorphism, NotInvariant,
+                     NotInVeechGroup, OrderExceedsCap, WrongSurface)
 from .homology import EdgeChain, Subspace, chain_space
 from .linalg import Mat, Vec
 from .origami import Origami, isomorphisms, sl2z_act, vertex_of_square
@@ -114,7 +115,7 @@ def _vertex_map_by_label(src: Origami, dst: Origami, phi: Perm | None = None) ->
         if prior is None:
             images[vsrc[g]] = vdst[h]
         elif prior != vdst[h]:
-            raise AssertionError("square map does not respect vertex classes")
+            raise Inconsistent("square map does not respect vertex classes")
     return Perm([images[k] for k in range(len(images))])
 
 
@@ -133,7 +134,8 @@ class AffineLift:
 
     def compose(self, other: "AffineLift") -> "AffineLift":
         """self after other."""
-        assert self.origami == other.origami
+        if self.origami != other.origami:
+            raise WrongSurface("lifts of different origamis")
         relabeling = None
         if self.relabeling is not None and other.relabeling is not None:
             relabeling = self.relabeling * other.relabeling

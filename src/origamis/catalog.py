@@ -51,12 +51,6 @@ def quaternion_mul(a: str, b: str) -> str:
     return name if sign == 1 else "-" + name
 
 
-def quaternion_inverse(a: str) -> str:
-    if a in ("1", "-1"):
-        return a
-    return a[1:] if a.startswith("-") else "-" + a
-
-
 def quaternion_index(a: str) -> int:
     return QUATERNION_ORDER.index(a)
 

@@ -1,7 +1,8 @@
 """Command-line interface producing deterministic JSON reports.
 
 Exit codes: 0 success, 1 verification failure or domain error, 2 usage error
-(including an --origami file that cannot be read as an origami).
+(including an --origami file that cannot be read as an origami and an option
+value that does not parse or is out of range).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 from .affine import automorphism_lift, lift, matrix_on
 from .catalog import catalog, catalog_origami
-from .errors import BadInputFile, OrigamiError
+from .errors import BadArgument, BadInputFile, OrigamiError
 from .homology import EdgeChain, chain_space
 from .invariants import cylinders, invariant_supplement, multitwist, spin_parity
 from .origami import (Origami, automorphisms, make_origami, stratum_and_genus,
@@ -64,15 +65,38 @@ def load_origami(args) -> Origami:
     raise OrigamiError("need --name or --origami")
 
 
+def _parse_json(text: str, option: str):
+    try:
+        return json.loads(text)
+    except ValueError as err:
+        raise BadArgument(f"{option} is not JSON: {err}") from err
+
+
 def _parse_matrix(text: str):
-    data = json.loads(text)
-    return ((int(data[0][0]), int(data[0][1])),
-            (int(data[1][0]), int(data[1][1])))
+    data = _parse_json(text, "--matrix")
+    if not (isinstance(data, list) and len(data) == 2 and all(
+            isinstance(row, list) and len(row) == 2
+            and all(type(x) is int for x in row) for row in data)):
+        raise BadArgument(f"--matrix must be a 2x2 integer matrix, got {text}")
+    (a, b), (c, d) = data
+    if a * d - b * c != 1:
+        raise BadArgument(f"--matrix must have determinant 1, got {text}")
+    return ((a, b), (c, d))
 
 
 def _parse_dir(text: str) -> tuple[int, int]:
-    p, q = text.split(",")
-    return (int(p), int(q))
+    try:
+        p, q = (int(x) for x in text.split(","))
+    except ValueError as err:
+        raise BadArgument(f'--dir must be "p,q" with integers, got {text!r}') \
+            from err
+    if p == 0 and q == 0:
+        raise BadArgument("--dir must be a nonzero direction")
+    return (p, q)
+
+
+# the least accepted value of each bounded integer option
+_MINIMUM = {"cap": 1, "len": 1, "trials": 1, "level": 2}
 
 
 def _named_subspaces(args):
@@ -81,6 +105,13 @@ def _named_subspaces(args):
     if args.name == "ornithorynque":
         return decompose_orn(catalog(args.name, q=args.q))
     raise OrigamiError(f"no named decomposition for {args.name!r}")
+
+
+def _subspace(rep, name: str):
+    if name not in rep.subspaces:
+        raise BadArgument(f"unknown subspace {name!r}, known: "
+                          f"{', '.join(sorted(rep.subspaces))}")
+    return rep.subspaces[name]
 
 
 def cmd_info(args) -> dict:
@@ -134,13 +165,15 @@ def cmd_action(args) -> dict:
     matrix = _parse_matrix(args.matrix)
     lifted = lift(origami, matrix)
     if args.aut:
-        lifted = automorphism_lift(origami, Perm(json.loads(args.aut))) \
-            .compose(lifted)
+        images = _parse_json(args.aut, "--aut")
+        if not isinstance(images, list):
+            raise BadArgument(f"--aut must be a JSON list, got {args.aut}")
+        lifted = automorphism_lift(origami, Perm(images)).compose(lifted)
     report = {"command": "action", "matrix": [list(r) for r in matrix],
               "closing": list(lifted.relabeling.images)}
     if args.basis:
         rep = _named_subspaces(args)
-        sub = rep.subspaces[args.basis]
+        sub = _subspace(rep, args.basis)
         report["basis"] = args.basis
         report["restricted"] = [list(row) for row in matrix_on(lifted, sub)]
     else:
@@ -162,7 +195,7 @@ def cmd_decompose(args) -> dict:
 def cmd_group(args) -> dict:
     rep = _named_subspaces(args)
     key = {"H0": "H1_0", "Hbreve": "H_breve"}.get(args.subspace, args.subspace)
-    sub = rep.subspaces[key]
+    sub = _subspace(rep, key)
     gen_names = [k for k in ("S", "T", "S2", "T2", "J") if k in rep.lifts]
     gens = [matrix_on(rep.lifts[k], sub) for k in gen_names]
     gens += [matrix_on(rep.lifts[k], sub) for k in rep.lifts if k.startswith("aut_")]
@@ -191,7 +224,7 @@ def cmd_congruence(args) -> dict:
 def cmd_growth(args) -> dict:
     rep = _named_subspaces(args)
     key = {"H0": "H1_0", "Hbreve": "H_breve"}.get(args.subspace, args.subspace)
-    sub = rep.subspaces[key]
+    sub = _subspace(rep, key)
     gen_names = [k for k in ("S", "T", "S2", "T2", "J") if k in rep.lifts]
     gens = [matrix_on(rep.lifts[k], sub) for k in gen_names]
     result = cocycle_growth(gens, args.len, args.trials, args.seed)
@@ -352,10 +385,13 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for option, least in _MINIMUM.items():
+            if getattr(args, option, least) < least:
+                raise BadArgument(f"--{option} must be at least {least}")
         report = args.fn(args)
     except OrigamiError as err:
         emit({"error": type(err).__name__, "message": str(err)})
-        return 2 if isinstance(err, BadInputFile) else 1
+        return 2 if isinstance(err, (BadArgument, BadInputFile)) else 1
     emit(report)
     return 1 if report.get("pass") is False else 0
 

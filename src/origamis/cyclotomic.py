@@ -13,34 +13,12 @@ from typing import Sequence
 Poly = tuple[Fraction, ...]
 
 
-def poly(coeffs: Sequence, q: int) -> Poly:
-    out = [Fraction(0)] * q
-    for k, c in enumerate(coeffs):
-        out[k % q] += Fraction(c)
-    return tuple(out)
-
-
 def x_power(k: int, q: int) -> Poly:
     return tuple(Fraction(1 if i == k % q else 0) for i in range(q))
 
 
 def p_add(a: Poly, b: Poly) -> Poly:
     return tuple(x + y for x, y in zip(a, b))
-
-
-def p_sub(a: Poly, b: Poly) -> Poly:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def p_mul(a: Poly, b: Poly) -> Poly:
-    q = len(a)
-    out = [Fraction(0)] * q
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[(i + j) % q] += x * y
-    return tuple(out)
 
 
 def p_scale(c, a: Poly) -> Poly:
@@ -54,10 +32,6 @@ def p_zero(q: int) -> Poly:
 
 def p_one(q: int) -> Poly:
     return tuple(Fraction(1 if i == 0 else 0) for i in range(q))
-
-
-def all_ones(q: int) -> Poly:
-    return (Fraction(1),) * q
 
 
 def mod_psi(a: Poly) -> Poly:

@@ -9,6 +9,10 @@ class BadInputFile(OrigamiError):
     """An input file is missing, unreadable or not in the expected format."""
 
 
+class BadArgument(OrigamiError):
+    """A command-line argument does not parse or is out of range."""
+
+
 class NotPermutation(OrigamiError):
     """Malformed image list: not a bijection of [0, n)."""
 
@@ -94,4 +98,8 @@ class ProbeMovesMarks(OrigamiError):
 
 
 class WrongSurface(OrigamiError):
-    """Operation is specific to a catalog surface and got something else."""
+    """Operation got a surface other than the one it is defined for."""
+
+
+class Inconsistent(OrigamiError):
+    """A computed object breaks an identity that holds for every origami."""

@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 from . import linalg
-from .errors import NotAbsolute
+from .errors import Inconsistent, NotAbsolute, NotClosed
 from .linalg import Mat, Vec
 from .origami import Origami, VertexClass, vertex_classes, vertex_of_square
 
@@ -111,16 +112,8 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def reduce(self, v: Vec) -> Vec:
-        v = list(v)
-        for row, p in zip(self.basis, self.pivots):
-            if v[p] != 0:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        return tuple(v)
-
     def contains_vec(self, v: Vec) -> bool:
-        return all(x == 0 for x in self.reduce(v))
+        return self.coords_of(v) is not None
 
     def coords_of(self, v: Vec) -> Vec | None:
         """Coordinates in basis order, or None if v is outside the span."""
@@ -167,9 +160,11 @@ class ChainSpace:
         self._germ_pos: dict[tuple[str, str, int], tuple[int, int]] = {}
         for vidx, germs in enumerate(self._germs):
             for pos, germ in enumerate(germs):
-                assert germ not in self._germ_pos, "duplicate germ"
+                if germ in self._germ_pos:
+                    raise Inconsistent("duplicate germ")
                 self._germ_pos[germ] = (vidx, pos)
-        assert len(self._germ_pos) == 4 * n
+        if len(self._germ_pos) != 4 * n:
+            raise Inconsistent("the germs do not cover the 4n edge ends")
 
     # -- relations and canonical forms ------------------------------------
 
@@ -317,9 +312,6 @@ class ChainSpace:
             out.append(germs)
         return out
 
-    def germs_at(self, vidx: int) -> list[tuple[str, str, int]]:
-        return list(self._germs[vidx])
-
     def sectors_at(self, vidx: int) -> list[tuple[str, int]]:
         """Quarter sectors ccw; sector k sits between germ k and germ k+1."""
         r, u = self.origami.r, self.origami.u
@@ -387,12 +379,17 @@ class ChainSpace:
             start0 = tail0 if first[2] == 1 else head0
             tail1, head1 = self.edge_endpoints(walk[-1][0], walk[-1][1])
             end1 = head1 if walk[-1][2] == 1 else tail1
-            assert start0 == end1, "open walk from a balanced chain"
+            if start0 != end1:
+                raise NotClosed("open walk from a balanced chain")
             walks.append(walk)
         return walks
 
-    def walk_passages(self, walk: list[tuple[str, int, int]]) -> list[tuple[int, int, int]]:
-        """(vertex class, arrival germ position, departure germ position) per visit."""
+    def walk_passages(self, walk: Sequence[tuple[str, int, int]]
+                      ) -> list[tuple[int, int, int]]:
+        """(vertex class, arrival germ position, departure germ position) per
+        visit; raises NotClosed unless the walk is a nonempty closed walk."""
+        if not walk:
+            raise NotClosed("empty walk")
         out = []
         k = len(walk)
         for i in range(k):
@@ -402,7 +399,8 @@ class ChainSpace:
             dep_kind = "out" if nxt[2] == 1 else "in"
             v1, p1 = self.germ_position(arr_kind, prev[0], prev[1])
             v2, p2 = self.germ_position(dep_kind, nxt[0], nxt[1])
-            assert v1 == v2, "walk is not connected through vertices"
+            if v1 != v2:
+                raise NotClosed("walk is not connected through vertices")
             out.append((v1, p1, p2))
         return out
 
@@ -423,17 +421,12 @@ class ChainSpace:
             use_depth.append(d)
         k = len(walk)
         chords = []
-        for i in range(k):
-            prev, nxt = walk[i], walk[(i + 1) % k]
+        for i, (v, p_arr, p_dep) in enumerate(self.walk_passages(walk)):
+            # depths are reversed at incoming germs
             d_prev, d_next = use_depth[i], use_depth[(i + 1) % k]
-            arr_kind = "in" if prev[2] == 1 else "out"
-            dep_kind = "out" if nxt[2] == 1 else "in"
-            v1, p_arr = self.germ_position(arr_kind, prev[0], prev[1])
-            v2, p_dep = self.germ_position(dep_kind, nxt[0], nxt[1])
-            assert v1 == v2
-            entry = (p_arr, d_prev if arr_kind == "out" else -d_prev)
-            exit_ = (p_dep, d_next if dep_kind == "out" else -d_next)
-            chords.append((v1, entry, exit_))
+            entry = (p_arr, -d_prev if walk[i][2] == 1 else d_prev)
+            exit_ = (p_dep, d_next if walk[(i + 1) % k][2] == 1 else -d_next)
+            chords.append((v, entry, exit_))
         crossings = 0
         for i in range(len(chords)):
             for j in range(i + 1, len(chords)):
@@ -458,8 +451,7 @@ class ChainSpace:
         if any(x != 0 for x in self.boundary_vec(av)) or \
            any(x != 0 for x in self.boundary_vec(bv)):
             raise NotAbsolute("intersection form needs absolute classes")
-        da = _common_denominator(av)
-        db = _common_denominator(bv)
+        da = lcm(*(x.denominator for x in av))
         ai = tuple(x * da for x in av)
         total = Fraction(0)
         n = self.n
@@ -494,22 +486,10 @@ class ChainSpace:
 def _chords_interleave(a1, a2, b1, b2) -> bool:
     """Whether chords {a1,a2}, {b1,b2} cross, endpoints as cyclic sort keys."""
     points = sorted([(a1, "a"), (a2, "a"), (b1, "b"), (b2, "b")])
-    assert len({p for p, _ in points}) == 4, "chord endpoints collide"
+    if len({p for p, _ in points}) != 4:
+        raise NotClosed("chord endpoints collide")
     labels = [lab for _, lab in points]
     return labels in (["a", "b", "a", "b"], ["b", "a", "b", "a"])
-
-
-def _common_denominator(v: Vec) -> int:
-    d = 1
-    for x in v:
-        d = d * x.denominator // _gcd(d, x.denominator)
-    return d
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 _SPACES: dict[Origami, ChainSpace] = {}

@@ -10,13 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from typing import Sequence
+from math import gcd, lcm
+from typing import Callable, Sequence
 
 from . import linalg
 from .affine import AffineLift, lift_all, transport
-from .errors import (EvenConeMultiplicity, NoMatchingLift, NotClosed,
-                     NotUnimodular, OddOrderZeros, ProbeMovesMarks)
+from .errors import (EvenConeMultiplicity, Inconsistent, NoMatchingLift,
+                     NotClosed, NotUnimodular, OddOrderZeros, ProbeMovesMarks)
 from .homology import EdgeChain, chain_space
 from .linalg import Mat, Vec
 from .origami import Origami
@@ -55,11 +55,14 @@ class CylinderDecomposition:
     to_normalized: Mat                 # chain map original -> normalized
     from_normalized: Mat
 
-    def core_pairing(self, cyl: Cylinder, chain: EdgeChain) -> Fraction:
-        """Signed crossings of the cylinder core with a chain (left push-off)."""
-        moved = linalg.mat_vec(self.to_normalized, chain.flat())
-        n = self.normalized.n
-        return sum((moved[n + j] for j in cyl.rows[0]), Fraction(0))
+
+def _pairing_row(decomp: CylinderDecomposition,
+                 row_squares: Sequence[int]) -> tuple[int, ...]:
+    """Integer row pi with <core push-off, c> = pi . c for every chain c: the
+    zeta rows of `to_normalized` summed over the row's squares."""
+    n = decomp.normalized.n
+    return tuple(map(sum, zip(*(decomp.to_normalized[n + g]
+                                for g in row_squares))))
 
 
 def cylinders(origami: Origami, direction: tuple[int, int]) -> CylinderDecomposition:
@@ -113,16 +116,15 @@ def cylinders(origami: Origami, direction: tuple[int, int]) -> CylinderDecomposi
         width = len(rows[bottom])
         if sorted(ordered) != sorted(members) or \
                 any(len(rows[k]) != width for k in members):
-            raise AssertionError("inconsistent cylinder rows")
-        core_norm = EdgeChain.zero(normalized.n)
-        for g in rows[bottom]:
-            core_norm = core_norm + EdgeChain.unit(normalized.n, "s", g)
-        core = EdgeChain.from_flat(linalg.mat_vec(from_norm, core_norm.flat()))
+            raise Inconsistent("inconsistent cylinder rows")
+        # the core is the bottom row's sigma chain, transported back
+        core = EdgeChain.from_flat([sum(row[g] for g in rows[bottom])
+                                    for row in from_norm])
         cyls.append(Cylinder(tuple(tuple(rows[k]) for k in ordered),
                              width, len(members), core))
     cyls.sort(key=lambda c: c.rows[0][0])
-    total_area = sum(c.width * c.height for c in cyls)
-    assert total_area == origami.n, "cylinder areas must tile the surface"
+    if sum(c.width * c.height for c in cyls) != origami.n:
+        raise Inconsistent("cylinder areas must tile the surface")
     return CylinderDecomposition(origami, (p, q), normalizer, normalized,
                                  cyls, to_norm, from_norm)
 
@@ -138,19 +140,13 @@ def transversal_pairing(origami: Origami, direction: tuple[int, int],
         return chain_space(origami).horizontal_core_pairing(row_squares, chain)
     if tuple(direction) == (0, 1):
         return chain_space(origami).vertical_core_pairing(row_squares, chain)
-    decomp = cylinders(origami, tuple(direction))
-    moved = linalg.mat_vec(decomp.to_normalized, chain.flat())
-    n = decomp.normalized.n
-    return sum((moved[n + j] for j in row_squares), Fraction(0))
+    pi = _pairing_row(cylinders(origami, tuple(direction)), row_squares)
+    return sum((p * x for p, x in zip(pi, chain.flat())), Fraction(0))
 
 
 def _rational_lcm(values: Sequence[Fraction]) -> Fraction:
-    num = 1
-    den = 0
-    for v in values:
-        num = num * v.numerator // gcd(num, v.numerator)
-        den = gcd(den, v.denominator)
-    return Fraction(num, den)
+    return Fraction(lcm(*(v.numerator for v in values)),
+                    gcd(*(v.denominator for v in values)))
 
 
 @dataclass
@@ -179,52 +175,41 @@ def multitwist(origami: Origami, direction: tuple[int, int]) -> MultiTwist:
     if k.denominator != 1:
         k = Fraction(k.numerator * k.denominator)
     counts = [k / c.modulus for c in decomp.cylinders]
-    candidates = []
-    for sign in (1, -1):
-        shear = (
-            (1 + sign * k * v[0] * (-v[1]), sign * k * v[0] * v[0]),
-            (-sign * k * v[1] * v[1], 1 + sign * k * v[1] * v[0]),
-        )
-        mat2 = tuple(tuple(int(x) for x in row) for row in shear)
-        candidates.append((sign, mat2))
-    chosen = None
-    for sign, mat2 in candidates:
-        b, c = mat2[0][1], mat2[1][0]
-        first = b if b != 0 else c
-        if first > 0:
-            chosen = (sign, mat2)
-    assert chosen is not None
-    sign, linear = chosen
+    # upper-right is sign k v0^2, and lower-left -sign k v1^2 when v0 = 0
+    sign = 1 if v[0] else -1
+    sk = sign * int(k)
+    linear = ((1 - sk * v[0] * v[1], sk * v[0] * v[0]),
+              (-sk * v[1] * v[1], 1 + sk * v[1] * v[0]))
 
-    space = chain_space(origami)
-    n = origami.n
-    # twist formula on the chain space, transported from normalized coords
-    formula = []
-    for j in range(2 * n):
-        unit = tuple(Fraction(1 if i == j else 0) for i in range(2 * n))
-        chain = EdgeChain.from_flat(unit)
-        image = list(unit)
-        for cyl, count in zip(decomp.cylinders, counts):
-            pairing = sign * count * decomp.core_pairing(cyl, chain)
-            if pairing:
-                image = [x + pairing * y for x, y in zip(image, cyl.core.flat())]
-        formula.append(tuple(image))
-    formula_matrix = linalg.transpose(tuple(formula))
+    # twist formula c -> c + sum_cyl c_cyl <pi_cyl, c> core_cyl: the integer
+    # matrix I + sum_cyl c_cyl core_cyl pi_cyl^T
+    terms = [(int(sign * count), _pairing_row(decomp, cyl.rows[0]),
+              tuple(int(x) for x in cyl.core.flat()))
+             for cyl, count in zip(decomp.cylinders, counts)]
+    n2 = 2 * origami.n
+    formula_matrix = tuple(
+        tuple(int(i == j) + sum(c * core[i] * pi[j] for c, pi, core in terms)
+              for j in range(n2))
+        for i in range(n2))
+
+    def twisted(b: Vec) -> list:
+        out = list(b)
+        for c, pi, core in terms:
+            f = c * sum(p * x for p, x in zip(pi, b) if p)
+            if f:
+                out = [x + f * y for x, y in zip(out, core)]
+        return out
 
     # without a singular vertex, compare relative to a single marked point:
     # the cylinders merge rows across the regular circles, so no lift can
     # match the formula relative to every regular vertex
+    space = chain_space(origami)
     marked = space.marked_subspace(space.singular_vertices()) \
         if space.singular_vertices() else space.absolute_subspace()
-    best = None
-    for lf in lift_all(origami, linear):
-        agree = all(
-            space.canonical_vec(linalg.mat_vec(lf.matrix, b))
-            == space.canonical_vec(linalg.mat_vec(formula_matrix, b))
-            for b in marked.basis)
-        if agree:
-            best = lf
-            break
+    targets = [space.canonical_vec(twisted(b)) for b in marked.basis]
+    best = next((lf for lf in lift_all(origami, linear)
+                 if all(space.canonical_vec(linalg.mat_vec(lf.matrix, b)) == t
+                        for b, t in zip(marked.basis, targets))), None)
     if best is None:
         raise NoMatchingLift("no affine lift matches the twist formula")
     return MultiTwist(decomp.direction, k, linear, counts, decomp, best,
@@ -234,6 +219,21 @@ def multitwist(origami: Origami, direction: tuple[int, int]) -> MultiTwist:
 # -- turning numbers and spin parity ------------------------------------------
 
 
+def _walk_parity(origami: Origami, walk: Sequence[tuple[str, int, int]],
+                 turn: Callable[[int, int, int], int]) -> int:
+    """Parity of (sum of turn(arrival, departure, sector count) over the
+    vertex passages) / 4; the sum is in quarter turns."""
+    space = chain_space(origami)
+    if any(v.multiplicity % 2 == 0 for v in space.vclasses):
+        raise EvenConeMultiplicity(
+            "parity needs all cone multiplicities odd (even zero orders)")
+    quarters = sum(turn(arr, dep, 4 * space.vclasses[v].multiplicity)
+                   for v, arr, dep in space.walk_passages(walk))
+    if quarters % 4 != 0:
+        raise NotClosed("total turning is not a multiple of 2*pi")
+    return (quarters // 4) % 2
+
+
 def index_parity(origami: Origami, walk: Sequence[tuple[str, int, int]]) -> int:
     """Turning parity of a closed edge walk [(etype, square, dir), ...].
 
@@ -241,59 +241,15 @@ def index_parity(origami: Origami, walk: Sequence[tuple[str, int, int]]) -> int:
     count from the arrival germ to the departure germ; the total is a
     multiple of 4 quarters and ind = total / 4.
     """
-    space = chain_space(origami)
-    if any(v.multiplicity % 2 == 0 for v in space.vclasses):
-        raise EvenConeMultiplicity(
-            "parity needs all cone multiplicities odd (even zero orders)")
-    walk = [(etype, g, direction) for etype, g, direction in walk]
-    k = len(walk)
-    if k == 0:
-        raise NotClosed("empty walk")
-    quarters = 0
-    for i in range(k):
-        prev = walk[i]
-        nxt = walk[(i + 1) % k]
-        tail_p, head_p = space.edge_endpoints(prev[0], prev[1])
-        tail_n, head_n = space.edge_endpoints(nxt[0], nxt[1])
-        at_prev = head_p if prev[2] == 1 else tail_p
-        at_next = tail_n if nxt[2] == 1 else head_n
-        if at_prev != at_next:
-            raise NotClosed("walk is not connected through vertices")
-        arr_kind = "in" if prev[2] == 1 else "out"
-        dep_kind = "out" if nxt[2] == 1 else "in"
-        v1, pos_arr = space.germ_position(arr_kind, prev[0], prev[1])
-        v2, pos_dep = space.germ_position(dep_kind, nxt[0], nxt[1])
-        assert v1 == v2
-        size = 4 * space.vclasses[v1].multiplicity
-        t = (pos_dep - pos_arr) % size
-        quarters += t - 2
-    if quarters % 4 != 0:
-        raise AssertionError("total turning is not a multiple of 2*pi")
-    return (quarters // 4) % 2
+    return _walk_parity(origami, walk,
+                        lambda arr, dep, size: (dep - arr) % size - 2)
 
 
 def index_parity_clockwise(origami: Origami,
                            walk: Sequence[tuple[str, int, int]]) -> int:
     """Same parity computed with the clockwise sector count at each passage."""
-    space = chain_space(origami)
-    if any(v.multiplicity % 2 == 0 for v in space.vclasses):
-        raise EvenConeMultiplicity(
-            "parity needs all cone multiplicities odd (even zero orders)")
-    quarters = 0
-    k = len(walk)
-    for i in range(k):
-        prev = walk[i]
-        nxt = walk[(i + 1) % k]
-        arr_kind = "in" if prev[2] == 1 else "out"
-        dep_kind = "out" if nxt[2] == 1 else "in"
-        v1, pos_arr = space.germ_position(arr_kind, prev[0], prev[1])
-        v2, pos_dep = space.germ_position(dep_kind, nxt[0], nxt[1])
-        size = 4 * space.vclasses[v1].multiplicity
-        t_cw = (pos_arr - pos_dep) % size
-        quarters += 2 - t_cw
-    if quarters % 4 != 0:
-        raise AssertionError("total turning is not a multiple of 2*pi")
-    return (quarters // 4) % 2
+    return _walk_parity(origami, walk,
+                        lambda arr, dep, size: 2 - (arr - dep) % size)
 
 
 def quadratic_form_value(origami: Origami, chain: EdgeChain,
@@ -527,9 +483,9 @@ def invariant_supplement(origami: Origami, marks: Sequence[int],
             corrected = reps[0]
             for b, c in enumerate(correction_basis):
                 corrected = corrected + c.scale(prefix[b])
-            delta = linalg.mat_sub(probe.matrix, linalg.identity(n2))
+            flat = corrected.flat()
             residual = EdgeChain.from_flat(space.canonical_vec(
-                linalg.mat_vec(delta, corrected.flat())))
+                linalg.vec_sub(linalg.mat_vec(probe.matrix, flat), flat)))
             return SupplementCertificate(False, None, forced, pidx, residual)
     section = []
     for k in range(n_reps):

@@ -23,10 +23,6 @@ def mat(rows: Iterable[Iterable]) -> Mat:
     return tuple(vec(row) for row in rows)
 
 
-def zeros(n: int, m: int) -> Mat:
-    return tuple((Fraction(0),) * m for _ in range(n))
-
-
 def identity(n: int) -> Mat:
     return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
 
@@ -57,18 +53,6 @@ def vec_sub(a: Vec, b: Vec) -> Vec:
 def vec_scale(c, a: Vec) -> Vec:
     c = Fraction(c)
     return tuple(c * x for x in a)
-
-
-def mat_add(a: Mat, b: Mat) -> Mat:
-    return tuple(vec_add(x, y) for x, y in zip(a, b))
-
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return tuple(vec_sub(x, y) for x, y in zip(a, b))
-
-
-def mat_scale(c, a: Mat) -> Mat:
-    return tuple(vec_scale(c, row) for row in a)
 
 
 def rref(a: Mat) -> tuple[Mat, list[int]]:
@@ -157,19 +141,6 @@ def mat_inv(a: Mat) -> Mat:
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(row[n:] for row in reduced)
-
-
-def mat_pow(a: Mat, k: int) -> Mat:
-    n = len(a)
-    if k < 0:
-        return mat_pow(mat_inv(a), -k)
-    out = identity(n)
-    while k:
-        if k & 1:
-            out = mat_mul(out, a)
-        a = mat_mul(a, a)
-        k >>= 1
-    return out
 
 
 def unit_pivot_reducer(rows: Sequence[Sequence[int]]) -> list[tuple[int, Vec]]:

@@ -12,11 +12,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import NotInVeechGroup, NotTransitive
-from .permutations import Perm, are_transitive, iter_commuting
+from .errors import Inconsistent, NotInVeechGroup, NotTransitive
+from .permutations import Perm, are_transitive
 from .sl2z import Mat2, sl2z_word
-
-SL2Z_LETTERS = ("S", "S-", "T", "T-")
 
 
 @dataclass(frozen=True)
@@ -45,10 +43,6 @@ class VertexClass:
     @property
     def zero_order(self) -> int:
         return len(self.cycle) - 1
-
-    @property
-    def cone_angle_turns(self) -> int:
-        return len(self.cycle)
 
 
 @dataclass(frozen=True)
@@ -88,15 +82,15 @@ def vertex_of_square(origami: Origami) -> list[int]:
 def stratum_and_genus(origami: Origami) -> Stratum:
     orders = sorted((v.zero_order for v in vertex_classes(origami)), reverse=True)
     total = sum(orders)
-    assert total % 2 == 0
+    if total % 2:
+        raise Inconsistent("zero orders of odd total")
     genus = total // 2 + 1
     return Stratum(tuple(o for o in orders if o > 0), genus)
 
 
 def automorphisms(origami: Origami) -> list[Perm]:
     """Translation automorphisms: permutations commuting with r and u."""
-    auts = list(iter_commuting(origami.r, origami.u))
-    return sorted(auts, key=lambda p: p.images)
+    return isomorphisms(origami, origami)
 
 
 def isomorphisms(o1: Origami, o2: Origami) -> list[Perm]:
@@ -199,7 +193,7 @@ class VeechGroup:
         for src in range(len(self.orbit)):
             if self.edges[(src, fwd)] == node:
                 return src
-        raise AssertionError("orbit graph is not a permutation graph")
+        raise NotInVeechGroup("orbit graph is not a permutation graph")
 
     def contains(self, m: Mat2) -> bool:
         word = sl2z_word(m).exact_letters()
@@ -226,8 +220,3 @@ def veech_group(origami: Origami) -> VeechGroup:
                 queue.append(len(group.orbit) - 1)
             group.edges[(node, letter)] = group._node_of_key[key]
     return group
-
-
-def require_in_veech(origami: Origami, m: Mat2) -> None:
-    if not veech_group(origami).contains(m):
-        raise NotInVeechGroup(f"{m} is not in the Veech group")

@@ -6,7 +6,7 @@ Composition is "apply right factor first" throughout: (p * q)(x) = p(q(x)).
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, Sequence
+from typing import Sequence
 
 from .errors import NotPermutation
 
@@ -32,14 +32,6 @@ class Perm:
     @staticmethod
     def identity(n: int) -> "Perm":
         return Perm(range(n))
-
-    @staticmethod
-    def from_cycles(n: int, cycles: Iterable[Sequence[int]]) -> "Perm":
-        images = list(range(n))
-        for cyc in cycles:
-            for a, b in zip(cyc, cyc[1:] + type(cyc)([cyc[0]])):
-                images[a] = b
-        return Perm(images)
 
     @property
     def n(self) -> int:
@@ -129,33 +121,3 @@ def random_transitive_pair(n: int, rng: random.Random) -> tuple[Perm, Perm]:
         if are_transitive(pair):
             return pair
 
-
-def iter_commuting(p: Perm, q: Perm) -> Iterator[Perm]:
-    """All permutations commuting with both p and q (brute orbit propagation).
-
-    A candidate is determined by the image of square 0 since <p, q> is
-    transitive on its orbit; propagate and check consistency.
-    """
-    n = p.n
-    gens = [p, q, p.inverse(), q.inverse()]
-    for image0 in range(n):
-        images = [-1] * n
-        images[0] = image0
-        stack = [0]
-        ok = True
-        while stack and ok:
-            x = stack.pop()
-            for g in gens:
-                y = g.images[x]
-                fy = g.images[images[x]]
-                if images[y] == -1:
-                    images[y] = fy
-                    stack.append(y)
-                elif images[y] != fy:
-                    ok = False
-                    break
-        if ok and all(v >= 0 for v in images):
-            try:
-                yield Perm(images)
-            except NotPermutation:
-                pass

@@ -121,7 +121,8 @@ class RootSystemD4:
         for root in self.roots_frame_coords():
             gens.append(_reflection(root))
         group = finite_closure(tuple(dict.fromkeys(gens)), 300)
-        assert isinstance(group, FiniteMatrixGroup)
+        if not isinstance(group, FiniteMatrixGroup):
+            raise NotD4("the root reflections generate an infinite group")
         return group
 
     def automorphism_group(self) -> FiniteMatrixGroup:
@@ -142,7 +143,8 @@ class RootSystemD4:
         root_set = set(self.roots_frame_coords())
         for m in order:
             image = {tuple(linalg.mat_vec(m, r)) for r in root_set}
-            assert image == root_set, "frame map does not preserve the roots"
+            if image != root_set:
+                raise NotInAut("frame map does not preserve the roots")
         return FiniteMatrixGroup((), tuple(order))
 
     def preserves_roots(self, m: Mat) -> bool:

@@ -22,7 +22,6 @@ T_MAT: Mat2 = ((1, 1), (0, 1))
 J_MAT: Mat2 = ((0, -1), (1, 0))
 NEG_ID: Mat2 = ((-1, 0), (0, -1))
 
-LETTERS = ("S", "S-", "T", "T-")
 LETTER_MATS: dict[str, Mat2] = {
     "S": S_MAT,
     "S-": ((1, 0), (-1, 1)),
@@ -146,23 +145,6 @@ def sl2z_word(m: Mat2) -> Sl2zWord:
     if cur[0][0] == 1:
         return Sl2zWord(tuple(prefix) + _runs("T", cur[0][1]), 1)
     return Sl2zWord(tuple(prefix) + _runs("T", -cur[0][1]), -1)
-
-
-def congruence_level_group(n: int) -> list[Mat2]:
-    """All elements of SL(2, Z/n), BFS-ordered from the identity."""
-    start = mat_mod(ID2, n)
-    seen = {start}
-    order = [start]
-    queue = deque([start])
-    while queue:
-        g = queue.popleft()
-        for letter in ("S", "T"):
-            h = mat_mod(mat_mul(g, LETTER_MATS[letter]), n)
-            if h not in seen:
-                seen.add(h)
-                order.append(h)
-                queue.append(h)
-    return order
 
 
 class CongruenceSubgroup:

@@ -25,7 +25,6 @@ from .origami import Origami
 from .rootsys import UnboundedWitness, finite_closure
 from .sl2z import CongruenceSubgroup, J_MAT, S_MAT, T_MAT, mat_pow
 
-QUATERNION_CLASSES = (("1",), ("-1",), ("i", "-i"), ("j", "-j"), ("k", "-k"))
 QUATERNION_CHARACTERS = {
     "chi_1": {"1": 1, "-1": 1, "i": 1, "j": 1, "k": 1},
     "chi_i": {"1": 1, "-1": 1, "i": 1, "j": -1, "k": -1},
@@ -58,13 +57,12 @@ def _span(space: ChainSpace, chains: Iterable[EdgeChain]) -> Subspace:
     return space.subspace_from(chains)
 
 
-def _invariant_under(space: ChainSpace, sub: Subspace,
-                     lifts: Iterable[AffineLift]) -> bool:
-    for lf in lifts:
-        for b in sub.basis:
-            image = space.canonical_vec(linalg.mat_vec(lf.matrix, b))
-            if not sub.contains_vec(image):
-                return False
+def _invariant_under(sub: Subspace, lifts: Iterable[AffineLift]) -> bool:
+    try:
+        for lf in lifts:
+            matrix_on(lf, sub)
+    except NotInvariant:
+        return False
     return True
 
 
@@ -110,7 +108,7 @@ def decompose_ew(ew: Wollmilchsau) -> DecompositionReport:
         space.full_subspace().dim)
     all_lifts = list(lifts.values())
     for name, sub in subspaces.items():
-        checks[f"invariant_{name}"] = _invariant_under(space, sub, all_lifts)
+        checks[f"invariant_{name}"] = _invariant_under(sub, all_lifts)
     checks["epsilon_negation"] = all(
         space.equivalent(ew.epsilon(quaternion_mul("-1", g)),
                          ew.epsilon(g).scale(-1))
@@ -184,7 +182,7 @@ def decompose_orn(orn: Ornithorynque) -> DecompositionReport:
     checks["direct_sum"] = _direct_sum_ok(space, parts, marked.dim)
     all_lifts = list(lifts.values())
     for name, sub in subspaces.items():
-        checks[f"invariant_{name}"] = _invariant_under(space, sub, all_lifts)
+        checks[f"invariant_{name}"] = _invariant_under(sub, all_lifts)
     report = DecompositionReport(origami, subspaces, chains, lifts, checks)
     report.gen_names = gen_names
     return report

@@ -8,7 +8,8 @@ from origamis.affine import (automorphism_lift, elementary_substitution,
                              identity_lift, lift, lift_all, matrix_on,
                              power_order)
 from origamis.catalog import QUATERNION_ORDER, catalog, quaternion_mul
-from origamis.errors import NotAutomorphism, NotInVeechGroup, OrderExceedsCap
+from origamis.errors import (NotAutomorphism, NotInVeechGroup, OrderExceedsCap,
+                             WrongSurface)
 from origamis.homology import EdgeChain, chain_space
 from origamis.invariants import cylinders
 from origamis.origami import (automorphisms, make_origami, veech_group,
@@ -246,6 +247,11 @@ def test_identity_lift_is_identity(ew):
     assert identity_lift(ew.origami).is_identity()
     aut = automorphism_lift(ew.origami, ew.left_mult("1"))
     assert aut.is_identity()
+
+
+def test_compose_rejects_lifts_of_another_origami(ew):
+    with pytest.raises(WrongSurface):
+        identity_lift(ew.origami).compose(identity_lift(TORUS))
 
 
 def test_structural_identities_ew(ew):

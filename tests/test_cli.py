@@ -133,24 +133,52 @@ def test_decompose_subcommand():
 GENUS_ONE = {"n": 5, "r": [0, 1, 2, 3, 4], "u": [1, 3, 4, 2, 0]}
 
 
-@pytest.mark.parametrize("content", [
-    None,                                    # missing file
-    "directory",                             # unreadable: a directory
-    "{not json",                             # malformed JSON
-    json.dumps({"n": 2, "r": [1, 0]}),       # missing "u"
-    json.dumps({"n": 2, "r": 7, "u": [0, 1]}),  # wrong type
-    json.dumps([1, 2]),                      # not an object
+FILE = ["info", "--origami", "{path}"]
+EW = ["--name", "eierlegende-wollmilchsau"]
+AB = ["--name", "appendix-b"]
+
+
+@pytest.mark.parametrize("argv,content,error", [
+    (FILE, None, "BadInputFile"),                 # missing file
+    (FILE, "directory", "BadInputFile"),          # unreadable: a directory
+    (FILE, "{not json", "BadInputFile"),          # malformed JSON
+    (FILE, json.dumps({"n": 2, "r": [1, 0]}), "BadInputFile"),  # missing "u"
+    (FILE, json.dumps({"n": 2, "r": 7, "u": [0, 1]}), "BadInputFile"),
+    (FILE, json.dumps([1, 2]), "BadInputFile"),   # not an object
+    (["twist", *AB, "--dir", "1"], None, "BadArgument"),
+    (["cylinders", *AB, "--dir", "a,b"], None, "BadArgument"),
+    (["twist", *AB, "--dir", "0,0"], None, "BadArgument"),
+    (["action", *EW, "--matrix", "[[1,1],[0,1]"], None, "BadArgument"),
+    (["action", *EW, "--matrix", "[[1,1],[0]]"], None, "BadArgument"),
+    (["veech", *EW, "--matrix", "[[1,0.5],[0,1]]"], None, "BadArgument"),
+    (["veech", *EW, "--matrix", "[[2,0],[0,1]]"], None, "BadArgument"),
+    (["action", *EW, "--matrix", "[[1,1],[1,1]]"], None, "BadArgument"),
+    (["action", *EW, "--matrix", "[[1,1],[0,1]]", "--aut", "[0,"], None,
+     "BadArgument"),
+    (["group", *EW, "--cap", "-1"], None, "BadArgument"),
+    (["growth", *EW, "--len", "0"], None, "BadArgument"),
+    (["growth", *EW, "--trials", "0"], None, "BadArgument"),
+    (["congruence", "--level", "1"], None, "BadArgument"),
+    (["action", "--name", "ornithorynque", "--q", "3", "--matrix",
+      "[[1,0],[1,1]]", "--basis", "nope"], None, "BadArgument"),
+    (["group", *EW, "--subspace", "nope"], None, "BadArgument"),
 ], ids=["missing", "unreadable", "not-json", "missing-key", "wrong-type",
-        "not-object"])
-def test_bad_origami_file_is_usage_error(tmp_path, content):
+        "not-object", "dir-one-number", "dir-not-integers", "dir-zero",
+        "matrix-not-json", "matrix-not-2x2", "matrix-not-integer",
+        "veech-matrix-det-2", "action-matrix-det-0", "aut-not-json",
+        "cap-negative", "len-zero", "trials-zero", "level-one",
+        "basis-unknown", "subspace-unknown"])
+def test_bad_origami_file_is_usage_error(tmp_path, argv, content, error):
+    """Bad --origami files and bad option values answer a JSON error with
+    exit code 2, not a traceback."""
     path = tmp_path / "origami.json"
     if content == "directory":
         path.mkdir()
     elif content is not None:
         path.write_text(content)
-    code, text = capture(["info", "--origami", str(path)])
+    code, text = capture([str(path) if a == "{path}" else a for a in argv])
     assert code == 2
-    assert json.loads(text)["error"] == "BadInputFile"
+    assert json.loads(text)["error"] == error
 
 
 def test_twist_genus_one_file(tmp_path):

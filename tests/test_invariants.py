@@ -6,7 +6,7 @@ import pytest
 
 from origamis import linalg
 from origamis.affine import automorphism_lift, lift_all
-from origamis.errors import (EvenConeMultiplicity, NotUnimodular,
+from origamis.errors import (EvenConeMultiplicity, NotClosed, NotUnimodular,
                              OddOrderZeros, ProbeMovesMarks)
 from origamis.homology import EdgeChain, chain_space
 from origamis.invariants import (cylinders, index_parity,
@@ -99,6 +99,66 @@ def test_twist_formula_matches_lift_up_to_automorphism(ew, orn3):
             assert tw.lift.relabeling in [m.relabeling for m in matches]
 
 
+def _reference_twist(origami, direction):
+    """The twist formula built one unit column at a time through
+    `to_normalized` and EdgeChain sums, the sign picked from two candidate
+    shears, and the first lift matching the formula on the marked subspace."""
+    tw = multitwist(origami, direction)
+    decomp = tw.decomposition
+    v, k, n = decomp.direction, tw.k, origami.n
+    signs = []
+    for sign in (1, -1):
+        b, c = sign * k * v[0] * v[0], -sign * k * v[1] * v[1]
+        if (b if b != 0 else c) > 0:
+            signs.append(sign)
+    assert len(signs) == 1
+    sign = signs[0]
+    linear = ((int(1 - sign * k * v[0] * v[1]), int(sign * k * v[0] * v[0])),
+              (int(-sign * k * v[1] * v[1]), int(1 + sign * k * v[1] * v[0])))
+    columns = []
+    for j in range(2 * n):
+        unit = tuple(Fraction(int(i == j)) for i in range(2 * n))
+        moved = linalg.mat_vec(decomp.to_normalized, unit)
+        image = EdgeChain.from_flat(unit)
+        for cyl, count in zip(decomp.cylinders, tw.twist_counts):
+            pairing = sign * count * sum(
+                (moved[decomp.normalized.n + g] for g in cyl.rows[0]),
+                Fraction(0))
+            image = image + cyl.core.scale(pairing)
+        columns.append(image.flat())
+    formula = linalg.transpose(tuple(columns))
+    space = chain_space(origami)
+    marked = space.marked_subspace(space.singular_vertices()) \
+        if space.singular_vertices() else space.absolute_subspace()
+    chosen = next(lf for lf in lift_all(origami, linear) if all(
+        space.canonical_vec(linalg.mat_vec(lf.matrix, b))
+        == space.canonical_vec(linalg.mat_vec(formula, b))
+        for b in marked.basis))
+    return tw, linear, formula, chosen.relabeling
+
+
+def _oracle_surfaces(seed, sizes):
+    rng = random.Random(seed)
+    surfaces = []
+    for n in sizes:
+        r, u = random_transitive_pair(n, rng)
+        surfaces.append(make_origami(n, r, u))
+    return surfaces
+
+
+def test_twist_formula_matches_column_reference(ew, orn3, appendix_b):
+    surfaces = [ew.origami, orn3.origami, appendix_b.origami] + \
+        _oracle_surfaces(41, (2, 3, 4, 5, 5, 6, 6, 7))
+    for origami in surfaces:
+        for direction in ((1, 0), (0, 1), (1, 1)):
+            tw, linear, formula, relabeling = _reference_twist(origami,
+                                                               direction)
+            assert tw.linear == linear
+            assert tw.formula_matrix == formula
+            assert all(type(x) is int for row in tw.formula_matrix for x in row)
+            assert tw.lift.relabeling == relabeling
+
+
 def test_multitwist_genus_one_without_singular_vertex():
     # every vertex is regular: the five rows merge into one cylinder
     origami = make_origami(5, Perm([0, 1, 2, 3, 4]), Perm([1, 3, 4, 2, 0]))
@@ -135,6 +195,19 @@ def test_index_parity_torus():
 def test_index_parity_rejects_even_multiplicity(ew):
     with pytest.raises(EvenConeMultiplicity):
         index_parity(ew.origami, [("s", 0, 1)])
+
+
+def test_walks_that_do_not_close_raise(orn3):
+    origami = orn3.origami
+    space = chain_space(origami)
+    g = next(g for g in range(origami.n)
+             if len(set(space.edge_endpoints("s", g))) == 2)
+    for parity in (index_parity, index_parity_clockwise):
+        for walk in ([], [("s", g, 1)]):
+            with pytest.raises(NotClosed):
+                parity(origami, walk)
+    with pytest.raises(NotClosed):
+        space.walk_self_crossings([("s", g, 1)])
 
 
 def test_appendix_a_loop_indices(orn3):

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -77,6 +78,27 @@ def test_isomorphisms_are_aut_torsor(ew):
     image = sl2z_act("T", origami)
     isos = isomorphisms(origami, image)
     assert len(isos) == len(automorphisms(origami)) == 8
+
+
+def _commuting_by_brute_force(origami):
+    r, u = origami.r.images, origami.u.images
+    return [Perm(p) for p in itertools.permutations(range(origami.n))
+            if all(p[r[x]] == r[p[x]] and p[u[x]] == u[p[x]]
+                   for x in range(origami.n))]
+
+
+def test_automorphisms_match_brute_force(ew):
+    rng = random.Random(43)
+    surfaces = [TORUS, ew.origami]
+    for n in (2, 3, 4, 4, 5, 5, 6, 6, 7, 7):
+        r, u = random_transitive_pair(n, rng)
+        surfaces.append(make_origami(n, r, u))
+    # r an n-cycle and u = r^d: all n rotations are automorphisms
+    for n, d in ((4, 2), (6, 3), (6, 2), (7, 7)):
+        surfaces.append(make_origami(n, [(g + 1) % n for g in range(n)],
+                                     [(g + d) % n for g in range(n)]))
+    for origami in surfaces:
+        assert automorphisms(origami) == _commuting_by_brute_force(origami)
 
 
 def test_veech_indices(ew, orn3, orn5):
