@@ -192,21 +192,17 @@ def multitwist(origami: Origami, direction: tuple[int, int]) -> MultiTwist:
               for j in range(n2))
         for i in range(n2))
 
-    def twisted(b: Vec) -> list:
-        out = list(b)
-        for c, pi, core in terms:
-            f = c * sum(p * x for p, x in zip(pi, b) if p)
-            if f:
-                out = [x + f * y for x, y in zip(out, core)]
-        return out
-
     # without a singular vertex, compare relative to a single marked point:
     # the cylinders merge rows across the regular circles, so no lift can
     # match the formula relative to every regular vertex
     space = chain_space(origami)
     marked = space.marked_subspace(space.singular_vertices()) \
         if space.singular_vertices() else space.absolute_subspace()
-    targets = [space.canonical_vec(twisted(b)) for b in marked.basis]
+    # the basis has Fraction entries and formula_matrix is mostly zeros off
+    # the diagonal, so the product skips its zero entries
+    targets = [space.canonical_vec(tuple(sum(x * y for x, y in zip(row, b) if x)
+                                         for row in formula_matrix))
+               for b in marked.basis]
     best = next((lf for lf in lift_all(origami, linear)
                  if all(space.canonical_vec(linalg.mat_vec(lf.matrix, b)) == t
                         for b, t in zip(marked.basis, targets))), None)

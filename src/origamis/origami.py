@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .errors import Inconsistent, NotInVeechGroup, NotTransitive
+from .errors import Inconsistent, NotTransitive
 from .permutations import Perm, are_transitive
 from .sl2z import Mat2, sl2z_word
 
@@ -193,7 +193,7 @@ class VeechGroup:
         for src in range(len(self.orbit)):
             if self.edges[(src, fwd)] == node:
                 return src
-        raise NotInVeechGroup("orbit graph is not a permutation graph")
+        raise Inconsistent("orbit graph is not a permutation graph")
 
     def contains(self, m: Mat2) -> bool:
         word = sl2z_word(m).exact_letters()

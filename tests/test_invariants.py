@@ -102,10 +102,34 @@ def test_twist_formula_matches_lift_up_to_automorphism(ew, orn3):
 def _reference_twist(origami, direction):
     """The twist formula built one unit column at a time through
     `to_normalized` and EdgeChain sums, the sign picked from two candidate
-    shears, and the first lift matching the formula on the marked subspace."""
+    shears, and the first lift matching the formula on the marked subspace.
+
+    Each core is the bottom row's sigma chain pushed through
+    `from_normalized`, and k the lcm of the moduli taken as numerator lcm
+    over denominator gcd; both are checked against the code under test."""
     tw = multitwist(origami, direction)
     decomp = tw.decomposition
-    v, k, n = decomp.direction, tw.k, origami.n
+    v, n = decomp.direction, origami.n
+    cores = []
+    for cyl in decomp.cylinders:
+        core_norm = EdgeChain.zero(decomp.normalized.n)
+        for g in cyl.rows[0]:
+            core_norm = core_norm + EdgeChain.unit(decomp.normalized.n, "s", g)
+        core = EdgeChain.from_flat(
+            linalg.mat_vec(decomp.from_normalized, core_norm.flat()))
+        assert core == cyl.core
+        cores.append(core)
+    num, den = 1, 0
+    for cyl in decomp.cylinders:
+        modulus = Fraction(cyl.width, cyl.height)
+        num = num * modulus.numerator // gcd(num, modulus.numerator)
+        den = gcd(den, modulus.denominator)
+    k = Fraction(num, den)
+    if k.denominator != 1:
+        k = Fraction(k.numerator * k.denominator)
+    assert k == tw.k
+    counts = [k / Fraction(cyl.width, cyl.height) for cyl in decomp.cylinders]
+    assert counts == tw.twist_counts
     signs = []
     for sign in (1, -1):
         b, c = sign * k * v[0] * v[0], -sign * k * v[1] * v[1]
@@ -120,11 +144,11 @@ def _reference_twist(origami, direction):
         unit = tuple(Fraction(int(i == j)) for i in range(2 * n))
         moved = linalg.mat_vec(decomp.to_normalized, unit)
         image = EdgeChain.from_flat(unit)
-        for cyl, count in zip(decomp.cylinders, tw.twist_counts):
+        for cyl, core, count in zip(decomp.cylinders, cores, counts):
             pairing = sign * count * sum(
                 (moved[decomp.normalized.n + g] for g in cyl.rows[0]),
                 Fraction(0))
-            image = image + cyl.core.scale(pairing)
+            image = image + core.scale(pairing)
         columns.append(image.flat())
     formula = linalg.transpose(tuple(columns))
     space = chain_space(origami)

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from origamis.errors import NotPermutation, NotTransitive
+from origamis.errors import Inconsistent, NotPermutation, NotTransitive
 from origamis.origami import (act_by_letters, automorphisms, isomorphisms,
                               make_origami, sl2z_act, stratum_and_genus,
                               veech_group, vertex_classes)
@@ -137,6 +137,16 @@ def test_veech_contains_is_group_like(orn5):
     for a in members[:7]:
         for b in members[:7]:
             assert group.contains(mat_mul(a, b))
+
+
+def test_veech_broken_orbit_graph_is_inconsistent(orn5):
+    # every T edge lands on node 1, so node 0 has no T-preimage: an internal
+    # fault of the orbit graph, not an answer about the matrix
+    group = veech_group(orn5.origami)
+    for node in range(group.index):
+        group.edges[(node, "T")] = 1
+    with pytest.raises(Inconsistent):
+        group.contains(((0, 1), (-1, 0)))
 
 
 def test_s_moves_q5(orn5):
