@@ -103,18 +103,13 @@ def _relabel_rows(matrix: Mat, phi: Perm) -> Mat:
         tuple(matrix[n + back(g)] for g in range(n))
 
 
-def _vertex_map_by_label(src: Origami, dst: Origami, phi: Perm | None = None) -> Perm:
-    """Vertex-class permutation induced by square g of src -> phi(g) of dst."""
-    vsrc = vertex_of_square(src)
-    vdst = vertex_of_square(dst)
-    n = src.n
+def _vertex_map_by_label(origami: Origami, phi: Perm) -> Perm:
+    """Vertex-class permutation induced by the square map g -> phi(g)."""
+    owner = vertex_of_square(origami)
     images: dict[int, int] = {}
-    for g in range(n):
-        h = phi(g) if phi is not None else g
-        prior = images.get(vsrc[g])
-        if prior is None:
-            images[vsrc[g]] = vdst[h]
-        elif prior != vdst[h]:
+    for g in range(origami.n):
+        prior = images.setdefault(owner[g], owner[phi(g)])
+        if prior != owner[phi(g)]:
             raise Inconsistent("square map does not respect vertex classes")
     return Perm([images[k] for k in range(len(images))])
 
@@ -200,7 +195,7 @@ def _closed(origami: Origami, m: Mat2, total: Mat, phi: Perm) -> AffineLift:
     action is that of phi alone.
     """
     return AffineLift(origami, m, _relabel_rows(total, phi),
-                      _vertex_map_by_label(origami, origami, phi), phi)
+                      _vertex_map_by_label(origami, phi), phi)
 
 
 def lift_all(origami: Origami, m: Mat2) -> list[AffineLift]:
@@ -212,18 +207,13 @@ def lift_all(origami: Origami, m: Mat2) -> list[AffineLift]:
     return [_closed(origami, m, total, phi) for phi in closings]
 
 
-def lift(origami: Origami, m: Mat2, closing: Perm | None = None) -> AffineLift:
+def lift(origami: Origami, m: Mat2) -> AffineLift:
     """Lift m to an affine diffeomorphism.
 
     The closing relabeling is the isomorphism fixing the base square when one
-    exists, else the lexicographically least; pass `closing` to pin another.
+    exists, else the lexicographically least.
     """
     lifts = lift_all(origami, m)
-    if closing is not None:
-        for lf in lifts:
-            if lf.relabeling == closing:
-                return lf
-        raise NotInVeechGroup("closing relabeling is not an isomorphism")
     for lf in lifts:
         if lf.relabeling(origami.base) == origami.base:
             return lf

@@ -16,6 +16,7 @@ the ribbon (quarter-sector) structure.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -492,13 +493,9 @@ def _chords_interleave(a1, a2, b1, b2) -> bool:
     return labels in (["a", "b", "a", "b"], ["b", "a", "b", "a"])
 
 
-_SPACES: dict[Origami, ChainSpace] = {}
-
-
+@functools.lru_cache(maxsize=256)
 def chain_space(origami: Origami) -> ChainSpace:
-    if origami not in _SPACES:
-        _SPACES[origami] = ChainSpace(origami)
-    return _SPACES[origami]
+    return ChainSpace(origami)
 
 
 # -- functional wrappers matching the operation names -----------------------

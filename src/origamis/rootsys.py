@@ -5,13 +5,19 @@ A D4 system is 24 vectors of the shape {+-e_a +- e_b, a < b} for a frame
 pairs that occur three times each split into the three triality-related
 frames, and frame-mates are the candidates e, e' with both e + e' and e - e'
 roots. All matrices act on frame coordinates, where the frame is declared
-orthonormal.
+orthonormal. There W(D4) is the signed permutation matrices with an even
+number of -1 entries, and the three frame classes ({+-e_i}, and half-vectors
+with an odd or an even number of minus signs) are the W-orbits of the outer
+fundamental weights w1 = e1, w3 = (1,1,1,-1)/2 and w4 = (1,1,1,1)/2: the
+triality label of an automorphism is the classes it moves them into.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -21,15 +27,18 @@ from .linalg import Mat, Vec
 
 @dataclass(frozen=True)
 class FiniteMatrixGroup:
-    generators: tuple[Mat, ...]
     elements: tuple[Mat, ...]
 
     @property
     def order(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def _members(self) -> frozenset[Mat]:
+        return frozenset(self.elements)
+
     def __contains__(self, m: Mat) -> bool:
-        return m in set(self.elements)
+        return m in self._members
 
 
 @dataclass(frozen=True)
@@ -60,14 +69,12 @@ def finite_closure(generators: Sequence[Mat], cap: int):
                     if len(seen) > cap:
                         return _unbounded_witness(gens, cap)
         queue = nxt
-    return FiniteMatrixGroup(gens, tuple(order))
+    return FiniteMatrixGroup(tuple(order))
 
 
 def _unbounded_witness(gens: Sequence[Mat], cap: int) -> UnboundedWitness:
-    words: list[tuple[int, ...]] = [(i,) for i in range(len(gens))]
-    words += [(i, j) for i in range(len(gens)) for j in range(len(gens))]
-    words += [(i, j, k) for i in range(len(gens))
-              for j in range(len(gens)) for k in range(len(gens))]
+    words = [w for k in (1, 2, 3)
+             for w in itertools.product(range(len(gens)), repeat=k)]
     bound = Fraction(10) ** 9
     for word in words:
         m = linalg.identity(len(gens[0]))
@@ -105,90 +112,59 @@ class RootSystemD4:
     def roots_frame_coords(self) -> tuple[Vec, ...]:
         return tuple(self.frame_coords(r) for r in self.roots)
 
-    def simple_basis(self) -> tuple[Vec, ...]:
-        """alpha_1 = e1-e2, alpha_2 = e2-e3, alpha_3 = e3-e4, alpha_4 = e3+e4
-        in frame coordinates."""
-        e = linalg.identity(4)
-        return (
-            linalg.vec_sub(e[0], e[1]),
-            linalg.vec_sub(e[1], e[2]),
-            linalg.vec_sub(e[2], e[3]),
-            linalg.vec_add(e[2], e[3]),
-        )
-
     def weyl_group(self) -> FiniteMatrixGroup:
-        gens = []
-        for root in self.roots_frame_coords():
-            gens.append(_reflection(root))
-        group = finite_closure(tuple(dict.fromkeys(gens)), 300)
-        if not isinstance(group, FiniteMatrixGroup):
-            raise NotD4("the root reflections generate an infinite group")
-        return group
+        """W(D4): the 192 signed permutation matrices with an even number
+        of -1 entries."""
+        return FiniteMatrixGroup(tuple(
+            m for signs, m in _signed_maps(linalg.identity(4))
+            if signs.count(-1) % 2 == 0))
 
     def automorphism_group(self) -> FiniteMatrixGroup:
         """All orthogonal maps preserving the roots: frame to signed frame."""
-        import itertools
-
         frames = [tuple(self.frame_coords(f) for f in fr) for fr in self.frames_all]
-        elements = set()
-        order = []
-        for fr in frames:
-            for perm in itertools.permutations(range(4)):
-                for signs in itertools.product((1, -1), repeat=4):
-                    cols = [linalg.vec_scale(signs[k], fr[perm[k]]) for k in range(4)]
-                    m = linalg.transpose(tuple(cols))
-                    if m not in elements:
-                        elements.add(m)
-                        order.append(m)
+        order = list(dict.fromkeys(m for fr in frames for _, m in _signed_maps(fr)))
         root_set = set(self.roots_frame_coords())
         for m in order:
             image = {tuple(linalg.mat_vec(m, r)) for r in root_set}
             if image != root_set:
                 raise NotInAut("frame map does not preserve the roots")
-        return FiniteMatrixGroup((), tuple(order))
+        return FiniteMatrixGroup(tuple(order))
 
     def preserves_roots(self, m: Mat) -> bool:
         root_set = set(self.roots_frame_coords())
         return {tuple(linalg.mat_vec(m, r)) for r in root_set} == root_set
 
-    def triality_image(self, m: Mat, weyl: FiniteMatrixGroup | None = None) -> dict[int, int]:
-        """The permutation of {1, 3, 4} labeling the coset of m in A(R)/W(R)."""
+    def triality_image(self, m: Mat) -> dict[int, int]:
+        """The permutation of {1, 3, 4} labeling the coset of m in A(R)/W(R):
+        a -> the frame class of m w_a."""
         if not self.preserves_roots(m):
             raise NotInAut("matrix does not preserve the root system")
-        if weyl is None:
-            weyl = self.weyl_group()
-        alphas = self.simple_basis()
-        labeled = {1: alphas[0], 2: alphas[1], 3: alphas[2], 4: alphas[3]}
-        for w in weyl.elements:
-            winv = linalg.mat_inv(w)
-            g = linalg.mat_mul(winv, m)
-            if tuple(linalg.mat_vec(g, labeled[2])) != labeled[2]:
-                continue
-            images = {}
-            ok = True
-            for a in (1, 3, 4):
-                image = tuple(linalg.mat_vec(g, labeled[a]))
-                match = next((b for b in (1, 3, 4) if labeled[b] == image), None)
-                if match is None:
-                    ok = False
-                    break
-                images[a] = match
-            if ok:
-                return images
-        raise NotInAut("no Weyl correction matches; not an automorphism")
+        return {a: _frame_class(linalg.mat_vec(m, w)) for a, w in _WEIGHTS.items()}
 
 
-def _reflection(root: Vec) -> Mat:
-    n = len(root)
-    norm2 = sum(x * x for x in root)
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            val = Fraction(1 if i == j else 0) - 2 * root[i] * root[j] / norm2
-            row.append(val)
-        rows.append(tuple(row))
-    return tuple(rows)
+_HALF = Fraction(1, 2)
+_WEIGHTS = {1: linalg.vec((1, 0, 0, 0)),
+            3: (_HALF, _HALF, _HALF, -_HALF),
+            4: (_HALF, _HALF, _HALF, _HALF)}
+
+
+def _frame_class(v: Vec) -> int:
+    """1 for +-e_i; 3 or 4 for a half-vector with an odd or even number of
+    minus signs."""
+    if sorted(abs(x) for x in v) == [0, 0, 0, 1]:
+        return 1
+    if all(abs(x) == _HALF for x in v):
+        return 3 if sum(x < 0 for x in v) % 2 else 4
+    raise NotInAut("weight image lies in no frame class")
+
+
+def _signed_maps(frame: Sequence[Vec]):
+    """(signs, matrix) for every matrix whose column k is signs[k] times a
+    frame vector, the frame vectors taken in every order."""
+    for perm in itertools.permutations(range(4)):
+        for signs in itertools.product((1, -1), repeat=4):
+            cols = tuple(linalg.vec_scale(signs[k], frame[perm[k]]) for k in range(4))
+            yield signs, linalg.transpose(cols)
 
 
 def detect_d4(vectors: Iterable[Vec],
@@ -276,4 +252,4 @@ def symplectic_subgroup(group: FiniteMatrixGroup, gram: Mat) -> FiniteMatrixGrou
         m for m in group.elements
         if linalg.mat_mul(linalg.mat_mul(linalg.transpose(m), gram), m) == gram
     )
-    return FiniteMatrixGroup((), kept)
+    return FiniteMatrixGroup(kept)

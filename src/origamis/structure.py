@@ -8,6 +8,7 @@ random-word growth probes.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -53,10 +54,6 @@ class DecompositionReport:
         return all(self.checks.values())
 
 
-def _span(space: ChainSpace, chains: Iterable[EdgeChain]) -> Subspace:
-    return space.subspace_from(chains)
-
-
 def _invariant_under(sub: Subspace, lifts: Iterable[AffineLift]) -> bool:
     try:
         for lf in lifts:
@@ -95,9 +92,10 @@ def decompose_ew(ew: Wollmilchsau) -> DecompositionReport:
         chains[f"zeta_hat_{g}"] = ew.zeta_hat(g)
         chains[f"epsilon_{g}"] = ew.epsilon(g)
     subspaces = {
-        "H1_st": _span(space, [chains["sigma"], chains["zeta"]]),
-        "H_rel": _span(space, [chains["w_i"], chains["w_j"], chains["w_k"]]),
-        "H1_0": _span(space, [chains[f"epsilon_{g}"] for g in ("1", "i", "j", "k")]),
+        "H1_st": space.subspace_from([chains["sigma"], chains["zeta"]]),
+        "H_rel": space.subspace_from([chains["w_i"], chains["w_j"], chains["w_k"]]),
+        "H1_0": space.subspace_from([chains[f"epsilon_{g}"]
+                                     for g in ("1", "i", "j", "k")]),
     }
     checks = {}
     checks["dim_H1_st"] = subspaces["H1_st"].dim == 2
@@ -136,12 +134,10 @@ def decompose_orn(orn: Ornithorynque) -> DecompositionReport:
     if q == 3:
         lifts["S"] = lift(origami, S_MAT)
         lifts["T"] = lift(origami, T_MAT)
-        gen_names = ("S", "T")
     else:
         lifts["S2"] = lift(origami, mat_pow(S_MAT, 2))
         lifts["T2"] = lift(origami, mat_pow(T_MAT, 2))
         lifts["J"] = lift(origami, J_MAT)
-        gen_names = ("S2", "T2", "J")
     for g in range(q):
         lifts[f"aut_{g}"] = automorphism_lift(origami, orn.shift(g))
     chains: dict[str, EdgeChain] = {
@@ -157,11 +153,11 @@ def decompose_orn(orn: Ornithorynque) -> DecompositionReport:
         chains[f"sigma_breve_{i}"] = orn.sigma_breve(i)
         chains[f"zeta_breve_{i}"] = orn.zeta_breve(i)
     subspaces = {
-        "H1_st": _span(space, [chains["sigma"], chains["zeta"]]),
-        "H_rel": _span(space, [chains["sigma_flat"], chains["zeta_flat"]]),
-        "H_tau": _span(space, [orn.tau(i) for i in range(q)]),
-        "H_breve": _span(space, [orn.sigma_breve(i) for i in range(q)]
-                         + [orn.zeta_breve(i) for i in range(q)]),
+        "H1_st": space.subspace_from([chains["sigma"], chains["zeta"]]),
+        "H_rel": space.subspace_from([chains["sigma_flat"], chains["zeta_flat"]]),
+        "H_tau": space.subspace_from([orn.tau(i) for i in range(q)]),
+        "H_breve": space.subspace_from([orn.sigma_breve(i) for i in range(q)]
+                                       + [orn.zeta_breve(i) for i in range(q)]),
     }
     checks = {}
     checks["dim_H_tau"] = subspaces["H_tau"].dim == q - 1
@@ -183,9 +179,7 @@ def decompose_orn(orn: Ornithorynque) -> DecompositionReport:
     all_lifts = list(lifts.values())
     for name, sub in subspaces.items():
         checks[f"invariant_{name}"] = _invariant_under(sub, all_lifts)
-    report = DecompositionReport(origami, subspaces, chains, lifts, checks)
-    report.gen_names = gen_names
-    return report
+    return DecompositionReport(origami, subspaces, chains, lifts, checks)
 
 
 # -- character analysis -------------------------------------------------------
@@ -332,48 +326,50 @@ class CongruenceReport:
 
 
 def combined_action(lift_: AffineLift, subspaces: Sequence[Subspace]) -> Mat:
+    """Block-diagonal matrix of the lift on the given invariant subspaces."""
     blocks = [matrix_on(lift_, v) for v in subspaces]
     size = sum(len(b) for b in blocks)
-    out = [[Fraction(0)] * size for _ in range(size)]
-    at = 0
+    rows: list[tuple] = []
     for b in blocks:
-        for i in range(len(b)):
-            for j in range(len(b)):
-                out[at + i][at + j] = b[i][j]
-        at += len(b)
-    return tuple(tuple(row) for row in out)
+        left = (Fraction(0),) * len(rows)
+        right = (Fraction(0),) * (size - len(rows) - len(b))
+        rows += [left + row + right for row in b]
+    return tuple(rows)
 
 
-def kernel_is_congruence(origami: Origami, subspaces: Sequence[Subspace],
-                         level: int, sl_lifts: Sequence[AffineLift],
+def kernel_is_congruence(subspaces: Sequence[Subspace], level: int,
+                         sl_lifts: Sequence[AffineLift],
                          aut_lifts: Sequence[AffineLift],
                          cap: int = 2000) -> CongruenceReport:
     """Certify that the kernel of the combined action is Gamma(level).
 
-    (i) every Reidemeister-Schreier generator of Gamma(level) lifts, for some
-    composition with an automorphism, into the kernel; (ii) the image order
-    equals |SL(2,Z/level)| times the order of the automorphism image.
+    (i) every Reidemeister-Schreier generator of Gamma(level) has a lift in
+    the kernel; (ii) the image order equals |SL(2,Z/level)| times the order
+    of the automorphism image. sl_lifts are lifts of S and then T, and a
+    generator acts as the product of their actions along its word. That
+    certifies the same as lifting the generator: a product of lifts equals
+    the lift of the product up to an automorphism, and aut_lifts cover Aut.
     """
-    gens = [combined_action(lf, subspaces) for lf in
-            list(sl_lifts) + list(aut_lifts)]
-    closure = finite_closure(gens, cap)
+    if [lf.linear for lf in sl_lifts] != [S_MAT, T_MAT]:
+        raise ValueError("sl_lifts must be lifts of S and then T")
+    s_act, t_act = (combined_action(lf, subspaces) for lf in sl_lifts)
+    auts = [combined_action(lf, subspaces) for lf in aut_lifts]
+    closure = finite_closure([s_act, t_act] + auts, cap)
     if isinstance(closure, UnboundedWitness):
         raise ActionNotFinite(f"combined action grows along word {closure.word}")
-    aut_part = finite_closure([combined_action(lf, subspaces)
-                               for lf in aut_lifts], cap)
+    aut_part = finite_closure(auts, cap)
     subgroup = CongruenceSubgroup(level)
     expected = subgroup.index * aut_part.order
-    identity = linalg.identity(len(gens[0]))
+    letters = {"S": s_act, "S-": linalg.mat_inv(s_act),
+               "T": t_act, "T-": linalg.mat_inv(t_act)}
+    identity = linalg.identity(len(s_act))
     witnesses = []
     failed = []
     for word in subgroup.generators():
-        lifted = lift(origami, word.matrix())
-        found = None
-        for k, aut in enumerate(aut_lifts):
-            action = combined_action(aut.compose(lifted), subspaces)
-            if action == identity:
-                found = k
-                break
+        product = functools.reduce(linalg.mat_mul,
+                                   (letters[x] for x in word.letters))
+        found = next((k for k, aut in enumerate(auts)
+                      if linalg.mat_mul(aut, product) == identity), None)
         if found is None:
             failed.append(str(word))
         else:

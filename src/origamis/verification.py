@@ -106,12 +106,12 @@ def verify_theorem_a() -> dict:
     images_ok = (z_s2 == linalg.mat_mul(z_i, s_mat)
                  and z_t2 == linalg.mat_mul(z_j, s_mat)
                  and z_e == linalg.mat_mul(z_k, s_mat))
-    tri_s = system.triality_image(z_s, weyl)
-    tri_t = system.triality_image(z_t, weyl)
-    tri_st = system.triality_image(z_of(s_lift.compose(t_lift)), weyl)
+    tri_s = system.triality_image(z_s)
+    tri_t = system.triality_image(z_t)
+    tri_st = system.triality_image(z_of(s_lift.compose(t_lift)))
     onto = len({tuple(sorted(t.items()))
                 for t in (tri_s, tri_t, tri_st,
-                          system.triality_image(linalg.identity(4), weyl))}) == 4
+                          system.triality_image(linalg.identity(4)))}) == 4
     suite.check("(c) Z(S),Z(T) outside W(R); squares land in W(R) as is,js,ks;"
                 " triality images (1,4),(1,3); morphism onto S3",
                 z_s not in weyl and z_t not in weyl
@@ -122,7 +122,7 @@ def verify_theorem_a() -> dict:
                 {"tri_S": tri_s, "tri_T": tri_t})
     auts = [rep.lifts[f"aut_{g}"] for g in QUATERNION_ORDER]
     sub0, subrel = rep.subspaces["H1_0"], rep.subspaces["H_rel"]
-    congruence = kernel_is_congruence(origami, [sub0, subrel], 4,
+    congruence = kernel_is_congruence([sub0, subrel], 4,
                                       [s_lift, t_lift], auts, cap=2000)
     five = [mat_pow(S_MAT, 4), mat_pow(T_MAT, 4),
             mat_pow(mat_mul(T_MAT, S_MAT), 3),
@@ -218,7 +218,7 @@ def _verify_theorem_b_q3() -> dict:
                 len(in_weyl) == 24 and set(in_weyl) == set(sym.elements)
                 and len(involutions) == 1,
                 {"intersection": len(in_weyl), "involutions": len(involutions)})
-    tri = {tuple(sorted(system.triality_image(m, weyl).items()))
+    tri = {tuple(sorted(system.triality_image(m).items()))
            for m in (z_s, z_t, z_1, linalg.mat_mul(z_1, z_1))}
     identity_img = tuple(sorted({1: 1, 3: 3, 4: 4}.items()))
     three_cycles = tri - {identity_img}
@@ -228,7 +228,7 @@ def _verify_theorem_b_q3() -> dict:
                         for t in three_cycles),
                 sorted(tri))
     auts = [rep.lifts[f"aut_{g}"] for g in range(3)]
-    congruence = kernel_is_congruence(origami, [rep.subspaces["H_breve"]], 3,
+    congruence = kernel_is_congruence([rep.subspaces["H_breve"]], 3,
                                       [rep.lifts["S"], rep.lifts["T"]], auts,
                                       cap=500)
     suite.check("(d) Gamma(3) generators act trivially on H_breve;"

@@ -36,11 +36,13 @@ def test_substitution_maps_relations(ew, orn5):
 def test_substitution_boundary_compatible(ew):
     origami = ew.origami
     space = chain_space(origami)
-    from origamis.affine import _vertex_map_by_label
     for letter in ("S", "T", "S-", "T-"):
         sub = elementary_substitution(letter, origami)
         target_space = chain_space(sub.target)
-        vmap = _vertex_map_by_label(origami, sub.target)
+        # each letter carries the vertex of square g to the vertex of square g
+        pairs = set(zip(vertex_of_square(origami), vertex_of_square(sub.target)))
+        assert len({v for v, _ in pairs}) == len({w for _, w in pairs}) == len(pairs)
+        vmap = dict(pairs)
         matrix = sub.matrix()
         for j in range(2 * origami.n):
             unit = tuple(Fraction(1 if k == j else 0)
@@ -48,7 +50,7 @@ def test_substitution_boundary_compatible(ew):
             moved = target_space.boundary_vec(linalg.mat_vec(matrix, unit))
             expected = [Fraction(0)] * len(target_space.vclasses)
             for k, val in enumerate(space.boundary_vec(unit)):
-                expected[vmap(k)] += val
+                expected[vmap[k]] += val
             assert list(moved) == expected
 
 

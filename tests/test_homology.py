@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ from origamis.catalog import QUATERNION_ORDER, quaternion_mul
 from origamis.errors import NotAbsolute
 from origamis.homology import EdgeChain, chain_space
 from origamis.origami import make_origami
-from origamis.permutations import Perm, random_transitive_pair
+from origamis.permutations import Perm, are_transitive, random_transitive_pair
 
 TORUS = make_origami(1, Perm([0]), Perm([0]))
 
@@ -283,3 +284,14 @@ def test_random_origamis_unimodular_antisymmetric():
         for i in range(len(basis)):
             for j in range(len(basis)):
                 assert gram[i][j] == -gram[j][i]
+
+
+def test_chain_space_cache_is_bounded():
+    perms = [Perm(p) for p in itertools.permutations(range(4))]
+    origamis = [make_origami(4, r, u) for r in perms for u in perms
+                if are_transitive((r, u))]
+    assert len(set(origamis)) > chain_space.cache_info().maxsize
+    for origami in origamis:
+        space = chain_space(origami)
+        assert chain_space(origami) is space
+        assert chain_space.cache_info().currsize <= chain_space.cache_info().maxsize

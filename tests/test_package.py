@@ -1,5 +1,5 @@
-"""Package-wide checks: the public names, no `assert` in the library, and a
-verify suite under `python -O`."""
+"""Package-wide checks: the public names, no `assert` in the library, and
+verify suites under `python -O`."""
 
 import ast
 import json
@@ -52,12 +52,14 @@ def test_lint_sees_both_forms(tmp_path):
     assert _assertions(bad) == [1, 2, 3]
 
 
-def test_verify_under_optimize_flag():
+# theorem-b runs the triality labels, the Weyl group and the congruence kernel
+@pytest.mark.parametrize("suite", ["appendix-a", "theorem-b"])
+def test_verify_under_optimize_flag(suite):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
-        [sys.executable, "-O", "-m", "origamis.cli", "verify", "appendix-a"],
+        [sys.executable, "-O", "-m", "origamis.cli", "verify", suite],
         capture_output=True, text=True, env=env, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout)["pass"] is True

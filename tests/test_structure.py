@@ -5,19 +5,19 @@ from fractions import Fraction
 import pytest
 
 from origamis import cyclotomic, linalg
-from origamis.affine import matrix_on
+from origamis.affine import lift, matrix_in_chain_basis, matrix_on
 from origamis.catalog import QUATERNION_ORDER, catalog
-from origamis.errors import NotD4, NotInCyclicImage
+from origamis.errors import NotD4, NotInAut, NotInCyclicImage
 from origamis.homology import chain_space
 from origamis.rootsys import (FiniteMatrixGroup, UnboundedWitness, detect_d4,
                               finite_closure, symplectic_subgroup)
-
+from origamis.sl2z import CongruenceSubgroup
 from origamis.structure import (QUATERNION_CHARACTERS, breve_block_trace,
-                                breve_blocks, cocycle_growth,
+                                breve_blocks, cocycle_growth, combined_action,
                                 isotypic_multiplicities_quaternion,
                                 kernel_is_congruence, operator_norm,
                                 power_growth_rate, tau_character)
-from origamis.verification import _ew_root_system
+from origamis.verification import _ew_root_system, _orn_root_system
 
 
 def test_quaternion_character_orthogonality():
@@ -175,7 +175,121 @@ def test_triality_is_weyl_coset_map(ew):
     sample = rng.sample(list(weyl.elements), 6)
     identity_img = {1: 1, 3: 3, 4: 4}
     for w in sample:
-        assert system.triality_image(w, weyl) == identity_img
+        assert system.triality_image(w) == identity_img
+
+
+# The searches that the direct readings replaced, kept as references.
+
+
+def _reflection_closure(system):
+    """W(R) as the closure of the root reflections."""
+    gens = []
+    for root in system.roots_frame_coords():
+        norm2 = sum(x * x for x in root)
+        gens.append(tuple(tuple(Fraction(i == j) - 2 * root[i] * root[j] / norm2
+                                for j in range(4)) for i in range(4)))
+    return finite_closure(tuple(dict.fromkeys(gens)), 300)
+
+
+def _triality_by_weyl_search(m, weyl_inverses):
+    """The Weyl correction g = w^-1 m that fixes alpha_2 and permutes
+    alpha_1, alpha_3, alpha_4 (alpha = e1-e2, e2-e3, e3-e4, e3+e4)."""
+    e = linalg.identity(4)
+    alphas = {1: linalg.vec_sub(e[0], e[1]), 2: linalg.vec_sub(e[1], e[2]),
+              3: linalg.vec_sub(e[2], e[3]), 4: linalg.vec_add(e[2], e[3])}
+    m_alphas = {a: linalg.mat_vec(m, v) for a, v in alphas.items()}
+    for winv in weyl_inverses:
+        if tuple(linalg.mat_vec(winv, m_alphas[2])) != alphas[2]:
+            continue
+        g_alphas = {a: tuple(linalg.mat_vec(winv, m_alphas[a])) for a in (1, 3, 4)}
+        images = {a: next((b for b in (1, 3, 4) if alphas[b] == g_alphas[a]), None)
+                  for a in (1, 3, 4)}
+        if None not in images.values():
+            return images
+    raise NotInAut("no Weyl correction matches")
+
+
+def _check_triality_against_search(system, generator_images):
+    inverses = [linalg.mat_inv(w) for w in _reflection_closure(system).elements]
+    sample = random.Random(4).sample(system.automorphism_group().elements, 36)
+    labels = set()
+    for m in generator_images + sample:
+        expected = _triality_by_weyl_search(m, inverses)
+        assert system.triality_image(m) == expected
+        labels.add(tuple(sorted(expected.items())))
+    assert len(labels) == 6
+    with pytest.raises(NotInAut):
+        system.triality_image(linalg.mat([[1, 1, 0, 0], [0, 1, 0, 0],
+                                          [0, 0, 1, 0], [0, 0, 0, 1]]))
+
+
+def test_triality_matches_weyl_coset_search_ew():
+    _, rep, _, system = _ew_root_system()
+    frame = system.ambient_frame()
+    s, t = rep.lifts["S"], rep.lifts["T"]
+    images = [matrix_in_chain_basis(lf, frame) for lf in
+              (s, t, s.compose(t), rep.lifts["aut_i"], rep.lifts["aut_j"])]
+    _check_triality_against_search(system, images + [linalg.identity(4)])
+
+
+def test_triality_matches_weyl_coset_search_orn3(orn3, orn3_report):
+    system, _ = _orn_root_system(orn3, orn3_report)
+    frame = system.ambient_frame()
+    z_s, z_t, z_1 = (matrix_in_chain_basis(orn3_report.lifts[k], frame)
+                     for k in ("S", "T", "aut_1"))
+    _check_triality_against_search(system, [z_s, z_t, z_1,
+                                            linalg.mat_mul(z_1, z_1)])
+
+
+def test_weyl_group_is_the_reflection_closure():
+    _, _, _, system = _ew_root_system()
+    closure = _reflection_closure(system)
+    weyl = system.weyl_group()
+    assert weyl.order == closure.order == 192
+    assert set(weyl.elements) == set(closure.elements)
+
+
+def _kernel_by_relifting(origami, subspaces, level, sl_lifts, aut_lifts):
+    """Lift every Schreier generator of Gamma(level) and look for an
+    automorphism whose composition with it acts trivially."""
+    gens = [combined_action(lf, subspaces) for lf in
+            list(sl_lifts) + list(aut_lifts)]
+    order = finite_closure(gens, 2000).order
+    subgroup = CongruenceSubgroup(level)
+    expected = subgroup.index * finite_closure(gens[2:], 2000).order
+    identity = linalg.identity(len(gens[0]))
+    witnessed, failed = [], []
+    for word in subgroup.generators():
+        lifted = lift(origami, word.matrix())
+        if any(combined_action(a.compose(lifted), subspaces) == identity
+               for a in aut_lifts):
+            witnessed.append(str(word))
+        else:
+            failed.append(str(word))
+    return not failed and order == expected, order, expected, witnessed, failed
+
+
+@pytest.mark.parametrize("family, name, level", [
+    ("ew", "H_rel", 2), ("ew", "H1_0", 2), ("orn3", "H_breve", 3)])
+def test_congruence_kernel_matches_relifting(request, family, name, level):
+    rep = request.getfixturevalue(f"{family}_report")
+    auts = [lf for key, lf in rep.lifts.items() if key.startswith("aut_")]
+    sl_lifts = [rep.lifts["S"], rep.lifts["T"]]
+    subspaces = [rep.subspaces[name]]
+    report = kernel_is_congruence(subspaces, level, sl_lifts, auts)
+    holds, order, expected, witnessed, failed = _kernel_by_relifting(
+        rep.origami, subspaces, level, sl_lifts, auts)
+    assert (report.holds, report.image_order, report.expected_order) == \
+        (holds, order, expected)
+    assert [word for word, _ in report.generator_witnesses] == witnessed
+    assert report.failed_words == failed
+
+
+def test_congruence_needs_lifts_of_s_then_t(ew_report):
+    auts = [ew_report.lifts[f"aut_{g}"] for g in QUATERNION_ORDER]
+    with pytest.raises(ValueError):
+        kernel_is_congruence([ew_report.subspaces["H_rel"]], 2,
+                             [ew_report.lifts["T"], ew_report.lifts["S"]], auts)
 
 
 def test_detect_d4_rejects_garbage():
@@ -192,7 +306,7 @@ def test_finite_closure_unbounded_witness():
 
 def test_symplectic_subgroup_identity_only():
     gram = linalg.mat([[0, 1], [-1, 0]])
-    group = FiniteMatrixGroup((), (linalg.identity(2),))
+    group = FiniteMatrixGroup((linalg.identity(2),))
     assert symplectic_subgroup(group, gram).order == 1
 
 
@@ -200,7 +314,7 @@ def test_congruence_accounting_gamma2(ew, ew_report):
     space = chain_space(ew.origami)
     auts = [ew_report.lifts[f"aut_{g}"] for g in QUATERNION_ORDER]
     report = kernel_is_congruence(
-        ew.origami, [ew_report.subspaces["H_rel"]], 2,
+        [ew_report.subspaces["H_rel"]], 2,
         [ew_report.lifts["S"], ew_report.lifts["T"]], auts, cap=100)
     assert report.holds and report.image_order == 24
 
