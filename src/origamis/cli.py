@@ -279,8 +279,11 @@ def cmd_supplement(args) -> dict:
     origami = ab.origami
     space = chain_space(origami)
     probe_map = {"vert": (0, 1), "hor": (1, 0), "diag": (1, 1)}
-    probes = [multitwist(origami, probe_map[p]).lift
-              for p in args.probes.split(",")]
+    names = args.probes.split(",")
+    if not set(names) <= probe_map.keys():
+        raise BadArgument(f"unknown probe in {args.probes!r}, known: "
+                          f"{', '.join(probe_map)}")
+    probes = [multitwist(origami, probe_map[p]).lift for p in names]
     cert = invariant_supplement(origami, space.singular_vertices(), probes,
                                 reps=[ab.zeta_star()],
                                 correction_basis=[ab.zeta0(), ab.zeta1()])

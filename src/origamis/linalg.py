@@ -11,6 +11,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from .errors import Inconsistent
+
 Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
@@ -147,10 +149,10 @@ def unit_pivot_reducer(rows: Sequence[Sequence[int]]) -> list[tuple[int, Vec]]:
     """Integer row-reduce a lattice basis choosing only +-1 pivots.
 
     Returns a list of (pivot column, row) with pivot value 1, each pivot
-    column zero in all other rows; the rows span the same lattice. Raises if
-    some nonzero row never offers a +-1 pivot (cannot happen for boundary
-    lattices of square complexes, where a spanning tree of the dual graph
-    always provides one).
+    column zero in all other rows; the rows span the same lattice. Raises
+    Inconsistent if some nonzero row never offers a +-1 pivot (cannot happen
+    for boundary lattices of square complexes, where a spanning tree of the
+    dual graph always provides one).
     """
     work = [[int(x) for x in row] for row in rows]
     done: list[tuple[int, list[int]]] = []
@@ -165,7 +167,7 @@ def unit_pivot_reducer(rows: Sequence[Sequence[int]]) -> list[tuple[int, Vec]]:
                 break
         if choice is None:
             if any(any(row) for row in work):
-                raise ArithmeticError("lattice basis without unit pivot")
+                raise Inconsistent("lattice basis without unit pivot")
             break
         i, j = choice
         pivot_row = work.pop(i)

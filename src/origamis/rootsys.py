@@ -17,11 +17,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 from . import linalg
-from .errors import NotD4, NotInAut
+from .errors import NotD4, NotInAut, OrderExceedsCap
 from .linalg import Mat, Vec
 
 
@@ -73,19 +73,25 @@ def finite_closure(generators: Sequence[Mat], cap: int):
 
 
 def _unbounded_witness(gens: Sequence[Mat], cap: int) -> UnboundedWitness:
-    words = [w for k in (1, 2, 3)
-             for w in itertools.product(range(len(gens)), repeat=k)]
-    bound = Fraction(10) ** 9
-    for word in words:
-        m = linalg.identity(len(gens[0]))
-        for i in word:
-            m = linalg.mat_mul(m, gens[i])
-        probe = m
-        for _ in range(40):
-            if max(abs(x) for row in probe for x in row) > bound:
+    for k in (1, 2, 3):
+        for word in itertools.product(range(len(gens)), repeat=k):
+            m = reduce(linalg.mat_mul, (gens[i] for i in word))
+            if grows(m):
                 return UnboundedWitness(word, m)
-            probe = linalg.mat_mul(probe, probe)
-    raise ArithmeticError(f"closure exceeded cap {cap} but no growing word found")
+    raise OrderExceedsCap(f"closure exceeds cap {cap}; no short word grows")
+
+
+def grows(m: Mat) -> bool:
+    """True when some m^(2^k), k < 40, has an entry above 10^9 in absolute
+    value: the growth test that certifies an infinite image. Once a power
+    repeats, the later ones cycle through earlier ones, so the test stops."""
+    powers: list[Mat] = []
+    while m not in powers and len(powers) < 40:
+        if max(abs(x) for row in m for x in row) > 10 ** 9:
+            return True
+        powers.append(m)
+        m = linalg.mat_mul(m, m)
+    return False
 
 
 @dataclass(frozen=True)
@@ -110,6 +116,10 @@ class RootSystemD4:
         )
 
     def roots_frame_coords(self) -> tuple[Vec, ...]:
+        return self._roots_frame
+
+    @cached_property
+    def _roots_frame(self) -> tuple[Vec, ...]:
         return tuple(self.frame_coords(r) for r in self.roots)
 
     def weyl_group(self) -> FiniteMatrixGroup:

@@ -4,6 +4,10 @@ Everything here is specific to the two catalog families: the quaternion
 origami (genus 3) and the odd-q family (genus (3q-1)/2), plus generic
 machinery for character multiplicities, congruence-kernel accounting, and
 random-word growth probes.
+
+The odd-q and kernel invariants are read off the images of named classes:
+tau characters, H-breve blocks, and Schreier words evaluated on the S and T
+block actions against the actions of all automorphisms.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ from .catalog import (QUATERNION_ORDER, Ornithorynque, Wollmilchsau,
 from .errors import ActionNotFinite, NotInCyclicImage, NotInvariant, WrongSurface
 from .homology import ChainSpace, EdgeChain, Subspace, chain_space
 from .linalg import Mat
-from .origami import Origami
+from .origami import Origami, automorphisms
 from .rootsys import UnboundedWitness, finite_closure
-from .sl2z import CongruenceSubgroup, J_MAT, S_MAT, T_MAT, mat_pow
+from .sl2z import CongruenceSubgroup, ID2, J_MAT, S_MAT, T_MAT, mat_pow
 
 QUATERNION_CHARACTERS = {
     "chi_1": {"1": 1, "-1": 1, "i": 1, "j": 1, "k": 1},
@@ -225,51 +229,23 @@ def isotypic_multiplicities_cyclic(
 # -- tau character and breve blocks -----------------------------------------
 
 
-def tau_generator_matrix(orn: Ornithorynque, sub: Subspace) -> Mat:
-    """Matrix of tau_i -> -tau_{i+(q+1)/2} on the tau subspace."""
-    q = orn.q
-    space = chain_space(orn.origami)
-    shift = (q + 1) // 2
-    cols = []
-    for b in sub.basis:
-        # express b in tau coordinates by linearity of the defining map
-        chain = EdgeChain.from_flat(b)
-        image = _apply_tau_rule(orn, chain, shift)
-        coords = sub.coords_of(space.canonical_vec(image.flat()))
-        if coords is None:
-            raise NotInCyclicImage("tau rule leaves the subspace")
-        cols.append(coords)
-    return linalg.transpose(tuple(cols))
-
-
-def _apply_tau_rule(orn: Ornithorynque, chain: EdgeChain, shift: int) -> EdgeChain:
-    # solve chain = sum c_i tau_i, then map to -sum c_i tau_{i+shift}
-    q = orn.q
-    space = chain_space(orn.origami)
-    cols = tuple(space.canonical_vec(orn.tau(i).flat()) for i in range(q))
-    target = space.canonical_vec(chain.flat())
-    sol = linalg.solve(linalg.transpose(cols), target)
-    if sol is None:
-        raise NotInCyclicImage("chain is not in the tau subspace")
-    out = EdgeChain.zero(orn.origami.n)
-    for i, c in enumerate(sol):
-        if c:
-            out = out + orn.tau((i + shift) % q).scale(-c)
-    return out
-
-
 def tau_character(orn: Ornithorynque, lift_: AffineLift) -> int:
-    """The element of Z/2q through which the lift acts on the tau subspace."""
+    """The k in Z/2q with lift(tau_i) = (-1)^k tau_{i + k(q+1)/2} for every i:
+    the power of tau_i -> -tau_{i+(q+1)/2} (order 2q on H_tau) that the lift
+    is, read off the canonical vectors of the tau_i and of their images."""
+    if lift_.origami != orn.origami:
+        raise NotInCyclicImage("lift of another surface")
     q = orn.q
     space = chain_space(orn.origami)
-    sub = space.subspace_from([orn.tau(i) for i in range(q)])
-    m = matrix_on(lift_, sub)
-    gen = tau_generator_matrix(orn, sub)
-    acc = linalg.identity(sub.dim)
+    taus = [space.canonical_vec(orn.tau(i).flat()) for i in range(q)]
+    images = [space.canonical_vec(linalg.mat_vec(lift_.matrix, orn.tau(i).flat()))
+              for i in range(q)]
+    shift = (q + 1) // 2
     for k in range(2 * q):
-        if acc == m:
+        sign = (-1) ** k
+        if all(images[i] == linalg.vec_scale(sign, taus[(i + k * shift) % q])
+               for i in range(q)):
             return k
-        acc = linalg.mat_mul(gen, acc)
     raise NotInCyclicImage("action is not a power of the cyclic generator")
 
 
@@ -277,33 +253,29 @@ def breve_blocks(orn: Ornithorynque, lift_: AffineLift) -> Mat:
     """2x2 matrix over Q[x]/(x^q-1) mod Psi_q for the action on H-breve.
 
     Columns are the images of (sigma_breve(rho), zeta_breve(rho)); entry
-    polynomials evaluate at each nontrivial q-th root of unity rho = x.
+    polynomials evaluate at each nontrivial q-th root of unity rho = x. They
+    solve for the image of each seed at index 0 and must give the image at
+    every index i shifted by i, one product on the canonical breve basis.
     """
     q = orn.q
     space = chain_space(orn.origami)
-    cols = tuple([space.canonical_vec(orn.sigma_breve(j).flat()) for j in range(q)]
-                 + [space.canonical_vec(orn.zeta_breve(j).flat()) for j in range(q)])
+    flats = [orn.sigma_breve(j).flat() for j in range(q)] + \
+        [orn.zeta_breve(j).flat() for j in range(q)]
+    basis = linalg.transpose(tuple(space.canonical_vec(v) for v in flats))
     matrix_cols = []
-    for seed in (orn.sigma_breve, orn.zeta_breve):
-        image = space.canonical_vec(linalg.mat_vec(lift_.matrix, seed(0).flat()))
-        sol = linalg.solve(linalg.transpose(cols), image)
+    for offset in (0, q):
+        images = [space.canonical_vec(linalg.mat_vec(lift_.matrix, flats[offset + i]))
+                  for i in range(q)]
+        sol = linalg.solve(basis, images[0])
         if sol is None:
             raise NotInvariant("lift does not preserve the breve subspace")
-        c_poly = cyclotomic.mod_psi(tuple(sol[:q]))
-        d_poly = cyclotomic.mod_psi(tuple(sol[q:]))
-        matrix_cols.append((c_poly, d_poly))
-        # shift-equivariance: the same polynomials must work at every index
-        for i in range(q):
-            predicted = EdgeChain.zero(orn.origami.n)
-            for j in range(q):
-                if sol[j]:
-                    predicted = predicted + orn.sigma_breve((i + j) % q).scale(sol[j])
-                if sol[q + j]:
-                    predicted = predicted + orn.zeta_breve((i + j) % q).scale(sol[q + j])
-            actual = space.canonical_vec(
-                linalg.mat_vec(lift_.matrix, seed(i).flat()))
-            if space.canonical_vec(predicted.flat()) != actual:
-                raise NotInvariant("action is not shift-equivariant on H-breve")
+        matrix_cols.append((cyclotomic.mod_psi(tuple(sol[:q])),
+                            cyclotomic.mod_psi(tuple(sol[q:]))))
+        # shift-equivariance: column i holds the solution shifted by index i
+        shifted = tuple(tuple(sol[half + (j - i) % q] for i in range(q))
+                        for half in (0, q) for j in range(q))
+        if linalg.transpose(linalg.mat_mul(basis, shifted)) != tuple(images):
+            raise NotInvariant("action is not shift-equivariant on H-breve")
     (c1, d1), (c2, d2) = matrix_cols
     return ((c1, c2), (d1, d2))
 
@@ -348,18 +320,23 @@ def kernel_is_congruence(subspaces: Sequence[Subspace], level: int,
     of the automorphism image. sl_lifts are lifts of S and then T, and a
     generator acts as the product of their actions along its word. That
     certifies the same as lifting the generator: a product of lifts equals
-    the lift of the product up to an automorphism, and aut_lifts cover Aut.
+    the lift of the product up to an automorphism, and aut_lifts must be
+    the lifts of every automorphism, so their actions are the Aut image.
     """
     if [lf.linear for lf in sl_lifts] != [S_MAT, T_MAT]:
         raise ValueError("sl_lifts must be lifts of S and then T")
+    origami = sl_lifts[0].origami
+    covered = sorted(lf.relabeling.images for lf in aut_lifts
+                     if lf.linear == ID2 and lf.relabeling)
+    if covered != sorted(a.images for a in automorphisms(origami)):
+        raise ValueError("aut_lifts must be the lifts of every automorphism")
     s_act, t_act = (combined_action(lf, subspaces) for lf in sl_lifts)
     auts = [combined_action(lf, subspaces) for lf in aut_lifts]
     closure = finite_closure([s_act, t_act] + auts, cap)
     if isinstance(closure, UnboundedWitness):
         raise ActionNotFinite(f"combined action grows along word {closure.word}")
-    aut_part = finite_closure(auts, cap)
     subgroup = CongruenceSubgroup(level)
-    expected = subgroup.index * aut_part.order
+    expected = subgroup.index * len(set(auts))
     letters = {"S": s_act, "S-": linalg.mat_inv(s_act),
                "T": t_act, "T-": linalg.mat_inv(t_act)}
     identity = linalg.identity(len(s_act))
@@ -436,11 +413,4 @@ def cocycle_growth(mats: Sequence[Mat], length: int, trials: int, seed: int,
 
 def power_growth_rate(m: Mat, length: int) -> float:
     """log-norm slope of m^k between k = length/2 and k = length."""
-    acc = linalg.identity(len(m))
-    half_log = 0.0
-    for step in range(length):
-        acc = linalg.mat_mul(acc, m)
-        if step + 1 == length // 2:
-            half_log = _log_abs(operator_norm(acc))
-    end_log = _log_abs(operator_norm(acc))
-    return (end_log - half_log) / (length - length // 2)
+    return cocycle_growth([m], length, 1, 0).growth_rate

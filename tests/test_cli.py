@@ -162,12 +162,14 @@ AB = ["--name", "appendix-b"]
     (["action", "--name", "ornithorynque", "--q", "3", "--matrix",
       "[[1,0],[1,1]]", "--basis", "nope"], None, "BadArgument"),
     (["group", *EW, "--subspace", "nope"], None, "BadArgument"),
+    (["supplement", *AB, "--probes", "foo"], None, "BadArgument"),
+    (["supplement", *AB, "--probes", ""], None, "BadArgument"),
 ], ids=["missing", "unreadable", "not-json", "missing-key", "wrong-type",
         "not-object", "dir-one-number", "dir-not-integers", "dir-zero",
         "matrix-not-json", "matrix-not-2x2", "matrix-not-integer",
         "veech-matrix-det-2", "action-matrix-det-0", "aut-not-json",
         "cap-negative", "len-zero", "trials-zero", "level-one",
-        "basis-unknown", "subspace-unknown"])
+        "basis-unknown", "subspace-unknown", "probes-unknown", "probes-empty"])
 def test_bad_origami_file_is_usage_error(tmp_path, argv, content, error):
     """Bad --origami files and bad option values answer a JSON error with
     exit code 2, not a traceback."""
@@ -179,6 +181,21 @@ def test_bad_origami_file_is_usage_error(tmp_path, argv, content, error):
     code, text = capture([str(path) if a == "{path}" else a for a in argv])
     assert code == 2
     assert json.loads(text)["error"] == error
+
+
+def test_unknown_probe_names_the_known_ones():
+    code, text = capture(["supplement", *AB, "--probes", "vert,foo"])
+    assert code == 2
+    message = json.loads(text)["message"]
+    assert all(name in message for name in ("foo", "vert", "hor", "diag"))
+
+
+def test_group_cap_below_finite_order():
+    """The H0 image of the Wollmilchsau is finite, so a cap below its order
+    finds no growing word: a JSON error with exit 1, not a traceback."""
+    code, text = capture(["group", *EW, "--subspace", "H0", "--cap", "5"])
+    assert code == 1
+    assert json.loads(text)["error"] == "OrderExceedsCap"
 
 
 def test_twist_genus_one_file(tmp_path):

@@ -5,16 +5,17 @@ from fractions import Fraction
 import pytest
 
 from origamis import cyclotomic, linalg
-from origamis.affine import lift, matrix_in_chain_basis, matrix_on
+from origamis.affine import (automorphism_lift, lift, matrix_in_chain_basis,
+                             matrix_on)
 from origamis.catalog import QUATERNION_ORDER, catalog
 from origamis.errors import NotD4, NotInAut, NotInCyclicImage
-from origamis.homology import chain_space
+from origamis.homology import EdgeChain, chain_space
 from origamis.rootsys import (FiniteMatrixGroup, UnboundedWitness, detect_d4,
-                              finite_closure, symplectic_subgroup)
-from origamis.sl2z import CongruenceSubgroup
+                              finite_closure, grows, symplectic_subgroup)
+from origamis.sl2z import CongruenceSubgroup, J_MAT, S_MAT, T_MAT, mat_pow
 from origamis.structure import (QUATERNION_CHARACTERS, breve_block_trace,
                                 breve_blocks, cocycle_growth, combined_action,
-                                isotypic_multiplicities_quaternion,
+                                _log_abs, isotypic_multiplicities_quaternion,
                                 kernel_is_congruence, operator_norm,
                                 power_growth_rate, tau_character)
 from origamis.verification import _ew_root_system, _orn_root_system
@@ -355,3 +356,143 @@ def test_growth_rate_q5(orn5, orn5_report):
     t = 2 * (1 + 2 * math.cos(2 * math.pi / 5))
     expected = math.log((t + math.sqrt(t * t - 4)) / 2)
     assert abs(rate - expected) / expected < 1e-3
+
+
+# -- the replaced readings, kept as references ---------------------------------
+
+
+def _odd_q_lifts(q):
+    """The generator lifts decompose_orn takes, every aut_g and two
+    composites."""
+    orn = catalog("ornithorynque", q=q)
+    origami = orn.origami
+    if q == 3:
+        mats = {"S": S_MAT, "T": T_MAT}
+    else:
+        mats = {"S2": mat_pow(S_MAT, 2), "T2": mat_pow(T_MAT, 2), "J": J_MAT}
+    lifts = {key: lift(origami, m) for key, m in mats.items()}
+    for g in range(q):
+        lifts[f"aut_{g}"] = automorphism_lift(origami, orn.shift(g))
+    first, second = list(mats)[:2]
+    lifts[first + second] = lifts[first].compose(lifts[second])
+    lifts[second + "aut_1"] = lifts[second].compose(lifts["aut_1"])
+    return orn, lifts
+
+
+def _tau_by_rule_matrix_power(orn, lift_):
+    """The power k < 2q of the matrix of tau_i -> -tau_{i+(q+1)/2} on H_tau
+    that equals the lift's matrix there."""
+    q = orn.q
+    space = chain_space(orn.origami)
+    sub = space.subspace_from([orn.tau(i) for i in range(q)])
+    taus = linalg.transpose(tuple(space.canonical_vec(orn.tau(i).flat())
+                                  for i in range(q)))
+    shift = (q + 1) // 2
+    cols = []
+    for b in sub.basis:
+        sol = linalg.solve(taus, space.canonical_vec(b))
+        image = EdgeChain.zero(orn.origami.n)
+        for i, c in enumerate(sol):
+            if c:
+                image = image + orn.tau((i + shift) % q).scale(-c)
+        cols.append(sub.coords_of(space.canonical_vec(image.flat())))
+    gen = linalg.transpose(tuple(cols))
+    m = matrix_on(lift_, sub)
+    acc = linalg.identity(sub.dim)
+    for k in range(2 * q):
+        if acc == m:
+            return k
+        acc = linalg.mat_mul(gen, acc)
+    raise NotInCyclicImage("action is not a power of the cyclic generator")
+
+
+@pytest.mark.parametrize("q", [3, 5, 7])
+def test_tau_character_matches_rule_matrix_power(q):
+    orn, lifts = _odd_q_lifts(q)
+    for name, lf in lifts.items():
+        assert tau_character(orn, lf) == _tau_by_rule_matrix_power(orn, lf), name
+
+
+def _breve_blocks_by_edge_chains(orn, lift_):
+    """One solve per seed, then every index checked on a rebuilt EdgeChain."""
+    q = orn.q
+    space = chain_space(orn.origami)
+    cols = tuple([space.canonical_vec(orn.sigma_breve(j).flat()) for j in range(q)]
+                 + [space.canonical_vec(orn.zeta_breve(j).flat()) for j in range(q)])
+    matrix_cols = []
+    for seed in (orn.sigma_breve, orn.zeta_breve):
+        image = space.canonical_vec(linalg.mat_vec(lift_.matrix, seed(0).flat()))
+        sol = linalg.solve(linalg.transpose(cols), image)
+        matrix_cols.append((cyclotomic.mod_psi(tuple(sol[:q])),
+                            cyclotomic.mod_psi(tuple(sol[q:]))))
+        for i in range(q):
+            predicted = EdgeChain.zero(orn.origami.n)
+            for j in range(q):
+                if sol[j]:
+                    predicted = predicted + orn.sigma_breve((i + j) % q).scale(sol[j])
+                if sol[q + j]:
+                    predicted = predicted + orn.zeta_breve((i + j) % q).scale(sol[q + j])
+            actual = space.canonical_vec(
+                linalg.mat_vec(lift_.matrix, seed(i).flat()))
+            assert space.canonical_vec(predicted.flat()) == actual
+    (c1, d1), (c2, d2) = matrix_cols
+    return ((c1, c2), (d1, d2))
+
+
+@pytest.mark.parametrize("q, names", [(3, ("S", "T", "aut_1")),
+                                      (5, ("S2", "T2", "J"))])
+def test_breve_blocks_match_edge_chain_check(q, names):
+    orn, lifts = _odd_q_lifts(q)
+    for name in names:
+        assert breve_blocks(orn, lifts[name]) == \
+            _breve_blocks_by_edge_chains(orn, lifts[name]), name
+
+
+def test_congruence_needs_every_automorphism(ew_report):
+    auts = [ew_report.lifts[f"aut_{g}"] for g in QUATERNION_ORDER]
+    sl_lifts = [ew_report.lifts["S"], ew_report.lifts["T"]]
+    subspaces = [ew_report.subspaces["H_rel"]]
+    with pytest.raises(ValueError):
+        kernel_is_congruence(subspaces, 2, sl_lifts, auts[1:])
+    with pytest.raises(ValueError):
+        kernel_is_congruence(subspaces, 2, sl_lifts, auts[:-1] + auts[:1])
+
+
+def _breve_s2t2(q):
+    orn, lifts = _odd_q_lifts(q)
+    space = chain_space(orn.origami)
+    sub = space.subspace_from([orn.sigma_breve(i) for i in range(q)]
+                              + [orn.zeta_breve(i) for i in range(q)])
+    return linalg.mat_mul(matrix_on(lifts["S2"], sub), matrix_on(lifts["T2"], sub))
+
+
+@pytest.mark.parametrize("q", [5, 7])
+def test_s2t2_grows_on_breve(q):
+    assert grows(_breve_s2t2(q))
+
+
+def test_grows_on_a_shear_not_on_the_theorem_a_image():
+    assert grows(linalg.mat([[1, 1], [0, 1]]))
+    _, rep, _, system = _ew_root_system()
+    frame = system.ambient_frame()
+    gens = [matrix_in_chain_basis(rep.lifts[k], frame)
+            for k in ("S", "T", "aut_i", "aut_j")]
+    image = finite_closure(gens, 500)
+    assert image.order == 96
+    assert not any(grows(m) for m in image.elements)
+
+
+def _power_growth_by_own_loop(m, length):
+    acc = linalg.identity(len(m))
+    half_log = 0.0
+    for step in range(length):
+        acc = linalg.mat_mul(acc, m)
+        if step + 1 == length // 2:
+            half_log = _log_abs(operator_norm(acc))
+    end_log = _log_abs(operator_norm(acc))
+    return (end_log - half_log) / (length - length // 2)
+
+
+def test_power_growth_rate_matches_own_loop():
+    for m in (_breve_s2t2(5), linalg.mat([[2, 1], [1, 1]])):
+        assert power_growth_rate(m, 400) == _power_growth_by_own_loop(m, 400)
