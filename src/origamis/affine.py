@@ -47,9 +47,6 @@ class EdgeSubstitution:
             for row in self.rows
         )
 
-    def matrix(self) -> Mat:
-        return self.apply_rows(_int_identity(len(self.rows)))
-
 
 def elementary_substitution(letter: str, origami: Origami) -> EdgeSubstitution:
     n = origami.n
@@ -79,15 +76,11 @@ def elementary_substitution(letter: str, origami: Origami) -> EdgeSubstitution:
     return EdgeSubstitution(origami, target, tuple(tuple(r_) for r_ in rows))
 
 
-def _int_identity(size: int) -> Mat:
-    return tuple(tuple(int(i == j) for j in range(size)) for i in range(size))
-
-
 def transport(origami: Origami, letters: tuple[str, ...]) -> tuple[Origami, Mat]:
     """Push the letter substitutions of a word (rightmost letter first)
     through the integer identity: (final origami, chain map into it)."""
     current = origami
-    total = _int_identity(2 * origami.n)
+    total = linalg.identity(2 * origami.n)
     for letter in reversed(letters):
         sub = elementary_substitution(letter, current)
         total = sub.apply_rows(total)
@@ -183,9 +176,11 @@ def identity_lift(origami: Origami) -> AffineLift:
 
 
 def automorphism_lift(origami: Origami, a: Perm) -> AffineLift:
+    if a.n != origami.n:
+        raise NotAutomorphism(f"permutation of {a.n} squares, not {origami.n}")
     if a * origami.r != origami.r * a or a * origami.u != origami.u * a:
         raise NotAutomorphism("permutation does not commute with r and u")
-    return _closed(origami, ID2, _int_identity(2 * origami.n), a)
+    return _closed(origami, ID2, linalg.identity(2 * origami.n), a)
 
 
 def _closed(origami: Origami, m: Mat2, total: Mat, phi: Perm) -> AffineLift:
@@ -231,26 +226,27 @@ def power_order(lift_: AffineLift, cap: int) -> int:
 
 def matrix_on(lift_: AffineLift, subspace: Subspace) -> Mat:
     """Matrix of the lift in the subspace basis (columns are images)."""
-    space = chain_space(lift_.origami)
-    columns = []
-    for b in subspace.basis:
-        image = space.canonical_vec(linalg.mat_vec(lift_.matrix, b))
-        coords = subspace.coords_of(image)
-        if coords is None:
-            raise NotInvariant("subspace is not preserved by the lift")
-        columns.append(coords)
-    return linalg.transpose(tuple(columns))
+    return _matrix_in(chain_space(lift_.origami), lift_, subspace.basis,
+                      subspace.coords_of)
 
 
 def matrix_in_chain_basis(lift_: AffineLift, basis: "list[Vec] | tuple"):
     """Matrix of the lift in an explicit (ordered, non-echelonized) basis."""
     space = chain_space(lift_.origami)
     cols_of_basis = linalg.transpose(tuple(space.canonical_vec(b) for b in basis))
+    return _matrix_in(space, lift_, basis,
+                      lambda image: linalg.solve(cols_of_basis, image))
+
+
+def _matrix_in(space, lift_: AffineLift, basis, coords_of) -> Mat:
+    """Columns are the coordinates of the basis images, each entry of
+    denominator 1 an int: the one place a Fraction turns back into an int (a
+    basis from rref can hold halves, as H1_0 of the Wollmilchsau does)."""
     columns = []
     for b in basis:
-        image = space.canonical_vec(linalg.mat_vec(lift_.matrix, b))
-        coords = linalg.solve(cols_of_basis, image)
+        coords = coords_of(space.canonical_vec(linalg.mat_vec(lift_.matrix, b)))
         if coords is None:
-            raise NotInvariant("span of the basis is not preserved")
-        columns.append(coords)
+            raise NotInvariant("the lift does not preserve the span of the basis")
+        columns.append(tuple(x.numerator if x.denominator == 1 else x
+                             for x in coords))
     return linalg.transpose(tuple(columns))

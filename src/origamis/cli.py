@@ -30,8 +30,7 @@ from .verification import VERIFY_SUITES
 
 def _jsonable(obj):
     if isinstance(obj, Fraction):
-        return str(obj.numerator) if obj.denominator == 1 else \
-            f"{obj.numerator}/{obj.denominator}"
+        return str(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -39,8 +38,7 @@ def _jsonable(obj):
     if isinstance(obj, Perm):
         return list(obj.images)
     if isinstance(obj, EdgeChain):
-        return {"sigma": [_jsonable(x) for x in obj.sigma],
-                "zeta": [_jsonable(x) for x in obj.zeta]}
+        return obj.to_json_dict()
     return obj
 
 
@@ -175,7 +173,8 @@ def cmd_action(args) -> dict:
         rep = _named_subspaces(args)
         sub = _subspace(rep, args.basis)
         report["basis"] = args.basis
-        report["restricted"] = [list(row) for row in matrix_on(lifted, sub)]
+        report["restricted"] = [[str(x) for x in row]
+                                for row in matrix_on(lifted, sub)]
     else:
         report["chain_matrix"] = [[str(x) for x in row] for row in lifted.matrix]
     return report
@@ -203,7 +202,8 @@ def cmd_group(args) -> dict:
     if isinstance(closure, FiniteMatrixGroup):
         report = {"finite": True, "order": closure.order}
         if args.report:
-            report["max_norm"] = max(operator_norm(m) for m in closure.elements)
+            report["max_norm"] = str(max(operator_norm(m)
+                                         for m in closure.elements))
     else:
         report = {"finite": False, "witness_word": list(closure.word)}
     report.update({"command": "group", "subspace": key, "generators": gen_names})
@@ -291,7 +291,7 @@ def cmd_supplement(args) -> dict:
     if cert.feasible:
         report["section"] = cert.section
     else:
-        report["forced"] = cert.forced
+        report["forced"] = {k: str(v) for k, v in cert.forced.items()}
         report["violated_probe"] = cert.violated_probe
         report["residual"] = cert.residual
     return report

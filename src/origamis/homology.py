@@ -30,21 +30,21 @@ from .origami import Origami, VertexClass, vertex_classes, vertex_of_square
 
 @dataclass(frozen=True)
 class EdgeChain:
-    """Rational chain over the edge generators of one origami."""
+    """Exact chain (int or Fraction entries) over the edge generators."""
 
     sigma: Vec
     zeta: Vec
 
     @staticmethod
     def zero(n: int) -> "EdgeChain":
-        z = (Fraction(0),) * n
+        z = (0,) * n
         return EdgeChain(z, z)
 
     @staticmethod
     def unit(n: int, etype: str, g: int, coeff=1) -> "EdgeChain":
-        sigma = [Fraction(0)] * n
-        zeta = [Fraction(0)] * n
-        (sigma if etype == "s" else zeta)[g] = Fraction(coeff)
+        sigma = [0] * n
+        zeta = [0] * n
+        (sigma if etype == "s" else zeta)[g] = coeff
         return EdgeChain(tuple(sigma), tuple(zeta))
 
     @property
@@ -56,7 +56,7 @@ class EdgeChain:
 
     @staticmethod
     def from_flat(v: Sequence) -> "EdgeChain":
-        v = linalg.vec(v)
+        v = tuple(v)
         n = len(v) // 2
         return EdgeChain(v[:n], v[n:])
 
@@ -78,20 +78,17 @@ class EdgeChain:
         return all(x.denominator == 1 for x in self.sigma + self.zeta)
 
     def to_json_dict(self) -> dict:
-        """{"sigma": [...], "zeta": [...]} with rationals as "p/q" strings."""
-        def enc(x: Fraction) -> str:
-            return str(x.numerator) if x.denominator == 1 else \
-                f"{x.numerator}/{x.denominator}"
-        return {"sigma": [enc(x) for x in self.sigma],
-                "zeta": [enc(x) for x in self.zeta]}
+        """{"sigma": [...], "zeta": [...]} with entries as "p" or "p/q"."""
+        return {"sigma": [str(x) for x in self.sigma],
+                "zeta": [str(x) for x in self.zeta]}
 
     @staticmethod
     def from_json_dict(data: dict) -> "EdgeChain":
         return EdgeChain(tuple(Fraction(x) for x in data["sigma"]),
                          tuple(Fraction(x) for x in data["zeta"]))
 
-    def holonomy(self) -> tuple[Fraction, Fraction]:
-        return (sum(self.sigma, Fraction(0)), sum(self.zeta, Fraction(0)))
+    def holonomy(self) -> tuple:
+        return (sum(self.sigma), sum(self.zeta))
 
 
 def sigma_chain(n: int, g: int, coeff=1) -> EdgeChain:
@@ -176,7 +173,7 @@ class ChainSpace:
         return len(self.reducer)
 
     def canonical_vec(self, v: Vec) -> Vec:
-        v = list(Fraction(x) for x in v)
+        v = list(v)
         for p, row in self.reducer:
             if v[p] != 0:
                 f = v[p]
@@ -194,7 +191,7 @@ class ChainSpace:
     def boundary_vec(self, v: Vec) -> Vec:
         """Coefficients on the vertex classes: d sigma_g = v(r g) - v(g), etc."""
         n = self.n
-        out = [Fraction(0)] * len(self.vclasses)
+        out = [0] * len(self.vclasses)
         r, u = self.origami.r, self.origami.u
         for g in range(n):
             if v[g]:
@@ -218,11 +215,11 @@ class ChainSpace:
         return self.subspace_from_vecs(c.flat() for c in chains)
 
     def full_subspace(self) -> Subspace:
-        n = self.n
-        gens = [self.canonical_vec(tuple(Fraction(1 if i == j else 0)
-                                         for j in range(2 * n)))
-                for i in range(2 * n)]
-        return self.subspace_from_vecs(gens)
+        """The unit vectors on the columns that canonical forms keep."""
+        pivots = {p for p, _ in self.reducer}
+        free = tuple(j for j in range(2 * self.n) if j not in pivots)
+        unit = linalg.identity(2 * self.n)
+        return Subspace(tuple(unit[j] for j in free), free)
 
     def _constrained_subspace(self, allowed_vertices: set[int],
                               zero_holonomy: bool) -> Subspace:
@@ -234,8 +231,8 @@ class ChainSpace:
                            if k not in allowed_vertices]
             if zero_holonomy:
                 n = self.n
-                constraints.append(sum(b[:n], Fraction(0)))
-                constraints.append(sum(b[n:], Fraction(0)))
+                constraints.append(sum(b[:n]))
+                constraints.append(sum(b[n:]))
             rows.append(tuple(constraints))
         if not rows or not rows[0]:
             # no constraints at all: keep the whole space
@@ -244,7 +241,7 @@ class ChainSpace:
             combos = linalg.nullspace(linalg.transpose(tuple(rows)))
         vecs = []
         for combo in combos:
-            v = [Fraction(0)] * (2 * self.n)
+            v = [0] * (2 * self.n)
             for coef, b in zip(combo, full.basis):
                 if coef:
                     v = [x + coef * y for x, y in zip(v, b)]
@@ -264,8 +261,8 @@ class ChainSpace:
 
     def standard_splitting(self) -> StandardSplitting:
         n = self.n
-        one = (Fraction(1),) * n
-        zero = (Fraction(0),) * n
+        one = (1,) * n
+        zero = (0,) * n
         sigma = EdgeChain(one, zero)
         zeta = EdgeChain(zero, one)
         h1_0_abs = self._constrained_subspace(set(), zero_holonomy=True)
@@ -286,9 +283,7 @@ class ChainSpace:
             bmat[self.vowner[g]][n + g] -= 1
         kernel = linalg.integer_kernel(bmat)
         reduced = [self.canonical_vec(k) for k in kernel]
-        int_rows = [[int(x) for x in row] for row in reduced]
-        basis = linalg.hermite_row_basis(int_rows)
-        return [linalg.vec(row) for row in basis]
+        return [tuple(row) for row in linalg.hermite_row_basis(reduced)]
 
     # -- ribbon structure ----------------------------------------------------
 
@@ -477,11 +472,11 @@ class ChainSpace:
 
     # -- transversal pairing -----------------------------------------------------
 
-    def horizontal_core_pairing(self, row_squares: Sequence[int], c: EdgeChain) -> Fraction:
-        return sum((c.zeta[j] for j in row_squares), Fraction(0))
+    def horizontal_core_pairing(self, row_squares: Sequence[int], c: EdgeChain):
+        return sum(c.zeta[j] for j in row_squares)
 
-    def vertical_core_pairing(self, col_squares: Sequence[int], c: EdgeChain) -> Fraction:
-        return -sum((c.sigma[j] for j in col_squares), Fraction(0))
+    def vertical_core_pairing(self, col_squares: Sequence[int], c: EdgeChain):
+        return -sum(c.sigma[j] for j in col_squares)
 
 
 def _chords_interleave(a1, a2, b1, b2) -> bool:
@@ -515,7 +510,7 @@ def boundary(origami: Origami, chain: EdgeChain) -> Vec:
     return chain_space(origami).boundary(chain)
 
 
-def holonomy(chain: EdgeChain) -> tuple[Fraction, Fraction]:
+def holonomy(chain: EdgeChain) -> tuple:
     return chain.holonomy()
 
 

@@ -130,7 +130,7 @@ def cylinders(origami: Origami, direction: tuple[int, int]) -> CylinderDecomposi
 
 
 def transversal_pairing(origami: Origami, direction: tuple[int, int],
-                        row_squares: Sequence[int], chain: EdgeChain) -> Fraction:
+                        row_squares: Sequence[int], chain: EdgeChain):
     """Crossing count of a cylinder core push-off with a relative chain.
 
     Horizontal cores sum the zeta coefficients over the row; vertical cores
@@ -141,7 +141,7 @@ def transversal_pairing(origami: Origami, direction: tuple[int, int],
     if tuple(direction) == (0, 1):
         return chain_space(origami).vertical_core_pairing(row_squares, chain)
     pi = _pairing_row(cylinders(origami, tuple(direction)), row_squares)
-    return sum((p * x for p, x in zip(pi, chain.flat())), Fraction(0))
+    return sum(p * x for p, x in zip(pi, chain.flat()))
 
 
 def _rational_lcm(values: Sequence[Fraction]) -> Fraction:
@@ -184,7 +184,7 @@ def multitwist(origami: Origami, direction: tuple[int, int]) -> MultiTwist:
     # twist formula c -> c + sum_cyl c_cyl <pi_cyl, c> core_cyl: the integer
     # matrix I + sum_cyl c_cyl core_cyl pi_cyl^T
     terms = [(int(sign * count), _pairing_row(decomp, cyl.rows[0]),
-              tuple(int(x) for x in cyl.core.flat()))
+              cyl.core.flat())
              for cyl, count in zip(decomp.cylinders, counts)]
     n2 = 2 * origami.n
     formula_matrix = tuple(
@@ -198,8 +198,8 @@ def multitwist(origami: Origami, direction: tuple[int, int]) -> MultiTwist:
     space = chain_space(origami)
     marked = space.marked_subspace(space.singular_vertices()) \
         if space.singular_vertices() else space.absolute_subspace()
-    # the basis has Fraction entries and formula_matrix is mostly zeros off
-    # the diagonal, so the product skips its zero entries
+    # formula_matrix is mostly zeros off the diagonal, so the product skips
+    # its zero entries
     targets = [space.canonical_vec(tuple(sum(x * y for x, y in zip(row, b) if x)
                                          for row in formula_matrix))
                for b in marked.basis]
@@ -288,12 +288,11 @@ def symplectic_basis(gram: Mat) -> Mat:
     if abs(linalg.det(gram)) != 1:
         raise NotUnimodular(f"determinant {linalg.det(gram)}")
 
-    def form(x: Vec, y: Vec) -> Fraction:
+    def form(x: Vec, y: Vec):
         gy = linalg.mat_vec(gram, y)
         return sum(a * b for a, b in zip(x, gy))
 
-    basis = [tuple(Fraction(1 if i == j else 0) for j in range(m))
-             for i in range(m)]
+    basis = list(linalg.identity(m))
     out: list[Vec] = []
     while basis:
         v1 = basis[0]
@@ -306,10 +305,8 @@ def symplectic_basis(gram: Mat) -> Mat:
         cur = vals[idxs[0]]
         for i in idxs[1:]:
             # extended gcd on the pairing values
-            a, b = int(cur), int(vals[i])
-            g0, x0, y0 = _xgcd(a, b)
+            cur, x0, y0 = _xgcd(cur, vals[i])
             w = tuple(x0 * wx + y0 * bx for wx, bx in zip(w, basis[i]))
-            cur = Fraction(g0)
         if cur < 0:
             w = tuple(-x for x in w)
             cur = -cur
@@ -324,9 +321,7 @@ def symplectic_basis(gram: Mat) -> Mat:
                 xx + form(x, v1) * v2x - form(x, v2) * v1x
                 for xx, v1x, v2x in zip(x, v1, v2))
             new_basis.append(proj)
-        reduced = linalg.hermite_row_basis([[int(c) for c in row]
-                                            for row in new_basis])
-        basis = [linalg.vec(row) for row in reduced]
+        basis = [tuple(row) for row in linalg.hermite_row_basis(new_basis)]
     return tuple(out)
 
 
@@ -362,7 +357,7 @@ def spin_parity(origami: Origami, clockwise: bool = False,
     change = symplectic_basis(gram) if basis_rows is None else basis_rows
     chains = []
     for row in change:
-        v = [Fraction(0)] * (2 * origami.n)
+        v = [0] * (2 * origami.n)
         for c, b in zip(row, integral):
             if c:
                 v = [x + c * y for x, y in zip(v, b)]
@@ -431,7 +426,7 @@ def invariant_supplement(origami: Origami, marks: Sequence[int],
 
     rows_a: list[Vec] = []
     rhs: list[Fraction] = []
-    solution: Vec | None = tuple(Fraction(0) for _ in range(n_reps * n_corr))
+    solution: Vec | None = (0,) * (n_reps * n_corr)
     for pidx, probe in enumerate(probes):
         moved_reps = [space.canonical_vec(linalg.mat_vec(probe.matrix, c))
                       for c in rep_cols]
@@ -451,14 +446,14 @@ def invariant_supplement(origami: Origami, marks: Sequence[int],
             columns = []
             for l in range(n_reps):
                 for b in range(n_corr):
-                    col = [Fraction(0)] * n2
+                    col = [0] * n2
                     if l == k:
                         col = list(moved_corr[b])
                     if coeffs[k][l]:
                         col = [x - coeffs[k][l] * y
                                for x, y in zip(col, corr_cols[b])]
                     columns.append(tuple(col))
-            target = [Fraction(0)] * n2
+            target = [0] * n2
             for l in range(n_reps):
                 if coeffs[k][l]:
                     target = [x + coeffs[k][l] * y
@@ -470,8 +465,7 @@ def invariant_supplement(origami: Origami, marks: Sequence[int],
         solution = linalg.solve(tuple(rows_a), tuple(rhs))
         if solution is None:
             prefix = linalg.solve(tuple(prev_rows), tuple(prev_rhs)) \
-                if prev_rows else tuple(Fraction(0)
-                                        for _ in range(n_reps * n_corr))
+                if prev_rows else (0,) * (n_reps * n_corr)
             forced = ({f"s_{b}": prefix[b] for b in range(n_corr)}
                       if n_reps == 1 else
                       {f"s_{k}_{b}": prefix[k * n_corr + b]

@@ -1,9 +1,9 @@
 """Exact linear algebra over Q and Z on tuple-of-tuples matrices.
 
-Entries are Python ints where the values are integers (affine lifts are
-integer matrices) and Fractions where real denominators occur. The products
-keep the type of their inputs: ints give ints, and any Fraction operand gives
-Fractions; the eliminations (rref, solve, det, mat_inv) work over Q.
+The number rule: a value built from ints by +, - and * stays an int, and a
+Fraction appears only where a division can leave a denominator. Products keep
+the type of their inputs, and the eliminations (rref, solve, det, mat_inv)
+keep a +-1 pivot exact (1/p = p). `vec` and `mat` coerce outside input.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 
 from .errors import Inconsistent
 
-Vec = tuple[Fraction, ...]
+Vec = tuple[int | Fraction, ...]
 Mat = tuple[Vec, ...]
 
 
@@ -26,7 +26,7 @@ def mat(rows: Iterable[Iterable]) -> Mat:
 
 
 def identity(n: int) -> Mat:
-    return tuple(tuple(Fraction(1 if i == j else 0) for j in range(n)) for i in range(n))
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
 def transpose(a: Mat) -> Mat:
@@ -53,7 +53,6 @@ def vec_sub(a: Vec, b: Vec) -> Vec:
 
 
 def vec_scale(c, a: Vec) -> Vec:
-    c = Fraction(c)
     return tuple(c * x for x in a)
 
 
@@ -69,7 +68,8 @@ def rref(a: Mat) -> tuple[Mat, list[int]]:
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
+        p = rows[rank][col]
+        inv = p if p in (1, -1) else Fraction(1) / p
         rows[rank] = [x * inv for x in rows[rank]]
         for i in range(nrows):
             if i != rank and rows[i][col] != 0:
@@ -93,8 +93,8 @@ def nullspace(a: Mat) -> list[Vec]:
     free = [c for c in range(ncols) if c not in pivots]
     basis = []
     for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+        v = [0] * ncols
+        v[fc] = 1
         for row, pc in zip(reduced, pivots):
             v[pc] = -row[fc]
         basis.append(tuple(v))
@@ -110,25 +110,26 @@ def solve(a: Mat, b: Vec) -> Vec | None:
     reduced, pivots = rref(augmented)
     if ncols in pivots:
         return None
-    x = [Fraction(0)] * ncols
+    x = [0] * ncols
     for row, pc in zip(reduced, pivots):
         x[pc] = row[-1]
     return tuple(x)
 
 
-def det(a: Mat) -> Fraction:
+def det(a: Mat):
     rows = [list(row) for row in a]
     n = len(rows)
-    result = Fraction(1)
+    result = 1
     for col in range(n):
         pivot_row = next((i for i in range(col, n) if rows[i][col] != 0), None)
         if pivot_row is None:
-            return Fraction(0)
+            return 0
         if pivot_row != col:
             rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
             result = -result
-        result *= rows[col][col]
-        inv = Fraction(1) / rows[col][col]
+        p = rows[col][col]
+        result *= p
+        inv = p if p in (1, -1) else Fraction(1) / p
         for i in range(col + 1, n):
             if rows[i][col] != 0:
                 f = rows[i][col] * inv
@@ -190,7 +191,7 @@ def unit_pivot_reducer(rows: Sequence[Sequence[int]]) -> list[tuple[int, Vec]]:
                     [a - f * b for a, b in zip(done[idx2][1], row)],
                 )
     done.sort(key=lambda t: t[0])
-    return [(j, vec(row)) for j, row in done]
+    return [(j, tuple(row)) for j, row in done]
 
 
 def hermite_row_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:

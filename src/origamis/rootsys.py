@@ -129,17 +129,6 @@ class RootSystemD4:
             m for signs, m in _signed_maps(linalg.identity(4))
             if signs.count(-1) % 2 == 0))
 
-    def automorphism_group(self) -> FiniteMatrixGroup:
-        """All orthogonal maps preserving the roots: frame to signed frame."""
-        frames = [tuple(self.frame_coords(f) for f in fr) for fr in self.frames_all]
-        order = list(dict.fromkeys(m for fr in frames for _, m in _signed_maps(fr)))
-        root_set = set(self.roots_frame_coords())
-        for m in order:
-            image = {tuple(linalg.mat_vec(m, r)) for r in root_set}
-            if image != root_set:
-                raise NotInAut("frame map does not preserve the roots")
-        return FiniteMatrixGroup(tuple(order))
-
     def preserves_roots(self, m: Mat) -> bool:
         root_set = set(self.roots_frame_coords())
         return {tuple(linalg.mat_vec(m, r)) for r in root_set} == root_set
@@ -153,7 +142,7 @@ class RootSystemD4:
 
 
 _HALF = Fraction(1, 2)
-_WEIGHTS = {1: linalg.vec((1, 0, 0, 0)),
+_WEIGHTS = {1: (1, 0, 0, 0),
             3: (_HALF, _HALF, _HALF, -_HALF),
             4: (_HALF, _HALF, _HALF, _HALF)}
 
@@ -203,7 +192,7 @@ def detect_d4(vectors: Iterable[Vec],
     halves: dict[Vec, int] = {}
     for i in range(len(roots)):
         for j in range(i + 1, len(roots)):
-            s = tuple((x + y) / 2 for x, y in zip(roots[i], roots[j]))
+            s = tuple(Fraction(x + y, 2) for x, y in zip(roots[i], roots[j]))
             if any(s):
                 halves[s] = halves.get(s, 0) + 1
     candidates = [v for v, c in halves.items() if c == 3]

@@ -303,8 +303,8 @@ def combined_action(lift_: AffineLift, subspaces: Sequence[Subspace]) -> Mat:
     size = sum(len(b) for b in blocks)
     rows: list[tuple] = []
     for b in blocks:
-        left = (Fraction(0),) * len(rows)
-        right = (Fraction(0),) * (size - len(rows) - len(b))
+        left = (0,) * len(rows)
+        right = (0,) * (size - len(rows) - len(b))
         rows += [left + row + right for row in b]
     return tuple(rows)
 
@@ -359,7 +359,7 @@ def kernel_is_congruence(subspaces: Sequence[Subspace], level: int,
 # -- growth probes ------------------------------------------------------------
 
 
-def _log_abs(x: Fraction) -> float:
+def _log_abs(x) -> float:
     def log_int(n: int) -> float:
         if n == 0:
             return float("-inf")
@@ -372,7 +372,7 @@ def _log_abs(x: Fraction) -> float:
     return log_int(x.numerator) - log_int(x.denominator)
 
 
-def operator_norm(m: Mat) -> Fraction:
+def operator_norm(m: Mat):
     """Max row sum of absolute values (the L-infinity operator norm)."""
     return max(sum(abs(x) for x in row) for row in m)
 

@@ -67,7 +67,7 @@ def _ew_root_system():
                 if w not in orbit:
                     new.append(w)
         frontier = new
-    frame = [tuple(x / 2 for x in space.canonical_vec(ew.epsilon(g).flat()))
+    frame = [tuple(Fraction(x, 2) for x in space.canonical_vec(ew.epsilon(g).flat()))
              for g in ("1", "i", "j", "k")]
     system = detect_d4(orbit, preferred_frame=frame)
     return ew, rep, space, system
@@ -101,7 +101,7 @@ def verify_theorem_a() -> dict:
     eipi = (s_lift.compose(t_lift.inverse()).compose(s_lift)) ** 2
     z_s2, z_t2 = z_of(s_lift ** 2), z_of(t_lift ** 2)
     z_e = z_of(eipi)
-    s_mat = linalg.mat([[1, 0, 0, 0], [0, -1, 0, 0], [0, 0, -1, 0], [0, 0, 0, 1]])
+    s_mat = ((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, 1))
     z_k = z_of(rep.lifts["aut_k"])
     images_ok = (z_s2 == linalg.mat_mul(z_i, s_mat)
                  and z_t2 == linalg.mat_mul(z_j, s_mat)
@@ -252,7 +252,7 @@ def _verify_theorem_b_q3() -> dict:
         for name in ("sigma_flat", "zeta_flat"):
             chain = rep.chains[name]
             image_boundary = space.boundary(lf.apply(chain))
-            expected = [Fraction(0)] * len(space.vclasses)
+            expected = [0] * len(space.vclasses)
             for k, val in enumerate(space.boundary(chain)):
                 expected[lf.vertex_perm(k)] += val
             if list(image_boundary) != expected:

@@ -27,7 +27,7 @@ def test_substitution_maps_relations(ew, orn5):
         for letter in ("S", "T", "S-", "T-"):
             sub = elementary_substitution(letter, origami)
             target_space = chain_space(sub.target)
-            matrix = sub.matrix()
+            matrix = sub.apply_rows(linalg.identity(2 * origami.n))
             for g in range(origami.n):
                 image = linalg.mat_vec(matrix, space.relation_chain(g).flat())
                 assert all(x == 0 for x in target_space.canonical_vec(image))
@@ -43,7 +43,7 @@ def test_substitution_boundary_compatible(ew):
         pairs = set(zip(vertex_of_square(origami), vertex_of_square(sub.target)))
         assert len({v for v, _ in pairs}) == len({w for _, w in pairs}) == len(pairs)
         vmap = dict(pairs)
-        matrix = sub.matrix()
+        matrix = sub.apply_rows(linalg.identity(2 * origami.n))
         for j in range(2 * origami.n):
             unit = tuple(Fraction(1 if k == j else 0)
                          for k in range(2 * origami.n))
@@ -56,7 +56,7 @@ def test_substitution_boundary_compatible(ew):
 
 def test_torus_shear():
     sub = elementary_substitution("T", TORUS)
-    matrix = sub.matrix()
+    matrix = sub.apply_rows(linalg.identity(2 * TORUS.n))
     sigma = EdgeChain.unit(1, "s", 0)
     zeta = EdgeChain.unit(1, "z", 0)
     assert linalg.mat_vec(matrix, sigma.flat()) == sigma.flat()
@@ -243,6 +243,12 @@ def test_automorphism_lift_actions(ew, orn3):
         assert space3.equivalent(aut.apply(orn3.tau(i)), orn3.tau(i + 1))
     with pytest.raises(NotAutomorphism):
         automorphism_lift(ew.origami, Perm([1, 0, 2, 3, 4, 5, 6, 7]))
+
+
+def test_automorphism_lift_rejects_wrong_size(ew):
+    # a permutation of 9 squares on the 8-square Wollmilchsau
+    with pytest.raises(NotAutomorphism):
+        automorphism_lift(ew.origami, Perm(range(9)))
 
 
 def test_identity_lift_is_identity(ew):

@@ -198,6 +198,15 @@ def test_group_cap_below_finite_order():
     assert json.loads(text)["error"] == "OrderExceedsCap"
 
 
+def test_aut_of_wrong_size_is_domain_error():
+    """An --aut permutation of another number of squares is no automorphism:
+    a JSON error with exit 1, not a traceback."""
+    code, text = capture(["action", *EW, "--matrix", "[[1,0],[0,1]]",
+                          "--aut", "[0,1,2,3,4,5,6,7,8]"])
+    assert code == 1
+    assert json.loads(text)["error"] == "NotAutomorphism"
+
+
 def test_twist_genus_one_file(tmp_path):
     path = tmp_path / "torus5.json"
     path.write_text(json.dumps(GENUS_ONE))

@@ -1,0 +1,148 @@
+"""sympy as an independent oracle for the exact eliminations in `linalg`.
+
+Seeded random integer matrices up to 8x10 with entries in -3..3, among them
+rank-deficient ones (products through a thin middle), matrices with zero
+rows, and pivots other than +-1. No result may hold a float.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from origamis import linalg
+
+sympy = pytest.importorskip("sympy")
+
+SEEDS = range(12)
+
+
+def _random_matrix(rng: random.Random, rows: int, cols: int):
+    kind = rng.choice(("full", "thin", "zero-rows"))
+    if kind == "thin":
+        # rank at most k through a k-wide middle
+        k = rng.randrange(1, min(rows, cols) + 1)
+        left = [[rng.randint(-1, 1) for _ in range(k)] for _ in range(rows)]
+        right = [[rng.randint(-2, 2) for _ in range(cols)] for _ in range(k)]
+        m = [[max(-3, min(3, sum(a * b for a, b in zip(row, col))))
+              for col in zip(*right)] for row in left]
+        # the clamp may raise the rank; repeat a row to keep it deficient
+        if rows > 1:
+            m[-1] = list(m[0])
+    else:
+        m = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(rows)]
+    if kind == "zero-rows":
+        for i in rng.sample(range(rows), rng.randrange(1, rows + 1)):
+            m[i] = [0] * cols
+    return tuple(tuple(row) for row in m)
+
+
+def _matrices(seed: int, square: bool = False):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(6):
+        rows = rng.randrange(1, 9)
+        cols = rows if square else rng.randrange(1, 11)
+        out.append(_random_matrix(rng, rows, cols))
+    return out
+
+
+def _exact(x) -> Fraction:
+    return Fraction(int(x.p), int(x.q))
+
+
+def _from_sympy(m) -> tuple:
+    return tuple(tuple(_exact(x) for x in m.row(i)) for i in range(m.rows))
+
+
+def _no_float(obj) -> bool:
+    if isinstance(obj, (tuple, list)):
+        return all(_no_float(x) for x in obj)
+    return obj is None or type(obj) in (int, Fraction)
+
+
+def test_matrices_cover_deficient_zero_rows_and_non_unit_pivots():
+    mats = [m for seed in SEEDS for m in _matrices(seed)]
+    ranks = [sympy.Matrix(m).rank() for m in mats]
+    assert any(r < min(len(m), len(m[0])) for m, r in zip(mats, ranks))
+    assert any(not any(row) for m in mats for row in m)
+    assert any(abs(x) > 1 for m in mats for row in m for x in row)
+    assert max(len(m) for m in mats) == 8 and max(len(m[0]) for m in mats) == 10
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rref_matches_sympy(seed):
+    for a in _matrices(seed):
+        reduced, pivots = linalg.rref(a)
+        expected, expected_pivots = sympy.Matrix(a).rref()
+        assert pivots == list(expected_pivots)
+        rank = len(pivots)
+        assert reduced == _from_sympy(expected)[:rank]
+        assert all(x == 0 for row in _from_sympy(expected)[rank:] for x in row)
+        assert _no_float(reduced)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_nullspace_spans_sympy_kernel(seed):
+    for a in _matrices(seed):
+        basis = linalg.nullspace(a)
+        expected = [tuple(_exact(x) for x in v) for v in sympy.Matrix(a).nullspace()]
+        assert len(basis) == len(expected)
+        assert _no_float(basis)
+        for v in basis:
+            assert all(x == 0 for x in linalg.mat_vec(a, v))
+        if basis:
+            # equal spans: the same reduced row echelon form
+            assert linalg.rref(tuple(basis)) == linalg.rref(tuple(expected))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_solve_agrees_with_sympy_consistency(seed):
+    rng = random.Random(1000 + seed)
+    for a in _matrices(seed):
+        x0 = tuple(rng.randint(-3, 3) for _ in range(len(a[0])))
+        for b in (linalg.mat_vec(a, x0),
+                  tuple(rng.randint(-3, 3) for _ in range(len(a)))):
+            x = linalg.solve(a, b)
+            augmented = sympy.Matrix(a).row_join(sympy.Matrix(b))
+            consistent = augmented.rank() == sympy.Matrix(a).rank()
+            assert (x is not None) == consistent
+            assert _no_float(x)
+            if x is not None:
+                assert linalg.mat_vec(a, x) == tuple(b)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_det_and_inverse_match_sympy(seed):
+    for a in _matrices(seed, square=True):
+        m = sympy.Matrix(a)
+        d = linalg.det(a)
+        assert d == _exact(m.det())
+        assert _no_float(d)
+        if d == 0:
+            with pytest.raises(ValueError):
+                linalg.mat_inv(a)
+        else:
+            inv = linalg.mat_inv(a)
+            assert inv == _from_sympy(m.inv())
+            assert _no_float(inv)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_integer_kernel_has_sympy_nullity(seed):
+    for a in _matrices(seed):
+        kernel = linalg.integer_kernel(a)
+        assert len(kernel) == len(a[0]) - sympy.Matrix(a).rank()
+        for x in kernel:
+            assert all(type(c) is int for c in x)
+            assert all(v == 0 for v in linalg.mat_vec(a, x))
+
+
+def test_unit_pivot_eliminations_stay_int():
+    # unimodular, every pivot rref meets is 1 or -1
+    a = ((1, 2, 0), (-1, -1, 3), (0, 1, 4))
+    reduced, _ = linalg.rref(a + ((2, 3, -3),))
+    assert all(type(x) is int for row in reduced for x in row)
+    assert all(type(x) is int for row in linalg.mat_inv(a) for x in row)
+    assert type(linalg.det(a)) is int and linalg.det(a) == 1
+    assert all(type(x) is int for row in linalg.identity(3) for x in row)

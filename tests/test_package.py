@@ -64,8 +64,10 @@ def test_lint_sees_arithmetic_error(tmp_path):
 
 
 # theorem-b runs the triality labels, the Weyl group and the congruence kernel;
-# theorem-b --q 5 the tau character and the S2 T2 growth test
-@pytest.mark.parametrize("suite", ["appendix-a", "theorem-b", "theorem-b --q 5"])
+# theorem-b --q 5 the tau character and the S2 T2 growth test; theorem-a the
+# int Gamma(4) closure, triality and the kernel on the Wollmilchsau
+@pytest.mark.parametrize("suite", ["appendix-a", "theorem-a", "theorem-b",
+                                   "theorem-b --q 5"])
 def test_verify_under_optimize_flag(suite):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
