@@ -25,7 +25,7 @@ from .polygons import polygon_to_origami
 from .rootsys import detect_d4, finite_closure, symplectic_subgroup
 from .sl2z import Sl2zWord, congruence_generators, sl2z_word
 from .structure import (breve_blocks, cocycle_growth, decompose_ew,
-                        decompose_orn, isotypic_multiplicities_quaternion,
+                        decompose_orn, isotypic_multiplicities,
                         kernel_is_congruence, tau_character)
 
 __all__ = [
@@ -41,6 +41,6 @@ __all__ = [
     "polygon_to_origami", "detect_d4", "finite_closure", "symplectic_subgroup",
     "Sl2zWord", "congruence_generators", "sl2z_word", "breve_blocks",
     "cocycle_growth", "decompose_ew", "decompose_orn",
-    "isotypic_multiplicities_quaternion", "kernel_is_congruence",
+    "isotypic_multiplicities", "kernel_is_congruence",
     "tau_character",
 ]

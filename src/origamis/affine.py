@@ -140,7 +140,7 @@ class AffineLift:
         return AffineLift(
             self.origami,
             mat_inv(self.linear),
-            tuple(tuple(int(x) for x in row) for row in linalg.mat_inv(self.matrix)),
+            linalg.mat_inv(self.matrix),
             self.vertex_perm.inverse(),
             relabeling,
         )
@@ -240,13 +240,13 @@ def matrix_in_chain_basis(lift_: AffineLift, basis: "list[Vec] | tuple"):
 
 def _matrix_in(space, lift_: AffineLift, basis, coords_of) -> Mat:
     """Columns are the coordinates of the basis images, each entry of
-    denominator 1 an int: the one place a Fraction turns back into an int (a
-    basis from rref can hold halves, as H1_0 of the Wollmilchsau does)."""
+    denominator 1 an int. rref already keeps integral entries int; the
+    coordinates in a basis with halves, as H1_0 of the Wollmilchsau has, come
+    out of Fraction arithmetic and are turned back here."""
     columns = []
     for b in basis:
         coords = coords_of(space.canonical_vec(linalg.mat_vec(lift_.matrix, b)))
         if coords is None:
             raise NotInvariant("the lift does not preserve the span of the basis")
-        columns.append(tuple(x.numerator if x.denominator == 1 else x
-                             for x in coords))
+        columns.append(tuple(map(linalg.exact, coords)))
     return linalg.transpose(tuple(columns))

@@ -434,7 +434,7 @@ class ChainSpace:
 
     # -- intersection form -----------------------------------------------------
 
-    def intersection(self, a: EdgeChain, b: EdgeChain) -> Fraction:
+    def intersection(self, a: EdgeChain, b: EdgeChain) -> int | Fraction:
         """Algebraic intersection number of absolute classes.
 
         The first class is decomposed into closed walks; each walk is pushed
@@ -442,6 +442,7 @@ class ChainSpace:
         happen on vertex disk boundaries in the open ccw germ arc from the
         departure germ to the arrival germ. An outgoing germ crossed
         contributes +1 times b's coefficient, an incoming one -1 times.
+        Integer classes meet in an int.
         """
         av, bv = a.flat(), b.flat()
         if any(x != 0 for x in self.boundary_vec(av)) or \
@@ -449,7 +450,7 @@ class ChainSpace:
             raise NotAbsolute("intersection form needs absolute classes")
         da = lcm(*(x.denominator for x in av))
         ai = tuple(x * da for x in av)
-        total = Fraction(0)
+        total = 0
         n = self.n
         for walk in self.decompose_walks(ai):
             for vidx, arr, dep in self.walk_passages(walk):
@@ -462,7 +463,7 @@ class ChainSpace:
                     if coeff:
                         total += coeff if kind == "out" else -coeff
                     pos = (pos + 1) % size
-        return total / da
+        return total if da == 1 else Fraction(total, da)
 
     def gram(self, basis: Sequence[Vec]) -> Mat:
         chains = [EdgeChain.from_flat(v) for v in basis]
@@ -522,5 +523,6 @@ def standard_splitting(origami: Origami) -> StandardSplitting:
     return chain_space(origami).standard_splitting()
 
 
-def intersection_form(origami: Origami, a: EdgeChain, b: EdgeChain) -> Fraction:
+def intersection_form(origami: Origami, a: EdgeChain,
+                      b: EdgeChain) -> int | Fraction:
     return chain_space(origami).intersection(a, b)

@@ -268,7 +268,7 @@ def quadratic_form_value(origami: Origami, chain: EdgeChain,
         chains.append(c)
     for i in range(len(chains)):
         for j in range(i + 1, len(chains)):
-            total += int(space.intersection(chains[i], chains[j]))
+            total += space.intersection(chains[i], chains[j])
     return total % 2
 
 

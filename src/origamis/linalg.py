@@ -1,9 +1,10 @@
 """Exact linear algebra over Q and Z on tuple-of-tuples matrices.
 
 The number rule: a value built from ints by +, - and * stays an int, and a
-Fraction appears only where a division can leave a denominator. Products keep
-the type of their inputs, and the eliminations (rref, solve, det, mat_inv)
-keep a +-1 pivot exact (1/p = p). `vec` and `mat` coerce outside input.
+Fraction appears only where a division leaves a denominator. Products keep
+the type of their inputs. The eliminations (rref, det, and through rref
+nullspace, solve and mat_inv) return an int for every entry of denominator 1.
+`vec` and `mat` coerce outside input.
 """
 
 from __future__ import annotations
@@ -56,6 +57,11 @@ def vec_scale(c, a: Vec) -> Vec:
     return tuple(c * x for x in a)
 
 
+def exact(x):
+    """x as an int when its denominator is 1."""
+    return x.numerator if x.denominator == 1 else x
+
+
 def rref(a: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form over Q; returns (rref, pivot column list)."""
     rows = [list(row) for row in a]
@@ -77,7 +83,7 @@ def rref(a: Mat) -> tuple[Mat, list[int]]:
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
         pivots.append(col)
         rank += 1
-    return tuple(tuple(row) for row in rows[:rank]), pivots
+    return tuple(tuple(map(exact, row)) for row in rows[:rank]), pivots
 
 
 def rank(a: Mat) -> int:
@@ -134,7 +140,7 @@ def det(a: Mat):
             if rows[i][col] != 0:
                 f = rows[i][col] * inv
                 rows[i] = [x - f * y for x, y in zip(rows[i], rows[col])]
-    return result
+    return exact(result)
 
 
 def mat_inv(a: Mat) -> Mat:
@@ -195,7 +201,9 @@ def unit_pivot_reducer(rows: Sequence[Sequence[int]]) -> list[tuple[int, Vec]]:
 
 
 def hermite_row_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Row Hermite normal form basis of the lattice spanned by integer rows."""
+    """Row Hermite normal form basis of the lattice spanned by integer rows:
+    echelon rows with positive pivots, each entry above a pivot in
+    [0, pivot)."""
     work = [list(map(int, row)) for row in rows if any(row)]
     if not work:
         return []
@@ -221,8 +229,9 @@ def hermite_row_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
             pivot = [-x for x in pivot]
         basis.append(pivot)
         col += 1
-    # reduce above-pivot entries
-    for i in range(len(basis) - 1, -1, -1):
+    # reduce above-pivot entries, first pivot first: a later pivot row is
+    # zero in every earlier pivot column, so it leaves them reduced
+    for i in range(len(basis)):
         pcol = next(j for j, x in enumerate(basis[i]) if x != 0)
         for k in range(i):
             q = basis[k][pcol] // basis[i][pcol]
@@ -232,42 +241,12 @@ def hermite_row_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
 
 
 def integer_kernel(a: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis of {x integer: a x = 0} via unimodular column reduction."""
+    """Z-basis of {x integer: a x = 0}: the rows of the Hermite basis of
+    [a^T | I] whose a^T part is zero. The rows of [a^T | I] span the lattice
+    {(a x, x)}; in an echelon basis of it, the rows with a zero a^T part
+    span every vector with a zero a^T part."""
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
-    work = [[int(a[i][j]) for j in range(ncols)] for i in range(nrows)]
-    u = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-
-    def col_addmul(j, k, q):  # col_j -= q * col_k
-        for i in range(nrows):
-            work[i][j] -= q * work[i][k]
-        for i in range(ncols):
-            u[i][j] -= q * u[i][k]
-
-    def col_swap(j, k):
-        for i in range(nrows):
-            work[i][j], work[i][k] = work[i][k], work[i][j]
-        for i in range(ncols):
-            u[i][j], u[i][k] = u[i][k], u[i][j]
-
-    row = 0
-    fixed = 0
-    while row < nrows and fixed < ncols:
-        live = [j for j in range(fixed, ncols) if work[row][j] != 0]
-        if not live:
-            row += 1
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda j: abs(work[row][j]))
-            j0 = live[0]
-            for j in live[1:]:
-                col_addmul(j, j0, work[row][j] // work[row][j0])
-            live = [j for j in range(fixed, ncols) if work[row][j] != 0]
-        col_swap(fixed, live[0])
-        fixed += 1
-        row += 1
-    kernel = []
-    for j in range(fixed, ncols):
-        if all(work[i][j] == 0 for i in range(nrows)):
-            kernel.append([u[i][j] for i in range(ncols)])
-    return kernel
+    rows = [[a[i][j] for i in range(nrows)] + [int(k == j) for k in range(ncols)]
+            for j in range(ncols)]
+    return [row[nrows:] for row in hermite_row_basis(rows) if not any(row[:nrows])]

@@ -19,29 +19,38 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from . import cyclotomic, linalg
+from . import linalg
 from .affine import AffineLift, automorphism_lift, lift, matrix_on
 from .catalog import (QUATERNION_ORDER, Ornithorynque, Wollmilchsau,
                       quaternion_mul)
 from .errors import ActionNotFinite, NotInCyclicImage, NotInvariant, WrongSurface
 from .homology import ChainSpace, EdgeChain, Subspace, chain_space
-from .linalg import Mat
+from .linalg import Mat, Vec
 from .origami import Origami, automorphisms
 from .rootsys import UnboundedWitness, finite_closure
 from .sl2z import CongruenceSubgroup, ID2, J_MAT, S_MAT, T_MAT, mat_pow
 
+# The irreducible characters of Q8 on QUATERNION_ORDER: 1, -1, i, -i, j, -j, k, -k.
 QUATERNION_CHARACTERS = {
-    "chi_1": {"1": 1, "-1": 1, "i": 1, "j": 1, "k": 1},
-    "chi_i": {"1": 1, "-1": 1, "i": 1, "j": -1, "k": -1},
-    "chi_j": {"1": 1, "-1": 1, "i": -1, "j": 1, "k": -1},
-    "chi_k": {"1": 1, "-1": 1, "i": -1, "j": -1, "k": 1},
-    "chi_2": {"1": 2, "-1": -2, "i": 0, "j": 0, "k": 0},
+    "chi_1": (1, 1, 1, 1, 1, 1, 1, 1),
+    "chi_i": (1, 1, 1, 1, -1, -1, -1, -1),
+    "chi_j": (1, 1, -1, -1, 1, 1, -1, -1),
+    "chi_k": (1, 1, -1, -1, -1, -1, 1, 1),
+    "chi_2": (2, -2, 0, 0, 0, 0, 0, 0),
 }
 
 
-def quaternion_character_value(name: str, g: str) -> int:
-    rep = g if g in ("1", "-1") else g.lstrip("-")
-    return QUATERNION_CHARACTERS[name][rep]
+def cyclic_characters(q: int) -> dict[int, tuple[int, ...]]:
+    """The rational characters of Z/q on g = 0..q-1, one per divisor d of q:
+    chi_d, the sum of the faithful characters of Z/d, is the regular
+    character d [d | g] of Z/d less the chi_e of the smaller divisors e."""
+    chars: dict[int, tuple[int, ...]] = {}
+    for d in range(1, q + 1):
+        if q % d == 0:
+            chars[d] = tuple(d * (g % d == 0) - sum(c[g] for e, c in chars.items()
+                                                      if d % e == 0)
+                             for g in range(q))
+    return chars
 
 
 @dataclass
@@ -189,41 +198,19 @@ def decompose_orn(orn: Ornithorynque) -> DecompositionReport:
 # -- character analysis -------------------------------------------------------
 
 
-def isotypic_multiplicities_quaternion(
-        aut_lifts: dict[str, AffineLift], sub: Subspace,
-        space: ChainSpace) -> dict[str, Fraction]:
-    """Multiplicity of each irreducible of Q on an invariant subspace."""
-    traces = {}
-    for g in QUATERNION_ORDER:
-        m = matrix_on(aut_lifts[f"aut_{g}"], sub)
-        traces[g] = sum(m[i][i] for i in range(len(m)))
-    out = {}
-    for name in QUATERNION_CHARACTERS:
-        total = sum(traces[g] * quaternion_character_value(name, g)
-                    for g in QUATERNION_ORDER)
-        out[name] = Fraction(total, 8)
-    return out
-
-
-def isotypic_multiplicities_cyclic(
-        aut_lifts: Sequence[AffineLift], sub: Subspace, q: int) -> list:
-    """Multiplicities of the Z/q characters, computed in Q[x]/(x^q - 1).
-
-    Entry a is (1/q) sum_g tr(g) x^{-ag}; a rational multiple of 1 mod Phi_q
-    when the action is by permutations of an invariant subspace.
-    """
+def isotypic_multiplicities(aut_lifts: Sequence[AffineLift], sub: Subspace,
+                            characters: dict) -> dict:
+    """Multiplicity of each named integer character on an invariant subspace:
+    (sum of tr * chi) / (sum of chi^2) over the lifts, a character holding
+    one value per lift in the lifts' order. For a rational character, the sum
+    of k Galois-conjugate irreducibles, that is the multiplicity of each."""
     traces = []
-    for g in range(q):
-        m = matrix_on(aut_lifts[g], sub)
+    for lf in aut_lifts:
+        m = matrix_on(lf, sub)
         traces.append(sum(m[i][i] for i in range(len(m))))
-    phi_q = cyclotomic.cyclotomic_polynomial(q)
-    out = []
-    for a in range(q):
-        acc = [Fraction(0)] * q
-        for g in range(q):
-            acc[(-a * g) % q] += Fraction(traces[g], q)
-        out.append(cyclotomic.reduce_mod(acc, phi_q))
-    return out
+    return {name: Fraction(sum(t * x for t, x in zip(traces, chi)),
+                           sum(x * x for x in chi))
+            for name, chi in characters.items()}
 
 
 # -- tau character and breve blocks -----------------------------------------
@@ -249,6 +236,12 @@ def tau_character(orn: Ornithorynque, lift_: AffineLift) -> int:
     raise NotInCyclicImage("action is not a power of the cyclic generator")
 
 
+def mod_psi(a: Vec) -> Vec:
+    """Canonical representative modulo Psi_q(x) = 1 + x + ... + x^{q-1},
+    q = len(a): subtracting a multiple of Psi_q clears the x^{q-1} term."""
+    return tuple(x - a[-1] for x in a)
+
+
 def breve_blocks(orn: Ornithorynque, lift_: AffineLift) -> Mat:
     """2x2 matrix over Q[x]/(x^q-1) mod Psi_q for the action on H-breve.
 
@@ -269,8 +262,7 @@ def breve_blocks(orn: Ornithorynque, lift_: AffineLift) -> Mat:
         sol = linalg.solve(basis, images[0])
         if sol is None:
             raise NotInvariant("lift does not preserve the breve subspace")
-        matrix_cols.append((cyclotomic.mod_psi(tuple(sol[:q])),
-                            cyclotomic.mod_psi(tuple(sol[q:]))))
+        matrix_cols.append((mod_psi(sol[:q]), mod_psi(sol[q:])))
         # shift-equivariance: column i holds the solution shifted by index i
         shifted = tuple(tuple(sol[half + (j - i) % q] for i in range(q))
                         for half in (0, q) for j in range(q))
@@ -280,8 +272,8 @@ def breve_blocks(orn: Ornithorynque, lift_: AffineLift) -> Mat:
     return ((c1, c2), (d1, d2))
 
 
-def breve_block_trace(block: Mat) -> cyclotomic.Poly:
-    return cyclotomic.mod_psi(cyclotomic.p_add(block[0][0], block[1][1]))
+def breve_block_trace(block: Mat) -> Vec:
+    return mod_psi(tuple(a + b for a, b in zip(block[0][0], block[1][1])))
 
 
 # -- congruence kernels -------------------------------------------------------

@@ -2,6 +2,7 @@ import pytest
 
 from origamis.catalog import catalog
 from origamis.structure import decompose_ew, decompose_orn
+from origamis.verification import _ew_root_system
 
 
 @pytest.fixture(scope="session")
@@ -37,3 +38,9 @@ def orn3_report(orn3):
 @pytest.fixture(scope="session")
 def orn5_report(orn5):
     return decompose_orn(orn5)
+
+
+@pytest.fixture(scope="session")
+def ew_root_system():
+    """(surface, report, chain space, D4 system) of the Wollmilchsau, built once."""
+    return _ew_root_system()

@@ -5,6 +5,8 @@ rank-deficient ones (products through a thin middle), matrices with zero
 rows, and pivots other than +-1. No result may hold a float.
 """
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -136,6 +138,34 @@ def test_integer_kernel_has_sympy_nullity(seed):
         for x in kernel:
             assert all(type(c) is int for c in x)
             assert all(v == 0 for v in linalg.mat_vec(a, x))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_hermite_row_basis_is_reduced(seed):
+    for a in _matrices(seed):
+        basis = linalg.hermite_row_basis(a)
+        assert len(basis) == sympy.Matrix(a).rank()
+        pivots = [next(j for j, x in enumerate(row) if x) for row in basis]
+        # echelon: zeros below each pivot and left of it
+        assert pivots == sorted(set(pivots))
+        for i, p in enumerate(pivots):
+            assert basis[i][p] > 0
+            assert all(0 <= basis[k][p] < basis[i][p] for k in range(i))
+
+
+def _max_minor_gcd(rows) -> int:
+    k = len(rows)
+    m = sympy.Matrix(rows)
+    return math.gcd(*(int(m.extract(list(range(k)), list(cols)).det())
+                      for cols in itertools.combinations(range(m.cols), k)))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_integer_kernel_is_saturated(seed):
+    for a in _matrices(seed):
+        kernel = linalg.integer_kernel(a)
+        if kernel:
+            assert _max_minor_gcd(kernel) == 1
 
 
 def test_unit_pivot_eliminations_stay_int():

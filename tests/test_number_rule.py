@@ -10,7 +10,7 @@ from origamis.origami import make_origami
 from origamis.permutations import random_transitive_pair
 from origamis.rootsys import FiniteMatrixGroup, finite_closure
 from origamis.structure import combined_action
-from origamis.verification import _ew_root_system, _orn_root_system
+from origamis.verification import _orn_root_system
 
 
 def _all_int(rows) -> bool:
@@ -60,8 +60,8 @@ def test_canonical_vec_keeps_ints_and_halves(ew):
     assert space.canonical_vec(half) == half
 
 
-def test_root_systems_hold_no_float(orn3, orn3_report):
-    systems = [_ew_root_system()[3], _orn_root_system(orn3, orn3_report)[0]]
+def test_root_systems_hold_no_float(ew_root_system, orn3, orn3_report):
+    systems = [ew_root_system[3], _orn_root_system(orn3, orn3_report)[0]]
     for system in systems:
         for value in (system.span_basis, system.roots, system.frame,
                       system.frames_all, system.roots_frame_coords(),
@@ -74,4 +74,11 @@ def test_integral_basis_is_int_and_its_gram_exact(ew, orn3, appendix_b):
         space = chain_space(surface.origami)
         basis = space.integral_absolute_basis()
         assert _all_int(basis)
-        assert _no_float(space.gram(basis))
+        assert _all_int(space.gram(basis))
+
+
+def test_subspace_bases_from_rref_are_int(orn3_report, orn5_report):
+    for report in (orn3_report, orn5_report):
+        space = chain_space(report.origami)
+        assert _all_int(report.subspaces["H_breve"].basis)
+        assert _all_int(space.marked_subspace(space.singular_vertices()).basis)

@@ -1,10 +1,11 @@
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from origamis import cyclotomic, linalg
+from origamis import linalg
 from origamis.affine import (automorphism_lift, lift, matrix_in_chain_basis,
                              matrix_on)
 from origamis.catalog import QUATERNION_ORDER, catalog
@@ -16,58 +17,69 @@ from origamis.rootsys import (FiniteMatrixGroup, UnboundedWitness, _signed_maps,
 from origamis.sl2z import CongruenceSubgroup, J_MAT, S_MAT, T_MAT, mat_pow
 from origamis.structure import (QUATERNION_CHARACTERS, breve_block_trace,
                                 breve_blocks, cocycle_growth, combined_action,
-                                _log_abs, isotypic_multiplicities_quaternion,
-                                kernel_is_congruence, operator_norm,
-                                power_growth_rate, tau_character)
-from origamis.verification import _ew_root_system, _orn_root_system
+                                cyclic_characters, _log_abs,
+                                isotypic_multiplicities, kernel_is_congruence,
+                                mod_psi, operator_norm, power_growth_rate,
+                                tau_character)
+from origamis.verification import _orn_root_system
 
 
 def test_quaternion_character_orthogonality():
-    class_sizes = {"1": 1, "-1": 1, "i": 2, "j": 2, "k": 2}
     names = list(QUATERNION_CHARACTERS)
     for a in names:
         for b in names:
-            total = sum(class_sizes[g] * QUATERNION_CHARACTERS[a][g]
-                        * QUATERNION_CHARACTERS[b][g] for g in class_sizes)
+            total = sum(x * y for x, y in zip(QUATERNION_CHARACTERS[a],
+                                              QUATERNION_CHARACTERS[b]))
             assert total == (8 if a == b else 0)
 
 
-@pytest.mark.parametrize("q", [3, 5, 9])
+@pytest.mark.parametrize("q", [3, 5, 9, 15])
 def test_cyclic_character_orthogonality(q):
-    phi_q = cyclotomic.cyclotomic_polynomial(q)
-    for a in range(q):
-        for b in range(q):
-            acc = [Fraction(0)] * q
-            for g in range(q):
-                acc[((a - b) * g) % q] += 1
-            reduced = cyclotomic.reduce_mod(acc, phi_q)
-            if a == b:
-                assert reduced[0] == q and all(x == 0 for x in reduced[1:])
-            else:
-                assert all(x == 0 for x in reduced)
+    chars = cyclic_characters(q)
+    assert list(chars) == [d for d in range(1, q + 1) if q % d == 0]
+    for d, chi in chars.items():
+        assert all(type(x) is int for x in chi)
+        assert chi[0] == sum(1 for k in range(1, d + 1) if math.gcd(k, d) == 1)
+        for e, psi in chars.items():
+            total = sum(x * y for x, y in zip(chi, psi))
+            assert total == (q * chi[0] if d == e else 0)
 
 
-def test_isotypic_multiplicities_cyclic(orn3, orn3_report):
-    from origamis.structure import isotypic_multiplicities_cyclic
+def _dimension(mult, characters):
+    return sum(m * characters[name][0] for name, m in mult.items())
+
+
+def test_cyclic_multiplicities_q3(orn3, orn3_report):
     auts = [orn3_report.lifts[f"aut_{g}"] for g in range(3)]
-    mult = isotypic_multiplicities_cyclic(auts, orn3_report.subspaces["H_breve"], 3)
-    # constants mod Phi_3: trivial character multiplicity 0, nontrivial ones 2
-    assert mult[0] == (0, 0) and mult[1] == (2, 0) and mult[2] == (2, 0)
-    mult = isotypic_multiplicities_cyclic(auts, orn3_report.subspaces["H_tau"], 3)
-    assert mult[0] == (0, 0) and mult[1] == (1, 0) and mult[2] == (1, 0)
+    chars = cyclic_characters(3)
+    cases = [("H_breve", {1: 0, 3: 2}), ("H_tau", {1: 0, 3: 1})]
+    for name, expected in cases:
+        sub = orn3_report.subspaces[name]
+        mult = isotypic_multiplicities(auts, sub, chars)
+        assert mult == expected
+        assert _dimension(mult, chars) == sub.dim
 
 
-def test_isotypic_multiplicities(ew, ew_report):
-    space = chain_space(ew.origami)
-    mult = isotypic_multiplicities_quaternion(
-        ew_report.lifts, ew_report.subspaces["H1_0"], space)
-    assert mult == {"chi_1": 0, "chi_i": 0, "chi_j": 0, "chi_k": 0, "chi_2": 2}
-    mult = isotypic_multiplicities_quaternion(
-        ew_report.lifts, ew_report.subspaces["H_rel"], space)
-    assert mult == {"chi_1": 0, "chi_i": 1, "chi_j": 1, "chi_k": 1, "chi_2": 0}
-    mult = isotypic_multiplicities_quaternion(
-        ew_report.lifts, ew_report.subspaces["H1_st"], space)
-    assert mult == {"chi_1": 2, "chi_i": 0, "chi_j": 0, "chi_k": 0, "chi_2": 0}
+def test_cyclic_multiplicities_q9():
+    orn = catalog("ornithorynque", q=9)
+    sub = chain_space(orn.origami).subspace_from([orn.tau(i) for i in range(9)])
+    auts = [automorphism_lift(orn.origami, orn.shift(g)) for g in range(9)]
+    chars = cyclic_characters(9)
+    mult = isotypic_multiplicities(auts, sub, chars)
+    assert mult == {1: 0, 3: 1, 9: 1}
+    assert _dimension(mult, chars) == sub.dim == 8
+
+
+def test_isotypic_multiplicities(ew_report):
+    auts = [ew_report.lifts[f"aut_{g}"] for g in QUATERNION_ORDER]
+    cases = [("H1_0", {"chi_1": 0, "chi_i": 0, "chi_j": 0, "chi_k": 0, "chi_2": 2}),
+             ("H_rel", {"chi_1": 0, "chi_i": 1, "chi_j": 1, "chi_k": 1, "chi_2": 0}),
+             ("H1_st", {"chi_1": 2, "chi_i": 0, "chi_j": 0, "chi_k": 0, "chi_2": 0})]
+    for name, expected in cases:
+        sub = ew_report.subspaces[name]
+        mult = isotypic_multiplicities(auts, sub, QUATERNION_CHARACTERS)
+        assert mult == expected
+        assert _dimension(mult, QUATERNION_CHARACTERS) == sub.dim
 
 
 def test_decompositions_pass(ew_report, orn3_report, orn5_report):
@@ -96,32 +108,24 @@ def test_tau_rejects_foreign_lift(orn3, ew_report):
         tau_character(orn3, ew_report.lifts["S"])
 
 
+def _polys(q):
+    """1, x, x^-1 and 0 in Q[x]/(x^q - 1), reduced mod Psi_q."""
+    def x_power(k):
+        return mod_psi(tuple(int(i == k % q) for i in range(q)))
+    return x_power(0), x_power(1), x_power(-1), (0,) * q
+
+
 def test_breve_blocks_q3(orn3, orn3_report):
-    q = 3
-    one = cyclotomic.p_one(q)
-    x = cyclotomic.x_power(1, q)
-    x_inv = cyclotomic.x_power(q - 1, q)
-    zero = cyclotomic.p_zero(q)
-    block = breve_blocks(orn3, orn3_report.lifts["S"])
-    assert cyclotomic.psi_equal(block[0][0], one)
-    assert cyclotomic.psi_equal(block[1][0], x_inv)
-    assert cyclotomic.psi_equal(block[0][1], zero)
-    assert cyclotomic.psi_equal(block[1][1], x)
-    block = breve_blocks(orn3, orn3_report.lifts["T"])
-    assert cyclotomic.psi_equal(block[0][0], x_inv)
-    assert cyclotomic.psi_equal(block[1][0], zero)
-    assert cyclotomic.psi_equal(block[0][1], x)
-    assert cyclotomic.psi_equal(block[1][1], one)
+    one, x, x_inv, zero = _polys(3)
+    assert breve_blocks(orn3, orn3_report.lifts["S"]) == ((one, zero), (x_inv, x))
+    assert breve_blocks(orn3, orn3_report.lifts["T"]) == ((x_inv, x), (zero, one))
 
 
 def test_breve_blocks_q5_j(orn5, orn5_report):
-    q = 5
-    block = breve_blocks(orn5, orn5_report.lifts["J"])
-    assert cyclotomic.psi_equal(block[0][0], cyclotomic.p_zero(q))
-    assert cyclotomic.psi_equal(block[0][1],
-                                cyclotomic.p_scale(-1, cyclotomic.p_one(q)))
-    assert cyclotomic.psi_equal(block[1][0], cyclotomic.p_one(q))
-    assert cyclotomic.psi_equal(block[1][1], cyclotomic.p_zero(q))
+    one, _, _, zero = _polys(5)
+    minus_one = tuple(-c for c in one)
+    assert breve_blocks(orn5, orn5_report.lifts["J"]) == \
+        ((zero, minus_one), (one, zero))
 
 
 @pytest.mark.parametrize("q", [3, 5])
@@ -135,21 +139,18 @@ def test_breve_trace_identity(q):
     else:
         s2, t2 = rep.lifts["S2"], rep.lifts["T2"]
     block = breve_blocks(orn, s2.compose(t2))
-    trace = breve_block_trace(block)
-    one = cyclotomic.p_one(q)
-    x = cyclotomic.x_power(1, q)
-    x_inv = cyclotomic.x_power(q - 1, q)
-    expected = cyclotomic.p_scale(
-        2, cyclotomic.p_add(cyclotomic.p_add(one, x), x_inv))
-    assert cyclotomic.psi_equal(trace, expected)
+    one, x, x_inv, _ = _polys(q)
+    # trace = 2(1 + x + x^-1) mod Psi_q
+    assert breve_block_trace(block) == \
+        mod_psi(tuple(2 * (a + b + c) for a, b, c in zip(one, x, x_inv)))
     # trace on all of H_breve is 2(q-3)
     sub = rep.subspaces["H_breve"]
     m = matrix_on(s2.compose(t2), sub)
     assert sum(m[i][i] for i in range(len(m))) == 2 * (q - 3)
 
 
-def test_detect_d4_properties(ew):
-    _, _, space, system = _ew_root_system()
+def test_detect_d4_properties(ew_root_system):
+    system = ew_root_system[3]
     roots = system.roots_frame_coords()
     assert len(roots) == 24
     root_set = set(roots)
@@ -170,8 +171,8 @@ def test_detect_d4_properties(ew):
         assert system.preserves_roots(w)
 
 
-def test_triality_is_weyl_coset_map(ew):
-    _, _, _, system = _ew_root_system()
+def test_triality_is_weyl_coset_map(ew_root_system):
+    system = ew_root_system[3]
     weyl = system.weyl_group()
     rng = random.Random(6)
     sample = rng.sample(list(weyl.elements), 6)
@@ -183,6 +184,7 @@ def test_triality_is_weyl_coset_map(ew):
 # The searches that the direct readings replaced, kept as references.
 
 
+@functools.lru_cache(maxsize=None)
 def _automorphism_group(system):
     """All orthogonal maps preserving the roots: frame to signed frame."""
     frames = [tuple(system.frame_coords(f) for f in fr) for fr in system.frames_all]
@@ -200,7 +202,7 @@ def _reflection_closure(system):
     gens = []
     for root in system.roots_frame_coords():
         norm2 = sum(x * x for x in root)
-        gens.append(tuple(tuple(Fraction(i == j) - 2 * root[i] * root[j] / norm2
+        gens.append(tuple(tuple(int(i == j) - Fraction(2 * root[i] * root[j], norm2)
                                 for j in range(4)) for i in range(4)))
     return finite_closure(tuple(dict.fromkeys(gens)), 300)
 
@@ -237,8 +239,8 @@ def _check_triality_against_search(system, generator_images):
                                           [0, 0, 1, 0], [0, 0, 0, 1]]))
 
 
-def test_triality_matches_weyl_coset_search_ew():
-    _, rep, _, system = _ew_root_system()
+def test_triality_matches_weyl_coset_search_ew(ew_root_system):
+    _, rep, _, system = ew_root_system
     frame = system.ambient_frame()
     s, t = rep.lifts["S"], rep.lifts["T"]
     images = [matrix_in_chain_basis(lf, frame) for lf in
@@ -255,8 +257,8 @@ def test_triality_matches_weyl_coset_search_orn3(orn3, orn3_report):
                                             linalg.mat_mul(z_1, z_1)])
 
 
-def test_weyl_group_is_the_reflection_closure():
-    _, _, _, system = _ew_root_system()
+def test_weyl_group_is_the_reflection_closure(ew_root_system):
+    system = ew_root_system[3]
     closure = _reflection_closure(system)
     weyl = system.weyl_group()
     assert weyl.order == closure.order == 192
@@ -344,10 +346,10 @@ def test_composite_odd_q_family():
     j = lift(orn9.origami, J_MAT)
     assert tau_character(orn9, t2) == 2
     assert tau_character(orn9, j) == 9
+    one, _, _, _ = _polys(9)
     block = breve_blocks(orn9, j)
-    assert cyclotomic.psi_equal(block[0][1],
-                                cyclotomic.p_scale(-1, cyclotomic.p_one(9)))
-    assert cyclotomic.psi_equal(block[1][0], cyclotomic.p_one(9))
+    assert block[0][1] == tuple(-c for c in one)
+    assert block[1][0] == one
 
 
 def test_growth_bounded_for_ew(ew_report):
@@ -436,8 +438,7 @@ def _breve_blocks_by_edge_chains(orn, lift_):
     for seed in (orn.sigma_breve, orn.zeta_breve):
         image = space.canonical_vec(linalg.mat_vec(lift_.matrix, seed(0).flat()))
         sol = linalg.solve(linalg.transpose(cols), image)
-        matrix_cols.append((cyclotomic.mod_psi(tuple(sol[:q])),
-                            cyclotomic.mod_psi(tuple(sol[q:]))))
+        matrix_cols.append((mod_psi(sol[:q]), mod_psi(sol[q:])))
         for i in range(q):
             predicted = EdgeChain.zero(orn.origami.n)
             for j in range(q):
@@ -484,9 +485,9 @@ def test_s2t2_grows_on_breve(q):
     assert grows(_breve_s2t2(q))
 
 
-def test_grows_on_a_shear_not_on_the_theorem_a_image():
+def test_grows_on_a_shear_not_on_the_theorem_a_image(ew_root_system):
     assert grows(linalg.mat([[1, 1], [0, 1]]))
-    _, rep, _, system = _ew_root_system()
+    _, rep, _, system = ew_root_system
     frame = system.ambient_frame()
     gens = [matrix_in_chain_basis(rep.lifts[k], frame)
             for k in ("S", "T", "aut_i", "aut_j")]
