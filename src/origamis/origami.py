@@ -8,12 +8,12 @@ the commutator orbit through g define the vertex structure.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import Inconsistent, NotTransitive
-from .permutations import Perm, are_transitive
+from .permutations import Perm, are_transitive, inverse_images
 from .sl2z import Mat2, sl2z_word
 
 
@@ -121,23 +121,25 @@ def isomorphisms(o1: Origami, o2: Origami) -> list[Perm]:
     return sorted(found, key=lambda p: p.images)
 
 
-def sl2z_act(letter: str, origami: Origami) -> Origami:
-    """One-letter action on the pair: T.(r,u) = (r, u r^-1), S.(r,u) = (r u^-1, u).
+def act_on_images(letter: str, r: Sequence[int],
+                  u: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """One-letter action on image tuples: T.(r,u) = (r, u r^-1), S.(r,u) = (r u^-1, u).
 
     Composition applies the right factor first; square labels are preserved.
     """
-    r, u = origami.r, origami.u
-    if letter == "T":
-        pair = (r, u * r.inverse())
-    elif letter == "T-":
-        pair = (r, u * r)
-    elif letter == "S":
-        pair = (r * u.inverse(), u)
-    elif letter == "S-":
-        pair = (r * u, u)
-    else:
-        raise ValueError(f"unknown letter {letter!r}")
-    return Origami(origami.n, pair[0], pair[1], origami.base)
+    if letter in ("T", "T-"):
+        step = r if letter == "T-" else inverse_images(r)
+        return tuple(r), tuple(u[x] for x in step)
+    if letter in ("S", "S-"):
+        step = u if letter == "S-" else inverse_images(u)
+        return tuple(r[x] for x in step), tuple(u)
+    raise ValueError(f"unknown letter {letter!r}")
+
+
+def sl2z_act(letter: str, origami: Origami) -> Origami:
+    """``act_on_images`` on an origami, with both images validated as Perms."""
+    images = act_on_images(letter, origami.r.images, origami.u.images)
+    return Origami(origami.n, *map(Perm, images), origami.base)
 
 
 def act_by_letters(letters: Iterable[str], origami: Origami) -> Origami:
@@ -148,29 +150,64 @@ def act_by_letters(letters: Iterable[str], origami: Origami) -> Origami:
     return out
 
 
+def _cycle_lengths(images: Sequence[int]) -> list[int]:
+    """square -> length of its cycle under the permutation ``images``."""
+    lengths = [0] * len(images)
+    for start in range(len(images)):
+        if not lengths[start]:
+            cycle = [start]
+            x = images[start]
+            while x != start:
+                cycle.append(x)
+                x = images[x]
+            size = len(cycle)
+            for x in cycle:
+                lengths[x] = size
+    return lengths
+
+
 def canonical_pair(origami: Origami) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Minimal (r, u) image tuples over all BFS relabelings; hashable orbit key."""
-    n = origami.n
-    gens = [origami.r, origami.u, origami.r.inverse(), origami.u.inverse()]
-    best = None
+    """Hashable isomorphism key of the pair: ``canonical_images`` of its images."""
+    return canonical_images(origami.r.images, origami.u.images)
+
+
+def canonical_images(r: Sequence[int], u: Sequence[int]
+                     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The least (r, u) image tuples over the BFS relabelings (r, u, r^-1, u^-1
+    of each square in turn) from the squares of least (r-cycle length, u-cycle
+    length). An isomorphism carries these starts of one pair onto those of the
+    other, so two pairs get the same key exactly when they are isomorphic. A
+    start is dropped as soon as its r-images exceed the best ones so far.
+    """
+    n = len(r)
+    r_inv, u_inv = inverse_images(r), inverse_images(u)
+    lengths = list(zip(_cycle_lengths(r), _cycle_lengths(u)))
+    least = min(lengths)
+    best_r = best_u = None
     for start in range(n):
-        new_label = [-1] * n
-        new_label[start] = 0
+        if lengths[start] != least:
+            continue
+        label = [-1] * n
+        label[start] = 0
         order = [start]
-        queue = deque([start])
-        while queue:
-            x = queue.popleft()
-            for g in gens:
-                y = g.images[x]
-                if new_label[y] == -1:
-                    new_label[y] = len(order)
+        r_new = []
+        smaller = best_r is None
+        for k, x in enumerate(order):  # BFS: `order` grows while it is read
+            for y in (r[x], u[x], r_inv[x], u_inv[x]):
+                if label[y] < 0:
+                    label[y] = len(order)
                     order.append(y)
-                    queue.append(y)
-        r_new = tuple(new_label[origami.r.images[order[k]]] for k in range(n))
-        u_new = tuple(new_label[origami.u.images[order[k]]] for k in range(n))
-        if best is None or (r_new, u_new) < best:
-            best = (r_new, u_new)
-    return best
+            image = label[r[x]]
+            if not smaller:
+                if image > best_r[k]:
+                    break
+                smaller = image < best_r[k]
+            r_new.append(image)
+        else:
+            u_new = tuple(label[u[x]] for x in order)
+            if smaller or u_new < best_u:
+                best_r, best_u = tuple(r_new), u_new
+    return best_r, best_u
 
 
 @dataclass
@@ -180,43 +217,38 @@ class VeechGroup:
     origami: Origami
     orbit: list[Origami] = field(default_factory=list)
     edges: dict[tuple[int, str], int] = field(default_factory=dict)
-    _node_of_key: dict = field(default_factory=dict, repr=False)
 
     @property
     def index(self) -> int:
         return len(self.orbit)
 
-    def _step(self, node: int, letter: str) -> int:
-        if letter in ("S", "T"):
-            return self.edges[(node, letter)]
-        fwd = "S" if letter == "S-" else "T"
-        for src in range(len(self.orbit)):
-            if self.edges[(src, fwd)] == node:
-                return src
-        raise Inconsistent("orbit graph is not a permutation graph")
+    @cached_property
+    def _steps(self) -> dict[tuple[int, str], int]:
+        """``edges`` and their preimages under S- and T-, read on first use."""
+        steps = {(dst, letter + "-"): src for (src, letter), dst in self.edges.items()}
+        if len(steps) != len(self.edges):
+            raise Inconsistent("orbit graph is not a permutation graph")
+        return steps | self.edges
 
     def contains(self, m: Mat2) -> bool:
         word = sl2z_word(m).exact_letters()
         node = 0
         for letter in reversed(word):
-            node = self._step(node, letter)
+            node = self._steps[(node, letter)]
         return node == 0
 
 
 def veech_group(origami: Origami) -> VeechGroup:
-    group = VeechGroup(origami)
-    key0 = canonical_pair(origami)
-    group._node_of_key[key0] = 0
-    group.orbit.append(origami)
-    queue = deque([0])
-    while queue:
-        node = queue.popleft()
+    """BFS over the S, T orbit on image tuples, numbering nodes as found."""
+    group = VeechGroup(origami, [origami])
+    node_of_key = {canonical_pair(origami): 0}
+    pairs = [(origami.r.images, origami.u.images)]
+    for node, (r, u) in enumerate(pairs):  # BFS: `pairs` grows while it is read
         for letter in ("S", "T"):
-            image = sl2z_act(letter, group.orbit[node])
-            key = canonical_pair(image)
-            if key not in group._node_of_key:
-                group._node_of_key[key] = len(group.orbit)
-                group.orbit.append(image)
-                queue.append(len(group.orbit) - 1)
-            group.edges[(node, letter)] = group._node_of_key[key]
+            image = act_on_images(letter, r, u)
+            target = node_of_key.setdefault(canonical_images(*image), len(pairs))
+            if target == len(pairs):
+                pairs.append(image)
+                group.orbit.append(Origami(origami.n, *map(Perm, image), origami.base))
+            group.edges[(node, letter)] = target
     return group

@@ -45,10 +45,7 @@ class Perm:
         return Perm(tuple(self.images[other.images[x]] for x in range(self.n)))
 
     def inverse(self) -> "Perm":
-        inv = [0] * self.n
-        for x, y in enumerate(self.images):
-            inv[y] = x
-        return Perm(inv)
+        return Perm(inverse_images(self.images))
 
     def __pow__(self, k: int) -> "Perm":
         if k < 0:
@@ -92,21 +89,30 @@ class Perm:
         return f"Perm({list(self.images)})"
 
 
+def inverse_images(images: Sequence[int]) -> list[int]:
+    """The images of the inverse of the permutation ``images``, unvalidated."""
+    inv = [0] * len(images)
+    for x, y in enumerate(images):
+        inv[y] = x
+    return inv
+
+
 def are_transitive(perms: Sequence[Perm]) -> bool:
     """Whether the group generated by ``perms`` acts transitively."""
     if not perms:
         return False
     n = perms[0].n
+    maps = [p.images for p in perms] + [inverse_images(p.images) for p in perms]
     seen = [False] * n
     seen[0] = True
     stack = [0]
     while stack:
         x = stack.pop()
-        for p in perms:
-            for y in (p.images[x], p.inverse().images[x]):
-                if not seen[y]:
-                    seen[y] = True
-                    stack.append(y)
+        for images in maps:
+            y = images[x]
+            if not seen[y]:
+                seen[y] = True
+                stack.append(y)
     return all(seen)
 
 

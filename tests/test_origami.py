@@ -1,15 +1,16 @@
 import itertools
 import random
+from collections import deque
 
 import pytest
 
 from origamis.errors import Inconsistent, NotPermutation, NotTransitive
-from origamis.origami import (act_by_letters, automorphisms, isomorphisms,
-                              make_origami, sl2z_act, stratum_and_genus,
-                              veech_group, vertex_classes)
+from origamis.origami import (act_by_letters, automorphisms, canonical_pair,
+                              isomorphisms, make_origami, sl2z_act,
+                              stratum_and_genus, veech_group, vertex_classes)
 from origamis.permutations import Perm, random_transitive_pair
-from origamis.sl2z import (ID2, J_MAT, LETTER_MATS, S_MAT, T_MAT, mat_mod,
-                           mat_mul, mat_pow)
+from origamis.sl2z import (ID2, J_MAT, LETTER_MATS, S_MAT, T_MAT, eval_letters,
+                           mat_mod, mat_mul, mat_pow)
 
 TORUS = make_origami(1, Perm([0]), Perm([0]))
 
@@ -182,3 +183,114 @@ def test_catalog_errors():
         catalog("ornithorynque", q=4)
     with pytest.raises(EvenQ):
         catalog("ornithorynque", q=1)
+
+
+# -- reference: the orbit search with a BFS relabeling from every square -------
+
+
+def _canonical_pair_all_starts(origami):
+    """Minimal (r, u) image tuples over the BFS relabelings from all squares."""
+    n = origami.n
+    gens = [origami.r, origami.u, origami.r.inverse(), origami.u.inverse()]
+    best = None
+    for start in range(n):
+        new_label = [-1] * n
+        new_label[start] = 0
+        order = [start]
+        queue = deque([start])
+        while queue:
+            x = queue.popleft()
+            for g in gens:
+                y = g.images[x]
+                if new_label[y] == -1:
+                    new_label[y] = len(order)
+                    order.append(y)
+                    queue.append(y)
+        r_new = tuple(new_label[origami.r.images[order[k]]] for k in range(n))
+        u_new = tuple(new_label[origami.u.images[order[k]]] for k in range(n))
+        if best is None or (r_new, u_new) < best:
+            best = (r_new, u_new)
+    return best
+
+
+def _veech_orbit_reference(origami):
+    """(orbit, edges) of the S, T orbit search keyed by the all-starts key."""
+    orbit, edges = [origami], {}
+    node_of_key = {_canonical_pair_all_starts(origami): 0}
+    queue = deque([0])
+    while queue:
+        node = queue.popleft()
+        for letter in ("S", "T"):
+            image = sl2z_act(letter, orbit[node])
+            key = _canonical_pair_all_starts(image)
+            if key not in node_of_key:
+                node_of_key[key] = len(orbit)
+                orbit.append(image)
+                queue.append(len(orbit) - 1)
+            edges[(node, letter)] = node_of_key[key]
+    return orbit, edges
+
+
+def _relabeled(origami, rng):
+    """The pair conjugated by a random relabeling sigma of the squares."""
+    n = origami.n
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    r, u = [0] * n, [0] * n
+    for x in range(n):
+        r[sigma[x]] = sigma[origami.r.images[x]]
+        u[sigma[x]] = sigma[origami.u.images[x]]
+    return make_origami(n, r, u)
+
+
+def _random_origamis(seed, sizes):
+    rng = random.Random(seed)
+    return [make_origami(n, *random_transitive_pair(n, rng)) for n in sizes]
+
+
+def _catalog_surfaces():
+    from origamis.catalog import catalog_origami
+    return [catalog_origami("eierlegende-wollmilchsau"),
+            catalog_origami("appendix-b"),
+            catalog_origami("ornithorynque", q=3),
+            catalog_origami("ornithorynque", q=5)]
+
+
+def test_canonical_key_is_complete_invariant():
+    rng = random.Random(808)
+    surfaces = _random_origamis(808, [5, 6, 7, 8] * 6) + _catalog_surfaces()
+    by_size = {}
+    for origami in surfaces:
+        variants = [origami, _relabeled(origami, rng),
+                    sl2z_act(rng.choice("ST"), origami)]
+        variants.append(_relabeled(variants[-1], rng))
+        by_size.setdefault(origami.n, []).extend(variants)
+    for group in by_size.values():
+        keys = [canonical_pair(o) for o in group]
+        for o, key in zip(group, keys):
+            # the key is itself a relabeling of the pair
+            assert isomorphisms(o, make_origami(o.n, *key))
+        for (o1, k1), (o2, k2) in itertools.combinations(zip(group, keys), 2):
+            assert (k1 == k2) == bool(isomorphisms(o1, o2))
+
+
+def test_veech_group_matches_all_starts_reference():
+    surfaces = _random_origamis(61, [5, 6, 7] * 4 + [8]) + _catalog_surfaces()
+    for origami in surfaces:
+        group = veech_group(origami)
+        orbit, edges = _veech_orbit_reference(origami)
+        assert group.orbit == orbit
+        assert group.edges == edges
+
+
+def test_veech_contains_agrees_with_keys():
+    rng = random.Random(62)
+    for origami in _random_origamis(62, [5, 6, 7] * 3) + _catalog_surfaces():
+        group = veech_group(origami)
+        key = _canonical_pair_all_starts(origami)
+        for _ in range(8):
+            word = [rng.choice(["S", "S-", "T", "T-"])
+                    for _ in range(rng.randrange(1, 10))]
+            image = act_by_letters(word, origami)
+            assert group.contains(eval_letters(word)) == (
+                _canonical_pair_all_starts(image) == key)
