@@ -25,8 +25,7 @@ from .polygons import polygon_to_origami
 from .rootsys import detect_d4, finite_closure, symplectic_subgroup
 from .sl2z import Sl2zWord, congruence_generators, sl2z_word
 from .structure import (breve_blocks, cocycle_growth, decompose_ew,
-                        decompose_orn, isotypic_multiplicities,
-                        kernel_is_congruence, tau_character)
+                        decompose_orn, kernel_is_congruence, tau_character)
 
 __all__ = [
     "catalog", "catalog_origami", "OrigamiError", "EdgeChain", "Subspace",
@@ -40,7 +39,6 @@ __all__ = [
     "spin_parity", "symplectic_basis", "transversal_pairing", "Perm",
     "polygon_to_origami", "detect_d4", "finite_closure", "symplectic_subgroup",
     "Sl2zWord", "congruence_generators", "sl2z_word", "breve_blocks",
-    "cocycle_growth", "decompose_ew", "decompose_orn",
-    "isotypic_multiplicities", "kernel_is_congruence",
+    "cocycle_growth", "decompose_ew", "decompose_orn", "kernel_is_congruence",
     "tau_character",
 ]

@@ -120,6 +120,10 @@ class AffineLift:
     def apply(self, chain: EdgeChain) -> EdgeChain:
         return EdgeChain.from_flat(linalg.mat_vec(self.matrix, chain.flat()))
 
+    def image(self, v: Vec) -> Vec:
+        """The canonical form of the image of the flat vector v."""
+        return chain_space(self.origami).canonical_vec(linalg.mat_vec(self.matrix, v))
+
     def compose(self, other: "AffineLift") -> "AffineLift":
         """self after other."""
         if self.origami != other.origami:
@@ -245,7 +249,7 @@ def _matrix_in(space, lift_: AffineLift, basis, coords_of) -> Mat:
     out of Fraction arithmetic and are turned back here."""
     columns = []
     for b in basis:
-        coords = coords_of(space.canonical_vec(linalg.mat_vec(lift_.matrix, b)))
+        coords = coords_of(lift_.image(b))
         if coords is None:
             raise NotInvariant("the lift does not preserve the span of the basis")
         columns.append(tuple(map(linalg.exact, coords)))

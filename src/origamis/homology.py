@@ -6,7 +6,11 @@ modulo the square-boundary relations
 
 Flat coordinates are (sigma_0..sigma_{n-1}, zeta_0..zeta_{n-1}). Canonical
 forms are unique coset representatives obtained by zeroing the unit-pivot
-columns of the relation lattice; integer chains stay integer.
+columns of the relation lattice; integer chains stay integer, and the n + 1
+free columns they keep are a Z-basis of H_1(M, Sigma', Z). Every subspace
+cut out by the boundary (absolute, marked, zero holonomy) and the Z-basis of
+H_1(M, Z) come from one integer kernel of the boundary, read from the table
+of edge endpoints, on those free columns.
 
 The intersection form on absolute classes is computed combinatorially: a class
 is decomposed into closed edge walks, each walk is pushed off to its left, and
@@ -154,6 +158,11 @@ class ChainSpace:
             row[u(g)] -= 1                 # -sigma_{u(g)}
             self.relation_rows.append(row)
         self.reducer = linalg.unit_pivot_reducer(self.relation_rows)
+        pivots = {p for p, _ in self.reducer}
+        self.free = tuple(j for j in range(2 * n) if j not in pivots)
+        # (tail, head) vertex class of sigma_g = flat g and zeta_g = flat n + g
+        self.edge_ends = [(self.vowner[g], self.vowner[r(g)]) for g in range(n)] + \
+            [(self.vowner[g], self.vowner[u(g)]) for g in range(n)]
         self._germs = self._build_germs()
         self._germ_pos: dict[tuple[str, str, int], tuple[int, int]] = {}
         for vidx, germs in enumerate(self._germs):
@@ -190,16 +199,11 @@ class ChainSpace:
 
     def boundary_vec(self, v: Vec) -> Vec:
         """Coefficients on the vertex classes: d sigma_g = v(r g) - v(g), etc."""
-        n = self.n
         out = [0] * len(self.vclasses)
-        r, u = self.origami.r, self.origami.u
-        for g in range(n):
-            if v[g]:
-                out[self.vowner[r(g)]] += v[g]
-                out[self.vowner[g]] -= v[g]
-            if v[n + g]:
-                out[self.vowner[u(g)]] += v[n + g]
-                out[self.vowner[g]] -= v[n + g]
+        for x, (tail, head) in zip(v, self.edge_ends):
+            if x:
+                out[head] += x
+                out[tail] -= x
         return tuple(out)
 
     def boundary(self, chain: EdgeChain) -> Vec:
@@ -216,45 +220,40 @@ class ChainSpace:
 
     def full_subspace(self) -> Subspace:
         """The unit vectors on the columns that canonical forms keep."""
-        pivots = {p for p, _ in self.reducer}
-        free = tuple(j for j in range(2 * self.n) if j not in pivots)
         unit = linalg.identity(2 * self.n)
-        return Subspace(tuple(unit[j] for j in free), free)
+        return Subspace(tuple(unit[j] for j in self.free), self.free)
 
-    def _constrained_subspace(self, allowed_vertices: set[int],
-                              zero_holonomy: bool) -> Subspace:
-        """Classes with boundary supported on the given vertex classes."""
-        full = self.full_subspace()
-        rows = []
-        for b in full.basis:
-            constraints = [x for k, x in enumerate(self.boundary_vec(b))
-                           if k not in allowed_vertices]
+    def _cycle_lattice(self, allowed_vertices: set[int],
+                       zero_holonomy: bool) -> list[Vec]:
+        """Z-basis, as canonical integer vectors, of the classes whose boundary
+        is supported on the allowed vertex classes, and whose holonomy is zero
+        if asked: the integer kernel of those constraints on the free columns.
+        """
+        n = self.n
+        columns = []
+        for j in self.free:
+            tail, head = self.edge_ends[j]
+            column = [int(k == head) - int(k == tail)
+                      for k in range(len(self.vclasses)) if k not in allowed_vertices]
             if zero_holonomy:
-                n = self.n
-                constraints.append(sum(b[:n]))
-                constraints.append(sum(b[n:]))
-            rows.append(tuple(constraints))
-        if not rows or not rows[0]:
-            # no constraints at all: keep the whole space
-            combos = list(linalg.identity(len(rows)))
-        else:
-            combos = linalg.nullspace(linalg.transpose(tuple(rows)))
+                column += [int(j < n), int(j >= n)]
+            # a zero row keeps the kernel's width when nothing is constrained
+            columns.append(column + [0])
         vecs = []
-        for combo in combos:
-            v = [0] * (2 * self.n)
-            for coef, b in zip(combo, full.basis):
-                if coef:
-                    v = [x + coef * y for x, y in zip(v, b)]
+        for x in linalg.integer_kernel(linalg.transpose(columns)):
+            v = [0] * (2 * n)
+            for j, c in zip(self.free, x):
+                v[j] = c
             vecs.append(tuple(v))
-        return self.subspace_from_vecs(vecs)
+        return vecs
 
     def marked_subspace(self, marks: Sequence[int]) -> Subspace:
         if not marks:
             raise ValueError("marks must be nonempty")
-        return self._constrained_subspace(set(marks), zero_holonomy=False)
+        return self.subspace_from_vecs(self._cycle_lattice(set(marks), False))
 
     def absolute_subspace(self) -> Subspace:
-        return self._constrained_subspace(set(), zero_holonomy=False)
+        return self.subspace_from_vecs(self._cycle_lattice(set(), False))
 
     def singular_vertices(self) -> list[int]:
         return [k for k, v in enumerate(self.vclasses) if v.multiplicity > 1]
@@ -265,25 +264,15 @@ class ChainSpace:
         zero = (0,) * n
         sigma = EdgeChain(one, zero)
         zeta = EdgeChain(zero, one)
-        h1_0_abs = self._constrained_subspace(set(), zero_holonomy=True)
-        h1_0_rel = self._constrained_subspace(set(self.singular_vertices()),
-                                              zero_holonomy=True)
+        singular = set(self.singular_vertices())
+        h1_0_abs = self.subspace_from_vecs(self._cycle_lattice(set(), True))
+        h1_0_rel = self.subspace_from_vecs(self._cycle_lattice(singular, True))
         return StandardSplitting(sigma, zeta, h1_0_abs, h1_0_rel)
 
     def integral_absolute_basis(self) -> list[Vec]:
         """Z-basis of H_1(M, Z) = ker d / relations, as canonical integer rows."""
-        nv = len(self.vclasses)
-        n = self.n
-        bmat = [[0] * (2 * n) for _ in range(nv)]
-        r, u = self.origami.r, self.origami.u
-        for g in range(n):
-            bmat[self.vowner[r(g)]][g] += 1
-            bmat[self.vowner[g]][g] -= 1
-            bmat[self.vowner[u(g)]][n + g] += 1
-            bmat[self.vowner[g]][n + g] -= 1
-        kernel = linalg.integer_kernel(bmat)
-        reduced = [self.canonical_vec(k) for k in kernel]
-        return [tuple(row) for row in linalg.hermite_row_basis(reduced)]
+        lattice = self._cycle_lattice(set(), False)
+        return [tuple(row) for row in linalg.hermite_row_basis(lattice)]
 
     # -- ribbon structure ----------------------------------------------------
 
@@ -325,9 +314,7 @@ class ChainSpace:
 
     def edge_endpoints(self, etype: str, g: int) -> tuple[int, int]:
         """(tail vertex class, head vertex class) of the oriented edge."""
-        if etype == "s":
-            return self.vowner[g], self.vowner[self.origami.r(g)]
-        return self.vowner[g], self.vowner[self.origami.u(g)]
+        return self.edge_ends[g if etype == "s" else self.n + g]
 
     def decompose_walks(self, v: Vec) -> list[list[tuple[str, int, int]]]:
         """Closed walks (etype, g, dir) covering an integer absolute chain.

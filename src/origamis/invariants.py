@@ -204,8 +204,8 @@ def multitwist(origami: Origami, direction: tuple[int, int]) -> MultiTwist:
                                          for row in formula_matrix))
                for b in marked.basis]
     best = next((lf for lf in lift_all(origami, linear)
-                 if all(space.canonical_vec(linalg.mat_vec(lf.matrix, b)) == t
-                        for b, t in zip(marked.basis, targets))), None)
+                 if all(lf.image(b) == t for b, t in zip(marked.basis, targets))),
+                None)
     if best is None:
         raise NoMatchingLift("no affine lift matches the twist formula")
     return MultiTwist(decomp.direction, k, linear, counts, decomp, best,
@@ -428,10 +428,8 @@ def invariant_supplement(origami: Origami, marks: Sequence[int],
     rhs: list[Fraction] = []
     solution: Vec | None = (0,) * (n_reps * n_corr)
     for pidx, probe in enumerate(probes):
-        moved_reps = [space.canonical_vec(linalg.mat_vec(probe.matrix, c))
-                      for c in rep_cols]
-        moved_corr = [space.canonical_vec(linalg.mat_vec(probe.matrix, c))
-                      for c in corr_cols]
+        moved_reps = [probe.image(c) for c in rep_cols]
+        moved_corr = [probe.image(c) for c in corr_cols]
         coeffs = []
         for k in range(n_reps):
             c_k = linalg.solve(boundary_matrix,
@@ -474,8 +472,8 @@ def invariant_supplement(origami: Origami, marks: Sequence[int],
             for b, c in enumerate(correction_basis):
                 corrected = corrected + c.scale(prefix[b])
             flat = corrected.flat()
-            residual = EdgeChain.from_flat(space.canonical_vec(
-                linalg.vec_sub(linalg.mat_vec(probe.matrix, flat), flat)))
+            residual = EdgeChain.from_flat(linalg.vec_sub(
+                probe.image(flat), space.canonical_vec(flat)))
             return SupplementCertificate(False, None, forced, pidx, residual)
     section = []
     for k in range(n_reps):

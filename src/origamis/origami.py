@@ -98,8 +98,8 @@ def isomorphisms(o1: Origami, o2: Origami) -> list[Perm]:
     if o1.n != o2.n:
         return []
     n = o1.n
-    pairs = [(o1.r, o2.r), (o1.u, o2.u),
-             (o1.r.inverse(), o2.r.inverse()), (o1.u.inverse(), o2.u.inverse())]
+    pairs = [(p1.images, p2.images) for p1, p2 in ((o1.r, o2.r), (o1.u, o2.u))]
+    pairs += [(inverse_images(g1), inverse_images(g2)) for g1, g2 in pairs]
     found = []
     for image0 in range(n):
         images = [-1] * n
@@ -109,7 +109,7 @@ def isomorphisms(o1: Origami, o2: Origami) -> list[Perm]:
         while stack and ok:
             x = stack.pop()
             for g1, g2 in pairs:
-                y, fy = g1.images[x], g2.images[images[x]]
+                y, fy = g1[x], g2[images[x]]
                 if images[y] == -1:
                     images[y] = fy
                     stack.append(y)

@@ -1,15 +1,15 @@
 """D4 root systems from invariant vector sets: frames, Weyl group, triality.
 
-A D4 system is 24 vectors of the shape {+-e_a +- e_b, a < b} for a frame
-(e_1..e_4). The frame is recovered intrinsically: the 24 half-sums of root
-pairs that occur three times each split into the three triality-related
-frames, and frame-mates are the candidates e, e' with both e + e' and e - e'
-roots. All matrices act on frame coordinates, where the frame is declared
-orthonormal. There W(D4) is the signed permutation matrices with an even
-number of -1 entries, and the three frame classes ({+-e_i}, and half-vectors
-with an odd or an even number of minus signs) are the W-orbits of the outer
-fundamental weights w1 = e1, w3 = (1,1,1,-1)/2 and w4 = (1,1,1,1)/2: the
-triality label of an automorphism is the classes it moves them into.
+A D4 system is exactly the 24 vectors {+-e_a +- e_b, a < b} over a frame
+(e_1..e_4) (Bourbaki, Lie Groups, ch. VI 4.8), so `detect_d4` certifies a
+vector set against the frame its caller pins: the set spans 4 dimensions,
+the frame lies in that span, and the set equals {+-e_a +- e_b} over it. All
+matrices act on frame coordinates, where the frame is declared orthonormal.
+There W(D4) is the signed permutation matrices with an even number of -1
+entries, and the three frame classes ({+-e_i}, and half-vectors with an odd
+or an even number of minus signs) are the W-orbits of the outer fundamental
+weights w1 = e1, w3 = (1,1,1,-1)/2 and w4 = (1,1,1,1)/2: the triality label
+of an automorphism is the classes it moves them into.
 """
 
 from __future__ import annotations
@@ -99,7 +99,6 @@ class RootSystemD4:
     span_basis: tuple[Vec, ...]        # rows spanning the ambient 4-space
     roots: tuple[Vec, ...]             # in span coordinates
     frame: tuple[Vec, ...]             # 4 frame vectors, span coordinates
-    frames_all: tuple[tuple[Vec, ...], ...]  # the three unsigned frames
 
     def frame_coords(self, v_span: Vec) -> Vec:
         coords = linalg.solve(linalg.transpose(self.frame), v_span)
@@ -166,83 +165,31 @@ def _signed_maps(frame: Sequence[Vec]):
             yield signs, linalg.transpose(cols)
 
 
-def detect_d4(vectors: Iterable[Vec],
-              preferred_frame: Sequence[Vec] | None = None) -> RootSystemD4:
-    """Recognize {+-e_a +- e_b} structure in a set of 24 ambient vectors.
-
-    preferred_frame (ambient coordinates) pins the frame order and signs,
-    so downstream triality labels match a chosen convention.
-    """
+def detect_d4(vectors: Iterable[Vec], frame: Sequence[Vec]) -> RootSystemD4:
+    """Certify that 24 ambient vectors are {+-e_a +- e_b} over the frame
+    (ambient coordinates), whose order and signs fix the triality labels."""
     vecs = list(dict.fromkeys(tuple(v) for v in vectors))
     if len(vecs) != 24:
         raise NotD4(f"expected 24 distinct vectors, got {len(vecs)}")
-    vset = set(vecs)
-    if any(tuple(-x for x in v) not in vset for v in vecs):
-        raise NotD4("set is not closed under negation")
-    span_rows, pivots = linalg.rref(tuple(vecs))
-    if len(span_rows) != 4:
-        raise NotD4(f"vectors span dimension {len(span_rows)}, need 4")
-    basis = span_rows
+    basis, pivots = linalg.rref(tuple(vecs))
+    if len(basis) != 4:
+        raise NotD4(f"vectors span dimension {len(basis)}, need 4")
+    if any(len(f) != len(vecs[0]) for f in frame):
+        raise NotD4("frame vectors and vectors differ in length")
 
     def coords(v: Vec) -> Vec:
         return tuple(v[p] for p in pivots)
 
-    roots = [coords(v) for v in vecs]
-    rset = set(roots)
-    halves: dict[Vec, int] = {}
-    for i in range(len(roots)):
-        for j in range(i + 1, len(roots)):
-            s = tuple(Fraction(x + y, 2) for x, y in zip(roots[i], roots[j]))
-            if any(s):
-                halves[s] = halves.get(s, 0) + 1
-    candidates = [v for v, c in halves.items() if c == 3]
-    if len(candidates) != 24:
-        raise NotD4(f"frame candidate count {len(candidates)} != 24")
-
-    def mates(e, f) -> bool:
-        plus = tuple(x + y for x, y in zip(e, f))
-        minus = tuple(x - y for x, y in zip(e, f))
-        return plus in rset and minus in rset
-
-    remaining = set(candidates)
-    frames = []
-    while remaining:
-        seed = min(remaining)
-        frame = [seed]
-        for c in sorted(remaining):
-            if c != seed and all(mates(c, f) for f in frame):
-                frame.append(c)
-        for f in frame:
-            remaining.discard(f)
-            remaining.discard(tuple(-x for x in f))
-        if len(frame) != 4:
-            raise NotD4(f"frame completion failed: {len(frame)} mates")
-        frames.append(tuple(frame))
-    if len(frames) != 3:
-        raise NotD4(f"found {len(frames)} frames, expected 3")
-
-    chosen = None
-    if preferred_frame is not None:
-        want = [coords(linalg.vec(v)) for v in preferred_frame]
-        for fr in frames:
-            klass = {f for c in fr for f in (c, tuple(-x for x in c))}
-            if all(w in klass for w in want):
-                chosen = tuple(want)
-        if chosen is None:
-            raise NotD4("preferred frame is not a frame of this system")
-    else:
-        chosen = frames[0]
-
-    expected = set()
-    for a in range(4):
-        for b in range(a + 1, 4):
-            for sa in (1, -1):
-                for sb in (1, -1):
-                    expected.add(tuple(sa * x + sb * y
-                                       for x, y in zip(chosen[a], chosen[b])))
-    if expected != rset:
+    roots = tuple(coords(v) for v in vecs)
+    system = RootSystemD4(basis, roots, tuple(coords(linalg.vec(f)) for f in frame))
+    if system.ambient_frame() != tuple(map(tuple, frame)):
+        raise NotD4("the frame lies outside the span of the vectors")
+    expected = {tuple(sa * x + sb * y for x, y in zip(e, f))
+                for e, f in itertools.combinations(system.frame, 2)
+                for sa in (1, -1) for sb in (1, -1)}
+    if expected != set(roots):
         raise NotD4("vectors are not {+-e_a +- e_b} over the frame")
-    return RootSystemD4(basis, tuple(roots), chosen, tuple(frames))
+    return system
 
 
 def symplectic_subgroup(group: FiniteMatrixGroup, gram: Mat) -> FiniteMatrixGroup:

@@ -2,8 +2,7 @@
 
 Everything here is specific to the two catalog families: the quaternion
 origami (genus 3) and the odd-q family (genus (3q-1)/2), plus generic
-machinery for character multiplicities, congruence-kernel accounting, and
-random-word growth probes.
+machinery for congruence-kernel accounting and random-word growth probes.
 
 The odd-q and kernel invariants are read off the images of named classes:
 tau characters, H-breve blocks, and Schreier words evaluated on the S and T
@@ -29,28 +28,6 @@ from .linalg import Mat, Vec
 from .origami import Origami, automorphisms
 from .rootsys import UnboundedWitness, finite_closure
 from .sl2z import CongruenceSubgroup, ID2, J_MAT, S_MAT, T_MAT, mat_pow
-
-# The irreducible characters of Q8 on QUATERNION_ORDER: 1, -1, i, -i, j, -j, k, -k.
-QUATERNION_CHARACTERS = {
-    "chi_1": (1, 1, 1, 1, 1, 1, 1, 1),
-    "chi_i": (1, 1, 1, 1, -1, -1, -1, -1),
-    "chi_j": (1, 1, -1, -1, 1, 1, -1, -1),
-    "chi_k": (1, 1, -1, -1, -1, -1, 1, 1),
-    "chi_2": (2, -2, 0, 0, 0, 0, 0, 0),
-}
-
-
-def cyclic_characters(q: int) -> dict[int, tuple[int, ...]]:
-    """The rational characters of Z/q on g = 0..q-1, one per divisor d of q:
-    chi_d, the sum of the faithful characters of Z/d, is the regular
-    character d [d | g] of Z/d less the chi_e of the smaller divisors e."""
-    chars: dict[int, tuple[int, ...]] = {}
-    for d in range(1, q + 1):
-        if q % d == 0:
-            chars[d] = tuple(d * (g % d == 0) - sum(c[g] for e, c in chars.items()
-                                                      if d % e == 0)
-                             for g in range(q))
-    return chars
 
 
 @dataclass
@@ -195,24 +172,6 @@ def decompose_orn(orn: Ornithorynque) -> DecompositionReport:
     return DecompositionReport(origami, subspaces, chains, lifts, checks)
 
 
-# -- character analysis -------------------------------------------------------
-
-
-def isotypic_multiplicities(aut_lifts: Sequence[AffineLift], sub: Subspace,
-                            characters: dict) -> dict:
-    """Multiplicity of each named integer character on an invariant subspace:
-    (sum of tr * chi) / (sum of chi^2) over the lifts, a character holding
-    one value per lift in the lifts' order. For a rational character, the sum
-    of k Galois-conjugate irreducibles, that is the multiplicity of each."""
-    traces = []
-    for lf in aut_lifts:
-        m = matrix_on(lf, sub)
-        traces.append(sum(m[i][i] for i in range(len(m))))
-    return {name: Fraction(sum(t * x for t, x in zip(traces, chi)),
-                           sum(x * x for x in chi))
-            for name, chi in characters.items()}
-
-
 # -- tau character and breve blocks -----------------------------------------
 
 
@@ -225,8 +184,7 @@ def tau_character(orn: Ornithorynque, lift_: AffineLift) -> int:
     q = orn.q
     space = chain_space(orn.origami)
     taus = [space.canonical_vec(orn.tau(i).flat()) for i in range(q)]
-    images = [space.canonical_vec(linalg.mat_vec(lift_.matrix, orn.tau(i).flat()))
-              for i in range(q)]
+    images = [lift_.image(orn.tau(i).flat()) for i in range(q)]
     shift = (q + 1) // 2
     for k in range(2 * q):
         sign = (-1) ** k
@@ -257,8 +215,7 @@ def breve_blocks(orn: Ornithorynque, lift_: AffineLift) -> Mat:
     basis = linalg.transpose(tuple(space.canonical_vec(v) for v in flats))
     matrix_cols = []
     for offset in (0, q):
-        images = [space.canonical_vec(linalg.mat_vec(lift_.matrix, flats[offset + i]))
-                  for i in range(q)]
+        images = [lift_.image(flats[offset + i]) for i in range(q)]
         sol = linalg.solve(basis, images[0])
         if sol is None:
             raise NotInvariant("lift does not preserve the breve subspace")
@@ -270,10 +227,6 @@ def breve_blocks(orn: Ornithorynque, lift_: AffineLift) -> Mat:
             raise NotInvariant("action is not shift-equivariant on H-breve")
     (c1, d1), (c2, d2) = matrix_cols
     return ((c1, c2), (d1, d2))
-
-
-def breve_block_trace(block: Mat) -> Vec:
-    return mod_psi(tuple(a + b for a, b in zip(block[0][0], block[1][1])))
 
 
 # -- congruence kernels -------------------------------------------------------

@@ -63,13 +63,13 @@ def _ew_root_system():
             orbit.add(v)
             orbit.add(tuple(-x for x in v))
             for lf in gens:
-                w = tuple(space.canonical_vec(linalg.mat_vec(lf.matrix, v)))
+                w = lf.image(v)
                 if w not in orbit:
                     new.append(w)
         frontier = new
     frame = [tuple(Fraction(x, 2) for x in space.canonical_vec(ew.epsilon(g).flat()))
              for g in ("1", "i", "j", "k")]
-    system = detect_d4(orbit, preferred_frame=frame)
+    system = detect_d4(orbit, frame)
     return ew, rep, space, system
 
 
@@ -178,7 +178,7 @@ def _orn_root_system(orn, rep):
     }
     frame = [tuple(space.canonical_vec(eps[v].flat()))
              for v in ((1, 0), (1, 1), (1, 2), (0, 1))]
-    return detect_d4(vecs, preferred_frame=frame), eps
+    return detect_d4(vecs, frame), eps
 
 
 def verify_theorem_b(q: int = 3) -> dict:

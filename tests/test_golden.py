@@ -33,6 +33,11 @@ COMMANDS = {
     "spin": ["spin", "--name", "ornithorynque", "--q", "3"],
     "supplement": ["supplement", "--name", "appendix-b",
                    "--probes", "vert,hor,diag"],
+    "verify-theorem-a": ["verify", "theorem-a"],
+    "verify-theorem-b": ["verify", "theorem-b"],
+    "verify-theorem-b-q-5": ["verify", "theorem-b", "--q", "5"],
+    "verify-appendix-a": ["verify", "appendix-a"],
+    "verify-appendix-b": ["verify", "appendix-b"],
 }
 
 

@@ -295,3 +295,84 @@ def test_chain_space_cache_is_bounded():
         space = chain_space(origami)
         assert chain_space(origami) is space
         assert chain_space.cache_info().currsize <= chain_space.cache_info().maxsize
+
+
+# -- the replaced constructions, kept as references ----------------------------
+
+
+def _constrained_subspace_by_nullspace(space, allowed_vertices, zero_holonomy):
+    """Classes with boundary supported on the allowed vertex classes: a Q
+    nullspace of the constraints on the full-subspace basis, combined back."""
+    full = space.full_subspace()
+    rows = []
+    for b in full.basis:
+        constraints = [x for k, x in enumerate(space.boundary_vec(b))
+                       if k not in allowed_vertices]
+        if zero_holonomy:
+            constraints += [sum(b[:space.n]), sum(b[space.n:])]
+        rows.append(tuple(constraints))
+    if not rows[0]:
+        combos = list(linalg.identity(len(rows)))
+    else:
+        combos = linalg.nullspace(linalg.transpose(tuple(rows)))
+    vecs = []
+    for combo in combos:
+        v = [0] * (2 * space.n)
+        for coef, b in zip(combo, full.basis):
+            if coef:
+                v = [x + coef * y for x, y in zip(v, b)]
+        vecs.append(tuple(v))
+    return space.subspace_from_vecs(vecs)
+
+
+def _integral_absolute_basis_by_edge_kernel(space):
+    """Hermite basis of the canonical forms of an integer kernel of the
+    boundary matrix built on all 2n edges."""
+    n, owner, origami = space.n, space.vowner, space.origami
+    bmat = [[0] * (2 * n) for _ in space.vclasses]
+    for g in range(n):
+        bmat[owner[origami.r(g)]][g] += 1
+        bmat[owner[g]][g] -= 1
+        bmat[owner[origami.u(g)]][n + g] += 1
+        bmat[owner[g]][n + g] -= 1
+    reduced = [space.canonical_vec(k) for k in linalg.integer_kernel(bmat)]
+    return [tuple(row) for row in linalg.hermite_row_basis(reduced)]
+
+
+def _subspaces_match_references(origami):
+    space = chain_space(origami)
+    singular = set(space.singular_vertices())
+    marks = space.singular_vertices() or [0]
+    splitting = space.standard_splitting()
+    pairs = [(space.absolute_subspace(), (set(), False)),
+             (space.marked_subspace(marks), (set(marks), False)),
+             (splitting.h1_0_abs, (set(), True)),
+             (splitting.h1_0_rel, (singular, True))]
+    for sub, (allowed, zero_holonomy) in pairs:
+        assert sub == _constrained_subspace_by_nullspace(space, allowed, zero_holonomy)
+    assert space.integral_absolute_basis() == \
+        _integral_absolute_basis_by_edge_kernel(space)
+
+
+def test_kernel_subspaces_match_references_on_catalog(ew, orn3, orn5, appendix_b):
+    for surface in (ew, orn3, orn5, appendix_b):
+        _subspaces_match_references(surface.origami)
+    _subspaces_match_references(TORUS)
+
+
+def test_kernel_subspaces_match_references_on_random_origamis():
+    rng = random.Random(2024)
+    for _ in range(100):
+        n = rng.randrange(5, 9)
+        _subspaces_match_references(make_origami(n, *random_transitive_pair(n, rng)))
+
+
+def test_edge_endpoints_agree_with_the_boundary(orn3):
+    space = chain_space(orn3.origami)
+    unit = linalg.identity(2 * space.n)
+    for j in range(2 * space.n):
+        tail, head = space.edge_endpoints("s" if j < space.n else "z", j % space.n)
+        expected = [0] * len(space.vclasses)
+        expected[head] += 1
+        expected[tail] -= 1
+        assert space.boundary_vec(unit[j]) == tuple(expected)

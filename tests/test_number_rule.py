@@ -64,8 +64,7 @@ def test_root_systems_hold_no_float(ew_root_system, orn3, orn3_report):
     systems = [ew_root_system[3], _orn_root_system(orn3, orn3_report)[0]]
     for system in systems:
         for value in (system.span_basis, system.roots, system.frame,
-                      system.frames_all, system.roots_frame_coords(),
-                      system.ambient_frame()):
+                      system.roots_frame_coords(), system.ambient_frame()):
             assert _no_float(value)
 
 

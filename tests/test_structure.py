@@ -1,4 +1,6 @@
+import collections
 import functools
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -15,13 +17,54 @@ from origamis.rootsys import (FiniteMatrixGroup, UnboundedWitness, _signed_maps,
                               detect_d4, finite_closure, grows,
                               symplectic_subgroup)
 from origamis.sl2z import CongruenceSubgroup, J_MAT, S_MAT, T_MAT, mat_pow
-from origamis.structure import (QUATERNION_CHARACTERS, breve_block_trace,
-                                breve_blocks, cocycle_growth, combined_action,
-                                cyclic_characters, _log_abs,
-                                isotypic_multiplicities, kernel_is_congruence,
-                                mod_psi, operator_norm, power_growth_rate,
-                                tau_character)
+from origamis.structure import (breve_blocks, cocycle_growth, combined_action,
+                                _log_abs, kernel_is_congruence, mod_psi,
+                                operator_norm, power_growth_rate, tau_character)
 from origamis.verification import _orn_root_system
+
+
+# -- the character layer, kept as a reference ----------------------------------
+
+
+# The irreducible characters of Q8 on QUATERNION_ORDER: 1, -1, i, -i, j, -j, k, -k.
+QUATERNION_CHARACTERS = {
+    "chi_1": (1, 1, 1, 1, 1, 1, 1, 1),
+    "chi_i": (1, 1, 1, 1, -1, -1, -1, -1),
+    "chi_j": (1, 1, -1, -1, 1, 1, -1, -1),
+    "chi_k": (1, 1, -1, -1, -1, -1, 1, 1),
+    "chi_2": (2, -2, 0, 0, 0, 0, 0, 0),
+}
+
+
+def cyclic_characters(q):
+    """The rational characters of Z/q on g = 0..q-1, one per divisor d of q:
+    chi_d, the sum of the faithful characters of Z/d, is the regular
+    character d [d | g] of Z/d less the chi_e of the smaller divisors e."""
+    chars = {}
+    for d in range(1, q + 1):
+        if q % d == 0:
+            chars[d] = tuple(d * (g % d == 0) - sum(c[g] for e, c in chars.items()
+                                                      if d % e == 0)
+                             for g in range(q))
+    return chars
+
+
+def isotypic_multiplicities(aut_lifts, sub, characters):
+    """Multiplicity of each named integer character on an invariant subspace:
+    (sum of tr * chi) / (sum of chi^2) over the lifts, a character holding
+    one value per lift in the lifts' order. For a rational character, the sum
+    of k Galois-conjugate irreducibles, that is the multiplicity of each."""
+    traces = []
+    for lf in aut_lifts:
+        m = matrix_on(lf, sub)
+        traces.append(sum(m[i][i] for i in range(len(m))))
+    return {name: Fraction(sum(t * x for t, x in zip(traces, chi)),
+                           sum(x * x for x in chi))
+            for name, chi in characters.items()}
+
+
+def breve_block_trace(block):
+    return mod_psi(tuple(a + b for a, b in zip(block[0][0], block[1][1])))
 
 
 def test_quaternion_character_orthogonality():
@@ -184,10 +227,58 @@ def test_triality_is_weyl_coset_map(ew_root_system):
 # The searches that the direct readings replaced, kept as references.
 
 
+def _negate(v):
+    return tuple(-x for x in v)
+
+
+def _frames_by_search(system):
+    """The three unsigned frames of a D4 system (span coordinates), found
+    intrinsically: the nonzero half-sums of root pairs that occur three times
+    are the 24 frame vectors, and a frame collects mutual frame-mates e, e'
+    with both e + e' and e - e' roots."""
+    roots = system.roots
+    root_set = set(roots)
+    halves = collections.Counter(tuple(Fraction(x + y, 2) for x, y in zip(a, b))
+                                 for a, b in itertools.combinations(roots, 2))
+    candidates = [v for v, c in halves.items() if c == 3 and any(v)]
+    assert len(candidates) == 24
+
+    def mates(e, f):
+        return (linalg.vec_add(e, f) in root_set
+                and linalg.vec_sub(e, f) in root_set)
+
+    remaining = set(candidates)
+    frames = []
+    while remaining:
+        seed = min(remaining)
+        frame = [seed]
+        for c in sorted(remaining):
+            if c != seed and all(mates(c, f) for f in frame):
+                frame.append(c)
+        for f in frame:
+            remaining -= {f, _negate(f)}
+        assert len(frame) == 4
+        frames.append(tuple(frame))
+    assert len(frames) == 3
+    return frames
+
+
+def _pinned_frame_is_a_searched_frame(system):
+    classes = [{v for f in fr for v in (f, _negate(f))}
+               for fr in _frames_by_search(system)]
+    return sum(set(system.frame) <= klass for klass in classes) == 1
+
+
+def test_pinned_frame_is_one_of_the_three_frames(ew_root_system, orn3, orn3_report):
+    assert _pinned_frame_is_a_searched_frame(ew_root_system[3])
+    assert _pinned_frame_is_a_searched_frame(_orn_root_system(orn3, orn3_report)[0])
+
+
 @functools.lru_cache(maxsize=None)
 def _automorphism_group(system):
     """All orthogonal maps preserving the roots: frame to signed frame."""
-    frames = [tuple(system.frame_coords(f) for f in fr) for fr in system.frames_all]
+    frames = [tuple(system.frame_coords(f) for f in fr)
+              for fr in _frames_by_search(system)]
     order = list(dict.fromkeys(m for fr in frames for _, m in _signed_maps(fr)))
     root_set = set(system.roots_frame_coords())
     for m in order:
@@ -308,10 +399,42 @@ def test_congruence_needs_lifts_of_s_then_t(ew_report):
                              [ew_report.lifts["T"], ew_report.lifts["S"]], auts)
 
 
+def _ambient(system, v):
+    return tuple(sum(v[k] * system.span_basis[k][j] for k in range(4))
+                 for j in range(len(system.span_basis[0])))
+
+
+def test_detect_d4_certifies_the_pinned_frame(ew_root_system):
+    system = ew_root_system[3]
+    vectors = [_ambient(system, r) for r in system.roots]
+    frame = system.ambient_frame()
+    assert detect_d4(vectors, frame) == system
+    outside = next(e for e in linalg.identity(len(vectors[0]))
+                   if linalg.rank(system.span_basis + (e,)) == 5)
+    with pytest.raises(NotD4, match="outside the span"):
+        detect_d4(vectors, (linalg.vec_add(frame[0], outside),) + frame[1:])
+    with pytest.raises(NotD4, match="over the frame"):
+        detect_d4(vectors, (linalg.vec_scale(2, frame[0]),) + frame[1:])
+    with pytest.raises(NotD4, match="over the frame"):
+        detect_d4(vectors, frame[:3])
+    with pytest.raises(NotD4, match="differ in length"):
+        detect_d4(vectors, tuple(f[:-1] for f in frame))
+
+
 def test_detect_d4_rejects_garbage():
-    with pytest.raises(NotD4):
+    frame = linalg.identity(4)
+    d4 = [tuple(sa * x + sb * y for x, y in zip(e, f))
+          for e, f in itertools.combinations(frame, 2)
+          for sa in (1, -1) for sb in (1, -1)]
+    assert detect_d4(d4, frame).frame == frame
+    with pytest.raises(NotD4, match="24 distinct"):
         detect_d4([tuple(Fraction(x) for x in v)
-                   for v in ((1, 0, 0, 0), (-1, 0, 0, 0))])
+                   for v in ((1, 0, 0, 0), (-1, 0, 0, 0))], frame)
+    with pytest.raises(NotD4, match="over the frame"):
+        detect_d4(d4[:-1] + [(1, 2, 3, 4)], frame)
+    padded = [v + (0,) for v in d4[:-1]] + [(0, 0, 0, 0, 1)]
+    with pytest.raises(NotD4, match="dimension 5"):
+        detect_d4(padded, [e + (0,) for e in frame])
 
 
 def test_finite_closure_unbounded_witness():
