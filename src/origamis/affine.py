@@ -17,11 +17,30 @@ each of which maps the square relations of the source exactly onto those of
 the target and fixes every vertex (so vertex classes carry over by label).
 Each letter's substitution is inverted by the opposite letter's substitution
 on its target, so a word is undone by transporting its inverse word back.
+
+A word is transported on whole integer rows: the map so far is multiplied on
+the left by each letter's substitution, whose rows have at most two entries,
+each +-1. So a letter is n row moves (the zeta rows of T and T-, the sigma
+rows of S and S-, re-indexed and shared, not copied) plus n row additions
+(T, S) or subtractions (T-, S-) onto the other block. A run of k equal
+letters is one such step, by the closed forms
+
+    T^k:   zeta_g  -> zeta_{r^k g}  + sum_{0<=i<k} sigma_{r^i g}
+    T^-k:  zeta_g  -> zeta_{r^-k g} - sum_{1<=i<=k} sigma_{r^-i g}
+    S^k:   sigma_g -> sigma_{u^k g}  + sum_{0<=i<k} zeta_{u^i g}
+    S^-k:  sigma_g -> sigma_{u^-k g} - sum_{1<=i<=k} zeta_{u^-i g}
+
+in which a sum over k consecutive squares of a cycle of length c is
+(k div c) times the cycle sum plus k mod c of its terms; a run costs a few
+row operations per square, whatever its length.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import add, sub
+from typing import Sequence
 
 from . import linalg
 from .errors import (Inconsistent, NotAutomorphism, NotInvariant,
@@ -40,52 +59,84 @@ class EdgeSubstitution:
     rows: tuple[tuple[tuple[int, int], ...], ...]  # row -> ((col, coeff), ...)
 
     def apply_rows(self, matrix: Mat) -> Mat:
-        """Sparse row product: (substitution) * matrix."""
-        width = range(len(matrix[0]))
-        return tuple(
-            tuple(sum(coeff * matrix[col][j] for col, coeff in row) for j in width)
-            for row in self.rows
-        )
+        """(substitution) * matrix, one whole-row operation per entry.
+
+        The fast path is the +-1 entry every letter has: a row that is a lone
+        +1 entry shares that row of matrix, and each further +-1 entry adds or
+        subtracts a whole row. Any other coefficient scales its row first.
+        """
+        out = []
+        for entries in self.rows:
+            acc = (0,) * len(matrix[0])
+            for i, (col, coeff) in enumerate(entries):
+                row = matrix[col]
+                if coeff == 1 and not i:
+                    acc = row
+                elif coeff in (1, -1):
+                    acc = tuple(map(add if coeff == 1 else sub, acc, row))
+                else:
+                    acc = tuple(a + coeff * x for a, x in zip(acc, row))
+            out.append(acc)
+        return tuple(out)
+
+
+def _run_rows(letter: str, k: int, origami: Origami,
+              rows: Sequence[Vec]) -> list[Vec]:
+    """The rows of (substitution of letter^k on origami) * rows.
+
+    Each cycle of p (r for T and T-, u for S and S-) is walked with the step
+    p^-1 (T, S) or p (T-, S-) as x_0, x_1, ..., indices mod its length c.
+    The moving row x_t (zeta for T, sigma for S) becomes the row x_{t+k}.
+    The fixed row x_t gains (T, S) or loses (T-, S-) the window of moving
+    rows x_{t+o}, ..., x_{t+o+k-1}, with o = 0 (T, S) or 1 (T-, S-). The
+    first window is (k div c) cycle sums plus k mod c rows; each next one
+    slides a step along the walk.
+    """
+    n = origami.n
+    perm, moving, fixed = (origami.r, n, 0) if letter in ("T", "T-") \
+        else (origami.u, 0, n)
+    forward = letter in ("T", "S")
+    combine = add if forward else sub
+    out = list(rows)
+    for cycle in perm.cycles():
+        walk = cycle[::-1] if forward else cycle
+        c = len(walk)
+        moved = [rows[moving + x] for x in walk]
+        added = moved if forward else moved[1:] + moved[:1]  # row x_{t+o}
+        for t, x in enumerate(walk):
+            out[moving + x] = moved[(t + k) % c]
+            if k == 1:
+                window = added[t]
+            elif t:
+                window = tuple(map(add, map(sub, window, added[t - 1]),
+                                   added[(t - 1 + k) % c]))
+            else:
+                window = tuple(k // c * x for x in map(sum, zip(*moved)))
+                for row in added[:k % c]:
+                    window = tuple(map(add, window, row))
+            out[fixed + x] = tuple(map(combine, rows[fixed + x], window))
+    return out
 
 
 def elementary_substitution(letter: str, origami: Origami) -> EdgeSubstitution:
-    n = origami.n
-    target = sl2z_act(letter, origami)
-    r, u = origami.r, origami.u
-    ri, ui = r.inverse(), u.inverse()
-    cols: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
-    for g in range(n):
-        if letter == "T":
-            cols[g] = [(g, 1)]
-            cols[n + g] = [(g, 1), (n + r(g), 1)]
-        elif letter == "T-":
-            cols[g] = [(g, 1)]
-            cols[n + g] = [(n + ri(g), 1), (ri(g), -1)]
-        elif letter == "S":
-            cols[n + g] = [(n + g, 1)]
-            cols[g] = [(n + g, 1), (u(g), 1)]
-        elif letter == "S-":
-            cols[n + g] = [(n + g, 1)]
-            cols[g] = [(ui(g), 1), (n + ui(g), -1)]
-        else:
-            raise ValueError(f"unknown letter {letter!r}")
-    rows: list[list[tuple[int, int]]] = [[] for _ in range(2 * n)]
-    for col, entries in enumerate(cols):
-        for row, coeff in entries:
-            rows[row].append((col, coeff))
-    return EdgeSubstitution(origami, target, tuple(tuple(r_) for r_ in rows))
+    """One letter's substitution as sparse rows: its run of length one
+    applied to the identity."""
+    dense = _run_rows(letter, 1, origami, linalg.identity(2 * origami.n))
+    rows = tuple(tuple((col, x) for col, x in enumerate(row) if x) for row in dense)
+    return EdgeSubstitution(origami, sl2z_act(letter, origami), rows)
 
 
 def transport(origami: Origami, letters: tuple[str, ...]) -> tuple[Origami, Mat]:
     """Push the letter substitutions of a word (rightmost letter first)
-    through the integer identity: (final origami, chain map into it)."""
+    through the integer identity, one step per run of equal letters:
+    (final origami, chain map into it)."""
     current = origami
     total = linalg.identity(2 * origami.n)
-    for letter in reversed(letters):
-        sub = elementary_substitution(letter, current)
-        total = sub.apply_rows(total)
-        current = sub.target
-    return current, total
+    for letter, run in groupby(reversed(letters)):
+        k = sum(1 for _ in run)
+        total, current = (_run_rows(letter, k, current, total),
+                          sl2z_act(letter, current, k))
+    return current, tuple(total)
 
 
 def _relabel_rows(matrix: Mat, phi: Perm) -> Mat:

@@ -3,7 +3,7 @@
 The number rule: a value built from ints by +, - and * stays an int, and a
 Fraction appears only where a division leaves a denominator. Products keep
 the type of their inputs. The eliminations (rref, det, and through rref
-nullspace, solve and mat_inv) return an int for every entry of denominator 1.
+solve and mat_inv) return an int for every entry of denominator 1.
 `vec` and `mat` coerce outside input.
 """
 
@@ -88,23 +88,6 @@ def rref(a: Mat) -> tuple[Mat, list[int]]:
 
 def rank(a: Mat) -> int:
     return len(rref(a)[1])
-
-
-def nullspace(a: Mat) -> list[Vec]:
-    """Basis of the right kernel of a over Q."""
-    if not a:
-        return []
-    reduced, pivots = rref(a)
-    ncols = len(a[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * ncols
-        v[fc] = 1
-        for row, pc in zip(reduced, pivots):
-            v[pc] = -row[fc]
-        basis.append(tuple(v))
-    return basis
 
 
 def solve(a: Mat, b: Vec) -> Vec | None:

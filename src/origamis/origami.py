@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import Inconsistent, NotTransitive
-from .permutations import Perm, are_transitive, inverse_images
+from .permutations import Perm, are_transitive, inverse_images, power_images
 from .sl2z import Mat2, sl2z_word
 
 
@@ -121,24 +121,25 @@ def isomorphisms(o1: Origami, o2: Origami) -> list[Perm]:
     return sorted(found, key=lambda p: p.images)
 
 
-def act_on_images(letter: str, r: Sequence[int],
-                  u: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """One-letter action on image tuples: T.(r,u) = (r, u r^-1), S.(r,u) = (r u^-1, u).
+def act_on_images(letter: str, r: Sequence[int], u: Sequence[int], k: int = 1
+                  ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Action of the run letter^k on image tuples: T^k.(r,u) = (r, u r^-k),
+    S^k.(r,u) = (r u^-k, u), and T-, S- the inverse letters.
 
     Composition applies the right factor first; square labels are preserved.
     """
     if letter in ("T", "T-"):
-        step = r if letter == "T-" else inverse_images(r)
+        step = power_images(r, k if letter == "T-" else -k)
         return tuple(r), tuple(u[x] for x in step)
     if letter in ("S", "S-"):
-        step = u if letter == "S-" else inverse_images(u)
+        step = power_images(u, k if letter == "S-" else -k)
         return tuple(r[x] for x in step), tuple(u)
     raise ValueError(f"unknown letter {letter!r}")
 
 
-def sl2z_act(letter: str, origami: Origami) -> Origami:
+def sl2z_act(letter: str, origami: Origami, k: int = 1) -> Origami:
     """``act_on_images`` on an origami, with both images validated as Perms."""
-    images = act_on_images(letter, origami.r.images, origami.u.images)
+    images = act_on_images(letter, origami.r.images, origami.u.images, k)
     return Origami(origami.n, *map(Perm, images), origami.base)
 
 

@@ -47,34 +47,9 @@ class Perm:
     def inverse(self) -> "Perm":
         return Perm(inverse_images(self.images))
 
-    def __pow__(self, k: int) -> "Perm":
-        if k < 0:
-            return self.inverse() ** (-k)
-        result = Perm.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
-
     def cycles(self) -> list[tuple[int, ...]]:
         """Cycle decomposition, each cycle starting at its least element."""
-        seen = [False] * self.n
-        out = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            cyc = [start]
-            seen[start] = True
-            x = self.images[start]
-            while x != start:
-                cyc.append(x)
-                seen[x] = True
-                x = self.images[x]
-            out.append(tuple(cyc))
-        return out
+        return image_cycles(self.images)
 
     def is_identity(self) -> bool:
         return all(self.images[x] == x for x in range(self.n))
@@ -95,6 +70,40 @@ def inverse_images(images: Sequence[int]) -> list[int]:
     for x, y in enumerate(images):
         inv[y] = x
     return inv
+
+
+def image_cycles(images: Sequence[int]) -> list[tuple[int, ...]]:
+    """The cycles of the permutation ``images``, each from its least element."""
+    seen = [False] * len(images)
+    out = []
+    for start in range(len(images)):
+        if seen[start]:
+            continue
+        cyc = [start]
+        seen[start] = True
+        x = images[start]
+        while x != start:
+            cyc.append(x)
+            seen[x] = True
+            x = images[x]
+        out.append(tuple(cyc))
+    return out
+
+
+def power_images(images: Sequence[int], k: int) -> Sequence[int]:
+    """The images of the k-th power of the permutation ``images``,
+    unvalidated: ``images`` itself for k = 1, ``inverse_images`` for k = -1,
+    else one pass per cycle."""
+    if k == 1:
+        return images
+    if k == -1:
+        return inverse_images(images)
+    out = [0] * len(images)
+    for cycle in image_cycles(images):
+        c = len(cycle)
+        for j, x in enumerate(cycle):
+            out[x] = cycle[(j + k) % c]
+    return out
 
 
 def are_transitive(perms: Sequence[Perm]) -> bool:

@@ -6,14 +6,14 @@ import pytest
 from origamis import linalg
 from origamis.affine import (automorphism_lift, elementary_substitution,
                              identity_lift, lift, lift_all, matrix_on,
-                             power_order)
+                             power_order, transport)
 from origamis.catalog import QUATERNION_ORDER, catalog, quaternion_mul
 from origamis.errors import (NotAutomorphism, NotInVeechGroup, OrderExceedsCap,
                              WrongSurface)
 from origamis.homology import EdgeChain, chain_space
 from origamis.invariants import cylinders
-from origamis.origami import (automorphisms, make_origami, veech_group,
-                              vertex_of_square)
+from origamis.origami import (act_by_letters, automorphisms, make_origami,
+                              sl2z_act, veech_group, vertex_of_square)
 from origamis.permutations import Perm, random_transitive_pair
 from origamis.sl2z import (ID2, J_MAT, LETTER_MATS, S_MAT, T_MAT, mat_mul,
                            mat_neg, mat_pow)
@@ -61,6 +61,98 @@ def test_torus_shear():
     zeta = EdgeChain.unit(1, "z", 0)
     assert linalg.mat_vec(matrix, sigma.flat()) == sigma.flat()
     assert linalg.mat_vec(matrix, zeta.flat()) == (sigma + zeta).flat()
+
+
+def _reference_substitution_rows(letter, origami):
+    """Sparse rows (row -> ((col, coeff), ...)) of one letter, built column by
+    column from the substitution table in the `affine` docstring."""
+    n = origami.n
+    r, u = origami.r, origami.u
+    ri, ui = r.inverse(), u.inverse()
+    cols = [[] for _ in range(2 * n)]
+    for g in range(n):
+        if letter == "T":
+            cols[g] = [(g, 1)]
+            cols[n + g] = [(g, 1), (n + r(g), 1)]
+        elif letter == "T-":
+            cols[g] = [(g, 1)]
+            cols[n + g] = [(n + ri(g), 1), (ri(g), -1)]
+        elif letter == "S":
+            cols[n + g] = [(n + g, 1)]
+            cols[g] = [(n + g, 1), (u(g), 1)]
+        else:
+            cols[n + g] = [(n + g, 1)]
+            cols[g] = [(ui(g), 1), (n + ui(g), -1)]
+    rows = [[] for _ in range(2 * n)]
+    for col, entries in enumerate(cols):
+        for row, coeff in entries:
+            rows[row].append((col, coeff))
+    return rows
+
+
+def _reference_apply_rows(rows, matrix):
+    """Dense sparse-row product: one sum over the row's entries per entry."""
+    width = range(len(matrix[0]))
+    return tuple(
+        tuple(sum(coeff * matrix[col][j] for col, coeff in row) for j in width)
+        for row in rows
+    )
+
+
+def _reference_transport(origami, letters):
+    """One letter at a time through the dense reference product."""
+    current = origami
+    total = linalg.identity(2 * origami.n)
+    for letter in reversed(letters):
+        total = _reference_apply_rows(
+            _reference_substitution_rows(letter, current), total)
+        current = sl2z_act(letter, current)
+    return current, total
+
+
+def _run_words(origami, rng, count):
+    """Words over S, S-, T, T- whose runs reach past the longest r- and
+    u-cycle: lengths 1..2L+2 with L that cycle length, plus L, L+1 and 2L."""
+    longest = max(len(c) for p in (origami.r, origami.u) for c in p.cycles())
+    lengths = [longest, longest + 1, 2 * longest]
+    words = []
+    for _ in range(count):
+        word = []
+        for _ in range(rng.randint(1, 5)):
+            k = rng.choice(lengths) if rng.random() < 0.3 else \
+                rng.randint(1, 2 * longest + 2)
+            word += [rng.choice(("S", "S-", "T", "T-"))] * k
+        words.append(tuple(word))
+    return words
+
+
+def test_single_letter_rows_match_the_table(ew, orn3, appendix_b):
+    rng = random.Random(11)
+    origamis = [ew.origami, orn3.origami, appendix_b.origami, TORUS] + \
+        [make_origami(n, *random_transitive_pair(n, rng)) for n in range(2, 9)]
+    for origami in origamis:
+        for letter in ("S", "T", "S-", "T-"):
+            sub = elementary_substitution(letter, origami)
+            expected = _reference_substitution_rows(letter, origami)
+            assert sub.rows == tuple(tuple(sorted(row)) for row in expected)
+            assert sub.target == sl2z_act(letter, origami)
+            identity = linalg.identity(2 * origami.n)
+            assert sub.apply_rows(identity) == \
+                _reference_apply_rows(expected, identity)
+
+
+def test_transport_matches_dense_reference(ew, orn3, appendix_b):
+    rng = random.Random(2027)
+    origamis = [ew.origami, orn3.origami, appendix_b.origami, TORUS] + \
+        [make_origami(n, *random_transitive_pair(n, rng))
+         for n in (2, 3, 4, 5, 6, 7, 8) * 3][:20]
+    for origami in origamis:
+        for word in _run_words(origami, rng, 4 if origami.n > 8 else 8):
+            final, matrix = transport(origami, word)
+            ref_final, ref_matrix = _reference_transport(origami, word)
+            assert final == ref_final == act_by_letters(word, origami)
+            assert matrix == ref_matrix
+            assert all(type(x) is int for row in matrix for x in row)
 
 
 def _random_origamis():

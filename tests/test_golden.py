@@ -30,6 +30,8 @@ COMMANDS = {
                "H0", "--len", "1000", "--seed", "20100"],
     "cylinders": ["cylinders", "--name", "appendix-b", "--dir", "0,1"],
     "twist": ["twist", "--name", "appendix-b", "--dir", "1,1"],
+    "cylinders-long": ["cylinders", "--name", "appendix-b", "--dir", "1000,1"],
+    "twist-long": ["twist", "--name", "appendix-b", "--dir", "300,1"],
     "spin": ["spin", "--name", "ornithorynque", "--q", "3"],
     "supplement": ["supplement", "--name", "appendix-b",
                    "--probes", "vert,hor,diag"],

@@ -303,6 +303,8 @@ def test_chain_space_cache_is_bounded():
 def _constrained_subspace_by_nullspace(space, allowed_vertices, zero_holonomy):
     """Classes with boundary supported on the allowed vertex classes: a Q
     nullspace of the constraints on the full-subspace basis, combined back."""
+    # imported here: test_linalg skips its whole module without sympy
+    from test_linalg import nullspace
     full = space.full_subspace()
     rows = []
     for b in full.basis:
@@ -314,7 +316,7 @@ def _constrained_subspace_by_nullspace(space, allowed_vertices, zero_holonomy):
     if not rows[0]:
         combos = list(linalg.identity(len(rows)))
     else:
-        combos = linalg.nullspace(linalg.transpose(tuple(rows)))
+        combos = nullspace(linalg.transpose(tuple(rows)))
     vecs = []
     for combo in combos:
         v = [0] * (2 * space.n)
