@@ -157,7 +157,6 @@ class MultiTwist:
     twist_counts: list[Fraction]
     decomposition: CylinderDecomposition
     lift: AffineLift
-    formula_matrix: Mat
 
 
 def multitwist(origami: Origami, direction: tuple[int, int]) -> MultiTwist:
@@ -181,16 +180,18 @@ def multitwist(origami: Origami, direction: tuple[int, int]) -> MultiTwist:
     linear = ((1 - sk * v[0] * v[1], sk * v[0] * v[0]),
               (-sk * v[1] * v[1], 1 + sk * v[1] * v[0]))
 
-    # twist formula c -> c + sum_cyl c_cyl <pi_cyl, c> core_cyl: the integer
-    # matrix I + sum_cyl c_cyl core_cyl pi_cyl^T
+    # twist formula c -> c + sum_cyl c_cyl <pi_cyl, c> core_cyl, applied as
+    # a rank-(number of cylinders) update of c
     terms = [(int(sign * count), _pairing_row(decomp, cyl.rows[0]),
               cyl.core.flat())
              for cyl, count in zip(decomp.cylinders, counts)]
-    n2 = 2 * origami.n
-    formula_matrix = tuple(
-        tuple(int(i == j) + sum(c * core[i] * pi[j] for c, pi, core in terms)
-              for j in range(n2))
-        for i in range(n2))
+
+    def twist_formula(c: Vec) -> Vec:
+        out = c
+        for count, pi, core in terms:
+            t = count * sum(p * x for p, x in zip(pi, c) if p)
+            out = tuple(x + t * y for x, y in zip(out, core))
+        return out
 
     # without a singular vertex, compare relative to a single marked point:
     # the cylinders merge rows across the regular circles, so no lift can
@@ -198,18 +199,13 @@ def multitwist(origami: Origami, direction: tuple[int, int]) -> MultiTwist:
     space = chain_space(origami)
     marked = space.marked_subspace(space.singular_vertices()) \
         if space.singular_vertices() else space.absolute_subspace()
-    # formula_matrix is mostly zeros off the diagonal, so the product skips
-    # its zero entries
-    targets = [space.canonical_vec(tuple(sum(x * y for x, y in zip(row, b) if x)
-                                         for row in formula_matrix))
-               for b in marked.basis]
+    targets = [space.canonical_vec(twist_formula(b)) for b in marked.basis]
     best = next((lf for lf in lift_all(origami, linear)
                  if all(lf.image(b) == t for b, t in zip(marked.basis, targets))),
                 None)
     if best is None:
         raise NoMatchingLift("no affine lift matches the twist formula")
-    return MultiTwist(decomp.direction, k, linear, counts, decomp, best,
-                      formula_matrix)
+    return MultiTwist(decomp.direction, k, linear, counts, decomp, best)
 
 
 # -- turning numbers and spin parity ------------------------------------------

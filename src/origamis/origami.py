@@ -8,13 +8,13 @@ the commutator orbit through g define the vertex structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import Inconsistent, NotTransitive
 from .permutations import Perm, are_transitive, inverse_images, power_images
-from .sl2z import Mat2, sl2z_word
+from .sl2z import INVERSE_LETTER, Mat2, sl2z_word
 
 
 @dataclass(frozen=True)
@@ -126,15 +126,17 @@ def act_on_images(letter: str, r: Sequence[int], u: Sequence[int], k: int = 1
     """Action of the run letter^k on image tuples: T^k.(r,u) = (r, u r^-k),
     S^k.(r,u) = (r u^-k, u), and T-, S- the inverse letters.
 
-    Composition applies the right factor first; square labels are preserved.
+    The moved permutation is written by scattering: u r^-k sends r^k(x) to
+    u(x), so a single letter T or S inverts nothing. Composition applies the
+    right factor first; square labels are preserved.
     """
-    if letter in ("T", "T-"):
-        step = power_images(r, k if letter == "T-" else -k)
-        return tuple(r), tuple(u[x] for x in step)
-    if letter in ("S", "S-"):
-        step = power_images(u, k if letter == "S-" else -k)
-        return tuple(r[x] for x in step), tuple(u)
-    raise ValueError(f"unknown letter {letter!r}")
+    if letter not in INVERSE_LETTER:
+        raise ValueError(f"unknown letter {letter!r}")
+    fixed, moved = (r, u) if letter[0] == "T" else (u, r)
+    out = [0] * len(r)
+    for x, y in zip(power_images(fixed, -k if letter[-1] == "-" else k), moved):
+        out[x] = y
+    return (tuple(r), tuple(out)) if letter[0] == "T" else (tuple(out), tuple(u))
 
 
 def sl2z_act(letter: str, origami: Origami, k: int = 1) -> Origami:
@@ -154,10 +156,9 @@ def act_by_letters(letters: Iterable[str], origami: Origami) -> Origami:
 def _cycle_lengths(images: Sequence[int]) -> list[int]:
     """square -> length of its cycle under the permutation ``images``."""
     lengths = [0] * len(images)
-    for start in range(len(images)):
+    for start, x in enumerate(images):
         if not lengths[start]:
             cycle = [start]
-            x = images[start]
             while x != start:
                 cycle.append(x)
                 x = images[x]
@@ -169,59 +170,79 @@ def _cycle_lengths(images: Sequence[int]) -> list[int]:
 
 def canonical_pair(origami: Origami) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Hashable isomorphism key of the pair: ``canonical_images`` of its images."""
-    return canonical_images(origami.r.images, origami.u.images)
+    r, u = origami.r.images, origami.u.images
+    return canonical_images(r, u, _cycle_lengths(r), _cycle_lengths(u))
 
 
-def canonical_images(r: Sequence[int], u: Sequence[int]
+def canonical_images(r: Sequence[int], u: Sequence[int],
+                     r_lengths: Sequence[int], u_lengths: Sequence[int]
                      ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The least (r, u) image tuples over the BFS relabelings (r, u, r^-1, u^-1
-    of each square in turn) from the squares of least (r-cycle length, u-cycle
-    length). An isomorphism carries these starts of one pair onto those of the
-    other, so two pairs get the same key exactly when they are isomorphic. A
-    start is dropped as soon as its r-images exceed the best ones so far.
+    """The relabeled pair (r, u) whose interleaved images r_0, u_0, r_1, u_1,
+    ... are least over the forward BFS relabelings (square k's r-image, then
+    its u-image, get the next free labels) from the squares of least
+    (r-cycle length, u-cycle length), read off ``r_lengths``/``u_lengths``.
+
+    <r, u> is finite, so forward edges reach every square of a transitive
+    pair; an isomorphism carries the starts and their relabelings of one pair
+    onto those of the other, so two pairs get the same key exactly when they
+    are isomorphic. A start is dropped at its first entry above the best so
+    far. Raises ``NotTransitive`` when a BFS labels fewer than n squares.
     """
     n = len(r)
-    r_inv, u_inv = inverse_images(r), inverse_images(u)
-    lengths = list(zip(_cycle_lengths(r), _cycle_lengths(u)))
-    least = min(lengths)
-    best_r = best_u = None
+    least = min(zip(r_lengths, u_lengths))
+    best = None
     for start in range(n):
-        if lengths[start] != least:
+        if (r_lengths[start], u_lengths[start]) != least:
             continue
         label = [-1] * n
         label[start] = 0
         order = [start]
-        r_new = []
-        smaller = best_r is None
-        for k, x in enumerate(order):  # BFS: `order` grows while it is read
-            for y in (r[x], u[x], r_inv[x], u_inv[x]):
-                if label[y] < 0:
-                    label[y] = len(order)
-                    order.append(y)
-            image = label[r[x]]
+        pairs = []
+        smaller = best is None
+        for x in order:  # BFS: `order` grows while it is read
+            y, z = r[x], u[x]
+            if label[y] < 0:
+                label[y] = len(order)
+                order.append(y)
+            if label[z] < 0:
+                label[z] = len(order)
+                order.append(z)
+            pair = (label[y], label[z])
             if not smaller:
-                if image > best_r[k]:
+                other = best[len(pairs)]
+                if pair > other:
                     break
-                smaller = image < best_r[k]
-            r_new.append(image)
+                smaller = pair < other
+            pairs.append(pair)
         else:
-            u_new = tuple(label[u[x]] for x in order)
-            if smaller or u_new < best_u:
-                best_r, best_u = tuple(r_new), u_new
-    return best_r, best_u
+            if len(order) < n:
+                raise NotTransitive("<r, u> is not transitive")
+            if smaller:
+                best = pairs
+    r_new, u_new = zip(*best)
+    return r_new, u_new
 
 
 @dataclass
 class VeechGroup:
-    """Orbit of an origami under S, T with membership by word-following."""
+    """Orbit of an origami under S, T with membership by word-following.
+
+    ``images`` holds the (r, u) image tuples of the orbit's nodes; ``orbit``
+    builds them into validated origamis when it is first read.
+    """
 
     origami: Origami
-    orbit: list[Origami] = field(default_factory=list)
-    edges: dict[tuple[int, str], int] = field(default_factory=dict)
+    images: list[tuple[tuple[int, ...], tuple[int, ...]]]
+    edges: dict[tuple[int, str], int]
 
     @property
     def index(self) -> int:
-        return len(self.orbit)
+        return len(self.images)
+
+    @cached_property
+    def orbit(self) -> list[Origami]:
+        n, base = self.origami.n, self.origami.base
+        return [Origami(n, Perm(r), Perm(u), base) for r, u in self.images]
 
     @cached_property
     def _steps(self) -> dict[tuple[int, str], int]:
@@ -240,16 +261,24 @@ class VeechGroup:
 
 
 def veech_group(origami: Origami) -> VeechGroup:
-    """BFS over the S, T orbit on image tuples, numbering nodes as found."""
-    group = VeechGroup(origami, [origami])
-    node_of_key = {canonical_pair(origami): 0}
-    pairs = [(origami.r.images, origami.u.images)]
-    for node, (r, u) in enumerate(pairs):  # BFS: `pairs` grows while it is read
+    """BFS over the S, T orbit on image tuples, numbering nodes as found.
+
+    Each node carries the cycle lengths of its r and u: S keeps u and T keeps
+    r, so an edge computes the lengths of one new permutation.
+    """
+    r, u = origami.r.images, origami.u.images
+    nodes = [(r, u, _cycle_lengths(r), _cycle_lengths(u))]
+    node_of_key = {canonical_images(*nodes[0]): 0}
+    edges = {}
+    for node, (r, u, r_lengths, u_lengths) in enumerate(nodes):  # BFS
         for letter in ("S", "T"):
-            image = act_on_images(letter, r, u)
-            target = node_of_key.setdefault(canonical_images(*image), len(pairs))
-            if target == len(pairs):
-                pairs.append(image)
-                group.orbit.append(Origami(origami.n, *map(Perm, image), origami.base))
-            group.edges[(node, letter)] = target
-    return group
+            r_new, u_new = act_on_images(letter, r, u)
+            if letter == "S":
+                new = (r_new, u_new, _cycle_lengths(r_new), u_lengths)
+            else:
+                new = (r_new, u_new, r_lengths, _cycle_lengths(u_new))
+            target = node_of_key.setdefault(canonical_images(*new), len(nodes))
+            if target == len(nodes):
+                nodes.append(new)
+            edges[(node, letter)] = target
+    return VeechGroup(origami, [node[:2] for node in nodes], edges)

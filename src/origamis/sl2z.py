@@ -196,31 +196,6 @@ class CongruenceSubgroup:
                     gens.append(word)
         return gens
 
-    def rewrite(self, letters: Iterable[str]) -> list[Sl2zWord]:
-        """Express a word lying in Gamma(n) as a product of Schreier generators.
-
-        Raises ValueError if the word is not in the subgroup. The product of
-        the returned words equals the input word exactly (as matrices).
-        """
-        coset = mat_mod(ID2, self.n)
-        out: list[Sl2zWord] = []
-        for letter in letters:
-            if letter in ("S", "T"):
-                gen = self._schreier_word(coset, letter)
-                coset = mat_mod(mat_mul(coset, LETTER_MATS[letter]), self.n)
-            else:
-                base = INVERSE_LETTER[letter]
-                coset = mat_mod(mat_mul(coset, LETTER_MATS[letter]), self.n)
-                fwd = self._schreier_word(coset, base)
-                gen = Sl2zWord(
-                    tuple(INVERSE_LETTER[x] for x in reversed(fwd.letters)), 1
-                )
-            if gen.matrix() != ID2:
-                out.append(gen)
-        if coset != mat_mod(ID2, self.n):
-            raise ValueError("word is not in the congruence subgroup")
-        return out
-
 
 def congruence_generators(n: int) -> list[Sl2zWord]:
     return CongruenceSubgroup(n).generators()

@@ -354,8 +354,3 @@ def cocycle_growth(mats: Sequence[Mat], length: int, trials: int, seed: int,
         rates.append((end_log - half_log) / denom if denom else 0.0)
     return GrowthReport(max_log, sum(rates) / len(rates), exceeded,
                         trials, length)
-
-
-def power_growth_rate(m: Mat, length: int) -> float:
-    """log-norm slope of m^k between k = length/2 and k = length."""
-    return cocycle_growth([m], length, 1, 0).growth_rate

@@ -22,12 +22,13 @@ from origamis.rootsys import finite_closure
 from origamis.sl2z import (ID2, J_MAT, LETTER_MATS, S_MAT, T_MAT, mat_mod,
                            mat_mul, mat_neg)
 from origamis.structure import (cocycle_growth, decompose_ew, decompose_orn,
-                                operator_norm, power_growth_rate)
+                                operator_norm)
 from origamis.verification import (verify_appendix_a, verify_appendix_b,
                                    verify_theorem_a, verify_theorem_b)
 
 import test_affine
 import test_homology
+from test_structure import power_growth_rate
 
 
 def report(number, label, passed):

@@ -3,12 +3,15 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from origamis.errors import Inconsistent, NotPermutation, NotTransitive
-from origamis.origami import (act_by_letters, automorphisms, canonical_pair,
-                              isomorphisms, make_origami, sl2z_act,
-                              stratum_and_genus, veech_group, vertex_classes)
-from origamis.permutations import Perm, random_transitive_pair
+from origamis.origami import (act_by_letters, automorphisms, canonical_images,
+                              canonical_pair, isomorphisms, make_origami,
+                              sl2z_act, stratum_and_genus, veech_group,
+                              vertex_classes)
+from origamis.permutations import Perm, are_transitive, random_transitive_pair
 from origamis.sl2z import (ID2, J_MAT, LETTER_MATS, S_MAT, T_MAT, eval_letters,
                            mat_mod, mat_mul, mat_pow)
 
@@ -161,6 +164,23 @@ def test_self_isomorphisms_are_automorphisms(ew):
     assert isomorphisms(origami, origami) == automorphisms(origami)
 
 
+def test_orbit_is_built_on_first_read(orn5):
+    group = veech_group(orn5.origami)
+    assert group.index == 3 and len(group.edges) == 6
+    assert group.contains(J_MAT) and not group.contains(T_MAT)
+    assert "orbit" not in group.__dict__
+    assert group.orbit[0] == orn5.origami
+    assert [(o.r.images, o.u.images) for o in group.orbit] == group.images
+    assert "orbit" in group.__dict__
+
+
+def test_canonical_images_rejects_intransitive_pair():
+    # r swaps 0, 1 and swaps (or fixes) the rest; u fixes every square
+    for r, r_lengths in (((1, 0, 3, 2), [2, 2, 2, 2]), ((1, 0, 2), [2, 2, 1])):
+        with pytest.raises(NotTransitive):
+            canonical_images(r, tuple(range(len(r))), r_lengths, [1] * len(r))
+
+
 def test_veech_orbit_deterministic(orn5):
     first = veech_group(orn5.origami)
     second = veech_group(orn5.origami)
@@ -233,9 +253,14 @@ def _veech_orbit_reference(origami):
 
 def _relabeled(origami, rng):
     """The pair conjugated by a random relabeling sigma of the squares."""
-    n = origami.n
-    sigma = list(range(n))
+    sigma = list(range(origami.n))
     rng.shuffle(sigma)
+    return _conjugated(origami, sigma)
+
+
+def _conjugated(origami, sigma):
+    """The pair conjugated by the relabeling sigma of the squares."""
+    n = origami.n
     r, u = [0] * n, [0] * n
     for x in range(n):
         r[sigma[x]] = sigma[origami.r.images[x]]
@@ -274,8 +299,35 @@ def test_canonical_key_is_complete_invariant():
             assert (k1 == k2) == bool(isomorphisms(o1, o2))
 
 
+@st.composite
+def _transitive_origamis(draw, n=None):
+    """A transitive pair of permutations on n squares, n <= 9 if not given."""
+    if n is None:
+        n = draw(st.integers(1, 9))
+    r = draw(st.permutations(range(n)))
+    u = draw(st.permutations(range(n)))
+    assume(are_transitive((Perm(r), Perm(u))))
+    return make_origami(n, r, u)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_canonical_pair_is_a_complete_invariant_property(data):
+    origami = data.draw(_transitive_origamis())
+    key = canonical_pair(origami)
+    sigma = data.draw(st.permutations(range(origami.n)))
+    assert canonical_pair(_conjugated(origami, sigma)) == key
+    # a second pair of the same size: a fresh draw, or an S, T image
+    other = data.draw(st.one_of(
+        _transitive_origamis(origami.n),
+        st.sampled_from(["S", "T", "S-", "T-"]).map(
+            lambda letter: sl2z_act(letter, origami))))
+    assert (canonical_pair(other) == key) == bool(isomorphisms(origami, other))
+
+
 def test_veech_group_matches_all_starts_reference():
-    surfaces = _random_origamis(61, [5, 6, 7] * 4 + [8]) + _catalog_surfaces()
+    surfaces = (_random_origamis(61, [5, 6, 7] * 4 + [8]) + _catalog_surfaces()
+                + _random_origamis(66, [9, 9]) + [TORUS])
     for origami in surfaces:
         group = veech_group(origami)
         orbit, edges = _veech_orbit_reference(origami)

@@ -19,7 +19,7 @@ from origamis.rootsys import (FiniteMatrixGroup, UnboundedWitness, _signed_maps,
 from origamis.sl2z import CongruenceSubgroup, J_MAT, S_MAT, T_MAT, mat_pow
 from origamis.structure import (breve_blocks, cocycle_growth, combined_action,
                                 _log_abs, kernel_is_congruence, mod_psi,
-                                operator_norm, power_growth_rate, tau_character)
+                                operator_norm, tau_character)
 from origamis.verification import _orn_root_system
 
 
@@ -484,6 +484,12 @@ def test_growth_bounded_for_ew(ew_report):
                             norm_bound=bound)
     assert not report.max_norm_exceeded
     assert report.max_log_norm <= math.log(float(bound)) + 1e-9
+
+
+def power_growth_rate(m, length):
+    """Reference: log-norm slope of m^k between k = length/2 and k = length,
+    read off `cocycle_growth` with one matrix and one trial."""
+    return cocycle_growth([m], length, 1, 0).growth_rate
 
 
 def test_growth_rate_q5(orn5, orn5_report):
