@@ -1,10 +1,11 @@
 """Affine diffeomorphisms as exact matrices on the edge chain space.
 
-A Veech group element M is lifted by decomposing M into the generator word,
-composing one elementary edge substitution per letter along the SL(2,Z) orbit
-of the origami, and closing up with a relabeling isomorphism from the final
-origami back to the start. Lifts are integer matrices on the full
-2n-dimensional chain space; equality is always tested on canonical forms.
+A Veech group element M is lifted by decomposing M into runs letter^k of
+the generators (``sl2z_word``), composing one edge substitution per run along
+the SL(2,Z) orbit of the origami, and closing up with a relabeling
+isomorphism from the final origami back to the start. Lifts are integer
+matrices on the full 2n-dimensional chain space; equality is always tested
+on canonical forms.
 
 The letter substitutions (target origami listed first) are
 
@@ -22,8 +23,8 @@ A word is transported on whole integer rows: the map so far is multiplied on
 the left by each letter's substitution, whose rows have at most two entries,
 each +-1. So a letter is n row moves (the zeta rows of T and T-, the sigma
 rows of S and S-, re-indexed and shared, not copied) plus n row additions
-(T, S) or subtractions (T-, S-) onto the other block. A run of k equal
-letters is one such step, by the closed forms
+(T, S) or subtractions (T-, S-) onto the other block. A run (letter, k)
+of the word is one such step, by the closed forms
 
     T^k:   zeta_g  -> zeta_{r^k g}  + sum_{0<=i<k} sigma_{r^i g}
     T^-k:  zeta_g  -> zeta_{r^-k g} - sum_{1<=i<=k} sigma_{r^-i g}
@@ -32,13 +33,13 @@ letters is one such step, by the closed forms
 
 in which a sum over k consecutive squares of a cycle of length c is
 (k div c) times the cycle sum plus k mod c of its terms; a run costs a few
-row operations per square, whatever its length.
+row operations per square, whatever its length. Runs need not be maximal:
+splitting one gives the same map.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from operator import add, sub
 from typing import Sequence
 
@@ -49,7 +50,7 @@ from .homology import EdgeChain, Subspace, chain_space
 from .linalg import Mat, Vec
 from .origami import Origami, isomorphisms, sl2z_act, vertex_of_square
 from .permutations import Perm
-from .sl2z import ID2, Mat2, mat_inv, mat_mul, sl2z_word
+from .sl2z import ID2, Mat2, Runs, mat_inv, mat_mul, sl2z_word
 
 
 @dataclass(frozen=True)
@@ -126,14 +127,13 @@ def elementary_substitution(letter: str, origami: Origami) -> EdgeSubstitution:
     return EdgeSubstitution(origami, sl2z_act(letter, origami), rows)
 
 
-def transport(origami: Origami, letters: tuple[str, ...]) -> tuple[Origami, Mat]:
-    """Push the letter substitutions of a word (rightmost letter first)
-    through the integer identity, one step per run of equal letters:
-    (final origami, chain map into it)."""
+def transport(origami: Origami, runs: Runs) -> tuple[Origami, Mat]:
+    """Push the substitutions of a word's runs (rightmost run first) through
+    the integer identity, one step per run: (final origami, chain map into
+    it)."""
     current = origami
     total = linalg.identity(2 * origami.n)
-    for letter, run in groupby(reversed(letters)):
-        k = sum(1 for _ in run)
+    for letter, k in reversed(runs):
         total, current = (_run_rows(letter, k, current, total),
                           sl2z_act(letter, current, k))
     return current, tuple(total)
@@ -160,13 +160,14 @@ def _vertex_map_by_label(origami: Origami, phi: Perm) -> Perm:
 
 @dataclass(frozen=True)
 class AffineLift:
-    """(derivative, chain matrix, vertex action) of an affine diffeomorphism."""
+    """(derivative, chain matrix, vertex action, closing relabeling) of an
+    affine diffeomorphism."""
 
     origami: Origami
     linear: Mat2
     matrix: Mat
     vertex_perm: Perm
-    relabeling: Perm | None = None
+    relabeling: Perm
 
     def apply(self, chain: EdgeChain) -> EdgeChain:
         return EdgeChain.from_flat(linalg.mat_vec(self.matrix, chain.flat()))
@@ -179,25 +180,21 @@ class AffineLift:
         """self after other."""
         if self.origami != other.origami:
             raise WrongSurface("lifts of different origamis")
-        relabeling = None
-        if self.relabeling is not None and other.relabeling is not None:
-            relabeling = self.relabeling * other.relabeling
         return AffineLift(
             self.origami,
             mat_mul(self.linear, other.linear),
             linalg.mat_mul(self.matrix, other.matrix),
             self.vertex_perm * other.vertex_perm,
-            relabeling,
+            self.relabeling * other.relabeling,
         )
 
     def inverse(self) -> "AffineLift":
-        relabeling = self.relabeling.inverse() if self.relabeling else None
         return AffineLift(
             self.origami,
             mat_inv(self.linear),
             linalg.mat_inv(self.matrix),
             self.vertex_perm.inverse(),
-            relabeling,
+            self.relabeling.inverse(),
         )
 
     def is_identity(self) -> bool:
@@ -250,7 +247,7 @@ def _closed(origami: Origami, m: Mat2, total: Mat, phi: Perm) -> AffineLift:
 
 def lift_all(origami: Origami, m: Mat2) -> list[AffineLift]:
     """All lifts of m, one per closing isomorphism (torsor under Aut)."""
-    current, total = transport(origami, sl2z_word(m).exact_letters())
+    current, total = transport(origami, sl2z_word(m).exact_runs())
     closings = isomorphisms(current, origami)
     if not closings:
         raise NotInVeechGroup(f"{m} does not stabilize the origami")

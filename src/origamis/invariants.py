@@ -67,9 +67,9 @@ def _pairing_row(decomp: CylinderDecomposition,
 
 def cylinders(origami: Origami, direction: tuple[int, int]) -> CylinderDecomposition:
     (p, q), normalizer = normalize_direction(*direction)
-    letters = sl2z_word(normalizer).exact_letters()
-    normalized, to_norm = transport(origami, letters)
-    inverse = tuple(INVERSE_LETTER[x] for x in reversed(letters))
+    runs = sl2z_word(normalizer).exact_runs()
+    normalized, to_norm = transport(origami, runs)
+    inverse = tuple((INVERSE_LETTER[x], k) for x, k in reversed(runs))
     _, from_norm = transport(normalized, inverse)
     space = chain_space(normalized)
     rows = normalized.r.cycles()

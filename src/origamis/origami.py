@@ -13,7 +13,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import Inconsistent, NotTransitive
-from .permutations import Perm, are_transitive, inverse_images, power_images
+from .permutations import Perm, are_transitive, power_images
 from .sl2z import INVERSE_LETTER, Mat2, sl2z_word
 
 
@@ -98,8 +98,8 @@ def isomorphisms(o1: Origami, o2: Origami) -> list[Perm]:
     if o1.n != o2.n:
         return []
     n = o1.n
+    # forward edges only: <r, u> is finite, so they reach every square
     pairs = [(p1.images, p2.images) for p1, p2 in ((o1.r, o2.r), (o1.u, o2.u))]
-    pairs += [(inverse_images(g1), inverse_images(g2)) for g1, g2 in pairs]
     found = []
     for image0 in range(n):
         images = [-1] * n
@@ -225,7 +225,8 @@ def canonical_images(r: Sequence[int], u: Sequence[int],
 
 @dataclass
 class VeechGroup:
-    """Orbit of an origami under S, T with membership by word-following.
+    """Orbit of an origami under S, T, with membership by moving along the
+    S and T cycles of the edge table, one cycle walk per run of the word.
 
     ``images`` holds the (r, u) image tuples of the orbit's nodes; ``orbit``
     builds them into validated origamis when it is first read.
@@ -244,19 +245,19 @@ class VeechGroup:
         n, base = self.origami.n, self.origami.base
         return [Origami(n, Perm(r), Perm(u), base) for r, u in self.images]
 
-    @cached_property
-    def _steps(self) -> dict[tuple[int, str], int]:
-        """``edges`` and their preimages under S- and T-, read on first use."""
-        steps = {(dst, letter + "-"): src for (src, letter), dst in self.edges.items()}
-        if len(steps) != len(self.edges):
-            raise Inconsistent("orbit graph is not a permutation graph")
-        return steps | self.edges
-
     def contains(self, m: Mat2) -> bool:
-        word = sl2z_word(m).exact_letters()
+        """Each run (letter, k), rightmost first, moves k mod c steps along its
+        letter's cycle of length c (backward for S-, T-) from node 0."""
         node = 0
-        for letter in reversed(word):
-            node = self._steps[(node, letter)]
+        for letter, k in reversed(sl2z_word(m).exact_runs()):
+            cycle = [node]
+            step = self.edges[(node, letter[0])]
+            while step != node:
+                if len(cycle) == self.index:
+                    raise Inconsistent("orbit graph is not a permutation graph")
+                cycle.append(step)
+                step = self.edges[(step, letter[0])]
+            node = cycle[(-k if letter[-1] == "-" else k) % len(cycle)]
         return node == 0
 
 

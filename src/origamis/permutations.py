@@ -107,11 +107,11 @@ def power_images(images: Sequence[int], k: int) -> Sequence[int]:
 
 
 def are_transitive(perms: Sequence[Perm]) -> bool:
-    """Whether the group generated by ``perms`` acts transitively."""
+    """Whether <perms> acts transitively: finite, so forward orbits are orbits."""
     if not perms:
         return False
     n = perms[0].n
-    maps = [p.images for p in perms] + [inverse_images(p.images) for p in perms]
+    maps = [p.images for p in perms]
     seen = [False] * n
     seen[0] = True
     stack = [0]

@@ -30,8 +30,9 @@ LETTER_MATS: dict[str, Mat2] = {
 }
 INVERSE_LETTER = {"S": "S-", "S-": "S", "T": "T-", "T-": "T"}
 
-# pinned word for -Id: (T^-1 S T^-1)^2 = J^2
-NEG_ID_LETTERS = ("T-", "S", "T-", "T-", "S", "T-")
+Runs = tuple[tuple[str, int], ...]  # ((letter, k), ...) with k >= 1
+# pinned runs for -Id: (T^-1 S T^-1)^2 = J^2
+NEG_ID_RUNS: Runs = (("T-", 1), ("S", 1), ("T-", 2), ("S", 1), ("T-", 1))
 
 
 def mat_mul(a: Mat2, b: Mat2) -> Mat2:
@@ -80,32 +81,30 @@ def eval_letters(letters: Iterable[str]) -> Mat2:
 
 @dataclass(frozen=True)
 class Sl2zWord:
-    """Word over {S, S^-1, T, T^-1} with a sign flag.
+    """Word over {S, S^-1, T, T^-1} as runs ((letter, k), ...), with a sign.
 
-    sign * eval(letters) equals the source matrix; exact_letters() folds the
-    sign into the pinned -Id word.
+    sign * (product of the letter^k) equals the source matrix; exact_runs()
+    folds the sign into the pinned -Id runs; exact_letters() and str() spell
+    the runs out one letter at a time.
     """
 
-    letters: tuple[str, ...]
+    runs: Runs
     sign: int = 1
 
     def matrix(self) -> Mat2:
-        m = eval_letters(self.letters)
+        m = ID2
+        for letter, k in self.runs:
+            m = mat_mul(m, mat_pow(LETTER_MATS[letter], k))
         return m if self.sign == 1 else mat_neg(m)
 
+    def exact_runs(self) -> Runs:
+        return self.runs if self.sign == 1 else self.runs + NEG_ID_RUNS
+
     def exact_letters(self) -> tuple[str, ...]:
-        if self.sign == 1:
-            return self.letters
-        return self.letters + NEG_ID_LETTERS
+        return tuple(x for x, k in self.exact_runs() for _ in range(k))
 
     def __str__(self) -> str:
-        return " ".join(self.letters) if self.letters else "1"
-
-
-def _runs(gen: str, k: int) -> tuple[str, ...]:
-    if k >= 0:
-        return (gen,) * k
-    return (INVERSE_LETTER[gen],) * (-k)
+        return " ".join(x for x, k in self.runs for _ in range(k)) or "1"
 
 
 def _nearest_quotient(num: int, den: int) -> int:
@@ -122,29 +121,30 @@ def sl2z_word(m: Mat2) -> Sl2zWord:
     """
     if mat_det(m) != 1:
         raise ValueError("determinant must be 1")
-    prefix: list[str] = []
+    powers: list[tuple[str, int]] = []  # (S or T, signed exponent)
     cur = m
     while cur[1][0] != 0:
         a, c = cur[0][0], cur[1][0]
         if a == 0:
             # c = +-1 here; a T-step makes the corner nonzero
             cur = mat_mul(T_MAT, cur)
-            prefix.extend(_runs("T", -1))
+            powers.append(("T", -1))
             continue
         q = _nearest_quotient(c, a)
         if q != 0:
             # S^-q kills most of c
             cur = mat_mul(mat_pow(S_MAT, -q), cur)
-            prefix.extend(_runs("S", q))
+            powers.append(("S", q))
         else:
             # |c| small: reduce a against c instead
             p = _nearest_quotient(a, c)
             cur = mat_mul(mat_pow(T_MAT, -p), cur)
-            prefix.extend(_runs("T", p))
-    # cur is now +-upper triangular with +-1 diagonal
-    if cur[0][0] == 1:
-        return Sl2zWord(tuple(prefix) + _runs("T", cur[0][1]), 1)
-    return Sl2zWord(tuple(prefix) + _runs("T", -cur[0][1]), -1)
+            powers.append(("T", p))
+    # cur is now sign * T^(sign * b), sign = +-1 on the diagonal
+    sign = cur[0][0]
+    powers.append(("T", sign * cur[0][1]))
+    return Sl2zWord(tuple((x, k) if k > 0 else (INVERSE_LETTER[x], -k)
+                          for x, k in powers if k), sign)
 
 
 class CongruenceSubgroup:
@@ -182,7 +182,7 @@ class CongruenceSubgroup:
         w_c = self.transversal[coset]
         w_d = self.transversal[target]
         letters = w_c + (letter,) + tuple(INVERSE_LETTER[x] for x in reversed(w_d))
-        return Sl2zWord(letters, 1)
+        return Sl2zWord(tuple((x, 1) for x in letters), 1)
 
     def generators(self) -> list[Sl2zWord]:
         """Schreier generators (non-tree edges only); they generate Gamma(n)."""

@@ -271,8 +271,7 @@ def kernel_is_congruence(subspaces: Sequence[Subspace], level: int,
     if [lf.linear for lf in sl_lifts] != [S_MAT, T_MAT]:
         raise ValueError("sl_lifts must be lifts of S and then T")
     origami = sl_lifts[0].origami
-    covered = sorted(lf.relabeling.images for lf in aut_lifts
-                     if lf.linear == ID2 and lf.relabeling)
+    covered = sorted(lf.relabeling.images for lf in aut_lifts if lf.linear == ID2)
     if covered != sorted(a.images for a in automorphisms(origami)):
         raise ValueError("aut_lifts must be the lifts of every automorphism")
     s_act, t_act = (combined_action(lf, subspaces) for lf in sl_lifts)
@@ -289,7 +288,7 @@ def kernel_is_congruence(subspaces: Sequence[Subspace], level: int,
     failed = []
     for word in subgroup.generators():
         product = functools.reduce(linalg.mat_mul,
-                                   (letters[x] for x in word.letters))
+                                   (letters[x] for x in word.exact_letters()))
         found = next((k for k, aut in enumerate(auts)
                       if linalg.mat_mul(aut, product) == identity), None)
         if found is None:

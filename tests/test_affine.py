@@ -111,8 +111,9 @@ def _reference_transport(origami, letters):
 
 
 def _run_words(origami, rng, count):
-    """Words over S, S-, T, T- whose runs reach past the longest r- and
-    u-cycle: lengths 1..2L+2 with L that cycle length, plus L, L+1 and 2L."""
+    """Runs ((letter, k), ...) over S, S-, T, T- that reach past the longest
+    r- and u-cycle: k in 1..2L+2 with L that cycle length, plus L, L+1 and
+    2L. Neighbouring runs may share their letter."""
     longest = max(len(c) for p in (origami.r, origami.u) for c in p.cycles())
     lengths = [longest, longest + 1, 2 * longest]
     words = []
@@ -121,7 +122,7 @@ def _run_words(origami, rng, count):
         for _ in range(rng.randint(1, 5)):
             k = rng.choice(lengths) if rng.random() < 0.3 else \
                 rng.randint(1, 2 * longest + 2)
-            word += [rng.choice(("S", "S-", "T", "T-"))] * k
+            word.append((rng.choice(("S", "S-", "T", "T-")), k))
         words.append(tuple(word))
     return words
 
@@ -147,8 +148,9 @@ def test_transport_matches_dense_reference(ew, orn3, appendix_b):
         [make_origami(n, *random_transitive_pair(n, rng))
          for n in (2, 3, 4, 5, 6, 7, 8) * 3][:20]
     for origami in origamis:
-        for word in _run_words(origami, rng, 4 if origami.n > 8 else 8):
-            final, matrix = transport(origami, word)
+        for runs in _run_words(origami, rng, 4 if origami.n > 8 else 8):
+            word = tuple(x for x, k in runs for _ in range(k))
+            final, matrix = transport(origami, runs)
             ref_final, ref_matrix = _reference_transport(origami, word)
             assert final == ref_final == act_by_letters(word, origami)
             assert matrix == ref_matrix

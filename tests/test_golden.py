@@ -21,6 +21,8 @@ COMMANDS = {
               "--matrix", "[[1,1],[0,1]]"],
     "veech-orn5-contains": ["veech", "--name", "ornithorynque", "--q", "5",
                             "--matrix", "[[1,2],[0,1]]"],
+    "veech-orn5-long-power": ["veech", "--name", "ornithorynque", "--q", "5",
+                              "--matrix", "[[1,30000001],[0,1]]"],
     "homology": ["homology", "--name", "eierlegende-wollmilchsau"],
     "action": ["action", "--name", "ornithorynque", "--q", "3",
                "--matrix", "[[1,0],[1,1]]", "--basis", "H_rel"],
@@ -51,6 +53,9 @@ COMMANDS = {
 PINNED_SHA256 = {
     "veech-appendix-b": (["veech", "--name", "appendix-b"],
                          "c2a27762be03ecd613e4ec15cc088d8d9e284079868befd65b417860171defa1"),
+    "veech-appendix-b-long-power": (
+        ["veech", "--name", "appendix-b", "--matrix", "[[1,30000000],[0,1]]"],
+        "e5b1e064d0e528a50c546a8a9ee4aa4078f8b59bd1fad7d6fcb935b9f2d1a2ae"),
 }
 
 

@@ -7,13 +7,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from origamis.errors import Inconsistent, NotPermutation, NotTransitive
-from origamis.origami import (act_by_letters, automorphisms, canonical_images,
-                              canonical_pair, isomorphisms, make_origami,
-                              sl2z_act, stratum_and_genus, veech_group,
-                              vertex_classes)
+from origamis.origami import (VeechGroup, act_by_letters, automorphisms,
+                              canonical_images, canonical_pair, isomorphisms,
+                              make_origami, sl2z_act, stratum_and_genus,
+                              veech_group, vertex_classes)
 from origamis.permutations import Perm, are_transitive, random_transitive_pair
 from origamis.sl2z import (ID2, J_MAT, LETTER_MATS, S_MAT, T_MAT, eval_letters,
-                           mat_mod, mat_mul, mat_pow)
+                           mat_mod, mat_mul, mat_neg, mat_pow, sl2z_word)
 
 TORUS = make_origami(1, Perm([0]), Perm([0]))
 
@@ -346,3 +346,77 @@ def test_veech_contains_agrees_with_keys():
             image = act_by_letters(word, origami)
             assert group.contains(eval_letters(word)) == (
                 _canonical_pair_all_starts(image) == key)
+
+
+# -- reference: membership with one edge-table step per letter -----------------
+
+
+def _letter_steps(group):
+    """The edge table with its preimages under S- and T-."""
+    steps = {(dst, letter + "-"): src
+             for (src, letter), dst in group.edges.items()}
+    if len(steps) != len(group.edges):
+        raise Inconsistent("orbit graph is not a permutation graph")
+    return steps | group.edges
+
+
+def _contains_letter_by_letter(steps, m):
+    """Follow every letter of m's word through ``_letter_steps``."""
+    node = 0
+    for letter in reversed(sl2z_word(m).exact_letters()):
+        node = steps[(node, letter)]
+    return node == 0
+
+
+def _longest_cycle(group):
+    """The longest cycle of S or T on the orbit, read off the edge table."""
+    longest = 1
+    for letter in ("S", "T"):
+        seen = set()
+        for start in range(group.index):
+            node, length = start, 0
+            while node not in seen:
+                seen.add(node)
+                node = group.edges[(node, letter)]
+                length += 1
+            longest = max(longest, length)
+    return longest
+
+
+def test_veech_contains_matches_letter_by_letter_reference(ew, orn3, orn5,
+                                                           appendix_b):
+    rng = random.Random(64)
+    surfaces = [ew.origami, orn3.origami, orn5.origami, appendix_b.origami,
+                TORUS] + _random_origamis(64, [2, 3, 4, 5, 6, 7, 8, 9])
+    for origami in surfaces:
+        group = veech_group(origami)
+        steps = _letter_steps(group)
+        longest = _longest_cycle(group)
+        lengths = (longest, longest + 1, 2 * longest + 1, 3 * longest - 1)
+        mats = [mat_pow(LETTER_MATS[letter], k)
+                for letter in ("S", "S-", "T", "T-") for k in lengths]
+        for _ in range(6):
+            m = ID2
+            for _ in range(rng.randint(1, 4)):
+                k = rng.choice(lengths) if rng.random() < 0.5 \
+                    else rng.randint(1, 3 * longest)
+                m = mat_mul(m, mat_pow(LETTER_MATS[rng.choice("ST")], k))
+                m = mat_mul(m, LETTER_MATS[rng.choice(("S-", "T-"))])
+            mats.append(m)
+        for m in mats + [mat_neg(m) for m in mats]:
+            assert group.contains(m) == _contains_letter_by_letter(steps, m)
+        # the runs of the decomposed words reach past the cycle lengths
+        assert max(k for m in mats for _, k in sl2z_word(m).runs) > longest
+
+
+def test_veech_contains_rejects_a_non_permutation_table():
+    # T sends 0 -> 1 -> 1: node 1 has two T-preimages, and the T-walk from
+    # node 0 never comes back to it
+    images = [(TORUS.r.images, TORUS.u.images)] * 2
+    edges = {(0, "S"): 0, (1, "S"): 1, (0, "T"): 1, (1, "T"): 1}
+    group = VeechGroup(TORUS, images, edges)
+    with pytest.raises(Inconsistent):
+        _letter_steps(group)
+    for m in (T_MAT, mat_pow(T_MAT, -5), mat_neg(T_MAT)):
+        with pytest.raises(Inconsistent):
+            group.contains(m)

@@ -31,8 +31,8 @@ def rewrite(sub, letters):
         else:
             coset = mat_mod(mat_mul(coset, LETTER_MATS[letter]), sub.n)
             fwd = sub._schreier_word(coset, INVERSE_LETTER[letter])
-            gen = Sl2zWord(
-                tuple(INVERSE_LETTER[x] for x in reversed(fwd.letters)), 1)
+            gen = Sl2zWord(tuple((INVERSE_LETTER[x], 1)
+                                 for x in reversed(fwd.exact_letters())), 1)
         if gen.matrix() != ID2:
             out.append(gen)
     if coset != mat_mod(ID2, sub.n):
@@ -42,7 +42,7 @@ def rewrite(sub, letters):
 
 def test_word_identity():
     word = sl2z_word(ID2)
-    assert word.letters == () and word.sign == 1
+    assert word.runs == () and word.sign == 1
 
 
 def test_word_j_is_pinned():
@@ -51,7 +51,7 @@ def test_word_j_is_pinned():
 
 def test_word_s_power():
     word = sl2z_word(mat_pow(S_MAT, 120))
-    assert word.letters == ("S",) * 120 and word.sign == 1
+    assert word.runs == (("S", 120),) and word.sign == 1
 
 
 def test_word_neg_id():
