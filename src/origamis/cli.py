@@ -29,11 +29,14 @@ from .verification import VERIFY_SUITES
 
 
 def _jsonable(obj):
+    """obj as JSON data; a list or tuple of plain ints is passed as it is."""
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if set(map(type, obj)) <= {int}:
+            return obj
         return [_jsonable(x) for x in obj]
     if isinstance(obj, Perm):
         return list(obj.images)

@@ -1,15 +1,24 @@
 """Exact linear algebra over Q and Z on tuple-of-tuples matrices.
 
 The number rule: a value built from ints by +, - and * stays an int, and a
-Fraction appears only where a division leaves a denominator. Products keep
-the type of their inputs. The eliminations (rref, det, and through rref
-solve and mat_inv) return an int for every entry of denominator 1.
-`vec` and `mat` coerce outside input.
+Fraction appears only where a division leaves a denominator. The
+eliminations (rref, det, and through rref solve and mat_inv) return an int
+for every entry of denominator 1. `vec` and `mat` coerce outside input.
+
+Products (mat_mul, mat_vec) share one kernel and keep the type an entrywise
+sum of x * y would give: an entry is a Fraction exactly when its row of a or
+its column of b (its vector v) holds a Fraction, else an int. All-int
+operands are multiplied as ints. An operand holding a Fraction is scaled to
+integer rows over the lcm of its denominators; the integer sums over the
+product d of the two lcms become Fraction(s, d) or the exact int s // d.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, repeat
+from math import lcm
+from operator import attrgetter, floordiv, mul
 from typing import Iterable, Sequence
 
 from .errors import Inconsistent
@@ -36,13 +45,41 @@ def transpose(a: Mat) -> Mat:
 
 def mat_mul(a: Mat, b: Mat) -> Mat:
     bt = transpose(b)
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    if Fraction in set(map(type, chain(*a, *bt))):
+        return _scaled_products(a, bt)
+    return tuple([tuple([sum(map(mul, row, col)) for col in bt]) for row in a])
 
 
 def mat_vec(a: Mat, v: Vec) -> Vec:
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    if Fraction in set(map(type, chain(v, *a))):
+        return tuple([row[0] for row in _scaled_products(a, (v,))])
+    return tuple([sum(map(mul, row, v)) for row in a])
+
+
+_NUMERATOR = attrgetter("numerator")
+_DENOMINATOR = attrgetter("denominator")
+
+
+def _scaled_products(rows: Mat, cols: Mat) -> Mat:
+    """The sums of x * y of each row against each col, taken on the integer
+    rows and cols over their lcms, with the entry types of the docstring."""
+    d_rows, int_rows, frac_rows = _over_lcm(rows)
+    d_cols, int_cols, frac_cols = _over_lcm(cols)
+    d = d_rows * d_cols
+    return tuple([
+        tuple([Fraction(s, d) if frac_row or frac_col else s // d
+               for s, frac_col in zip([sum(map(mul, row, col)) for col in int_cols],
+                                      frac_cols)])
+        for row, frac_row in zip(int_rows, frac_rows)])
+
+
+def _over_lcm(rows: Mat) -> tuple[int, list[tuple[int, ...]], list[bool]]:
+    """(d, the rows times d as ints, whether each row holds a Fraction), d
+    the lcm of the entries' denominators."""
+    d = lcm(*map(_DENOMINATOR, chain.from_iterable(rows)))
+    return d, [tuple(map(mul, map(_NUMERATOR, row),
+                         map(floordiv, repeat(d), map(_DENOMINATOR, row))))
+               for row in rows], [Fraction in set(map(type, row)) for row in rows]
 
 
 def vec_add(a: Vec, b: Vec) -> Vec:

@@ -78,6 +78,7 @@ class PolygonSurface:
         self.offset = self._choose_offset()
         self._build_squares()
         self._point_class = self._identify_lattice_points()
+        self._steps: dict[tuple[int, int], tuple] = {}
 
     # -- polygon combinatorics ------------------------------------------------
 
@@ -360,7 +361,10 @@ class PolygonSurface:
         return None
 
     def _usable_steps(self, z):
-        """Unit grid steps from lattice point z that map to surface edges."""
+        """Unit grid steps from lattice point z that map to surface edges,
+        memoised per point, so the memo is bounded by the lattice points."""
+        if z in self._steps:
+            return self._steps[z]
         out = []
         fz = (Fraction(z[0]), Fraction(z[1]))
         for dx, dy, sign in ((1, 0, 1), (-1, 0, -1), (0, 1, 1), (0, -1, -1)):
@@ -376,7 +380,8 @@ class PolygonSurface:
             edge = self._sigma_edge_of(lo) if dy == 0 else self._zeta_edge_of(lo)
             if edge is not None:
                 out.append((w, edge, sign))
-        return out
+        self._steps[z] = tuple(out)
+        return self._steps[z]
 
     def path_chain(self, start, end) -> EdgeChain:
         """An edge chain representing a path between two lattice points.

@@ -48,19 +48,25 @@ class UnboundedWitness:
 
 
 def finite_closure(generators: Sequence[Mat], cap: int):
-    """BFS closure of exact matrices; UnboundedWitness if it exceeds cap."""
+    """BFS closure of exact matrices; UnboundedWitness if it exceeds cap.
+
+    The BFS multiplies by the distinct generators other than the identity:
+    a product by a repeated generator or by the identity is already seen,
+    so skipping them changes neither the elements nor their order. The
+    witness word indexes the generators as given."""
     gens = tuple(generators)
     if not gens:
         raise ValueError("need at least one generator")
     n = len(gens[0])
     start = linalg.identity(n)
+    steps = tuple(g for g in dict.fromkeys(gens) if g != start)
     seen = {start}
     order = [start]
     queue = [start]
     while queue:
         nxt = []
         for m in queue:
-            for g in gens:
+            for g in steps:
                 h = linalg.mat_mul(m, g)
                 if h not in seen:
                     seen.add(h)
@@ -108,11 +114,7 @@ class RootSystemD4:
 
     def ambient_frame(self) -> tuple[Vec, ...]:
         """Frame vectors in ambient coordinates."""
-        return tuple(
-            tuple(sum(f[k] * self.span_basis[k][j] for k in range(4))
-                  for j in range(len(self.span_basis[0])))
-            for f in self.frame
-        )
+        return linalg.mat_mul(self.frame, self.span_basis)
 
     def roots_frame_coords(self) -> tuple[Vec, ...]:
         return self._roots_frame

@@ -1,4 +1,5 @@
-"""sympy as an independent oracle for the exact eliminations in `linalg`.
+"""sympy as an independent oracle for the exact eliminations in `linalg`,
+and the entrywise sums as the reference for its product kernel.
 
 Seeded random integer matrices up to 8x10 with entries in -3..3, among them
 rank-deficient ones (products through a thin middle), matrices with zero
@@ -194,3 +195,90 @@ def test_unit_pivot_eliminations_stay_int():
     assert all(type(x) is int for row in linalg.mat_inv(a) for x in row)
     assert type(linalg.det(a)) is int and linalg.det(a) == 1
     assert all(type(x) is int for row in linalg.identity(3) for x in row)
+
+
+def entrywise_mat_mul(a, b):
+    """The product as one sum of x * y per entry: the reference for the
+    kernel's values and entry types."""
+    bt = linalg.transpose(b)
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
+    )
+
+
+def entrywise_mat_vec(a, v):
+    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+
+def _entry(rng: random.Random, kind: str):
+    n = rng.randint(-3, 3)
+    if kind == "int":
+        return n
+    if kind == "big":
+        return rng.choice((1, -1)) * rng.randint(10 ** 30, 10 ** 32)
+    if kind == "unit-fraction":
+        return Fraction(n)
+    if kind == "fraction":
+        return Fraction(n, rng.choice((1, 2, 3, 4, 6)))
+    if kind == "big-fraction":
+        return Fraction(rng.randint(-10 ** 31, 10 ** 31),
+                        rng.choice((1, 2, 7, 10 ** 30 + 1)))
+    return _entry(rng, rng.choice(("int", "fraction", "unit-fraction")))
+
+
+KINDS = ("int", "big", "unit-fraction", "fraction", "big-fraction", "mixed")
+
+
+def _operand(rng: random.Random, rows: int, cols: int, kind: str):
+    if kind == "zero":
+        return tuple(tuple(rng.choice((0, Fraction(0))) for _ in range(cols))
+                     for _ in range(rows))
+    return tuple(tuple(_entry(rng, kind) for _ in range(cols)) for _ in range(rows))
+
+
+def _operands(seed: int):
+    """(a, b, v) over every pair of entry kinds, v of b's kind with a
+    column's length: zero, empty (0 x k, k x 0 and an empty inner dimension)
+    and non-square shapes, entries up to 10^32."""
+    rng = random.Random(seed)
+    for ka, kb in itertools.product(KINDS + ("zero",), repeat=2):
+        n, k, m = rng.randrange(0, 5), rng.randrange(0, 5), rng.randrange(0, 5)
+        yield (_operand(rng, n, k, ka), _operand(rng, k, m, kb),
+               _operand(rng, 1, k, kb)[0])
+
+
+def _typed(entries):
+    return [(type(x), x) for x in entries]
+
+
+def test_product_operands_cover_the_cases():
+    cases = [c for seed in SEEDS for c in _operands(seed)]
+    shapes = {(len(a), len(v), len(b[0]) if b else 0) for a, b, v in cases}
+    assert any(n == 0 for n, _, _ in shapes) and any(m == 0 for _, _, m in shapes)
+    assert any(k == 0 for _, k, _ in shapes)
+    assert any(n != m for n, _, m in shapes)
+    entries = [x for a, b, v in cases for x in itertools.chain(v, *a, *b)]
+    assert any(type(x) is Fraction and x.denominator == 1 for x in entries)
+    assert any(abs(x) > 10 ** 30 for x in entries)
+    # products whose entries are partly int and partly Fraction
+    assert any(len(set(map(type, itertools.chain(*linalg.mat_mul(a, b))))) == 2
+               for a, b, _ in cases)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mat_mul_matches_entrywise_values_and_types(seed):
+    for a, b, _ in _operands(seed):
+        expected = entrywise_mat_mul(a, b)
+        product = linalg.mat_mul(a, b)
+        assert len(product) == len(expected)
+        for row, expected_row in zip(product, expected):
+            assert _typed(row) == _typed(expected_row)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mat_vec_matches_entrywise_values_and_types(seed):
+    for a, b, v in _operands(seed):
+        assert _typed(linalg.mat_vec(a, v)) == _typed(entrywise_mat_vec(a, v))
+        for col in linalg.transpose(b):
+            assert _typed(linalg.mat_vec(a, col)) == \
+                _typed(entrywise_mat_vec(a, col))

@@ -443,6 +443,50 @@ def test_finite_closure_unbounded_witness():
     assert isinstance(result, UnboundedWitness)
 
 
+def _closure_over_raw_list(gens):
+    """The BFS over every generator as given, repeats and identity included."""
+    start = linalg.identity(len(gens[0]))
+    seen, order, queue = {start}, [start], [start]
+    while queue:
+        nxt = []
+        for m in queue:
+            for g in gens:
+                h = linalg.mat_mul(m, g)
+                if h not in seen:
+                    seen.add(h)
+                    order.append(h)
+                    nxt.append(h)
+        queue = nxt
+    return tuple(order)
+
+
+def _paper_closure_generators(ew_report, orn3_report):
+    """The generator lists of the kernel and H_rel closures of theorems A
+    and B, as the verify suites pass them."""
+    for rep, subspaces, aut_keys in (
+            (ew_report, ["H1_0", "H_rel"], [f"aut_{g}" for g in QUATERNION_ORDER]),
+            (orn3_report, ["H_breve"], [f"aut_{g}" for g in range(3)])):
+        lifts = [rep.lifts["S"], rep.lifts["T"]] + [rep.lifts[k] for k in aut_keys]
+        yield [combined_action(lf, [rep.subspaces[s] for s in subspaces])
+               for lf in lifts]
+        yield [matrix_on(lf, rep.subspaces["H_rel"]) for lf in lifts]
+
+
+def test_finite_closure_skips_repeats_and_identity(ew_report, orn3_report):
+    shear = ((1, 1), (0, 1))
+    quarter_turn = ((0, 1), (-1, 0))
+    cases = list(_paper_closure_generators(ew_report, orn3_report))
+    cases.append([linalg.identity(2), quarter_turn, linalg.mat(quarter_turn),
+                  linalg.identity(2), ((0, -1), (1, 0)), quarter_turn])
+    for gens in cases:
+        identity = linalg.identity(len(gens[0]))
+        assert identity in gens or len(set(gens)) < len(gens)
+        assert finite_closure(gens, 2000).elements == _closure_over_raw_list(gens)
+    # the witness word still indexes the list as given
+    result = finite_closure([linalg.identity(2), shear, shear], 10)
+    assert isinstance(result, UnboundedWitness) and result.word == (1,)
+
+
 def test_symplectic_subgroup_identity_only():
     gram = linalg.mat([[0, 1], [-1, 0]])
     group = FiniteMatrixGroup((linalg.identity(2),))
