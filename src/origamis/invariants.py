@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 from typing import Callable, Sequence
 
 from . import linalg
@@ -284,16 +285,18 @@ def symplectic_basis(gram: Mat) -> Mat:
     if abs(linalg.det(gram)) != 1:
         raise NotUnimodular(f"determinant {linalg.det(gram)}")
 
-    def form(x: Vec, y: Vec):
-        gy = linalg.mat_vec(gram, y)
-        return sum(a * b for a, b in zip(x, gy))
+    def form(x: Vec, gy: Vec):
+        """<x, y> for gy = gram y."""
+        return sum(map(mul, x, gy))
 
     basis = list(linalg.identity(m))
     out: list[Vec] = []
     while basis:
         v1 = basis[0]
-        # integer combination w with <v1, w> = gcd of pairings = 1
-        vals = [form(v1, b) for b in basis]
+        g1 = linalg.mat_vec(gram, v1)
+        # integer combination w with <v1, w> = gcd of pairings = 1;
+        # <v1, b> = -<b, v1> by antisymmetry
+        vals = [-form(b, g1) for b in basis]
         idxs = [i for i, val in enumerate(vals) if val != 0]
         if not idxs:
             raise NotUnimodular("degenerate block")
@@ -311,10 +314,12 @@ def symplectic_basis(gram: Mat) -> Mat:
         v2 = w
         out.append(v1)
         out.append(v2)
+        g2 = linalg.mat_vec(gram, v2)
         new_basis = []
         for x in basis:
+            c1, c2 = form(x, g1), form(x, g2)
             proj = tuple(
-                xx + form(x, v1) * v2x - form(x, v2) * v1x
+                xx + c1 * v2x - c2 * v1x
                 for xx, v1x, v2x in zip(x, v1, v2))
             new_basis.append(proj)
         basis = [tuple(row) for row in linalg.hermite_row_basis(new_basis)]

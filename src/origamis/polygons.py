@@ -4,7 +4,9 @@ The polygon is cut along the integer grid; unit cells reassemble into the
 squares of the quotient surface. Each surface square is pinned down by the
 unique point congruent to OFFSET mod Z^2 that it contains, and the right/up
 permutations are found by tracing unit rays through the side identifications
-with exact rational arithmetic.
+with exact rational arithmetic. Vertices, lattice points, unit grid steps and
+side translations are ints; a Fraction appears only at offset points, at
+half-step midpoints and in the ray tracing.
 """
 
 from __future__ import annotations
@@ -19,8 +21,9 @@ from .homology import EdgeChain
 from .origami import Origami, make_origami
 from .permutations import Perm
 
-Point = tuple[Fraction, Fraction]
+Point = tuple[int | Fraction, int | Fraction]
 
+_HALF = Fraction(1, 2)
 _OFFSET_CANDIDATES = (
     (Fraction(1, 2), Fraction(1, 4)),
     (Fraction(1, 2), Fraction(1, 3)),
@@ -30,10 +33,13 @@ _OFFSET_CANDIDATES = (
 
 
 def _pt(p) -> Point:
-    return (Fraction(p[0]), Fraction(p[1]))
+    x, y = Fraction(p[0]), Fraction(p[1])
+    if x.denominator != 1 or y.denominator != 1:
+        raise NotSimple("vertex is not a lattice point")
+    return (x.numerator, y.numerator)
 
 
-def _cross(o: Point, a: Point, b: Point) -> Fraction:
+def _cross(o: Point, a: Point, b: Point):
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
@@ -70,7 +76,7 @@ class PolygonSurface:
         if area2 == 0 or area2 % 2 != 0:
             raise NotSimple("polygon area is not a positive integer")
         self.vertices = pts
-        self.area = int(area2 // 2)
+        self.area = area2 // 2
         self.n_sides = len(pts)
         self.sides = [(pts[k], pts[(k + 1) % len(pts)]) for k in range(len(pts))]
         self._check_simple()
@@ -159,7 +165,7 @@ class PolygonSurface:
         for start in range(n):
             if start in seen:
                 continue
-            prod = (Fraction(1), Fraction(0))
+            prod = (1, 0)
             k = start
             while True:
                 seen.add(k)
@@ -184,8 +190,8 @@ class PolygonSurface:
     def _bbox_cells(self):
         xs = [v[0] for v in self.vertices]
         ys = [v[1] for v in self.vertices]
-        for cx in range(int(min(xs)), int(max(xs))):
-            for cy in range(int(min(ys)), int(max(ys))):
+        for cx in range(min(xs), max(xs)):
+            for cy in range(min(ys), max(ys)):
                 yield (cx, cy)
 
     def on_boundary(self, p: Point) -> bool:
@@ -197,11 +203,11 @@ class PolygonSurface:
         crossings = 0
         px, py = p
         for a, b in self.sides:
-            ay, by = a[1], b[1]
-            if (ay > py) == (by > py):
+            if (a[1] > py) == (b[1] > py):
                 continue
-            x_at = a[0] + (py - a[1]) * (b[0] - a[0]) / (b[1] - a[1])
-            if x_at > px:
+            # the side meets y = py right of p: the cross product's sign
+            # against the side's vertical direction, with no division
+            if _cross(a, b, p) * (b[1] - a[1]) > 0:
                 crossings += 1
         return crossings % 2 == 1
 
@@ -244,7 +250,7 @@ class PolygonSurface:
         end = self._trace(start, direction, Fraction(1))
         tgt = (end[0] - self.offset[0], end[1] - self.offset[1])
         key = (int(tgt[0]), int(tgt[1]))
-        if (Fraction(key[0]), Fraction(key[1])) != tgt or key not in self.square_of_cell:
+        if key != tgt or key not in self.square_of_cell:
             raise NotSimple(f"ray tracing left the square structure at {end}")
         return self.square_of_cell[key]
 
@@ -286,9 +292,9 @@ class PolygonSurface:
         pts = []
         xs = [v[0] for v in self.vertices]
         ys = [v[1] for v in self.vertices]
-        for x in range(int(min(xs)), int(max(xs)) + 1):
-            for y in range(int(min(ys)), int(max(ys)) + 1):
-                if self.in_closed((Fraction(x), Fraction(y))):
+        for x in range(min(xs), max(xs) + 1):
+            for y in range(min(ys), max(ys) + 1):
+                if self.in_closed((x, y)):
                     pts.append((x, y))
         parent = {p: p for p in pts}
 
@@ -304,9 +310,8 @@ class PolygonSurface:
         for idx, (a, b) in enumerate(self.sides):
             tau = self.translation[idx]
             for p in pts:
-                fp = (Fraction(p[0]), Fraction(p[1]))
-                if _on_segment(fp, a, b):
-                    q = (p[0] + int(tau[0]), p[1] + int(tau[1]))
+                if _on_segment(p, a, b):
+                    q = (p[0] + tau[0], p[1] + tau[1])
                     if q in parent:
                         union(p, q)
         classes: dict[tuple[int, int], int] = {}
@@ -328,15 +333,14 @@ class PolygonSurface:
     def _sigma_edge_of(self, z) -> tuple[int, int] | None:
         """Square whose bottom edge is the horizontal segment [z, z+(1,0)]."""
         candidates = [z]
-        fz = (Fraction(z[0]), Fraction(z[1]))
-        fz1 = (fz[0] + 1, fz[1])
+        z1 = (z[0] + 1, z[1])
         for idx, (a, b) in enumerate(self.sides):
-            if _on_segment(fz, a, b) and _on_segment(fz1, a, b):
+            if _on_segment(z, a, b) and _on_segment(z1, a, b):
                 tau = self.translation[idx]
-                candidates.append((z[0] + int(tau[0]), z[1] + int(tau[1])))
+                candidates.append((z[0] + tau[0], z[1] + tau[1]))
         for c in candidates:
             if c in self.square_of_cell:
-                mid = (Fraction(c[0]) + Fraction(1, 2), Fraction(c[1]))
+                mid = (c[0] + _HALF, c[1])
                 top = (mid[0], mid[1] + self.offset[1])
                 if self._mini_clear(mid, top):
                     return ("s", self.square_of_cell[c])
@@ -345,17 +349,16 @@ class PolygonSurface:
     def _zeta_edge_of(self, z) -> tuple[int, int] | None:
         """Square whose left edge is the vertical segment [z, z+(0,1)]."""
         candidates = [z]
-        fz = (Fraction(z[0]), Fraction(z[1]))
-        fz1 = (fz[0], fz[1] + 1)
+        z1 = (z[0], z[1] + 1)
         for idx, (a, b) in enumerate(self.sides):
-            if _on_segment(fz, a, b) and _on_segment(fz1, a, b):
+            if _on_segment(z, a, b) and _on_segment(z1, a, b):
                 tau = self.translation[idx]
-                candidates.append((z[0] + int(tau[0]), z[1] + int(tau[1])))
+                candidates.append((z[0] + tau[0], z[1] + tau[1]))
         for c in candidates:
             if c in self.square_of_cell:
-                mid = (Fraction(c[0]), Fraction(c[1]) + Fraction(1, 2))
+                mid = (c[0], c[1] + _HALF)
                 knee = (mid[0] + self.offset[0], mid[1])
-                rep = (mid[0] + self.offset[0], Fraction(c[1]) + self.offset[1])
+                rep = (mid[0] + self.offset[0], c[1] + self.offset[1])
                 if self._mini_clear(mid, knee) and self._mini_clear(knee, rep):
                     return ("z", self.square_of_cell[c])
         return None
@@ -366,16 +369,14 @@ class PolygonSurface:
         if z in self._steps:
             return self._steps[z]
         out = []
-        fz = (Fraction(z[0]), Fraction(z[1]))
         for dx, dy, sign in ((1, 0, 1), (-1, 0, -1), (0, 1, 1), (0, -1, -1)):
             w = (z[0] + dx, z[1] + dy)
             if (w[0], w[1]) not in self._point_class:
                 continue
             lo = min(z, w)
-            seg_a = (Fraction(lo[0]), Fraction(lo[1]))
-            seg_b = (seg_a[0] + abs(dx), seg_a[1] + abs(dy))
-            mid = ((seg_a[0] + seg_b[0]) / 2, (seg_a[1] + seg_b[1]) / 2)
-            if not self.in_closed(mid) or not self._mini_clear(seg_a, seg_b):
+            hi = (lo[0] + abs(dx), lo[1] + abs(dy))
+            mid = (Fraction(lo[0] + hi[0], 2), Fraction(lo[1] + hi[1], 2))
+            if not self.in_closed(mid) or not self._mini_clear(lo, hi):
                 continue
             edge = self._sigma_edge_of(lo) if dy == 0 else self._zeta_edge_of(lo)
             if edge is not None:

@@ -18,6 +18,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from math import lcm
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -50,24 +51,52 @@ class UnboundedWitness:
 def finite_closure(generators: Sequence[Mat], cap: int):
     """BFS closure of exact matrices; UnboundedWitness if it exceeds cap.
 
-    The BFS multiplies by the distinct generators other than the identity:
-    a product by a repeated generator or by the identity is already seen,
-    so skipping them changes neither the elements nor their order. The
-    witness word indexes the generators as given."""
+    The group acts on X, the union of the orbits of the unit vectors, and a
+    matrix is fixed by where it sends the unit vectors, so each element is
+    faithfully the permutation of X it induces. X is closed one seed at a
+    time; a seed's orbit has at most as many points as the group has
+    elements, so an orbit above cap already puts the closure above cap. The
+    BFS then composes index tuples, m g sending x to m(g(x)), and rebuilds
+    each element with column k the image of e_k. It multiplies by the
+    distinct generators other than the identity: a product by a repeated
+    generator or by the identity is already seen, so skipping them changes
+    neither the elements nor their order. The witness word indexes the
+    generators as given."""
     gens = tuple(generators)
     if not gens:
         raise ValueError("need at least one generator")
-    n = len(gens[0])
-    start = linalg.identity(n)
-    steps = tuple(g for g in dict.fromkeys(gens) if g != start)
+    units = linalg.identity(len(gens[0]))
+    steps = tuple(g for g in dict.fromkeys(gens) if g != units)
+    points: list[Vec] = []
+    index: dict[Vec, int] = {}
+    images: list[list[int]] = [[] for _ in steps]
+    for e in units:
+        if e in index:
+            continue
+        seed = done = len(points)
+        index[e] = seed
+        points.append(e)
+        while done < len(points):
+            x = points[done]
+            done += 1
+            for g, img in zip(steps, images):
+                y = linalg.mat_vec(g, x)
+                if y not in index:
+                    if len(points) - seed >= cap:
+                        return _unbounded_witness(gens, cap)
+                    index[y] = len(points)
+                    points.append(y)
+                img.append(index[y])
+    perms = tuple(map(tuple, images))
+    start = tuple(range(len(points)))
     seen = {start}
     order = [start]
     queue = [start]
     while queue:
         nxt = []
         for m in queue:
-            for g in steps:
-                h = linalg.mat_mul(m, g)
+            for g in perms:
+                h = tuple(map(m.__getitem__, g))
                 if h not in seen:
                     seen.add(h)
                     order.append(h)
@@ -75,7 +104,9 @@ def finite_closure(generators: Sequence[Mat], cap: int):
                     if len(seen) > cap:
                         return _unbounded_witness(gens, cap)
         queue = nxt
-    return FiniteMatrixGroup(tuple(order))
+    cols = [index[e] for e in units]
+    return FiniteMatrixGroup(tuple(
+        linalg.transpose([points[p[k]] for k in cols]) for p in order))
 
 
 def _unbounded_witness(gens: Sequence[Mat], cap: int) -> UnboundedWitness:
@@ -195,9 +226,12 @@ def detect_d4(vectors: Iterable[Vec], frame: Sequence[Vec]) -> RootSystemD4:
 
 
 def symplectic_subgroup(group: FiniteMatrixGroup, gram: Mat) -> FiniteMatrixGroup:
-    """Elements g with g^T gram g = gram."""
+    """Elements g with g^T gram g = gram, tested as g^T (d gram) g = d gram
+    for d the lcm of gram's denominators, so integer g take integer products."""
+    d = lcm(*(x.denominator for row in gram for x in row))
+    scaled = tuple(tuple((d * x).numerator for x in row) for row in gram)
     kept = tuple(
         m for m in group.elements
-        if linalg.mat_mul(linalg.mat_mul(linalg.transpose(m), gram), m) == gram
+        if linalg.mat_mul(linalg.mat_mul(linalg.transpose(m), scaled), m) == scaled
     )
     return FiniteMatrixGroup(kept)

@@ -1,6 +1,9 @@
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -96,6 +99,19 @@ def test_congruence_subcommand():
     assert all(all(x % 2 == 0 for x in (m[0][0] - 1, m[0][1], m[1][0],
                                         m[1][1] - 1))
                for m in report["matrices"])
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    argv = ["congruence", "--level", "2"]
+    proc = subprocess.run([sys.executable, "-m", "origamis", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    report = json.loads(proc.stdout)
+    assert report["command"] == "congruence" and report["level"] == 2
+    assert proc.stdout == capture(argv)[1]
 
 
 def test_action_restricted():

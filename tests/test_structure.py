@@ -11,11 +11,11 @@ from origamis import linalg
 from origamis.affine import (automorphism_lift, lift, matrix_in_chain_basis,
                              matrix_on)
 from origamis.catalog import QUATERNION_ORDER, catalog
-from origamis.errors import NotD4, NotInAut, NotInCyclicImage
+from origamis.errors import NotD4, NotInAut, NotInCyclicImage, OrderExceedsCap
 from origamis.homology import EdgeChain, chain_space
 from origamis.rootsys import (FiniteMatrixGroup, UnboundedWitness, _signed_maps,
-                              detect_d4, finite_closure, grows,
-                              symplectic_subgroup)
+                              _unbounded_witness, detect_d4, finite_closure,
+                              grows, symplectic_subgroup)
 from origamis.sl2z import CongruenceSubgroup, J_MAT, S_MAT, T_MAT, mat_pow
 from origamis.structure import (breve_blocks, cocycle_growth, combined_action,
                                 _log_abs, kernel_is_congruence, mod_psi,
@@ -485,6 +485,95 @@ def test_finite_closure_skips_repeats_and_identity(ew_report, orn3_report):
     # the witness word still indexes the list as given
     result = finite_closure([linalg.identity(2), shear, shear], 10)
     assert isinstance(result, UnboundedWitness) and result.word == (1,)
+
+
+def _random_signed_permutation(rng, n):
+    perm = rng.sample(range(n), n)
+    signs = [rng.choice((1, -1)) for _ in range(n)]
+    return tuple(tuple(signs[i] if perm[i] == j else 0 for j in range(n))
+                 for i in range(n))
+
+
+def _random_rational_invertible(rng, n):
+    while True:
+        p = tuple(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                        for _ in range(n)) for _ in range(n))
+        if linalg.det(p) != 0:
+            return p
+
+
+def _seeded_generator_lists(seed, draws=10):
+    """Signed-permutation groups in dimension 2 to 4, each also conjugated by
+    a rational matrix (Fraction entries) and padded with the identity and a
+    repeated generator."""
+    rng = random.Random(seed)
+    for _ in range(draws):
+        n = rng.randint(2, 4)
+        gens = [_random_signed_permutation(rng, n) for _ in range(rng.randint(1, 3))]
+        p = _random_rational_invertible(rng, n)
+        p_inv = linalg.mat_inv(p)
+        padded = gens + [linalg.identity(n), gens[0]]
+        rng.shuffle(padded)
+        yield gens
+        yield [linalg.mat_mul(linalg.mat_mul(p, g), p_inv) for g in gens]
+        yield padded
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_finite_closure_matches_matrix_bfs_on_seeded_groups(seed):
+    for gens in _seeded_generator_lists(seed):
+        expected = _closure_over_raw_list(gens)
+        assert finite_closure(gens, 400).elements == expected
+        # cap boundaries: the order itself, and one below it, where no short
+        # word of a finite group grows
+        assert finite_closure(gens, len(expected)).elements == expected
+        with pytest.raises(OrderExceedsCap) as witness_error:
+            _unbounded_witness(gens, len(expected) - 1)
+        with pytest.raises(OrderExceedsCap) as closure_error:
+            finite_closure(gens, len(expected) - 1)
+        assert str(closure_error.value) == str(witness_error.value)
+
+
+def test_finite_closure_cap_when_one_orbit_passes_it():
+    """A cyclic permutation matrix of order 5 moves e_1 through five points,
+    so the orbit alone passes cap 4 before any product is formed."""
+    cycle = tuple(tuple(int(j == (i + 1) % 5) for j in range(5)) for i in range(5))
+    assert finite_closure([cycle], 5).order == 5
+    with pytest.raises(OrderExceedsCap, match="cap 4"):
+        finite_closure([cycle], 4)
+    # an infinite group: the orbit of e_2 under the shear never closes
+    shear = ((1, 1), (0, 1))
+    gens = [((0, -1), (1, 0)), shear, linalg.identity(2)]
+    for cap in (3, 4, 10):
+        result = finite_closure(gens, cap)
+        assert isinstance(result, UnboundedWitness)
+        assert result == _unbounded_witness(gens, cap)
+
+
+def test_symplectic_subgroup_matches_double_product():
+    rng = random.Random(3)
+    half, three_quarters = Fraction(1, 2), Fraction(3, 4)
+    grams = [((0, half, 0, 0), (-half, 0, 0, 0),
+              (0, 0, 0, three_quarters), (0, 0, -three_quarters, 0)),
+             ((0, half, 0, 0), (-half, 0, 0, 0), (0, 0, 0, half), (0, 0, -half, 0))]
+    for _ in range(3):
+        upper = {(i, j): Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+                 for i in range(4) for j in range(i + 1, 4)}
+        grams.append(tuple(tuple(upper[i, j] if i < j else -upper[j, i] if j < i else 0
+                                 for j in range(4)) for i in range(4)))
+    gens = [_random_signed_permutation(rng, 4) for _ in range(3)]
+    gens += [((0, 1, 0, 0), (1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)),
+             ((0, 0, 1, 0), (0, 0, 0, 1), (1, 0, 0, 0), (0, 1, 0, 0)),
+             ((-1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))]
+    group = finite_closure(gens, 400)
+    assert group.order == 384
+    for gram in grams:
+        expected = tuple(
+            m for m in group.elements
+            if linalg.mat_mul(linalg.mat_mul(linalg.transpose(m), gram), m) == gram)
+        kept = symplectic_subgroup(group, gram)
+        assert kept.elements == expected
+    assert symplectic_subgroup(group, grams[1]).order > 2
 
 
 def test_symplectic_subgroup_identity_only():
