@@ -2,16 +2,27 @@
 verify suites under `python -O`."""
 
 import ast
+import itertools
 import json
 import os
 import subprocess
 import sys
 import types
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import origamis
+from origamis import (EdgeChain, Subspace, chain_space, cocycle_growth,
+                      cylinders, detect_d4, elementary_substitution,
+                      finite_closure, lift, linalg, make_origami, multitwist,
+                      sl2z_word, spin_parity, stratum_and_genus, vertex_classes)
+from origamis.cli import _jsonable
+from origamis.homology import StandardSplitting
+from origamis.invariants import SupplementCertificate
+from origamis.sl2z import T_MAT
+from origamis.structure import CongruenceReport
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = sorted((SRC / "origamis").glob("*.py"))
@@ -77,3 +88,86 @@ def test_verify_under_optimize_flag(suite):
         capture_output=True, text=True, env=env, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout)["pass"] is True
+
+
+# -- records compare and hash by value ---------------------------------------
+
+def _small_origami():
+    return make_origami(3, [1, 2, 0], [0, 2, 1])
+
+
+def _d4_system():
+    frame = linalg.identity(4)
+    roots = [tuple(sa * x + sb * y for x, y in zip(e, f))
+             for e, f in itertools.combinations(frame, 2)
+             for sa in (1, -1) for sb in (1, -1)]
+    return detect_d4(roots, frame)
+
+
+# a recipe per hashable record: each call builds a new, equal value
+HASHABLE_RECORDS = {
+    "Origami": _small_origami,
+    "VertexClass": lambda: vertex_classes(_small_origami())[0],
+    "Stratum": lambda: stratum_and_genus(_small_origami()),
+    "EdgeChain": lambda: EdgeChain((1, Fraction(1, 2)), (0, -1)),
+    "Subspace": lambda: Subspace(((1, 0, Fraction(1, 2)),), (0,)),
+    "StandardSplitting": lambda: StandardSplitting(
+        EdgeChain((1,), (0,)), EdgeChain((0,), (1,)),
+        Subspace(((1, 0),), (0,)), Subspace(((0, 1),), (1,))),
+    "EdgeSubstitution": lambda: elementary_substitution("T", _small_origami()),
+    "AffineLift": lambda: lift(_small_origami(), T_MAT),
+    "Sl2zWord": lambda: sl2z_word(((2, 1), (1, 1))),
+    "Cylinder": lambda: cylinders(_small_origami(), (1, 0)).cylinders[0],
+    "UnboundedWitness": lambda: finite_closure([((1, 1), (0, 1))], 3),
+    "RootSystemD4": _d4_system,
+}
+
+# records holding lists or dicts: equal, but not hashable
+UNHASHABLE_RECORDS = {
+    "CylinderDecomposition": lambda: cylinders(_small_origami(), (1, 1)),
+    "MultiTwist": lambda: multitwist(_small_origami(), (1, 0)),
+    "SpinResult": lambda: spin_parity(_small_origami()),
+    "SupplementCertificate": lambda: SupplementCertificate(
+        False, None, {"zeta0": Fraction(1, 6)}, 2, EdgeChain((1,), (0,))),
+    "CongruenceReport": lambda: CongruenceReport(2, True, 6, 6, [("S", 0)], []),
+    "GrowthReport": lambda: cocycle_growth([((1, 1), (0, 1))], 4, 2, seed=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HASHABLE_RECORDS))
+def test_equal_records_compare_and_hash_equal(name):
+    a, b = HASHABLE_RECORDS[name](), HASHABLE_RECORDS[name]()
+    assert type(a).__name__ == name and a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("name", sorted(UNHASHABLE_RECORDS))
+def test_equal_unhashable_records_compare_equal(name):
+    a, b = UNHASHABLE_RECORDS[name](), UNHASHABLE_RECORDS[name]()
+    assert type(a).__name__ == name and a is not b
+    assert a == b and not a != b
+
+
+def test_equal_origamis_share_one_chain_space():
+    # the lru_cache on chain_space is keyed by the origami's value
+    first = make_origami(4, [1, 2, 3, 0], [0, 1, 3, 2])
+    space = chain_space(first)
+    hits = chain_space.cache_info().hits
+    assert chain_space(make_origami(4, [1, 2, 3, 0], [0, 1, 3, 2])) is space
+    assert chain_space.cache_info().hits == hits + 1
+
+
+def test_origami_repr():
+    assert repr(_small_origami()) == "Origami(n=3, r=[1, 2, 0], u=[0, 2, 1])"
+
+
+def test_jsonable_writes_edge_chains_as_dicts():
+    ints = EdgeChain((1, 0), (0, -1))
+    halves = EdgeChain((Fraction(1, 2), 0), (0, 1))
+    report = {"core": ints, "basis": [ints, halves], "section": (halves,)}
+    one = '{"sigma": ["1", "0"], "zeta": ["0", "-1"]}'
+    two = '{"sigma": ["1/2", "0"], "zeta": ["0", "1"]}'
+    assert json.dumps(_jsonable(report), sort_keys=True) == (
+        f'{{"basis": [{one}, {two}], "core": {one}, "section": [{two}]}}')
