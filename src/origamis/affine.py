@@ -39,9 +39,8 @@ splitting one gives the same map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add, sub
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from .errors import (Inconsistent, NotAutomorphism, NotInvariant,
@@ -53,32 +52,10 @@ from .permutations import Perm
 from .sl2z import ID2, Mat2, Runs, mat_inv, mat_mul, sl2z_word
 
 
-@dataclass(frozen=True)
-class EdgeSubstitution:
+class EdgeSubstitution(NamedTuple):
     source: Origami
     target: Origami
     rows: tuple[tuple[tuple[int, int], ...], ...]  # row -> ((col, coeff), ...)
-
-    def apply_rows(self, matrix: Mat) -> Mat:
-        """(substitution) * matrix, one whole-row operation per entry.
-
-        The fast path is the +-1 entry every letter has: a row that is a lone
-        +1 entry shares that row of matrix, and each further +-1 entry adds or
-        subtracts a whole row. Any other coefficient scales its row first.
-        """
-        out = []
-        for entries in self.rows:
-            acc = (0,) * len(matrix[0])
-            for i, (col, coeff) in enumerate(entries):
-                row = matrix[col]
-                if coeff == 1 and not i:
-                    acc = row
-                elif coeff in (1, -1):
-                    acc = tuple(map(add if coeff == 1 else sub, acc, row))
-                else:
-                    acc = tuple(a + coeff * x for a, x in zip(acc, row))
-            out.append(acc)
-        return tuple(out)
 
 
 def _run_rows(letter: str, k: int, origami: Origami,
@@ -158,8 +135,7 @@ def _vertex_map_by_label(origami: Origami, phi: Perm) -> Perm:
     return Perm([images[k] for k in range(len(images))])
 
 
-@dataclass(frozen=True)
-class AffineLift:
+class AffineLift(NamedTuple):
     """(derivative, chain matrix, vertex action, closing relabeling) of an
     affine diffeomorphism."""
 

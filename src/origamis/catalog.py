@@ -200,12 +200,6 @@ class Ornithorynque:
     def zeta_breve(self, i: int) -> EdgeChain:
         return self.b_p(i) + self.b(i - 1)
 
-    def gamma(self, i: int) -> EdgeChain:
-        return self.sigma(i) + self.sigma_p(i - 1)
-
-    def delta(self, i: int) -> EdgeChain:
-        return self.zeta(i) + self.zeta_p(i + 1)
-
     def shift(self, g: int) -> Perm:
         """The automorphism (i, mu, nu) -> (i+g, mu, nu)."""
         images = [0] * (4 * self.q)
@@ -214,10 +208,6 @@ class Ornithorynque:
                 for nu in (0, 1):
                     images[self.idx(i, mu, nu)] = self.idx(i + g, mu, nu)
         return Perm(images)
-
-    def vertex_index_of(self, i: int, mu: int, nu: int) -> int:
-        from .origami import vertex_of_square
-        return vertex_of_square(self.origami)[self.idx(i, mu, nu)]
 
 
 APPENDIX_B_VERTICES = ((0, 0), (1, 2), (2, 3), (3, 3), (4, 2), (5, 1),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -34,14 +35,14 @@ def _jsonable(obj):
         return str(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, EdgeChain):  # a tuple, so before the list branch
+        return obj.to_json_dict()
     if isinstance(obj, (list, tuple)):
         if set(map(type, obj)) <= {int}:
             return obj
         return [_jsonable(x) for x in obj]
     if isinstance(obj, Perm):
         return list(obj.images)
-    if isinstance(obj, EdgeChain):
-        return obj.to_json_dict()
     return obj
 
 
@@ -403,7 +404,15 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early; point it at devnull so that the
+        # flush at exit does not raise again, and exit without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

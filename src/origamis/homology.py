@@ -21,10 +21,9 @@ the ribbon (quarter-sector) structure.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
 from .errors import Inconsistent, NotAbsolute, NotClosed
@@ -32,8 +31,7 @@ from .linalg import Mat, Vec
 from .origami import Origami, VertexClass, vertex_classes, vertex_of_square
 
 
-@dataclass(frozen=True)
-class EdgeChain:
+class EdgeChain(NamedTuple):
     """Exact chain (int or Fraction entries) over the edge generators."""
 
     sigma: Vec
@@ -78,18 +76,10 @@ class EdgeChain:
     def scale(self, c) -> "EdgeChain":
         return EdgeChain(linalg.vec_scale(c, self.sigma), linalg.vec_scale(c, self.zeta))
 
-    def is_integral(self) -> bool:
-        return all(x.denominator == 1 for x in self.sigma + self.zeta)
-
     def to_json_dict(self) -> dict:
         """{"sigma": [...], "zeta": [...]} with entries as "p" or "p/q"."""
         return {"sigma": [str(x) for x in self.sigma],
                 "zeta": [str(x) for x in self.zeta]}
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "EdgeChain":
-        return EdgeChain(tuple(Fraction(x) for x in data["sigma"]),
-                         tuple(Fraction(x) for x in data["zeta"]))
 
     def holonomy(self) -> tuple:
         return (sum(self.sigma), sum(self.zeta))
@@ -103,8 +93,7 @@ def zeta_chain(n: int, g: int, coeff=1) -> EdgeChain:
     return EdgeChain.unit(n, "z", g, coeff)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(NamedTuple):
     """Row-echelon basis of canonical-form flat vectors."""
 
     basis: tuple[Vec, ...]
@@ -113,9 +102,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    def contains_vec(self, v: Vec) -> bool:
-        return self.coords_of(v) is not None
 
     def coords_of(self, v: Vec) -> Vec | None:
         """Coordinates in basis order, or None if v is outside the span."""
@@ -131,8 +117,7 @@ class Subspace:
         return tuple(coords)
 
 
-@dataclass(frozen=True)
-class StandardSplitting:
+class StandardSplitting(NamedTuple):
     sigma: EdgeChain
     zeta: EdgeChain
     h1_0_abs: Subspace
@@ -295,16 +280,6 @@ class ChainSpace:
                 germs.append(("in", "s", ri(g)))
                 germs.append(("in", "z", r(ui(ri(g)))))
             out.append(germs)
-        return out
-
-    def sectors_at(self, vidx: int) -> list[tuple[str, int]]:
-        """Quarter sectors ccw; sector k sits between germ k and germ k+1."""
-        r, u = self.origami.r, self.origami.u
-        ri, ui = r.inverse(), u.inverse()
-        out = []
-        for g in self.vclasses[vidx].cycle:
-            out.extend([("LL", g), ("LR", ri(g)), ("UR", ui(ri(g))),
-                        ("UL", r(ui(ri(g))))])
         return out
 
     def germ_position(self, kind: str, etype: str, g: int) -> tuple[int, int]:

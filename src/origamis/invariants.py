@@ -8,11 +8,10 @@ and everything is transported back through the exact edge substitutions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import linalg
 from .affine import AffineLift, lift_all, transport
@@ -34,8 +33,7 @@ def normalize_direction(p: int, q: int) -> tuple[tuple[int, int], Mat2]:
     return (p, q), ((x, y), (-q, p))
 
 
-@dataclass(frozen=True)
-class Cylinder:
+class Cylinder(NamedTuple):
     rows: tuple[tuple[int, ...], ...]  # squares per row, in normalized labels
     width: int
     height: int
@@ -46,8 +44,7 @@ class Cylinder:
         return Fraction(self.width, self.height)
 
 
-@dataclass
-class CylinderDecomposition:
+class CylinderDecomposition(NamedTuple):
     origami: Origami
     direction: tuple[int, int]
     normalizer: Mat2
@@ -150,8 +147,7 @@ def _rational_lcm(values: Sequence[Fraction]) -> Fraction:
                     gcd(*(v.denominator for v in values)))
 
 
-@dataclass
-class MultiTwist:
+class MultiTwist(NamedTuple):
     direction: tuple[int, int]
     k: Fraction
     linear: Mat2
@@ -340,8 +336,7 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_x, old_y
 
 
-@dataclass
-class SpinResult:
+class SpinResult(NamedTuple):
     parity: str                        # "even" | "odd"
     basis: list[EdgeChain]             # a_1, b_1, a_2, b_2, ...
     indices: list[int]                 # ind mod 2 per basis element
@@ -373,8 +368,7 @@ def spin_parity(origami: Origami, clockwise: bool = False,
 # -- invariant supplements ------------------------------------------------------
 
 
-@dataclass
-class SupplementCertificate:
+class SupplementCertificate(NamedTuple):
     feasible: bool
     section: list[EdgeChain] | None
     forced: dict[str, Fraction] | None

@@ -8,17 +8,15 @@ the commutator orbit through g define the vertex structure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import Inconsistent, NotTransitive
 from .permutations import Perm, are_transitive, power_images
 from .sl2z import INVERSE_LETTER, Mat2, sl2z_word
 
 
-@dataclass(frozen=True)
-class Origami:
+class Origami(NamedTuple):
     n: int
     r: Perm
     u: Perm
@@ -32,8 +30,7 @@ class Origami:
         return f"Origami(n={self.n}, r={list(self.r.images)}, u={list(self.u.images)})"
 
 
-@dataclass(frozen=True)
-class VertexClass:
+class VertexClass(NamedTuple):
     cycle: tuple[int, ...]
 
     @property
@@ -45,8 +42,7 @@ class VertexClass:
         return len(self.cycle) - 1
 
 
-@dataclass(frozen=True)
-class Stratum:
+class Stratum(NamedTuple):
     zero_orders: tuple[int, ...]
     genus: int
 
@@ -223,7 +219,6 @@ def canonical_images(r: Sequence[int], u: Sequence[int],
     return r_new, u_new
 
 
-@dataclass
 class VeechGroup:
     """Orbit of an origami under S, T, with membership by moving along the
     S and T cycles of the edge table, one cycle walk per run of the word.
@@ -232,9 +227,12 @@ class VeechGroup:
     builds them into validated origamis when it is first read.
     """
 
-    origami: Origami
-    images: list[tuple[tuple[int, ...], tuple[int, ...]]]
-    edges: dict[tuple[int, str], int]
+    def __init__(self, origami: Origami,
+                 images: list[tuple[tuple[int, ...], tuple[int, ...]]],
+                 edges: dict[tuple[int, str], int]):
+        self.origami = origami
+        self.images = images
+        self.edges = edges
 
     @property
     def index(self) -> int:

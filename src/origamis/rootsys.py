@@ -15,20 +15,19 @@ of an automorphism is the classes it moves them into.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from math import lcm
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
 from .errors import NotD4, NotInAut, OrderExceedsCap
 from .linalg import Mat, Vec
 
 
-@dataclass(frozen=True)
 class FiniteMatrixGroup:
-    elements: tuple[Mat, ...]
+    def __init__(self, elements: tuple[Mat, ...]):
+        self.elements = elements
 
     @property
     def order(self) -> int:
@@ -42,8 +41,7 @@ class FiniteMatrixGroup:
         return m in self._members
 
 
-@dataclass(frozen=True)
-class UnboundedWitness:
+class UnboundedWitness(NamedTuple):
     word: tuple[int, ...]
     matrix: Mat
 
@@ -131,11 +129,21 @@ def grows(m: Mat) -> bool:
     return False
 
 
-@dataclass(frozen=True)
 class RootSystemD4:
-    span_basis: tuple[Vec, ...]        # rows spanning the ambient 4-space
-    roots: tuple[Vec, ...]             # in span coordinates
-    frame: tuple[Vec, ...]             # 4 frame vectors, span coordinates
+    def __init__(self, span_basis: tuple[Vec, ...], roots: tuple[Vec, ...],
+                 frame: tuple[Vec, ...]):
+        self.span_basis = span_basis   # rows spanning the ambient 4-space
+        self.roots = roots             # in span coordinates
+        self.frame = frame             # 4 frame vectors, span coordinates
+
+    def _key(self) -> tuple:
+        return (self.span_basis, self.roots, self.frame)
+
+    def __eq__(self, other) -> bool:
+        return type(other) is RootSystemD4 and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     def frame_coords(self, v_span: Vec) -> Vec:
         coords = linalg.solve(linalg.transpose(self.frame), v_span)

@@ -11,8 +11,7 @@ Matrices are immutable 2x2 integer tuples ((a, b), (c, d)).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
 
@@ -79,8 +78,7 @@ def eval_letters(letters: Iterable[str]) -> Mat2:
     return out
 
 
-@dataclass(frozen=True)
-class Sl2zWord:
+class Sl2zWord(NamedTuple):
     """Word over {S, S^-1, T, T^-1} as runs ((letter, k), ...), with a sign.
 
     sign * (product of the letter^k) equals the source matrix; exact_runs()

@@ -14,9 +14,8 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
 from .affine import AffineLift, automorphism_lift, lift, matrix_on
@@ -30,14 +29,17 @@ from .rootsys import UnboundedWitness, finite_closure
 from .sl2z import CongruenceSubgroup, ID2, J_MAT, S_MAT, T_MAT, mat_pow
 
 
-@dataclass
 class DecompositionReport:
-    origami: Origami
-    subspaces: dict[str, Subspace]
-    chains: dict[str, EdgeChain]
-    lifts: dict[str, AffineLift]
-    checks: dict[str, bool] = field(default_factory=dict)
-    intersection_sign: int = 1
+    def __init__(self, origami: Origami, subspaces: dict[str, Subspace],
+                 chains: dict[str, EdgeChain], lifts: dict[str, AffineLift],
+                 checks: dict[str, bool] | None = None,
+                 intersection_sign: int = 1):
+        self.origami = origami
+        self.subspaces = subspaces
+        self.chains = chains
+        self.lifts = lifts
+        self.checks = {} if checks is None else checks
+        self.intersection_sign = intersection_sign
 
     @property
     def all_ok(self) -> bool:
@@ -239,8 +241,7 @@ def breve_blocks(orn: Ornithorynque, lift_: AffineLift) -> Mat:
 # -- congruence kernels -------------------------------------------------------
 
 
-@dataclass
-class CongruenceReport:
+class CongruenceReport(NamedTuple):
     level: int
     holds: bool
     image_order: int
@@ -328,8 +329,7 @@ def operator_norm(m: Mat):
     return max(sum(abs(x) for x in row) for row in m)
 
 
-@dataclass
-class GrowthReport:
+class GrowthReport(NamedTuple):
     max_log_norm: float
     growth_rate: float
     max_norm_exceeded: bool

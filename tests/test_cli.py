@@ -101,17 +101,36 @@ def test_congruence_subcommand():
                for m in report["matrices"])
 
 
-def test_python_dash_m_runs_the_cli():
+def _src_env() -> dict:
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join([src] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def test_python_dash_m_runs_the_cli():
     argv = ["congruence", "--level", "2"]
     proc = subprocess.run([sys.executable, "-m", "origamis", *argv],
-                          capture_output=True, text=True, env=env, timeout=120)
+                          capture_output=True, text=True, env=_src_env(),
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     report = json.loads(proc.stdout)
     assert report["command"] == "congruence" and report["level"] == 2
     assert proc.stdout == capture(argv)[1]
+
+
+def test_closed_stdout_is_a_quiet_exit():
+    """A reader that stops after one line (as `| head -1` does) closes the
+    pipe while the report, about 600 kB, is still being written: exit 1
+    with nothing on stderr, not a BrokenPipeError traceback."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "origamis", "veech", "--name", "appendix-b"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_src_env())
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert stderr == b""
 
 
 def test_action_restricted():

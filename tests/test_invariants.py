@@ -13,7 +13,7 @@ from origamis.invariants import (cylinders, index_parity,
                                  index_parity_clockwise, invariant_supplement,
                                  multitwist, quadratic_form_value, spin_parity,
                                  symplectic_basis, transversal_pairing)
-from origamis.origami import make_origami
+from origamis.origami import make_origami, vertex_of_square
 from origamis.permutations import Perm, random_transitive_pair
 
 TORUS = make_origami(1, Perm([0]), Perm([0]))
@@ -392,7 +392,7 @@ def test_supplement_feasible_ew(ew, ew_report):
     hrel = ew_report.subspaces["H_rel"]
     section_span = space.subspace_from(cert.section)
     assert section_span.dim == 3
-    assert all(hrel.contains_vec(space.canonical_vec(c.flat()))
+    assert all(hrel.coords_of(space.canonical_vec(c.flat())) is not None
                for c in cert.section)
 
 
@@ -404,14 +404,14 @@ def test_supplement_feasible_orn3(orn3, orn3_report):
     cert = invariant_supplement(origami, space.singular_vertices(), probes)
     assert cert.feasible
     hrel = orn3_report.subspaces["H_rel"]
-    assert all(hrel.contains_vec(space.canonical_vec(c.flat()))
+    assert all(hrel.coords_of(space.canonical_vec(c.flat())) is not None
                for c in cert.section)
 
 
 def test_supplement_rejects_probes_leaving_marks(orn3, orn3_report):
     origami = orn3.origami
-    vmap = orn3.vertex_index_of
+    owner = vertex_of_square(origami)
     # mark one regular point; the shift automorphism moves it off the marks
-    marks = [vmap(0, 0, 0), vmap(0, 1, 1)]
+    marks = [owner[orn3.idx(0, 0, 0)], owner[orn3.idx(0, 1, 1)]]
     with pytest.raises(ProbeMovesMarks):
         invariant_supplement(origami, marks, [orn3_report.lifts["aut_1"]])

@@ -2,6 +2,7 @@
 verify suites under `python -O`."""
 
 import ast
+import importlib.util
 import itertools
 import json
 import os
@@ -88,6 +89,28 @@ def test_verify_under_optimize_flag(suite):
         capture_output=True, text=True, env=env, timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout)["pass"] is True
+
+
+def test_cli_import_loads_no_dataclasses_and_every_traced_module():
+    """`import origamis.cli` in a fresh interpreter leaves out `dataclasses`
+    and `inspect` (about 25 ms of every CLI process), and loads every module
+    the benchmark tracer wraps right after that import. -S keeps site hooks
+    out of the module list."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", SRC.parent / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import json, sys, origamis.cli; print(json.dumps(sorted(sys.modules)))"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    loaded = set(json.loads(proc.stdout))
+    assert not loaded & {"dataclasses", "inspect"}
+    assert {f"origamis.{mod}" for mod, _ in tracer.SPANS} <= loaded
 
 
 # -- records compare and hash by value ---------------------------------------
