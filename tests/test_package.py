@@ -1,5 +1,6 @@
-"""Package-wide checks: the public names, no `assert` in the library, and
-verify suites under `python -O`."""
+"""Package-wide checks: the public names, no `assert` in the library, verify
+suites under `python -O`, what importing the CLI loads, and the value
+semantics of the records."""
 
 import ast
 import importlib.util
@@ -75,38 +76,39 @@ def test_lint_sees_arithmetic_error(tmp_path):
     assert _assertions(bad) == [1, 2]
 
 
+def _src_env() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
 # theorem-b runs the triality labels, the Weyl group and the congruence kernel;
 # theorem-b --q 5 the tau character and the S2 T2 growth test; theorem-a the
 # int Gamma(4) closure, triality and the kernel on the Wollmilchsau
 @pytest.mark.parametrize("suite", ["appendix-a", "theorem-a", "theorem-b",
                                    "theorem-b --q 5"])
 def test_verify_under_optimize_flag(suite):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
         [sys.executable, "-O", "-m", "origamis.cli", "verify", *suite.split()],
-        capture_output=True, text=True, env=env, timeout=600)
+        capture_output=True, text=True, env=_src_env(), timeout=600)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert json.loads(proc.stdout)["pass"] is True
 
 
 def test_cli_import_loads_no_dataclasses_and_every_traced_module():
-    """`import origamis.cli` in a fresh interpreter leaves out `dataclasses`
-    and `inspect` (about 25 ms of every CLI process), and loads every module
-    the benchmark tracer wraps right after that import. -S keeps site hooks
-    out of the module list."""
+    """`import origamis.cli` in a fresh interpreter loads neither
+    `dataclasses` nor `inspect`, which every CLI process would pay for, and
+    loads every module the benchmark tracer wraps right after that import.
+    -S keeps site hooks out of the module list."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", SRC.parent / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(SRC)] + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
         [sys.executable, "-S", "-c",
          "import json, sys, origamis.cli; print(json.dumps(sorted(sys.modules)))"],
-        capture_output=True, text=True, env=env, timeout=120)
+        capture_output=True, text=True, env=_src_env(), timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     loaded = set(json.loads(proc.stdout))
     assert not loaded & {"dataclasses", "inspect"}
