@@ -1,11 +1,13 @@
-"""Affine diffeomorphisms as exact matrices on the edge chain space.
+"""Affine diffeomorphisms as exact sparse integer maps on the edge chain space.
 
 A Veech group element M is lifted by decomposing M into runs letter^k of
 the generators (``sl2z_word``), composing one edge substitution per run along
 the SL(2,Z) orbit of the origami, and closing up with a relabeling
-isomorphism from the final origami back to the start. Lifts are integer
-matrices on the full 2n-dimensional chain space; equality is always tested
-on canonical forms.
+isomorphism from the final origami back to the start. A lift keeps its map
+on the 2n-dimensional chain space as sparse integer rows ((col, coeff), ...),
+columns ascending and no zero coefficient, so equal maps have equal rows.
+Images, products and the identity test (on the free columns only) read
+those rows; equality of classes is tested on canonical forms.
 
 The letter substitutions (target origami listed first) are
 
@@ -19,12 +21,12 @@ the target and fixes every vertex (so vertex classes carry over by label).
 Each letter's substitution is inverted by the opposite letter's substitution
 on its target, so a word is undone by transporting its inverse word back.
 
-A word is transported on whole integer rows: the map so far is multiplied on
-the left by each letter's substitution, whose rows have at most two entries,
-each +-1. So a letter is n row moves (the zeta rows of T and T-, the sigma
-rows of S and S-, re-indexed and shared, not copied) plus n row additions
-(T, S) or subtractions (T-, S-) onto the other block. A run (letter, k)
-of the word is one such step, by the closed forms
+A word is transported on whole sparse integer rows: the map so far is
+multiplied on the left by each letter's substitution, whose rows have at
+most two entries, each +-1. So a letter is n row moves (the zeta rows of T
+and T-, the sigma rows of S and S-, re-indexed and shared, not copied) plus
+n row additions (T, S) or subtractions (T-, S-) onto the other block. A run
+(letter, k) of the word is one such step, by the closed forms
 
     T^k:   zeta_g  -> zeta_{r^k g}  + sum_{0<=i<k} sigma_{r^i g}
     T^-k:  zeta_g  -> zeta_{r^-k g} - sum_{1<=i<=k} sigma_{r^-i g}
@@ -35,11 +37,16 @@ in which a sum over k consecutive squares of a cycle of length c is
 (k div c) times the cycle sum plus k mod c of its terms; a run costs a few
 row operations per square, whatever its length. Runs need not be maximal:
 splitting one gives the same map.
+
+A lift also keeps its word. Relabelings commute with substitutions, so a
+product concatenates words and multiplies closings, and a lift's exact
+inverse is its inverse word's transport closed by the inverse relabeling.
 """
 
 from __future__ import annotations
 
-from operator import add, sub
+import functools
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from . import linalg
@@ -49,18 +56,56 @@ from .homology import EdgeChain, Subspace, chain_space
 from .linalg import Mat, Vec
 from .origami import Origami, isomorphisms, sl2z_act, vertex_of_square
 from .permutations import Perm
-from .sl2z import ID2, Mat2, Runs, mat_inv, mat_mul, sl2z_word
+from .sl2z import (ID2, Mat2, Runs, inverse_runs, mat_inv, mat_mul,
+                   sl2z_word)
+
+Row = tuple[tuple[int, int], ...]  # ((col, coeff), ...), columns ascending
+
+
+def _row(acc: dict) -> Row:
+    """The canonical row of a sum held as {col: coeff}."""
+    return tuple(sorted([(j, x) for j, x in acc.items() if x]))
+
+
+def _add_to(acc: dict, row, c: int = 1) -> dict:
+    """acc += c * row, for row pairs (col, coeff)."""
+    get = acc.get
+    for j, x in row:
+        acc[j] = get(j, 0) + c * x
+    return acc
+
+
+def _dense(rows: Sequence[dict]) -> Mat:
+    """The square dense matrix of {col: coeff} rows."""
+    width = range(len(rows))
+    return tuple(tuple(map(row.get, width, repeat(0))) for row in rows)
+
+
+def _product(a: Sequence[Row], b: Sequence[Row]) -> tuple[Row, ...]:
+    """The rows of a * b."""
+    out = []
+    for row in a:
+        acc: dict = {}
+        for k, x in row:
+            _add_to(acc, b[k], x)
+        out.append(_row(acc))
+    return tuple(out)
+
+
+def _times(rows: Sequence[Row], v: Vec) -> Vec:
+    """rows times the vector v: each entry reads only the row's columns."""
+    return tuple([sum([x * v[j] for j, x in row]) for row in rows])
 
 
 class EdgeSubstitution(NamedTuple):
     source: Origami
     target: Origami
-    rows: tuple[tuple[tuple[int, int], ...], ...]  # row -> ((col, coeff), ...)
+    rows: tuple[Row, ...]
 
 
 def _run_rows(letter: str, k: int, origami: Origami,
-              rows: Sequence[Vec]) -> list[Vec]:
-    """The rows of (substitution of letter^k on origami) * rows.
+              rows: Sequence[dict]) -> list[dict]:
+    """The {col: coeff} rows of (substitution of letter^k on origami) * rows.
 
     Each cycle of p (r for T and T-, u for S and S-) is walked with the step
     p^-1 (T, S) or p (T-, S-) as x_0, x_1, ..., indices mod its length c.
@@ -74,54 +119,62 @@ def _run_rows(letter: str, k: int, origami: Origami,
     perm, moving, fixed = (origami.r, n, 0) if letter in ("T", "T-") \
         else (origami.u, 0, n)
     forward = letter in ("T", "S")
-    combine = add if forward else sub
+    sign = 1 if forward else -1
     out = list(rows)
     for cycle in perm.cycles():
         walk = cycle[::-1] if forward else cycle
         c = len(walk)
         moved = [rows[moving + x] for x in walk]
         added = moved if forward else moved[1:] + moved[:1]  # row x_{t+o}
+        window: dict = {}
+        for row in moved if k >= c else ():
+            _add_to(window, row.items(), k // c)
+        for row in added[:k % c]:
+            _add_to(window, row.items())
         for t, x in enumerate(walk):
             out[moving + x] = moved[(t + k) % c]
             if k == 1:
-                window = added[t]
-            elif t:
-                window = tuple(map(add, map(sub, window, added[t - 1]),
-                                   added[(t - 1 + k) % c]))
+                terms = added[t]
             else:
-                window = tuple(k // c * x for x in map(sum, zip(*moved)))
-                for row in added[:k % c]:
-                    window = tuple(map(add, window, row))
-            out[fixed + x] = tuple(map(combine, rows[fixed + x], window))
+                if t:
+                    _add_to(window, added[t - 1].items(), -1)
+                    _add_to(window, added[(t - 1 + k) % c].items())
+                terms = window
+            out[fixed + x] = _add_to(rows[fixed + x].copy(), terms.items(), sign)
     return out
 
 
 def elementary_substitution(letter: str, origami: Origami) -> EdgeSubstitution:
     """One letter's substitution as sparse rows: its run of length one
     applied to the identity."""
-    dense = _run_rows(letter, 1, origami, linalg.identity(2 * origami.n))
-    rows = tuple(tuple((col, x) for col, x in enumerate(row) if x) for row in dense)
-    return EdgeSubstitution(origami, sl2z_act(letter, origami), rows)
+    rows = _transport(origami, ((letter, 1),))[1]
+    return EdgeSubstitution(origami, sl2z_act(letter, origami),
+                            tuple(map(_row, rows)))
+
+
+def _transport(origami: Origami, runs: Runs) -> tuple[Origami, list[dict]]:
+    """Push the substitutions of a word's runs (rightmost run first) through
+    the identity, one step per run: (final origami, the {col: coeff} rows of
+    the chain map into it)."""
+    current, rows = origami, [{j: 1} for j in range(2 * origami.n)]
+    for letter, k in reversed(runs):
+        rows, current = (_run_rows(letter, k, current, rows),
+                         sl2z_act(letter, current, k))
+    return current, rows
 
 
 def transport(origami: Origami, runs: Runs) -> tuple[Origami, Mat]:
-    """Push the substitutions of a word's runs (rightmost run first) through
-    the integer identity, one step per run: (final origami, chain map into
-    it)."""
-    current = origami
-    total = linalg.identity(2 * origami.n)
-    for letter, k in reversed(runs):
-        total, current = (_run_rows(letter, k, current, total),
-                          sl2z_act(letter, current, k))
-    return current, tuple(total)
+    """The word transport of `_transport` as a dense integer matrix."""
+    current, rows = _transport(origami, runs)
+    return current, _dense(rows)
 
 
-def _relabel_rows(matrix: Mat, phi: Perm) -> Mat:
-    """(relabeling by phi) * matrix: row phi(g) <- row g in both blocks."""
-    n = len(matrix) // 2
+def _relabel_rows(rows: Sequence[Row], phi: Perm) -> tuple[Row, ...]:
+    """(relabeling by phi) * rows: row phi(g) <- row g in both blocks."""
+    n = len(rows) // 2
     back = phi.inverse()
-    return tuple(matrix[back(g)] for g in range(n)) + \
-        tuple(matrix[n + back(g)] for g in range(n))
+    return tuple(rows[back(g)] for g in range(n)) + \
+        tuple(rows[n + back(g)] for g in range(n))
 
 
 def _vertex_map_by_label(origami: Origami, phi: Perm) -> Perm:
@@ -136,21 +189,26 @@ def _vertex_map_by_label(origami: Origami, phi: Perm) -> Perm:
 
 
 class AffineLift(NamedTuple):
-    """(derivative, chain matrix, vertex action, closing relabeling) of an
-    affine diffeomorphism."""
+    """An affine diffeomorphism: its derivative, its chain map as sparse
+    integer rows (`matrix`, their dense view, is cached for 16 lifts), its
+    vertex action, and the closing and word of its transport."""
 
     origami: Origami
     linear: Mat2
-    matrix: Mat
+    rows: tuple[Row, ...]
     vertex_perm: Perm
     relabeling: Perm
+    runs: Runs
+
+    matrix = property(functools.lru_cache(16)(
+        lambda self: _dense([dict(row) for row in self.rows])))
 
     def apply(self, chain: EdgeChain) -> EdgeChain:
-        return EdgeChain.from_flat(linalg.mat_vec(self.matrix, chain.flat()))
+        return EdgeChain.from_flat(_times(self.rows, chain.flat()))
 
     def image(self, v: Vec) -> Vec:
         """The canonical form of the image of the flat vector v."""
-        return chain_space(self.origami).canonical_vec(linalg.mat_vec(self.matrix, v))
+        return chain_space(self.origami).canonical_vec(_times(self.rows, v))
 
     def compose(self, other: "AffineLift") -> "AffineLift":
         """self after other."""
@@ -159,32 +217,35 @@ class AffineLift(NamedTuple):
         return AffineLift(
             self.origami,
             mat_mul(self.linear, other.linear),
-            linalg.mat_mul(self.matrix, other.matrix),
+            _product(self.rows, other.rows),
             self.vertex_perm * other.vertex_perm,
             self.relabeling * other.relabeling,
+            self.runs + other.runs,
         )
 
     def inverse(self) -> "AffineLift":
-        return AffineLift(
-            self.origami,
-            mat_inv(self.linear),
-            linalg.mat_inv(self.matrix),
-            self.vertex_perm.inverse(),
-            self.relabeling.inverse(),
-        )
+        """The inverse word's transport closed by the inverse relabeling."""
+        runs = inverse_runs(self.runs)
+        return _closed(self.origami, mat_inv(self.linear), runs,
+                       tuple(map(_row, _transport(self.origami, runs)[1])),
+                       self.relabeling.inverse())
 
     def is_identity(self) -> bool:
+        """Whether the lift fixes the derivative, the vertex classes and the
+        class of e_j for each free column j. That is exact: those e_j span
+        the chain space modulo the relations, which every lift maps into
+        themselves."""
         if self.linear != ID2 or not self.vertex_perm.is_identity():
             return False
         space = chain_space(self.origami)
-        for j, col in enumerate(linalg.transpose(self.matrix)):
-            # column j differs from the unit vector e_j by a relation
-            if any(space.canonical_vec(tuple(x - (k == j) for k, x in enumerate(col)))):
-                return False
-        return True
-
-    def same_action(self, other: "AffineLift") -> bool:
-        return self.compose(other.inverse()).is_identity()
+        # column j of the map, less e_j
+        columns = {j: [-int(i == j) for i in range(len(self.rows))]
+                   for j in space.free}
+        for i, row in enumerate(self.rows):
+            for j, x in row:
+                if j in columns:
+                    columns[j][i] += x
+        return not any(any(space.canonical_vec(col)) for col in columns.values())
 
     def __pow__(self, k: int) -> "AffineLift":
         if k < 0:
@@ -204,30 +265,33 @@ def identity_lift(origami: Origami) -> AffineLift:
 
 
 def automorphism_lift(origami: Origami, a: Perm) -> AffineLift:
+    """The translation by a: the empty word closed by a (permutation rows)."""
     if a.n != origami.n:
         raise NotAutomorphism(f"permutation of {a.n} squares, not {origami.n}")
     if a * origami.r != origami.r * a or a * origami.u != origami.u * a:
         raise NotAutomorphism("permutation does not commute with r and u")
-    return _closed(origami, ID2, linalg.identity(2 * origami.n), a)
+    unit = tuple(((j, 1),) for j in range(2 * origami.n))
+    return _closed(origami, ID2, (), unit, a)
 
 
-def _closed(origami: Origami, m: Mat2, total: Mat, phi: Perm) -> AffineLift:
-    """The lift whose word transport `total` is closed up by relabeling phi.
-
-    Every letter carries vertex classes over by square label, so the vertex
-    action is that of phi alone.
-    """
-    return AffineLift(origami, m, _relabel_rows(total, phi),
-                      _vertex_map_by_label(origami, phi), phi)
+def _closed(origami: Origami, m: Mat2, runs: Runs, rows: Sequence[Row],
+            phi: Perm) -> AffineLift:
+    """The lift whose transport `rows` along runs is closed up by phi; every
+    letter carries vertex classes over by label, so phi alone moves them."""
+    return AffineLift(origami, m, _relabel_rows(rows, phi),
+                      _vertex_map_by_label(origami, phi), phi, runs)
 
 
 def lift_all(origami: Origami, m: Mat2) -> list[AffineLift]:
-    """All lifts of m, one per closing isomorphism (torsor under Aut)."""
-    current, total = transport(origami, sl2z_word(m).exact_runs())
+    """All lifts of m, one per closing isomorphism (torsor under Aut); they
+    share the rows of one transport."""
+    runs = sl2z_word(m).exact_runs()
+    current, rows = _transport(origami, runs)
     closings = isomorphisms(current, origami)
     if not closings:
         raise NotInVeechGroup(f"{m} does not stabilize the origami")
-    return [_closed(origami, m, total, phi) for phi in closings]
+    rows = tuple(map(_row, rows))
+    return [_closed(origami, m, runs, rows, phi) for phi in closings]
 
 
 def lift(origami: Origami, m: Mat2) -> AffineLift:
@@ -237,10 +301,8 @@ def lift(origami: Origami, m: Mat2) -> AffineLift:
     exists, else the lexicographically least.
     """
     lifts = lift_all(origami, m)
-    for lf in lifts:
-        if lf.relabeling(origami.base) == origami.base:
-            return lf
-    return lifts[0]
+    return next((lf for lf in lifts
+                 if lf.relabeling(origami.base) == origami.base), lifts[0])
 
 
 def power_order(lift_: AffineLift, cap: int) -> int:

@@ -66,9 +66,6 @@ class Wollmilchsau:
         u = Perm([quaternion_index(quaternion_mul(g, "j")) for g in QUATERNION_ORDER])
         self.origami = make_origami(n, r, u)
 
-    def square(self, g: str) -> int:
-        return quaternion_index(g)
-
     def sigma(self, g: str, coeff=1) -> EdgeChain:
         return sigma_chain(8, quaternion_index(g), coeff)
 

@@ -21,7 +21,7 @@ from .invariants import cylinders, invariant_supplement, multitwist, spin_parity
 from .origami import (Origami, automorphisms, make_origami, stratum_and_genus,
                       veech_group, vertex_classes)
 from .permutations import Perm
-from .polygons import polygon_to_origami
+from .polygons import polygon_to_origami, twice_area
 from .rootsys import FiniteMatrixGroup, finite_closure
 from .sl2z import congruence_generators
 from .structure import (cocycle_growth, decompose_ew, decompose_orn,
@@ -57,8 +57,11 @@ def load_origami(args) -> Origami:
         try:
             with open(args.origami) as handle:
                 data = json.load(handle)
-            if "vertices" in data:
-                return polygon_to_origami(data["vertices"])
+            pts = data["vertices"] if "vertices" in data else None
+            squares = data["n"] if pts is None else abs(twice_area(pts)) // 2
+            _check_bound("an --origami file's squares", squares, *_BOUNDS["squares"])
+            if pts is not None:
+                return polygon_to_origami(pts)
             return make_origami(data["n"], Perm(data["r"]), Perm(data["u"]),
                                 data.get("base", 0))
         except (OSError, ValueError, KeyError, TypeError) as err:
@@ -97,8 +100,18 @@ def _parse_dir(text: str) -> tuple[int, int]:
     return (p, q)
 
 
-# the least accepted value of each bounded integer option
-_MINIMUM = {"cap": 1, "len": 1, "trials": 1, "level": 2}
+# the least and the most accepted value of each bounded integer option (None:
+# no bound); --q stops at 41, whose surface's 164 squares are the most an
+# --origami file may hold (its n, or its polygon's area)
+_BOUNDS = {"cap": (1, None), "len": (1, None), "trials": (1, None),
+           "level": (2, None), "q": (None, 41), "squares": (None, 164)}
+
+
+def _check_bound(name: str, value, least, most) -> None:
+    if value is not None and least is not None and value < least:
+        raise BadArgument(f"{name} must be at least {least}")
+    if value is not None and most is not None and value > most:
+        raise BadArgument(f"{name} must be at most {most}")
 
 
 def _named_subspaces(args):
@@ -392,9 +405,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        for option, least in _MINIMUM.items():
-            if getattr(args, option, least) < least:
-                raise BadArgument(f"--{option} must be at least {least}")
+        for option, (least, most) in _BOUNDS.items():
+            _check_bound(f"--{option}", getattr(args, option, None), least, most)
         report = args.fn(args)
     except OrigamiError as err:
         emit({"error": type(err).__name__, "message": str(err)})

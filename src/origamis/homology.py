@@ -205,8 +205,9 @@ class ChainSpace:
 
     def full_subspace(self) -> Subspace:
         """The unit vectors on the columns that canonical forms keep."""
-        unit = linalg.identity(2 * self.n)
-        return Subspace(tuple(unit[j] for j in self.free), self.free)
+        width = range(2 * self.n)
+        return Subspace(tuple(tuple(int(k == j) for k in width) for j in self.free),
+                        self.free)
 
     def _cycle_lattice(self, allowed_vertices: set[int],
                        zero_holonomy: bool) -> list[Vec]:
@@ -433,14 +434,6 @@ class ChainSpace:
             tuple(self.intersection(a, b) for b in chains) for a in chains
         )
 
-    # -- transversal pairing -----------------------------------------------------
-
-    def horizontal_core_pairing(self, row_squares: Sequence[int], c: EdgeChain):
-        return sum(c.zeta[j] for j in row_squares)
-
-    def vertical_core_pairing(self, col_squares: Sequence[int], c: EdgeChain):
-        return -sum(c.sigma[j] for j in col_squares)
-
 
 def _chords_interleave(a1, a2, b1, b2) -> bool:
     """Whether chords {a1,a2}, {b1,b2} cross, endpoints as cyclic sort keys."""
@@ -455,36 +448,3 @@ def _chords_interleave(a1, a2, b1, b2) -> bool:
 def chain_space(origami: Origami) -> ChainSpace:
     return ChainSpace(origami)
 
-
-# -- functional wrappers matching the operation names -----------------------
-
-
-def relation_lattice(origami: Origami) -> list[EdgeChain]:
-    """Basis of n-1 independent square relations (their full sum is zero)."""
-    space = chain_space(origami)
-    return [space.relation_chain(g) for g in range(origami.n - 1)]
-
-
-def canonical_form(origami: Origami, chain: EdgeChain) -> EdgeChain:
-    return chain_space(origami).canonical(chain)
-
-
-def boundary(origami: Origami, chain: EdgeChain) -> Vec:
-    return chain_space(origami).boundary(chain)
-
-
-def holonomy(chain: EdgeChain) -> tuple:
-    return chain.holonomy()
-
-
-def marked_subspace(origami: Origami, marks: Sequence[int]) -> Subspace:
-    return chain_space(origami).marked_subspace(marks)
-
-
-def standard_splitting(origami: Origami) -> StandardSplitting:
-    return chain_space(origami).standard_splitting()
-
-
-def intersection_form(origami: Origami, a: EdgeChain,
-                      b: EdgeChain) -> int | Fraction:
-    return chain_space(origami).intersection(a, b)

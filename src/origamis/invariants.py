@@ -20,7 +20,7 @@ from .errors import (EvenConeMultiplicity, Inconsistent, NoMatchingLift,
 from .homology import EdgeChain, chain_space
 from .linalg import Mat, Vec
 from .origami import Origami
-from .sl2z import INVERSE_LETTER, Mat2, sl2z_word
+from .sl2z import Mat2, inverse_runs, sl2z_word
 
 
 def normalize_direction(p: int, q: int) -> tuple[tuple[int, int], Mat2]:
@@ -67,8 +67,7 @@ def cylinders(origami: Origami, direction: tuple[int, int]) -> CylinderDecomposi
     (p, q), normalizer = normalize_direction(*direction)
     runs = sl2z_word(normalizer).exact_runs()
     normalized, to_norm = transport(origami, runs)
-    inverse = tuple((INVERSE_LETTER[x], k) for x, k in reversed(runs))
-    _, from_norm = transport(normalized, inverse)
+    _, from_norm = transport(normalized, inverse_runs(runs))
     space = chain_space(normalized)
     rows = normalized.r.cycles()
     row_of = {}
@@ -125,21 +124,6 @@ def cylinders(origami: Origami, direction: tuple[int, int]) -> CylinderDecomposi
         raise Inconsistent("cylinder areas must tile the surface")
     return CylinderDecomposition(origami, (p, q), normalizer, normalized,
                                  cyls, to_norm, from_norm)
-
-
-def transversal_pairing(origami: Origami, direction: tuple[int, int],
-                        row_squares: Sequence[int], chain: EdgeChain):
-    """Crossing count of a cylinder core push-off with a relative chain.
-
-    Horizontal cores sum the zeta coefficients over the row; vertical cores
-    sum -sigma over the column; other directions go through normalization.
-    """
-    if tuple(direction) == (1, 0):
-        return chain_space(origami).horizontal_core_pairing(row_squares, chain)
-    if tuple(direction) == (0, 1):
-        return chain_space(origami).vertical_core_pairing(row_squares, chain)
-    pi = _pairing_row(cylinders(origami, tuple(direction)), row_squares)
-    return sum(p * x for p, x in zip(pi, chain.flat()))
 
 
 def _rational_lcm(values: Sequence[Fraction]) -> Fraction:

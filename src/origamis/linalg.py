@@ -123,8 +123,21 @@ def rref(a: Mat) -> tuple[Mat, list[int]]:
     return tuple(tuple(map(exact, row)) for row in rows[:rank]), pivots
 
 
-def rank(a: Mat) -> int:
-    return len(rref(a)[1])
+def rank_mod(a: Mat, p: int) -> int:
+    """The rank modulo the prime p of the rows of a, each scaled to integers
+    over the lcm of its denominators: at most the rank over Q."""
+    pivots: list[tuple[int, list[int]]] = []
+    for row in a:
+        d = lcm(*map(_DENOMINATOR, row))
+        row = [x.numerator * (d // x.denominator) % p for x in row]
+        for c, pivot_row in pivots:
+            if f := row[c]:
+                row = [(x - f * y) % p for x, y in zip(row, pivot_row)]
+        c = next((j for j, x in enumerate(row) if x), None)
+        if c is not None:
+            inv = pow(row[c], -1, p)
+            pivots.append((c, [x * inv % p for x in row]))
+    return len(pivots)
 
 
 def solve(a: Mat, b: Vec) -> Vec | None:

@@ -60,6 +60,11 @@ def _segments_cross_properly(p: Point, q: Point, a: Point, b: Point) -> bool:
             and (d3 > 0) != (d4 > 0) and d3 != 0 and d4 != 0)
 
 
+def twice_area(pts: Sequence[Sequence[int]]) -> int:
+    """Twice the signed area of the polygon, by the shoelace formula."""
+    return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
+
+
 class PolygonSurface:
     """The origami associated to a simple lattice polygon with paired sides."""
 
@@ -67,9 +72,7 @@ class PolygonSurface:
         pts = [_pt(v) for v in vertices]
         if len(pts) < 3 or len(set(pts)) != len(pts):
             raise NotSimple("degenerate vertex list")
-        area2 = sum(pts[k][0] * pts[(k + 1) % len(pts)][1]
-                    - pts[(k + 1) % len(pts)][0] * pts[k][1]
-                    for k in range(len(pts)))
+        area2 = twice_area(pts)
         if area2 < 0:
             pts = [pts[0]] + pts[:0:-1]
             area2 = -area2
@@ -322,9 +325,6 @@ class PolygonSurface:
                 labels[root] = len(labels)
             classes[p] = labels[root]
         return classes
-
-    def point_class(self, p) -> int:
-        return self._point_class[(int(p[0]), int(p[1]))]
 
     def _mini_clear(self, a: Point, b: Point) -> bool:
         """No boundary side crosses the open segment (a, b)."""

@@ -71,6 +71,11 @@ def mat_pow(m: Mat2, k: int) -> Mat2:
     return out
 
 
+def inverse_runs(runs: Runs) -> Runs:
+    """The runs of the inverse word: reversed, each letter inverted."""
+    return tuple((INVERSE_LETTER[x], k) for x, k in reversed(runs))
+
+
 def eval_letters(letters: Iterable[str]) -> Mat2:
     out = ID2
     for letter in letters:

@@ -23,7 +23,7 @@ from .catalog import (QUATERNION_ORDER, Ornithorynque, Wollmilchsau,
                       quaternion_mul)
 from .errors import ActionNotFinite, NotInCyclicImage, NotInvariant, WrongSurface
 from .homology import ChainSpace, EdgeChain, Subspace, chain_space
-from .linalg import Mat, Vec
+from .linalg import Mat
 from .origami import Origami, automorphisms
 from .rootsys import UnboundedWitness, finite_closure
 from .sl2z import CongruenceSubgroup, ID2, J_MAT, S_MAT, T_MAT, mat_pow
@@ -61,11 +61,19 @@ def _invariant_under(sub: Subspace, lifts: Iterable[AffineLift]) -> bool:
     return True
 
 
+_PRIME = 2 ** 61 - 1  # a Mersenne prime: the direct-sum certificate's modulus
+
+
 def _direct_sum_ok(space: ChainSpace, parts: Sequence[Subspace],
                    total_dim: int) -> bool:
+    """Whether the parts' bases are independent and span total_dim. Their
+    rank mod _PRIME is at most their rank over Q, at most the sum of their
+    dims: equal to that sum and to total_dim, it proves the check. Any other
+    outcome is decided over Q by rref, so a false is exact."""
+    dims = sum(p.dim for p in parts)
     stacked = [v for p in parts for v in p.basis]
-    return space.subspace_from_vecs(stacked).dim == sum(p.dim for p in parts) \
-        == total_dim
+    return dims == total_dim and (linalg.rank_mod(stacked, _PRIME) == dims or
+                                  space.subspace_from_vecs(stacked).dim == dims)
 
 
 def decompose_ew(ew: Wollmilchsau) -> DecompositionReport:
@@ -201,41 +209,6 @@ def tau_character(orn: Ornithorynque, lift_: AffineLift) -> int:
                for i in range(q)):
             return k
     raise NotInCyclicImage("action is not a power of the cyclic generator")
-
-
-def mod_psi(a: Vec) -> Vec:
-    """Canonical representative modulo Psi_q(x) = 1 + x + ... + x^{q-1},
-    q = len(a): subtracting a multiple of Psi_q clears the x^{q-1} term."""
-    return tuple(x - a[-1] for x in a)
-
-
-def breve_blocks(orn: Ornithorynque, lift_: AffineLift) -> Mat:
-    """2x2 matrix over Q[x]/(x^q-1) mod Psi_q for the action on H-breve.
-
-    Columns are the images of (sigma_breve(rho), zeta_breve(rho)); entry
-    polynomials evaluate at each nontrivial q-th root of unity rho = x. They
-    solve for the image of each seed at index 0 and must give the image at
-    every index i shifted by i, one product on the canonical breve basis.
-    """
-    q = orn.q
-    space = chain_space(orn.origami)
-    flats = [orn.sigma_breve(j).flat() for j in range(q)] + \
-        [orn.zeta_breve(j).flat() for j in range(q)]
-    basis = linalg.transpose(tuple(space.canonical_vec(v) for v in flats))
-    matrix_cols = []
-    for offset in (0, q):
-        images = [lift_.image(flats[offset + i]) for i in range(q)]
-        sol = linalg.solve(basis, images[0])
-        if sol is None:
-            raise NotInvariant("lift does not preserve the breve subspace")
-        matrix_cols.append((mod_psi(sol[:q]), mod_psi(sol[q:])))
-        # shift-equivariance: column i holds the solution shifted by index i
-        shifted = tuple(tuple(sol[half + (j - i) % q] for i in range(q))
-                        for half in (0, q) for j in range(q))
-        if linalg.transpose(linalg.mat_mul(basis, shifted)) != tuple(images):
-            raise NotInvariant("action is not shift-equivariant on H-breve")
-    (c1, d1), (c2, d2) = matrix_cols
-    return ((c1, c2), (d1, d2))
 
 
 # -- congruence kernels -------------------------------------------------------

@@ -8,6 +8,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from origamis import linalg
 from origamis.affine import (automorphism_lift, lift, lift_all, matrix_on,
                              power_order)
@@ -49,6 +51,25 @@ def test_criterion_2_theorem_b():
     for check in result["checks"]:
         print("  ", check["name"], "->", "ok" if check["pass"] else "FAIL")
     report(2, "Theorem B suite (q=3)", result["pass"])
+
+
+@pytest.mark.parametrize("q", [7, 9, 11, 13, 15])
+def test_odd_q_family_sweep(q):
+    """`verify theorem-b --q` passes through q = 15, with q = 9 and 15 where
+    Psi_q is not the cyclotomic Phi_q: H_tau and H_breve of dimensions
+    q - 1 and 2q - 2 (the decomposition's dim checks), Veech index 3."""
+    result = verify_theorem_b(q)
+    assert result["pass"] is True and result["suite"] == f"family-q{q}"
+    checks = {c["name"]: c for c in result["checks"]}
+    dims = checks["decomposition"]["detail"]
+    assert dims["dim_H_tau"] and dims["dim_H_breve"] and dims["direct_sum"]
+    assert checks["Veech index 3 with membership mod 2"]["pass"]
+    orn = catalog("ornithorynque", q=q)
+    assert veech_group(orn.origami).index == 3
+    space = chain_space(orn.origami)
+    assert space.subspace_from([orn.tau(i) for i in range(q)]).dim == q - 1
+    assert space.subspace_from([orn.sigma_breve(i) for i in range(q)] +
+                               [orn.zeta_breve(i) for i in range(q)]).dim == 2 * q - 2
 
 
 def test_criterion_3_action_tables():
@@ -231,13 +252,14 @@ def test_criterion_9_structural_identities():
     st, tt = lift(origami, S_MAT), lift(origami, T_MAT)
     neg1 = automorphism_lift(origami, ew.left_mult("-1"))
     element = st.compose(tt.inverse()).compose(st)
-    ok = (element ** 4).same_action(neg1)
+    ok = test_affine._same_action(element ** 4, neg1)
     eipi = element ** 2
-    ok = ok and (eipi ** 2).same_action(neg1)
+    ok = ok and test_affine._same_action(eipi ** 2, neg1)
     ok = ok and power_order(eipi, 8) == 4
     for other in [st, tt] + [automorphism_lift(origami, ew.left_mult(g))
                              for g in ("i", "j", "k")]:
-        ok = ok and eipi.compose(other).same_action(other.compose(eipi))
+        ok = ok and test_affine._same_action(eipi.compose(other),
+                                                other.compose(eipi))
     for q in (3, 5, 7):
         orn = catalog("ornithorynque", q=q)
         o = orn.origami

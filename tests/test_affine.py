@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 
@@ -16,7 +17,7 @@ from origamis.origami import (act_by_letters, automorphisms, make_origami,
                               sl2z_act, veech_group, vertex_of_square)
 from origamis.permutations import Perm, random_transitive_pair
 from origamis.sl2z import (ID2, J_MAT, LETTER_MATS, S_MAT, T_MAT, mat_mul,
-                           mat_neg, mat_pow)
+                           mat_neg, mat_pow, sl2z_word)
 
 TORUS = make_origami(1, Perm([0]), Perm([0]))
 
@@ -353,17 +354,22 @@ def test_compose_rejects_lifts_of_another_origami(ew):
         identity_lift(ew.origami).compose(identity_lift(TORUS))
 
 
+def _same_action(a, b):
+    """Whether the lifts a and b act alike on homology."""
+    return a.compose(b.inverse()).is_identity()
+
+
 def test_structural_identities_ew(ew):
     origami = ew.origami
     st, tt = lift(origami, S_MAT), lift(origami, T_MAT)
     neg1 = automorphism_lift(origami, ew.left_mult("-1"))
     element = st.compose(tt.inverse()).compose(st)
-    assert (element ** 4).same_action(neg1)
+    assert _same_action(element ** 4, neg1)
     eipi = element ** 2
-    assert (eipi ** 2).same_action(neg1)
+    assert _same_action(eipi ** 2, neg1)
     assert power_order(eipi, 8) == 4
     for other in (st, tt, automorphism_lift(origami, ew.left_mult("i"))):
-        assert eipi.compose(other).same_action(other.compose(eipi))
+        assert _same_action(eipi.compose(other), other.compose(eipi))
 
 
 @pytest.mark.parametrize("q", [3, 5, 7])
@@ -414,7 +420,7 @@ def test_functoriality_up_to_automorphism(ew):
             m2 = mat_mul(m2, LETTER_MATS[rng.choice(["S", "S-", "T", "T-"])])
         combined = lift(origami, mat_mul(m1, m2))
         composed = lift(origami, m1).compose(lift(origami, m2))
-        assert any(combined.same_action(aut.compose(composed)) for aut in auts)
+        assert any(_same_action(combined, aut.compose(composed)) for aut in auts)
 
 
 def test_matrix_on_named_bases(ew, orn3, ew_report, orn3_report):
@@ -443,3 +449,137 @@ def test_matrix_on_named_bases(ew, orn3, ew_report, orn3_report):
 def test_lift_rejects_non_members(orn5):
     with pytest.raises(NotInVeechGroup):
         lift(orn5.origami, T_MAT)
+
+
+# -- the sparse lifts against the dense matrices they replaced ----------------
+
+
+def _dense_relabel_rows(matrix, phi):
+    """(relabeling by phi) * matrix on dense rows: row phi(g) <- row g."""
+    n = len(matrix) // 2
+    back = phi.inverse()
+    return tuple(matrix[back(g)] for g in range(n)) + \
+        tuple(matrix[n + back(g)] for g in range(n))
+
+
+def _dense_is_identity(lifted):
+    """Every column j, not only the free ones, differs from e_j by a
+    relation."""
+    if lifted.linear != ID2 or not lifted.vertex_perm.is_identity():
+        return False
+    space = chain_space(lifted.origami)
+    return all(not any(space.canonical_vec(
+        tuple(x - (k == j) for k, x in enumerate(col))))
+        for j, col in enumerate(linalg.transpose(lifted.matrix)))
+
+
+def _assert_canonical(lifted):
+    width = 2 * lifted.origami.n
+    assert len(lifted.rows) == width
+    for row in lifted.rows:
+        cols = [j for j, _ in row]
+        assert cols == sorted(set(cols)) and all(0 <= j < width for j in cols)
+        assert all(type(x) is int and x != 0 for _, x in row)
+
+
+@functools.lru_cache(maxsize=1)
+def _oracle_cases():
+    """(origami, its Veech-group matrices to lift) on the fixed surfaces, the
+    torus and 20 seeded random origamis with n = 2..8."""
+    rng = random.Random(1616)
+    fixed = [catalog("eierlegende-wollmilchsau").origami] + \
+        [catalog("ornithorynque", q=q).origami for q in (3, 5, 7)] + \
+        [catalog("appendix-b").origami, TORUS]
+    randoms = [make_origami(n, *random_transitive_pair(n, rng))
+               for n in (2, 3, 4, 5, 6, 7, 8) * 3][:20]
+    cases = []
+    for origami in fixed + randoms:
+        group = veech_group(origami)
+        t_w = _cusp_power(origami)
+        candidates = [S_MAT, T_MAT, mat_pow(S_MAT, 2), J_MAT, t_w,
+                      mat_mul(t_w, J_MAT), mat_neg(ID2)]
+        cases.append((origami, [m for m in candidates if group.contains(m)]))
+    return cases
+
+
+def _unit(width, j):
+    return tuple(int(k == j) for k in range(width))
+
+
+def test_sparse_lifts_match_the_dense_reference():
+    rng = random.Random(61)
+    for origami, matrices in _oracle_cases():
+        n2 = 2 * origami.n
+        space = chain_space(origami)
+        small = origami.n <= 8
+        lifts = [automorphism_lift(origami, a) for a in automorphisms(origami)]
+        for m in matrices:
+            runs = sl2z_word(m).exact_runs()
+            letters = tuple(x for x, k in runs for _ in range(k))
+            _, total = _reference_transport(origami, letters)
+            for lf in lift_all(origami, m):
+                assert lf.matrix == _dense_relabel_rows(total, lf.relabeling)
+                lifts.append(lf)
+        vectors = [_unit(n2, rng.randrange(n2)),
+                   tuple(rng.randint(-3, 3) for _ in range(n2))]
+        halves = tuple(Fraction(rng.randint(-3, 3), 2) if rng.random() < 0.3
+                       else rng.randint(-1, 1) for _ in range(n2))
+        for idx, lf in enumerate(lifts):
+            _assert_canonical(lf)
+            dense = lf.matrix
+            assert all(type(x) is int for row in dense for x in row)
+            # canonical forms of Fraction vectors are slow: a few lifts each
+            for v in vectors + [halves] * (idx < 3):
+                assert lf.image(v) == space.canonical_vec(linalg.mat_vec(dense, v))
+                assert lf.apply(EdgeChain.from_flat(v)) == \
+                    EdgeChain.from_flat(linalg.mat_vec(dense, v))
+            assert lf.is_identity() == _dense_is_identity(lf)
+        # products and inverses, also of products (whose words concatenate)
+        pairs = [(rng.choice(lifts), rng.choice(lifts)) for _ in range(4 if small else 2)]
+        for a, b in pairs:
+            product = a.compose(b)
+            _assert_canonical(product)
+            assert product.matrix == linalg.mat_mul(a.matrix, b.matrix)
+            assert product.is_identity() == _dense_is_identity(product)
+            for lf in (a, product):
+                inverse = lf.inverse()
+                _assert_canonical(inverse)
+                # the integer inverse is unique: mat_inv where it is quick
+                if small:
+                    assert inverse.matrix == linalg.mat_inv(lf.matrix)
+                else:
+                    assert linalg.mat_mul(lf.matrix, inverse.matrix) == \
+                        linalg.identity(n2)
+                assert inverse.vertex_perm == lf.vertex_perm.inverse()
+                one = lf.compose(inverse)
+                assert one.is_identity() and _dense_is_identity(one)
+
+
+def _add_to_column(lifted, j, v):
+    """The lift with the vector v added to column j of its map."""
+    rows = []
+    for row, x in zip(lifted.rows, v):
+        entries = dict(row)
+        entries[j] = entries.get(j, 0) + x
+        rows.append(tuple(sorted((c, y) for c, y in entries.items() if y)))
+    return lifted._replace(rows=tuple(rows))
+
+
+def test_free_column_identity_test_agrees_with_all_columns():
+    for origami, matrices in _oracle_cases()[:10]:
+        space = chain_space(origami)
+        n2 = 2 * origami.n
+        lf = lift_all(origami, matrices[-1])[0]
+        one = lf.compose(lf.inverse())
+        assert one.is_identity() and _dense_is_identity(one)
+        assert lf.is_identity() == _dense_is_identity(lf)
+        for j in space.free[:3]:
+            for i in {0, n2 - 1, j}:
+                # column j gains e_i: no longer the identity
+                changed = _add_to_column(one, j, _unit(n2, i))
+                assert not changed.is_identity()
+                assert not _dense_is_identity(changed)
+            for g in range(min(origami.n, 3)):
+                # column j gains a relation: still the identity on homology
+                moved = _add_to_column(one, j, space.relation_rows[g])
+                assert moved.is_identity() and _dense_is_identity(moved)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -216,6 +217,42 @@ def test_bad_origami_file_is_usage_error(tmp_path, argv, content, error):
     code, text = capture([str(path) if a == "{path}" else a for a in argv])
     assert code == 2
     assert json.loads(text)["error"] == error
+
+
+SQUARES = 100_000
+
+
+@pytest.mark.parametrize("argv,content", [
+    (["info", "--name", "ornithorynque", "--q", "10001"], None),
+    (["verify", "theorem-b", "--q", "43"], None),
+    (FILE, json.dumps({"n": SQUARES, "r": list(range(SQUARES)),
+                       "u": list(range(SQUARES))})),
+    (FILE, json.dumps({"vertices": [[0, 0], [1000, 0], [1000, 1000],
+                                    [0, 1000]]})),
+    (FILE, json.dumps({"vertices": [[0, 0], [15, 0], [15, 11], [0, 11]]})),
+], ids=["q-10001", "verify-q-43", "file-n", "polygon-area", "polygon-165"])
+def test_size_above_its_cap_is_usage_error_at_once(tmp_path, argv, content):
+    """--q above 41, and an --origami file of more than 164 squares (its n,
+    or its polygon's area), answer BadArgument with exit code 2 before any
+    surface is built."""
+    path = tmp_path / "origami.json"
+    if content is not None:
+        path.write_text(content)
+    start = time.perf_counter()
+    code, text = capture([str(path) if a == "{path}" else a for a in argv])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert json.loads(text)["error"] == "BadArgument"
+
+
+def test_sizes_at_their_caps_are_accepted(tmp_path):
+    code, text = capture(["info", "--name", "ornithorynque", "--q", "41"])
+    assert code == 0 and json.loads(text)["n"] == 164
+    report = json.loads(text)
+    path = tmp_path / "origami.json"
+    path.write_text(json.dumps({k: report[k] for k in ("n", "r", "u")}))
+    code, text = capture(["info", "--origami", str(path)])
+    assert code == 0 and json.loads(text) == report
 
 
 def test_unknown_probe_names_the_known_ones():

@@ -9,14 +9,30 @@ from origamis.affine import automorphism_lift, lift_all
 from origamis.errors import (EvenConeMultiplicity, NotClosed, NotUnimodular,
                              OddOrderZeros, ProbeMovesMarks)
 from origamis.homology import EdgeChain, chain_space
-from origamis.invariants import (cylinders, index_parity,
+from origamis.invariants import (_pairing_row, cylinders, index_parity,
                                  index_parity_clockwise, invariant_supplement,
                                  multitwist, quadratic_form_value, spin_parity,
-                                 symplectic_basis, transversal_pairing)
+                                 symplectic_basis)
 from origamis.origami import make_origami, vertex_of_square
 from origamis.permutations import Perm, random_transitive_pair
 
+from test_homology import _horizontal_core_pairing, _vertical_core_pairing
+
 TORUS = make_origami(1, Perm([0]), Perm([0]))
+
+
+def transversal_pairing(origami, direction, row_squares, chain):
+    """Crossing count of a cylinder core push-off with a relative chain.
+
+    Horizontal cores sum the zeta coefficients over the row; vertical cores
+    sum -sigma over the column; other directions go through normalization.
+    """
+    if tuple(direction) == (1, 0):
+        return _horizontal_core_pairing(row_squares, chain)
+    if tuple(direction) == (0, 1):
+        return _vertical_core_pairing(row_squares, chain)
+    pi = _pairing_row(cylinders(origami, tuple(direction)), row_squares)
+    return sum(p * x for p, x in zip(pi, chain.flat()))
 
 
 def test_ew_horizontal_cylinders(ew):

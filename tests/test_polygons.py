@@ -6,6 +6,11 @@ from origamis.origami import stratum_and_genus, vertex_classes
 from origamis.polygons import polygon_to_origami
 
 
+def _point_class(surface, p):
+    """The identified class of the lattice point p of the polygon."""
+    return surface._point_class[(int(p[0]), int(p[1]))]
+
+
 def test_unit_square_is_torus():
     origami = polygon_to_origami([(0, 0), (1, 0), (1, 1), (0, 1)])
     assert origami.n == 1 and stratum_and_genus(origami).genus == 1
@@ -28,8 +33,8 @@ def test_decagon_surface(appendix_b):
 def test_decagon_side_classes(appendix_b):
     space = chain_space(appendix_b.origami)
     surface = appendix_b.surface
-    a_even = surface.point_class((0, 0))
-    a_odd = surface.point_class((1, 2))
+    a_even = _point_class(surface, (0, 0))
+    a_odd = _point_class(surface, (1, 2))
     assert a_even != a_odd
     expected_holonomy = {"a": (1, 2), "b": (1, 1), "c": (1, 0),
                          "d": (1, -1), "e": (1, -1)}
@@ -81,5 +86,5 @@ def test_identified_vertices_on_decagon(appendix_b):
     surface = appendix_b.surface
     even = {(0, 0), (2, 3), (4, 2), (4, -1), (2, -2)}
     odd = {(1, 2), (3, 3), (5, 1), (3, -2), (1, -1)}
-    assert len({surface.point_class(p) for p in even}) == 1
-    assert len({surface.point_class(p) for p in odd}) == 1
+    assert len({_point_class(surface, p) for p in even}) == 1
+    assert len({_point_class(surface, p) for p in odd}) == 1

@@ -7,18 +7,20 @@ from fractions import Fraction
 
 import pytest
 
-from origamis import linalg
+from origamis import linalg, structure
 from origamis.affine import (automorphism_lift, lift, matrix_in_chain_basis,
                              matrix_on)
 from origamis.catalog import QUATERNION_ORDER, catalog
 from origamis.errors import NotD4, NotInAut, NotInCyclicImage, OrderExceedsCap
-from origamis.homology import EdgeChain, chain_space
+from origamis.homology import ChainSpace, EdgeChain, Subspace, chain_space
 from origamis.rootsys import (FiniteMatrixGroup, UnboundedWitness, _signed_maps,
                               _unbounded_witness, detect_d4, finite_closure,
                               grows, symplectic_subgroup)
 from origamis.sl2z import CongruenceSubgroup, J_MAT, S_MAT, T_MAT, mat_pow
-from origamis.structure import (breve_blocks, cocycle_growth, combined_action,
-                                _log_abs, kernel_is_congruence, mod_psi,
+from origamis.errors import NotInvariant
+from origamis.structure import (cocycle_growth, combined_action,
+                                _direct_sum_ok, _log_abs, decompose_ew,
+                                decompose_orn, kernel_is_congruence,
                                 operator_norm, tau_character)
 from origamis.verification import _orn_root_system
 
@@ -61,6 +63,41 @@ def isotypic_multiplicities(aut_lifts, sub, characters):
     return {name: Fraction(sum(t * x for t, x in zip(traces, chi)),
                            sum(x * x for x in chi))
             for name, chi in characters.items()}
+
+
+def mod_psi(a):
+    """Canonical representative modulo Psi_q(x) = 1 + x + ... + x^{q-1},
+    q = len(a): subtracting a multiple of Psi_q clears the x^{q-1} term."""
+    return tuple(x - a[-1] for x in a)
+
+
+def breve_blocks(orn, lift_):
+    """2x2 matrix over Q[x]/(x^q-1) mod Psi_q for the action on H-breve.
+
+    Columns are the images of (sigma_breve(rho), zeta_breve(rho)); entry
+    polynomials evaluate at each nontrivial q-th root of unity rho = x. They
+    solve for the image of each seed at index 0 and must give the image at
+    every index i shifted by i, one product on the canonical breve basis.
+    """
+    q = orn.q
+    space = chain_space(orn.origami)
+    flats = [orn.sigma_breve(j).flat() for j in range(q)] + \
+        [orn.zeta_breve(j).flat() for j in range(q)]
+    basis = linalg.transpose(tuple(space.canonical_vec(v) for v in flats))
+    matrix_cols = []
+    for offset in (0, q):
+        images = [lift_.image(flats[offset + i]) for i in range(q)]
+        sol = linalg.solve(basis, images[0])
+        if sol is None:
+            raise NotInvariant("lift does not preserve the breve subspace")
+        matrix_cols.append((mod_psi(sol[:q]), mod_psi(sol[q:])))
+        # shift-equivariance: column i holds the solution shifted by index i
+        shifted = tuple(tuple(sol[half + (j - i) % q] for i in range(q))
+                        for half in (0, q) for j in range(q))
+        if linalg.transpose(linalg.mat_mul(basis, shifted)) != tuple(images):
+            raise NotInvariant("action is not shift-equivariant on H-breve")
+    (c1, d1), (c2, d2) = matrix_cols
+    return ((c1, c2), (d1, d2))
 
 
 def breve_block_trace(block):
@@ -410,7 +447,7 @@ def test_detect_d4_certifies_the_pinned_frame(ew_root_system):
     frame = system.ambient_frame()
     assert detect_d4(vectors, frame) == system
     outside = next(e for e in linalg.identity(len(vectors[0]))
-                   if linalg.rank(system.span_basis + (e,)) == 5)
+                   if len(linalg.rref(system.span_basis + (e,))[1]) == 5)
     with pytest.raises(NotD4, match="outside the span"):
         detect_d4(vectors, (linalg.vec_add(frame[0], outside),) + frame[1:])
     with pytest.raises(NotD4, match="over the frame"):
@@ -772,3 +809,83 @@ def _power_growth_by_own_loop(m, length):
 def test_power_growth_rate_matches_own_loop():
     for m in (_breve_s2t2(5), linalg.mat([[2, 1], [1, 1]])):
         assert power_growth_rate(m, 400) == _power_growth_by_own_loop(m, 400)
+
+
+# -- the modular direct-sum certificate ----------------------------------------
+
+
+@functools.lru_cache(maxsize=1)
+def _direct_sum_cases():
+    """(name, chain space, parts, total dim) as the decompositions check them:
+    ew and the odd-q family for q = 3..15."""
+    rep = decompose_ew(catalog("eierlegende-wollmilchsau"))
+    space = chain_space(rep.origami)
+    cases = [("ew", space, [rep.subspaces[k] for k in ("H1_st", "H1_0", "H_rel")],
+              space.full_subspace().dim)]
+    for q in range(3, 16, 2):
+        rep = decompose_orn(catalog("ornithorynque", q=q))
+        space = chain_space(rep.origami)
+        cases.append((f"q{q}", space,
+                      [rep.subspaces[k] for k in ("H1_st", "H_rel", "H_tau", "H_breve")],
+                      space.marked_subspace(space.singular_vertices()).dim))
+    return cases
+
+
+def _rref_direct_sum(space, parts, total):
+    stacked = [v for p in parts for v in p.basis]
+    return space.subspace_from_vecs(stacked).dim == sum(p.dim for p in parts) == total
+
+
+def _mutations(parts):
+    """Part lists whose bases are not a basis of the direct sum: the last
+    part with its first vector dropped, with its first vector in place of its
+    second, and with its first vector repeated."""
+    last = parts[-1]
+    basis, pivots = last.basis, last.pivots
+    return [parts[:-1] + [Subspace(basis[1:], pivots[1:])],
+            parts[:-1] + [Subspace((basis[0],) + basis[:1] + basis[2:], pivots)],
+            parts[:-1] + [Subspace(basis + basis[:1], pivots + pivots[:1])]]
+
+
+def _count_rref_fallbacks(monkeypatch):
+    calls = []
+    original = ChainSpace.subspace_from_vecs
+
+    def spy(self, vecs):
+        calls.append(1)
+        return original(self, vecs)
+    monkeypatch.setattr(ChainSpace, "subspace_from_vecs", spy)
+    return calls
+
+
+def test_direct_sum_certificate_agrees_with_rref(monkeypatch):
+    calls = _count_rref_fallbacks(monkeypatch)
+    for name, space, parts, total in _direct_sum_cases():
+        assert _rref_direct_sum(space, parts, total) is True, name
+        before = len(calls)
+        assert _direct_sum_ok(space, parts, total) is True, name
+        # the certificate decides a true answer without eliminating over Q
+        assert len(calls) == before, name
+
+
+def test_direct_sum_of_mutated_parts_is_false():
+    # each wrong answer is an elimination over Q: ew and q = 3, 5, 7
+    for name, space, parts, total in _direct_sum_cases()[:4]:
+        for mutated in _mutations(list(parts)):
+            assert _rref_direct_sum(space, mutated, total) is False, name
+            assert _direct_sum_ok(space, mutated, total) is False, name
+
+
+def test_direct_sum_falls_back_to_rref_where_the_rank_drops(monkeypatch):
+    # modulo 2 the stacked bases lose rank on every case; the answer must
+    # still be the exact one, from the rref fallback
+    monkeypatch.setattr(structure, "_PRIME", 2)
+    calls = _count_rref_fallbacks(monkeypatch)
+    for name, space, parts, total in _direct_sum_cases()[:4]:
+        stacked = [v for p in parts for v in p.basis]
+        assert linalg.rank_mod(stacked, 2) < total, name
+        before = len(calls)
+        assert _direct_sum_ok(space, parts, total) is True, name
+        assert len(calls) == before + 1, name
+        for mutated in _mutations(list(parts)):
+            assert _direct_sum_ok(space, mutated, total) is False, name
