@@ -13,8 +13,8 @@ from .homology import EdgeChain, Subspace, chain_space
 from .origami import (Origami, Stratum, VertexClass, automorphisms,
                       isomorphisms, make_origami, sl2z_act, stratum_and_genus,
                       veech_group, vertex_classes)
-from .affine import (AffineLift, automorphism_lift, elementary_substitution,
-                     lift, lift_all, matrix_on, power_order)
+from .affine import (AffineLift, automorphism_lift, lift, lift_all, matrix_on,
+                     power_order)
 from .invariants import (cylinders, index_parity, invariant_supplement,
                          multitwist, spin_parity, symplectic_basis)
 from .permutations import Perm
@@ -29,7 +29,7 @@ __all__ = [
     "chain_space", "Origami", "Stratum", "VertexClass", "automorphisms",
     "isomorphisms", "make_origami", "sl2z_act", "stratum_and_genus",
     "veech_group", "vertex_classes", "AffineLift", "automorphism_lift",
-    "elementary_substitution", "lift", "lift_all", "matrix_on", "power_order",
+    "lift", "lift_all", "matrix_on", "power_order",
     "cylinders", "index_parity", "invariant_supplement", "multitwist",
     "spin_parity", "symplectic_basis", "Perm", "polygon_to_origami",
     "detect_d4", "finite_closure", "symplectic_subgroup", "Sl2zWord",

@@ -75,10 +75,11 @@ def _add_to(acc: dict, row, c: int = 1) -> dict:
     return acc
 
 
-def _dense(rows: Sequence[dict]) -> Mat:
-    """The square dense matrix of {col: coeff} rows."""
+@functools.lru_cache(16)
+def dense_view(rows: tuple[Row, ...]) -> Mat:
+    """The square dense matrix of sparse rows, cached for 16 row sets."""
     width = range(len(rows))
-    return tuple(tuple(map(row.get, width, repeat(0))) for row in rows)
+    return tuple(tuple(map(dict(row).get, width, repeat(0))) for row in rows)
 
 
 def _product(a: Sequence[Row], b: Sequence[Row]) -> tuple[Row, ...]:
@@ -95,12 +96,6 @@ def _product(a: Sequence[Row], b: Sequence[Row]) -> tuple[Row, ...]:
 def _times(rows: Sequence[Row], v: Vec) -> Vec:
     """rows times the vector v: each entry reads only the row's columns."""
     return tuple([sum([x * v[j] for j, x in row]) for row in rows])
-
-
-class EdgeSubstitution(NamedTuple):
-    source: Origami
-    target: Origami
-    rows: tuple[Row, ...]
 
 
 def _run_rows(letter: str, k: int, origami: Origami,
@@ -144,29 +139,19 @@ def _run_rows(letter: str, k: int, origami: Origami,
     return out
 
 
-def elementary_substitution(letter: str, origami: Origami) -> EdgeSubstitution:
-    """One letter's substitution as sparse rows: its run of length one
-    applied to the identity."""
-    rows = _transport(origami, ((letter, 1),))[1]
-    return EdgeSubstitution(origami, sl2z_act(letter, origami),
-                            tuple(map(_row, rows)))
-
-
-def _transport(origami: Origami, runs: Runs) -> tuple[Origami, list[dict]]:
+def transport(origami: Origami, runs: Runs, rows: Sequence[dict] | None = None
+              ) -> tuple[Origami, tuple[Row, ...]]:
     """Push the substitutions of a word's runs (rightmost run first) through
-    the identity, one step per run: (final origami, the {col: coeff} rows of
-    the chain map into it)."""
-    current, rows = origami, [{j: 1} for j in range(2 * origami.n)]
+    the {col: coeff} rows of a map into the chain space (the identity if
+    None), one step per run: (final origami, the rows of the chain map into
+    it times that map)."""
+    current = origami
+    if rows is None:
+        rows = [{j: 1} for j in range(2 * origami.n)]
     for letter, k in reversed(runs):
         rows, current = (_run_rows(letter, k, current, rows),
                          sl2z_act(letter, current, k))
-    return current, rows
-
-
-def transport(origami: Origami, runs: Runs) -> tuple[Origami, Mat]:
-    """The word transport of `_transport` as a dense integer matrix."""
-    current, rows = _transport(origami, runs)
-    return current, _dense(rows)
+    return current, tuple(map(_row, rows))
 
 
 def _relabel_rows(rows: Sequence[Row], phi: Perm) -> tuple[Row, ...]:
@@ -190,7 +175,7 @@ def _vertex_map_by_label(origami: Origami, phi: Perm) -> Perm:
 
 class AffineLift(NamedTuple):
     """An affine diffeomorphism: its derivative, its chain map as sparse
-    integer rows (`matrix`, their dense view, is cached for 16 lifts), its
+    integer rows (`matrix` is their `dense_view`), its
     vertex action, and the closing and word of its transport."""
 
     origami: Origami
@@ -200,8 +185,7 @@ class AffineLift(NamedTuple):
     relabeling: Perm
     runs: Runs
 
-    matrix = property(functools.lru_cache(16)(
-        lambda self: _dense([dict(row) for row in self.rows])))
+    matrix = property(lambda self: dense_view(self.rows))
 
     def apply(self, chain: EdgeChain) -> EdgeChain:
         return EdgeChain.from_flat(_times(self.rows, chain.flat()))
@@ -227,7 +211,7 @@ class AffineLift(NamedTuple):
         """The inverse word's transport closed by the inverse relabeling."""
         runs = inverse_runs(self.runs)
         return _closed(self.origami, mat_inv(self.linear), runs,
-                       tuple(map(_row, _transport(self.origami, runs)[1])),
+                       transport(self.origami, runs)[1],
                        self.relabeling.inverse())
 
     def is_identity(self) -> bool:
@@ -286,11 +270,10 @@ def lift_all(origami: Origami, m: Mat2) -> list[AffineLift]:
     """All lifts of m, one per closing isomorphism (torsor under Aut); they
     share the rows of one transport."""
     runs = sl2z_word(m).exact_runs()
-    current, rows = _transport(origami, runs)
+    current, rows = transport(origami, runs)
     closings = isomorphisms(current, origami)
     if not closings:
         raise NotInVeechGroup(f"{m} does not stabilize the origami")
-    rows = tuple(map(_row, rows))
     return [_closed(origami, m, runs, rows, phi) for phi in closings]
 
 

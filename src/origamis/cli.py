@@ -102,9 +102,10 @@ def _parse_dir(text: str) -> tuple[int, int]:
 
 # the least and the most accepted value of each bounded integer option (None:
 # no bound); --q stops at 41, whose surface's 164 squares are the most an
-# --origami file may hold (its n, or its polygon's area)
+# --origami file may hold (its n, or its polygon's area); --level stops at 32,
+# whose report takes seconds and megabytes, growing as the cube of the level
 _BOUNDS = {"cap": (1, None), "len": (1, None), "trials": (1, None),
-           "level": (2, None), "q": (None, 41), "squares": (None, 164)}
+           "level": (2, 32), "q": (None, 41), "squares": (None, 164)}
 
 
 def _check_bound(name: str, value, least, most) -> None:

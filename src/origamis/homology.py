@@ -81,9 +81,6 @@ class EdgeChain(NamedTuple):
         return {"sigma": [str(x) for x in self.sigma],
                 "zeta": [str(x) for x in self.zeta]}
 
-    def holonomy(self) -> tuple:
-        return (sum(self.sigma), sum(self.zeta))
-
 
 def sigma_chain(n: int, g: int, coeff=1) -> EdgeChain:
     return EdgeChain.unit(n, "s", g, coeff)
@@ -173,9 +170,6 @@ class ChainSpace:
                 f = v[p]
                 v = [x - f * y for x, y in zip(v, row)]
         return tuple(v)
-
-    def canonical(self, chain: EdgeChain) -> EdgeChain:
-        return EdgeChain.from_flat(self.canonical_vec(chain.flat()))
 
     def equivalent(self, a: EdgeChain, b: EdgeChain) -> bool:
         return self.canonical_vec(a.flat()) == self.canonical_vec(b.flat())

@@ -14,7 +14,7 @@ from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from . import linalg
-from .affine import AffineLift, lift_all, transport
+from .affine import AffineLift, Row, dense_view, lift_all, transport
 from .errors import (EvenConeMultiplicity, Inconsistent, NoMatchingLift,
                      NotClosed, NotUnimodular, OddOrderZeros, ProbeMovesMarks)
 from .homology import EdgeChain, chain_space
@@ -45,35 +45,43 @@ class Cylinder(NamedTuple):
 
 
 class CylinderDecomposition(NamedTuple):
+    """`to_rows` are the sparse rows of the chain map original -> normalized;
+    `to_normalized` is their dense view, and `from_normalized` the dense map
+    back, transported along the inverse word when read."""
+
     origami: Origami
     direction: tuple[int, int]
     normalizer: Mat2
     normalized: Origami
     cylinders: list[Cylinder]
-    to_normalized: Mat                 # chain map original -> normalized
-    from_normalized: Mat
+    to_rows: tuple[Row, ...]
+
+    to_normalized = property(lambda self: dense_view(self.to_rows))
+    from_normalized = property(lambda self: dense_view(transport(
+        self.normalized, inverse_runs(sl2z_word(self.normalizer).exact_runs()))[1]))
 
 
 def _pairing_row(decomp: CylinderDecomposition,
                  row_squares: Sequence[int]) -> tuple[int, ...]:
     """Integer row pi with <core push-off, c> = pi . c for every chain c: the
-    zeta rows of `to_normalized` summed over the row's squares."""
+    zeta rows of `to_rows` summed over the row's squares."""
     n = decomp.normalized.n
-    return tuple(map(sum, zip(*(decomp.to_normalized[n + g]
-                                for g in row_squares))))
+    pi = [0] * (2 * n)
+    for g in row_squares:
+        for j, x in decomp.to_rows[n + g]:
+            pi[j] += x
+    return tuple(pi)
 
 
 def cylinders(origami: Origami, direction: tuple[int, int]) -> CylinderDecomposition:
     (p, q), normalizer = normalize_direction(*direction)
     runs = sl2z_word(normalizer).exact_runs()
-    normalized, to_norm = transport(origami, runs)
-    _, from_norm = transport(normalized, inverse_runs(runs))
-    space = chain_space(normalized)
+    normalized, to_rows = transport(origami, runs)
+    # the lower-left corner of square g is a regular point exactly when the
+    # commutator, whose cycles are the vertex classes, fixes g
+    regular = [g == x for g, x in enumerate(normalized.commutator().images)]
     rows = normalized.r.cycles()
-    row_of = {}
-    for k, row in enumerate(rows):
-        for g in row:
-            row_of[g] = k
+    row_of = {g: k for k, row in enumerate(rows) for g in row}
     # rows merge across a circle carrying only regular vertices
     parent = list(range(len(rows)))
 
@@ -85,24 +93,17 @@ def cylinders(origami: Origami, direction: tuple[int, int]) -> CylinderDecomposi
 
     for k, row in enumerate(rows):
         up = row_of[normalized.u(row[0])]
-        circle_regular = all(
-            space.vclasses[space.vowner[normalized.u(g)]].multiplicity == 1
-            for g in row)
-        if circle_regular:
+        if all(regular[normalized.u(g)] for g in row):
             ra, rb = find(k), find(up)
             if ra != rb:
                 parent[ra] = rb
     groups: dict[int, list[int]] = {}
     for k in range(len(rows)):
         groups.setdefault(find(k), []).append(k)
-    cyls = []
+    found = []
     for members in groups.values():
         # the bottom row has a non-regular circle below it, if any exists
-        def circle_below_regular(k: int) -> bool:
-            return all(space.vclasses[space.vowner[g]].multiplicity == 1
-                       for g in rows[k])
-
-        bottoms = [k for k in members if not circle_below_regular(k)]
+        bottoms = [k for k in members if not all(regular[g] for g in rows[k])]
         bottom = min(bottoms) if bottoms else min(members)
         ordered = [bottom]
         while len(ordered) < len(members):
@@ -114,16 +115,22 @@ def cylinders(origami: Origami, direction: tuple[int, int]) -> CylinderDecomposi
         if sorted(ordered) != sorted(members) or \
                 any(len(rows[k]) != width for k in members):
             raise Inconsistent("inconsistent cylinder rows")
-        # the core is the bottom row's sigma chain, transported back
-        core = EdgeChain.from_flat([sum(row[g] for g in rows[bottom])
-                                    for row in from_norm])
-        cyls.append(Cylinder(tuple(tuple(rows[k]) for k in ordered),
-                             width, len(members), core))
-    cyls.sort(key=lambda c: c.rows[0][0])
+        found.append((tuple(tuple(rows[k]) for k in ordered), width, len(members)))
+    found.sort()
+    # the cores are the bottom rows' sigma chains, transported back as the
+    # columns of one map
+    columns = [{} for _ in range(2 * origami.n)]
+    for c, (cyl_rows, _, _) in enumerate(found):
+        for g in cyl_rows[0]:
+            columns[g] = {c: 1}
+    _, cores = transport(normalized, inverse_runs(runs), columns)
+    cyls = [Cylinder(*cyl, EdgeChain.from_flat([dict(row).get(c, 0)
+                                                for row in cores]))
+            for c, cyl in enumerate(found)]
     if sum(c.width * c.height for c in cyls) != origami.n:
         raise Inconsistent("cylinder areas must tile the surface")
     return CylinderDecomposition(origami, (p, q), normalizer, normalized,
-                                 cyls, to_norm, from_norm)
+                                 cyls, to_rows)
 
 
 def _rational_lcm(values: Sequence[Fraction]) -> Fraction:

@@ -31,10 +31,6 @@ def vec(xs: Iterable) -> Vec:
     return tuple(Fraction(x) for x in xs)
 
 
-def mat(rows: Iterable[Iterable]) -> Mat:
-    return tuple(vec(row) for row in rows)
-
-
 def identity(n: int) -> Mat:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 

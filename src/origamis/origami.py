@@ -259,25 +259,61 @@ class VeechGroup:
         return node == 0
 
 
+# by the braid relation T S^-1 T = S^-1 T S^-1, each walk's matrix product is
+# its letter's matrix, in either reading order; tried in this order
+BRAID_WALKS = {"S": (("T", "S", "T-", "S", "T"), ("T", "S-", "T-", "S", "T-"),
+                     ("T-", "S", "T-", "S-", "T")),
+               "T": (("S", "T", "S-", "T", "S"), ("S", "T-", "S-", "T", "S-"),
+                     ("S-", "T", "S-", "T-", "S"))}
+
+
 def veech_group(origami: Origami) -> VeechGroup:
     """BFS over the S, T orbit on image tuples, numbering nodes as found.
 
     Each node carries the cycle lengths of its r and u: S keeps u and T keeps
     r, so an edge computes the lengths of one new permutation.
+
+    An edge (v, L) is first deduced along the walks of ``BRAID_WALKS[L]``;
+    only when each meets an unknown step is L.v computed and canonicalized.
+    A deduced edge is the searched one: SL(2,Z) acts on isomorphism classes
+    (inner automorphisms of the free group relabel squares), so the class of
+    L.v ends every walk from v whose matrix product is L, in whichever order
+    the letters compose. Each step follows a known edge, forward or back
+    (the inverse letter), and by induction every known edge is a searched
+    one, so a completed walk ends at the node that the key of L.v finds. The
+    numbering cannot change: a walk reaches only numbered nodes, where the
+    search finds an existing key and numbers nothing, so ``edges`` and
+    ``images`` are those of canonicalizing every edge.
     """
     r, u = origami.r.images, origami.u.images
     nodes = [(r, u, _cycle_lengths(r), _cycle_lengths(u))]
     node_of_key = {canonical_images(*nodes[0]): 0}
     edges = {}
+    step = {letter: [-1] for letter in INVERSE_LETTER}  # -1 while unknown
+    walks = {letter: [tuple(map(step.get, walk)) for walk in letter_walks]
+             for letter, letter_walks in BRAID_WALKS.items()}
     for node, (r, u, r_lengths, u_lengths) in enumerate(nodes):  # BFS
         for letter in ("S", "T"):
-            r_new, u_new = act_on_images(letter, r, u)
-            if letter == "S":
-                new = (r_new, u_new, _cycle_lengths(r_new), u_lengths)
+            for walk in walks[letter]:
+                target = node
+                for table in walk:
+                    target = table[target]
+                    if target < 0:
+                        break
+                else:
+                    break
             else:
-                new = (r_new, u_new, r_lengths, _cycle_lengths(u_new))
-            target = node_of_key.setdefault(canonical_images(*new), len(nodes))
-            if target == len(nodes):
-                nodes.append(new)
+                r_new, u_new = act_on_images(letter, r, u)
+                if letter == "S":
+                    new = (r_new, u_new, _cycle_lengths(r_new), u_lengths)
+                else:
+                    new = (r_new, u_new, r_lengths, _cycle_lengths(u_new))
+                target = node_of_key.setdefault(canonical_images(*new),
+                                                len(nodes))
+                if target == len(nodes):
+                    nodes.append(new)
+                    for table in step.values():
+                        table.append(-1)
             edges[(node, letter)] = target
+            step[letter][node], step[letter + "-"][target] = target, node
     return VeechGroup(origami, [node[:2] for node in nodes], edges)

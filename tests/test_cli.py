@@ -230,11 +230,13 @@ SQUARES = 100_000
     (FILE, json.dumps({"vertices": [[0, 0], [1000, 0], [1000, 1000],
                                     [0, 1000]]})),
     (FILE, json.dumps({"vertices": [[0, 0], [15, 0], [15, 11], [0, 11]]})),
-], ids=["q-10001", "verify-q-43", "file-n", "polygon-area", "polygon-165"])
+    (["congruence", "--level", "33"], None),
+], ids=["q-10001", "verify-q-43", "file-n", "polygon-area", "polygon-165",
+        "congruence-level-33"])
 def test_size_above_its_cap_is_usage_error_at_once(tmp_path, argv, content):
-    """--q above 41, and an --origami file of more than 164 squares (its n,
-    or its polygon's area), answer BadArgument with exit code 2 before any
-    surface is built."""
+    """--q above 41, an --origami file of more than 164 squares (its n,
+    or its polygon's area), and --level above 32 answer BadArgument with
+    exit code 2 before any surface or group is built."""
     path = tmp_path / "origami.json"
     if content is not None:
         path.write_text(content)
@@ -253,6 +255,17 @@ def test_sizes_at_their_caps_are_accepted(tmp_path):
     path.write_text(json.dumps({k: report[k] for k in ("n", "r", "u")}))
     code, text = capture(["info", "--origami", str(path)])
     assert code == 0 and json.loads(text) == report
+
+
+def test_level_at_its_cap_is_accepted(monkeypatch):
+    """--level 32 passes the bound check; the command itself (seconds and
+    megabytes of output) is replaced by a stub that records its level."""
+    import origamis.cli as cli
+    levels = []
+    monkeypatch.setattr(cli, "cmd_congruence",
+                        lambda args: levels.append(args.level) or {"ok": True})
+    code, text = capture(["congruence", "--level", "32"])
+    assert (code, json.loads(text), levels) == (0, {"ok": True}, [32])
 
 
 def test_unknown_probe_names_the_known_ones():

@@ -25,6 +25,21 @@ def _vertical_core_pairing(col_squares, c):
     return -sum(c.sigma[j] for j in col_squares)
 
 
+def _holonomy(chain):
+    """(sum of the sigma coefficients, sum of the zeta coefficients)."""
+    return (sum(chain.sigma), sum(chain.zeta))
+
+
+def _fractions(rows):
+    """The matrix of the rows with every entry a Fraction."""
+    return tuple(tuple(map(Fraction, row)) for row in rows)
+
+
+def _canonical(space, chain):
+    """The chain's canonical form modulo the square relations."""
+    return EdgeChain.from_flat(space.canonical_vec(chain.flat()))
+
+
 def random_chain(rng, n, integral=True):
     def coeff():
         value = rng.randrange(-4, 5)
@@ -51,11 +66,11 @@ def test_canonical_form_idempotent_linear(ew):
     for _ in range(25):
         a = random_chain(rng, 8)
         b = random_chain(rng, 8)
-        ca = space.canonical(a)
-        assert space.canonical(ca) == ca
-        left = space.canonical(a + b)
+        ca = _canonical(space, a)
+        assert _canonical(space, ca) == ca
+        left = _canonical(space, a + b)
         right = space.canonical_vec(linalg.vec_add(ca.flat(),
-                                                   space.canonical(b).flat()))
+                                                   _canonical(space, b).flat()))
         assert left.flat() == tuple(right)
         # integer chains stay integer
         assert all(x.denominator == 1 for x in ca.flat())
@@ -138,7 +153,7 @@ def test_boundary_and_holonomy_vanish_on_relations(ew, orn3):
         for g in range(cat.origami.n):
             rel = space.relation_chain(g)
             assert all(x == 0 for x in space.boundary(rel))
-            assert rel.holonomy() == (0, 0)
+            assert _holonomy(rel) == (0, 0)
 
 
 def test_ew_w_class_identities(ew):
@@ -173,7 +188,7 @@ def test_full_sums_are_absolute(ew):
     split = space.standard_splitting()
     assert all(x == 0 for x in space.boundary(split.sigma))
     assert all(x == 0 for x in space.boundary(split.zeta))
-    assert split.sigma.holonomy() == (8, 0) and split.zeta.holonomy() == (0, 8)
+    assert _holonomy(split.sigma) == (8, 0) and _holonomy(split.zeta) == (0, 8)
 
 
 def test_epsilon_half_identities(ew):
@@ -296,10 +311,10 @@ def test_transversal_pairing_rows(ew):
         chain = random_chain(rng, 8)
         total_zeta = sum((_horizontal_core_pairing(row, chain)
                           for row in rows), Fraction(0))
-        assert total_zeta == chain.holonomy()[1]
+        assert total_zeta == _holonomy(chain)[1]
         total_sigma = sum((_vertical_core_pairing(col, chain)
                            for col in columns), Fraction(0))
-        assert total_sigma == -chain.holonomy()[0]
+        assert total_sigma == -_holonomy(chain)[0]
 
 
 def test_transversal_pairing_torus():

@@ -15,8 +15,11 @@ from origamis.invariants import (_pairing_row, cylinders, index_parity,
                                  symplectic_basis)
 from origamis.origami import make_origami, vertex_of_square
 from origamis.permutations import Perm, random_transitive_pair
+from origamis.sl2z import inverse_runs, sl2z_word
 
-from test_homology import _horizontal_core_pairing, _vertical_core_pairing
+from test_affine import _reference_transport
+from test_homology import (_fractions, _horizontal_core_pairing,
+                           _vertical_core_pairing)
 
 TORUS = make_origami(1, Perm([0]), Perm([0]))
 
@@ -52,6 +55,38 @@ def test_appendix_b_cylinders(appendix_b):
     assert sorted((c.width, c.height)
                   for c in cylinders(origami, (1, 1)).cylinders) == \
         [(4, 1), (6, 2)]
+
+
+def _letters(runs):
+    return tuple(letter for letter, k in runs for _ in range(k))
+
+
+def test_sparse_cylinders_match_dense_references(ew, orn3, appendix_b):
+    """The dense views are the letter-by-letter transports of the normalizer
+    word and its inverse, and `_pairing_row` and the cores are the dense sums
+    over a row's squares of the zeta rows of `to_normalized` and the columns
+    of `from_normalized`."""
+    rng = random.Random(2031)
+    surfaces = [ew.origami, orn3.origami, appendix_b.origami] + [
+        make_origami(n, *random_transitive_pair(n, rng))
+        for n in (3, 4, 5, 6, 7, 8, 9) * 3][:20]
+    for origami in surfaces:
+        for direction in ((1, 0), (0, 1), (1, 1), (3, 2), (2, -3)):
+            decomp = cylinders(origami, direction)
+            runs = sl2z_word(decomp.normalizer).exact_runs()
+            normalized, to_dense = _reference_transport(origami, _letters(runs))
+            back, from_dense = _reference_transport(
+                normalized, _letters(inverse_runs(runs)))
+            assert normalized == decomp.normalized and back == origami
+            assert decomp.to_normalized == to_dense
+            assert decomp.from_normalized == from_dense
+            n = normalized.n
+            for cyl in decomp.cylinders:
+                bottom = cyl.rows[0]
+                assert _pairing_row(decomp, bottom) == tuple(
+                    map(sum, zip(*(to_dense[n + g] for g in bottom))))
+                assert cyl.core.flat() == tuple(
+                    sum(row[g] for g in bottom) for row in from_dense)
 
 
 def test_area_conservation_random_directions(ew, orn3):
@@ -303,16 +338,16 @@ def test_quadratic_refinement_random(orn3, orn5):
 
 
 def test_symplectic_basis_standard_j():
-    j2 = linalg.mat([[0, 1], [-1, 0]])
+    j2 = _fractions([[0, 1], [-1, 0]])
     assert symplectic_basis(j2) == linalg.identity(2)
-    j4 = linalg.mat([[0, 1, 0, 0], [-1, 0, 0, 0],
+    j4 = _fractions([[0, 1, 0, 0], [-1, 0, 0, 0],
                      [0, 0, 0, 1], [0, 0, -1, 0]])
     assert symplectic_basis(j4) == linalg.identity(4)
 
 
 def test_symplectic_basis_rejects_non_unimodular():
     with pytest.raises(NotUnimodular):
-        symplectic_basis(linalg.mat([[0, 2], [-2, 0]]))
+        symplectic_basis(_fractions([[0, 2], [-2, 0]]))
 
 
 def test_symplectic_basis_on_random_origamis():

@@ -7,10 +7,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from origamis.errors import Inconsistent, NotPermutation, NotTransitive
-from origamis.origami import (VeechGroup, act_by_letters, automorphisms,
-                              canonical_images, canonical_pair, isomorphisms,
-                              make_origami, sl2z_act, stratum_and_genus,
-                              veech_group, vertex_classes)
+from origamis.origami import (BRAID_WALKS, VeechGroup, act_by_letters,
+                              automorphisms, canonical_images, canonical_pair,
+                              isomorphisms, make_origami, sl2z_act,
+                              stratum_and_genus, veech_group, vertex_classes)
 from origamis.permutations import Perm, are_transitive, random_transitive_pair
 from origamis.sl2z import (ID2, J_MAT, LETTER_MATS, S_MAT, T_MAT, eval_letters,
                            mat_mod, mat_mul, mat_neg, mat_pow, sl2z_word)
@@ -420,3 +420,41 @@ def test_veech_contains_rejects_a_non_permutation_table():
     for m in (T_MAT, mat_pow(T_MAT, -5), mat_neg(T_MAT)):
         with pytest.raises(Inconsistent):
             group.contains(m)
+
+
+# -- the braid-relation walks that deduce Veech edges ---------------------------
+
+
+def test_braid_walks_multiply_to_their_letter():
+    assert sorted(BRAID_WALKS) == ["S", "T"]
+    for letter, walks in BRAID_WALKS.items():
+        assert len(walks) == 3
+        for walk in walks:
+            assert eval_letters(walk) == LETTER_MATS[letter]
+            assert eval_letters(reversed(walk)) == LETTER_MATS[letter]
+
+
+def test_braid_walks_end_at_the_letter_image():
+    """Following a walk step by step, its first letter acting first, ends at
+    an origami isomorphic to the letter's image."""
+    for origami in _random_origamis(67, [n for n in range(3, 10) for _ in (0, 1)]):
+        for letter, walks in BRAID_WALKS.items():
+            key = canonical_pair(sl2z_act(letter, origami))
+            for walk in walks:
+                end = origami
+                for step in walk:
+                    end = sl2z_act(step, end)
+                assert canonical_pair(end) == key
+
+
+def test_appendix_b_orbit_deduces_edges(monkeypatch, appendix_b):
+    """The search canonicalizes the start and fewer than two edges per node:
+    the rest are deduced along the walks."""
+    import origamis.origami as module
+    calls = []
+    counted = module.canonical_images
+    monkeypatch.setattr(module, "canonical_images",
+                        lambda *args: calls.append(1) or counted(*args))
+    group = veech_group(appendix_b.origami)
+    assert group.index == 1344
+    assert len(calls) < 2 * group.index + 1

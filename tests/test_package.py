@@ -3,6 +3,7 @@ suites under `python -O`, what importing the CLI loads, and the value
 semantics of the records."""
 
 import ast
+import collections
 import importlib.util
 import itertools
 import json
@@ -17,14 +18,15 @@ import pytest
 
 import origamis
 from origamis import (EdgeChain, Subspace, chain_space, cocycle_growth,
-                      cylinders, detect_d4, elementary_substitution,
-                      finite_closure, lift, linalg, make_origami, multitwist,
-                      sl2z_word, spin_parity, stratum_and_genus, vertex_classes)
+                      cylinders, detect_d4, finite_closure, lift, linalg,
+                      make_origami, multitwist, sl2z_word, spin_parity,
+                      stratum_and_genus, vertex_classes)
 from origamis.cli import _jsonable
 from origamis.homology import StandardSplitting
 from origamis.invariants import SupplementCertificate
 from origamis.sl2z import T_MAT
 from origamis.structure import CongruenceReport
+from test_affine import elementary_substitution
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = sorted((SRC / "origamis").glob("*.py"))
@@ -38,6 +40,76 @@ def test_all_lists_exactly_the_imported_names():
     for name in origamis.__all__:
         value = getattr(origamis, name)
         assert not isinstance(value, types.ModuleType), name
+
+
+def _names_read(node) -> set:
+    """Names, attribute names, imported names and the dotted parts of string
+    constants under the node."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.update((sub.name.rsplit(".", 1)[-1], sub.asname))
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            names.update(sub.value.split("."))
+    return names
+
+
+def _unused(trees, roots) -> list:
+    """The top-level functions and classes, and the non-dunder methods, of
+    the parsed modules {name: tree} whose name is neither in `roots` nor read
+    outside the definition itself (a method counts reads by the rest of its
+    class)."""
+    units, defined = [], []  # units: the statements whose reads are counted
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, ast.ClassDef):
+                units.append(node)
+                if isinstance(node, ast.FunctionDef):
+                    defined.append((f"{module}.{node.name}", [node]))
+                continue
+            head = ast.Module(body=[*node.bases, *node.decorator_list],
+                              type_ignores=[])
+            units += [head, *node.body]
+            defined.append((f"{module}.{node.name}", [head, *node.body]))
+            defined += [(f"{module}.{node.name}.{sub.name}", [sub])
+                        for sub in node.body if isinstance(sub, ast.FunctionDef)
+                        and not sub.name.startswith("__")]
+    reads = {id(unit): _names_read(unit) for unit in units}
+    count = collections.Counter(name for names in reads.values() for name in names)
+    unused = []
+    for label, own in defined:
+        name = label.rsplit(".", 1)[-1]
+        if name not in roots and \
+                count[name] == sum(name in reads[id(unit)] for unit in own):
+            unused.append(label)
+    return unused
+
+
+def test_every_library_definition_is_used():
+    """Each top-level function and class, and each non-dunder method, of the
+    library is named in `__all__`, read by another definition of the library
+    (the CLI among them), or read by the benchmark harness in `perfbench/`
+    (its imports, calls and the dotted names it wraps); nothing is left that
+    only the tests call."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
+    harness = set().union(*(_names_read(ast.parse(path.read_text())) for path
+                            in sorted((SRC.parent / "perfbench").glob("*.py"))))
+    assert _unused(trees, set(origamis.__all__) | harness) == []
+
+
+def test_usage_check_sees_unused_definitions():
+    tree = ast.parse("def used():\n    return 1\n\n"
+                     "def unused():\n    return used() + unused()\n\n"
+                     "class C:\n    def m(self):\n        return self.m()\n"
+                     "    def n(self):\n        return C()\n\n"
+                     "class D(C):\n    def __len__(self):\n        return 0\n")
+    # recursion and a class's own methods are not uses; D's base C is
+    assert _unused({"m": tree}, set()) == ["m.unused", "m.C.m", "m.C.n", "m.D"]
+    assert _unused({"m": tree}, {"unused", "m", "n", "D"}) == []
 
 
 # library checks raise typed errors, never these builtins

@@ -23,6 +23,7 @@ from origamis.structure import (cocycle_growth, combined_action,
                                 decompose_orn, kernel_is_congruence,
                                 operator_norm, tau_character)
 from origamis.verification import _orn_root_system
+from test_homology import _fractions
 
 
 # -- the character layer, kept as a reference ----------------------------------
@@ -363,7 +364,7 @@ def _check_triality_against_search(system, generator_images):
         labels.add(tuple(sorted(expected.items())))
     assert len(labels) == 6
     with pytest.raises(NotInAut):
-        system.triality_image(linalg.mat([[1, 1, 0, 0], [0, 1, 0, 0],
+        system.triality_image(_fractions([[1, 1, 0, 0], [0, 1, 0, 0],
                                           [0, 0, 1, 0], [0, 0, 0, 1]]))
 
 
@@ -475,7 +476,7 @@ def test_detect_d4_rejects_garbage():
 
 
 def test_finite_closure_unbounded_witness():
-    shear = linalg.mat([[1, 1], [0, 1]])
+    shear = _fractions([[1, 1], [0, 1]])
     result = finite_closure([shear], 10)
     assert isinstance(result, UnboundedWitness)
 
@@ -513,7 +514,7 @@ def test_finite_closure_skips_repeats_and_identity(ew_report, orn3_report):
     shear = ((1, 1), (0, 1))
     quarter_turn = ((0, 1), (-1, 0))
     cases = list(_paper_closure_generators(ew_report, orn3_report))
-    cases.append([linalg.identity(2), quarter_turn, linalg.mat(quarter_turn),
+    cases.append([linalg.identity(2), quarter_turn, _fractions(quarter_turn),
                   linalg.identity(2), ((0, -1), (1, 0)), quarter_turn])
     for gens in cases:
         identity = linalg.identity(len(gens[0]))
@@ -614,7 +615,7 @@ def test_symplectic_subgroup_matches_double_product():
 
 
 def test_symplectic_subgroup_identity_only():
-    gram = linalg.mat([[0, 1], [-1, 0]])
+    gram = _fractions([[0, 1], [-1, 0]])
     group = FiniteMatrixGroup((linalg.identity(2),))
     assert symplectic_subgroup(group, gram).order == 1
 
@@ -785,7 +786,7 @@ def test_s2t2_grows_on_breve(q):
 
 
 def test_grows_on_a_shear_not_on_the_theorem_a_image(ew_root_system):
-    assert grows(linalg.mat([[1, 1], [0, 1]]))
+    assert grows(_fractions([[1, 1], [0, 1]]))
     _, rep, _, system = ew_root_system
     frame = system.ambient_frame()
     gens = [matrix_in_chain_basis(rep.lifts[k], frame)
@@ -807,7 +808,7 @@ def _power_growth_by_own_loop(m, length):
 
 
 def test_power_growth_rate_matches_own_loop():
-    for m in (_breve_s2t2(5), linalg.mat([[2, 1], [1, 1]])):
+    for m in (_breve_s2t2(5), _fractions([[2, 1], [1, 1]])):
         assert power_growth_rate(m, 400) == _power_growth_by_own_loop(m, 400)
 
 
