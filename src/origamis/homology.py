@@ -12,17 +12,19 @@ cut out by the boundary (absolute, marked, zero holonomy) and the Z-basis of
 H_1(M, Z) come from one integer kernel of the boundary, read from the table
 of edge endpoints, on those free columns.
 
-The intersection form on absolute classes is computed combinatorially: a class
-is decomposed into closed edge walks, each walk is pushed off to its left, and
-signed crossings are counted on the boundary circle of each vertex disk using
-the ribbon (quarter-sector) structure.
+The intersection form on absolute classes needs no walks: with F_v(p) the
+signed sum of b over the first p germs of the ribbon (quarter-sector)
+structure at vertex v, <a, b> = sum_e a_e (F_head(in-germ of e) -
+F_tail(out-germ of e + 1)), exact by `ChainSpace.intersection`. The closed
+edge walks that only the spin form needs are the cycles of the map sending
+the i-th use arriving at a vertex to the i-th use leaving it, a permutation
+because the chain has no boundary.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
@@ -289,52 +291,38 @@ class ChainSpace:
     def decompose_walks(self, v: Vec) -> list[list[tuple[str, int, int]]]:
         """Closed walks (etype, g, dir) covering an integer absolute chain.
 
-        Deterministic greedy: start from the least available edge use and exit
-        each vertex along the least available use.
+        The edge uses, |v_e| copies of (etype, g, sign v_e) each, are listed
+        in sorted order; at each vertex class the i-th use arriving there is
+        followed by the i-th use departing from it. A vertex's arrivals minus
+        its departures are its boundary coefficient, zero for an absolute
+        chain, so this successor map is a permutation of the uses and the
+        walks are its cycles, each started at its least use.
         """
         n = self.n
         if any(x.denominator != 1 for x in v):
             raise ValueError("integer chain required")
         if any(x != 0 for x in self.boundary_vec(v)):
             raise NotAbsolute("chain has nonzero boundary")
-        remaining: dict[tuple[str, int, int], int] = {}
-        for g in range(n):
-            for etype, coeff in (("s", v[g]), ("z", v[n + g])):
-                c = int(coeff)
-                if c > 0:
-                    remaining[(etype, g, 1)] = c
-                elif c < 0:
-                    remaining[(etype, g, -1)] = -c
-        departures: dict[int, list[tuple[str, int, int]]] = {}
-        for use in sorted(remaining):
-            tail, head = self.edge_endpoints(use[0], use[1])
-            start = tail if use[2] == 1 else head
-            departures.setdefault(start, []).append(use)
+        # flat order (sigma_0.., zeta_0..) is the sorted order of the uses
+        uses = [("s" if j < n else "z", j % n, 1 if x > 0 else -1)
+                for j, x in enumerate(v) for _ in range(abs(int(x)))]
+        arrivals: dict[int, list[int]] = {}
+        departures: dict[int, list[int]] = {}
+        for k, (etype, g, direction) in enumerate(uses):
+            tail, head = self.edge_endpoints(etype, g)[::direction]
+            departures.setdefault(tail, []).append(k)
+            arrivals.setdefault(head, []).append(k)
+        successor = {}
+        for vertex, ks in arrivals.items():
+            successor.update(zip(ks, departures[vertex]))
         walks = []
-        while remaining:
-            first = min(u for u, c in remaining.items() if c > 0)
-            walk = []
-            use = first
-            while True:
-                remaining[use] -= 1
-                if remaining[use] == 0:
-                    del remaining[use]
-                walk.append(use)
-                tail, head = self.edge_endpoints(use[0], use[1])
-                at = head if use[2] == 1 else tail
-                nxt = min((u for u in departures.get(at, ()) if remaining.get(u, 0) > 0),
-                          default=None)
-                if nxt is None:
-                    break
-                use = nxt
-            # balanced degrees guarantee the greedy walk closes up
-            tail0, head0 = self.edge_endpoints(first[0], first[1])
-            start0 = tail0 if first[2] == 1 else head0
-            tail1, head1 = self.edge_endpoints(walk[-1][0], walk[-1][1])
-            end1 = head1 if walk[-1][2] == 1 else tail1
-            if start0 != end1:
-                raise NotClosed("open walk from a balanced chain")
-            walks.append(walk)
+        for start in range(len(uses)):
+            walk, k = [], start
+            while k in successor:
+                walk.append(uses[k])
+                k = successor.pop(k)
+            if walk:
+                walks.append(walk)
         return walks
 
     def walk_passages(self, walk: Sequence[tuple[str, int, int]]
@@ -344,14 +332,9 @@ class ChainSpace:
         if not walk:
             raise NotClosed("empty walk")
         out = []
-        k = len(walk)
-        for i in range(k):
-            prev = walk[i]
-            nxt = walk[(i + 1) % k]
-            arr_kind = "in" if prev[2] == 1 else "out"
-            dep_kind = "out" if nxt[2] == 1 else "in"
-            v1, p1 = self.germ_position(arr_kind, prev[0], prev[1])
-            v2, p2 = self.germ_position(dep_kind, nxt[0], nxt[1])
+        for prev, nxt in zip(walk, walk[1:] + walk[:1]):
+            v1, p1 = self.germ_position("in" if prev[2] == 1 else "out", *prev[:2])
+            v2, p2 = self.germ_position("out" if nxt[2] == 1 else "in", *nxt[:2])
             if v1 != v2:
                 raise NotClosed("walk is not connected through vertices")
             out.append((v1, p1, p2))
@@ -394,33 +377,37 @@ class ChainSpace:
     def intersection(self, a: EdgeChain, b: EdgeChain) -> int | Fraction:
         """Algebraic intersection number of absolute classes.
 
-        The first class is decomposed into closed walks; each walk is pushed
-        slightly to its left, so all crossings with the edge strands of b
-        happen on vertex disk boundaries in the open ccw germ arc from the
-        departure germ to the arrival germ. An outgoing germ crossed
-        contributes +1 times b's coefficient, an incoming one -1 times.
-        Integer classes meet in an int.
+        A closed walk of a, pushed to its left, crosses b's edge strands on
+        each vertex circle in the open ccw arc from its departure germ to its
+        arrival germ: +b_e at an outgoing germ of e, -b_e at an incoming one.
+        With F_v(p) that signed sum over the first p germs at v, 0 around the
+        circle because b has no boundary, an arc sums to F(arrival) -
+        F(departure + 1) even when it wraps. Over the passages each use of e
+        gives F_head(in-germ of e) - F_tail(out-germ of e + 1), negated when
+        e is walked backwards (the two germs' own terms cancel), so <a, b> =
+        sum_e a_e (F_head(in-germ of e) - F_tail(out-germ of e + 1)): linear
+        in a, with no walks. Integer classes meet in an int.
         """
         av, bv = a.flat(), b.flat()
         if any(x != 0 for x in self.boundary_vec(av)) or \
            any(x != 0 for x in self.boundary_vec(bv)):
             raise NotAbsolute("intersection form needs absolute classes")
-        da = lcm(*(x.denominator for x in av))
-        ai = tuple(x * da for x in av)
-        total = 0
         n = self.n
-        for walk in self.decompose_walks(ai):
-            for vidx, arr, dep in self.walk_passages(walk):
-                germs = self._germs[vidx]
-                size = len(germs)
-                pos = (dep + 1) % size
-                while pos != arr:
-                    kind, etype, g = germs[pos]
-                    coeff = bv[g if etype == "s" else n + g]
-                    if coeff:
-                        total += coeff if kind == "out" else -coeff
-                    pos = (pos + 1) % size
-        return total if da == 1 else Fraction(total, da)
+        prefix = []
+        for germs in self._germs:
+            sums = [0]
+            for kind, etype, g in germs:
+                coeff = bv[g if etype == "s" else n + g]
+                sums.append(sums[-1] + (coeff if kind == "out" else -coeff))
+            prefix.append(sums)
+        total = 0
+        for j, coeff in enumerate(av):
+            if coeff:
+                etype = "s" if j < n else "z"
+                head, arrival = self.germ_position("in", etype, j % n)
+                tail, departure = self.germ_position("out", etype, j % n)
+                total += coeff * (prefix[head][arrival] - prefix[tail][departure + 1])
+        return total
 
     def gram(self, basis: Sequence[Vec]) -> Mat:
         chains = [EdgeChain.from_flat(v) for v in basis]

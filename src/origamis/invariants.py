@@ -424,7 +424,6 @@ def invariant_supplement(origami: Origami, marks: Sequence[int],
                 raise ProbeMovesMarks(
                     "probe boundary action leaves the span of the sections")
             coeffs.append(c_k)
-        prev_rows, prev_rhs = list(rows_a), list(rhs)
         for k in range(n_reps):
             # P corr_k - sum_l c_kl corr_l = sum_l c_kl rep_l - P rep_k
             columns = []
@@ -446,10 +445,8 @@ def invariant_supplement(origami: Origami, marks: Sequence[int],
             for row_idx in range(n2):
                 rows_a.append(tuple(col[row_idx] for col in columns))
                 rhs.append(target[row_idx])
-        solution = linalg.solve(tuple(rows_a), tuple(rhs))
-        if solution is None:
-            prefix = linalg.solve(tuple(prev_rows), tuple(prev_rhs)) \
-                if prev_rows else (0,) * (n_reps * n_corr)
+        prefix, solution = solution, linalg.solve(tuple(rows_a), tuple(rhs))
+        if solution is None:  # the earlier probes' solution is forced
             forced = ({f"s_{b}": prefix[b] for b in range(n_corr)}
                       if n_reps == 1 else
                       {f"s_{k}_{b}": prefix[k * n_corr + b]

@@ -261,8 +261,7 @@ class VeechGroup:
 
 # by the braid relation T S^-1 T = S^-1 T S^-1, each walk's matrix product is
 # its letter's matrix, in either reading order; tried in this order
-BRAID_WALKS = {"S": (("T", "S", "T-", "S", "T"), ("T", "S-", "T-", "S", "T-"),
-                     ("T-", "S", "T-", "S-", "T")),
+BRAID_WALKS = {"S": (("T-", "S", "T-", "S-", "T"),),
                "T": (("S", "T", "S-", "T", "S"), ("S", "T-", "S-", "T", "S-"),
                      ("S-", "T", "S-", "T-", "S"))}
 
@@ -275,6 +274,8 @@ def veech_group(origami: Origami) -> VeechGroup:
 
     An edge (v, L) is first deduced along the walks of ``BRAID_WALKS[L]``;
     only when each meets an unknown step is L.v computed and canonicalized.
+    S has one walk, as v's T edge is set only after its S edge: a walk for S
+    that starts with T never completes.
     A deduced edge is the searched one: SL(2,Z) acts on isomorphism classes
     (inner automorphisms of the free group relabel squares), so the class of
     L.v ends every walk from v whose matrix product is L, in whichever order

@@ -32,14 +32,12 @@ from .sl2z import CongruenceSubgroup, ID2, J_MAT, S_MAT, T_MAT, mat_pow
 class DecompositionReport:
     def __init__(self, origami: Origami, subspaces: dict[str, Subspace],
                  chains: dict[str, EdgeChain], lifts: dict[str, AffineLift],
-                 checks: dict[str, bool] | None = None,
-                 intersection_sign: int = 1):
+                 checks: dict[str, bool]):
         self.origami = origami
         self.subspaces = subspaces
         self.chains = chains
         self.lifts = lifts
-        self.checks = {} if checks is None else checks
-        self.intersection_sign = intersection_sign
+        self.checks = checks
 
     @property
     def all_ok(self) -> bool:
@@ -150,14 +148,6 @@ def decompose_orn(orn: Ornithorynque) -> DecompositionReport:
         "sigma": orn.sigma_total(), "zeta": orn.zeta_total(),
         "sigma_flat": orn.sigma_flat(), "zeta_flat": orn.zeta_flat(),
     }
-    for i in range(q):
-        chains[f"a_{i}"] = orn.a(i)
-        chains[f"a_p_{i}"] = orn.a_p(i)
-        chains[f"b_{i}"] = orn.b(i)
-        chains[f"b_p_{i}"] = orn.b_p(i)
-        chains[f"tau_{i}"] = orn.tau(i)
-        chains[f"sigma_breve_{i}"] = orn.sigma_breve(i)
-        chains[f"zeta_breve_{i}"] = orn.zeta_breve(i)
     subspaces = {
         "H1_st": space.subspace_from([chains["sigma"], chains["zeta"]]),
         "H_rel": space.subspace_from([chains["sigma_flat"], chains["zeta_flat"]]),

@@ -1,8 +1,11 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from origamis import linalg
 from origamis.catalog import QUATERNION_ORDER, quaternion_mul
@@ -429,3 +432,108 @@ def test_edge_endpoints_agree_with_the_boundary(orn3):
         expected[head] += 1
         expected[tail] -= 1
         assert space.boundary_vec(unit[j]) == tuple(expected)
+
+
+# -- the intersection form by germ prefix sums, and closed walks ---------------
+
+
+def _intersection_by_arcs(space, a, b):
+    """<a, b> crossing by crossing: a, scaled to an integer chain, is split
+    into closed walks, and at each passage the signed coefficients of b on
+    the germs of the open ccw arc from the departure germ to the arrival germ
+    are summed (outgoing +1, incoming -1)."""
+    av, bv = a.flat(), b.flat()
+    scale = math.lcm(*(Fraction(x).denominator for x in av))
+    total = 0
+    for walk in space.decompose_walks(tuple(Fraction(x * scale) for x in av)):
+        for vidx, arrival, departure in space.walk_passages(walk):
+            germs = space._germs[vidx]
+            pos = (departure + 1) % len(germs)
+            while pos != arrival:
+                kind, etype, g = germs[pos]
+                coeff = bv[g if etype == "s" else space.n + g]
+                total += coeff if kind == "out" else -coeff
+                pos = (pos + 1) % len(germs)
+    return Fraction(total, scale)
+
+
+def test_intersection_matches_the_arc_sums_on_random_origamis():
+    rng = random.Random(18)
+    for _ in range(60):
+        n = rng.randrange(2, 11)
+        space = chain_space(make_origami(n, *random_transitive_pair(n, rng)))
+        basis = [EdgeChain.from_flat(v) for v in space.integral_absolute_basis()]
+        combo = EdgeChain.zero(n)
+        for b in basis:
+            combo = combo + b.scale(Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)))
+        for a in basis + [combo]:
+            for b in basis + [combo]:
+                value = space.intersection(a, b)
+                assert value == _intersection_by_arcs(space, a, b)
+                if a is not combo and b is not combo:
+                    assert type(value) is int
+
+
+PINNED_GRAMS = {
+    "ew": ((0, 1, 0, 1, -1, 0), (-1, 0, 0, 0, 1, 0), (0, 0, 0, 1, 0, -1),
+           (-1, 0, -1, 0, 0, 1), (1, -1, 0, 0, 0, 0), (0, 0, 1, -1, 0, 0)),
+    "orn3": ((0, 0, 0, 0, 1, 0, 1, 0), (0, 0, 1, 0, 1, -1, 0, -1),
+             (0, -1, 0, 0, -1, 1, 0, 1), (0, 0, 0, 0, 0, 0, 1, 0),
+             (-1, -1, 1, 0, 0, 1, 0, -1), (0, 1, -1, 0, -1, 0, 0, 1),
+             (-1, 0, 0, -1, 0, 0, 0, 0), (0, 1, -1, 0, 1, -1, 0, 0)),
+    "appendix_b": ((0, -1, -1, 1), (1, 0, 1, 0), (1, -1, 0, 0), (-1, 0, 0, 0)),
+}
+
+
+def test_gram_needs_no_walks(monkeypatch, ew, orn3, appendix_b):
+    from origamis.homology import ChainSpace
+
+    def refuse(*args):
+        raise RuntimeError("the pairing walked")
+
+    monkeypatch.setattr(ChainSpace, "decompose_walks", refuse)
+    monkeypatch.setattr(ChainSpace, "walk_passages", refuse)
+    for name, surface in (("ew", ew), ("orn3", orn3), ("appendix_b", appendix_b)):
+        space = chain_space(surface.origami)
+        assert space.gram(space.integral_absolute_basis()) == PINNED_GRAMS[name]
+
+
+def _edge_cycles(space):
+    """One cycle per edge off a BFS tree of the vertex classes: the edge
+    closed by the tree path from its head back to its tail, so a loop edge is
+    its own cycle. Entries are -1, 0 and 1."""
+    width = 2 * space.n
+    path = {0: [0] * width}  # vertex class -> the tree path to it from class 0
+    queue = [0]
+    for vertex in queue:
+        for j, ends in enumerate(space.edge_ends):
+            for sign, (here, there) in ((1, ends), (-1, ends[::-1])):
+                if here == vertex and there not in path:
+                    path[there] = [x + sign * (k == j) for k, x in enumerate(path[vertex])]
+                    queue.append(there)
+    cycles = []
+    for j, (tail, head) in enumerate(space.edge_ends):
+        cycle = [int(k == j) + x - y for k, (x, y) in enumerate(zip(path[tail], path[head]))]
+        if any(cycle):
+            cycles.append(tuple(cycle))
+    return cycles
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.randoms(use_true_random=False),
+       st.lists(st.tuples(st.integers(0, 63), st.sampled_from([-1, 1])), max_size=3))
+def test_decompose_walks_covers_absolute_chains(n, rng, picks):
+    """Chains are sums of at most three +-cycles, so coefficients lie in
+    -3..3; at n = 1 and wherever a vertex class ends both sides of an edge,
+    loop edges occur."""
+    space = chain_space(make_origami(n, *random_transitive_pair(n, rng)))
+    cycles = _edge_cycles(space)
+    v = [0] * (2 * n)
+    for index, sign in picks:
+        v = [x + sign * y for x, y in zip(v, cycles[index % len(cycles)])]
+    total = [0] * (2 * n)
+    for walk in space.decompose_walks(tuple(v)):
+        assert len(space.walk_passages(walk)) == len(walk)
+        for etype, g, direction in walk:
+            total[g if etype == "s" else n + g] += direction
+    assert total == v

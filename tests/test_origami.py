@@ -428,7 +428,7 @@ def test_veech_contains_rejects_a_non_permutation_table():
 def test_braid_walks_multiply_to_their_letter():
     assert sorted(BRAID_WALKS) == ["S", "T"]
     for letter, walks in BRAID_WALKS.items():
-        assert len(walks) == 3
+        assert len(walks) == {"S": 1, "T": 3}[letter]
         for walk in walks:
             assert eval_letters(walk) == LETTER_MATS[letter]
             assert eval_letters(reversed(walk)) == LETTER_MATS[letter]
@@ -445,6 +445,34 @@ def test_braid_walks_end_at_the_letter_image():
                 for step in walk:
                     end = sl2z_act(step, end)
                 assert canonical_pair(end) == key
+
+
+def _walk_completions(group):
+    """How many edges each walk of BRAID_WALKS deduces, replaying the search:
+    nodes in order, S before T, each walk tried on the edges known so far.
+    A completed walk must end at the edge's node."""
+    step = {letter: {} for letter in ("S", "S-", "T", "T-")}
+    counts = {walk: 0 for walks in BRAID_WALKS.values() for walk in walks}
+    for node in range(group.index):
+        for letter in ("S", "T"):
+            edge = group.edges[(node, letter)]
+            for walk in BRAID_WALKS[letter]:
+                target = node
+                for table in walk:
+                    target = step[table].get(target)
+                    if target is None:
+                        break
+                else:
+                    assert target == edge
+                    counts[walk] += 1
+                    break
+            step[letter][node], step[letter + "-"][edge] = edge, node
+    return counts
+
+
+def test_every_braid_walk_deduces_an_appendix_b_edge(appendix_b):
+    counts = _walk_completions(veech_group(appendix_b.origami))
+    assert min(counts.values()) >= 1
 
 
 def test_appendix_b_orbit_deduces_edges(monkeypatch, appendix_b):
