@@ -46,6 +46,7 @@ inverse is its inverse word's transport closed by the inverse relabeling.
 from __future__ import annotations
 
 import functools
+from fractions import Fraction
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
@@ -57,7 +58,7 @@ from .linalg import Mat, Vec
 from .origami import Origami, isomorphisms, sl2z_act, vertex_of_square
 from .permutations import Perm
 from .sl2z import (ID2, Mat2, Runs, inverse_runs, mat_inv, mat_mul,
-                   sl2z_word)
+                   reduced_runs, sl2z_word)
 
 Row = tuple[tuple[int, int], ...]  # ((col, coeff), ...), columns ascending
 
@@ -143,12 +144,13 @@ def transport(origami: Origami, runs: Runs, rows: Sequence[dict] | None = None
               ) -> tuple[Origami, tuple[Row, ...]]:
     """Push the substitutions of a word's runs (rightmost run first) through
     the {col: coeff} rows of a map into the chain space (the identity if
-    None), one step per run: (final origami, the rows of the chain map into
-    it times that map)."""
+    None), one step per run of the reduced word: (final origami, the rows of
+    the chain map into it times that map). Reducing changes neither, as runs
+    need not be maximal and opposite letters undo each other."""
     current = origami
     if rows is None:
         rows = [{j: 1} for j in range(2 * origami.n)]
-    for letter, k in reversed(runs):
+    for letter, k in reversed(reduced_runs(runs)):
         rows, current = (_run_rows(letter, k, current, rows),
                          sl2z_act(letter, current, k))
     return current, tuple(map(_row, rows))
@@ -191,8 +193,17 @@ class AffineLift(NamedTuple):
         return EdgeChain.from_flat(_times(self.rows, chain.flat()))
 
     def image(self, v: Vec) -> Vec:
-        """The canonical form of the image of the flat vector v."""
-        return chain_space(self.origami).canonical_vec(_times(self.rows, v))
+        """The canonical form of the image of the flat vector v. A v holding
+        a Fraction is mapped as its integer numerators over their lcm; an
+        image entry is typed a Fraction when its row reads one."""
+        space = chain_space(self.origami)
+        if Fraction not in set(map(type, v)):
+            return space.canonical_vec(_times(self.rows, v))
+        d, (ints,), _ = linalg._over_lcm((v,))
+        fractional = [type(x) is Fraction for x in v]
+        return space.canonical_over(
+            _times(self.rows, ints), d,
+            [any([fractional[j] for j, _ in row]) for row in self.rows])
 
     def compose(self, other: "AffineLift") -> "AffineLift":
         """self after other."""

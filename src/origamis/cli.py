@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from math import prod
 
 from .affine import automorphism_lift, lift, matrix_on
 from .catalog import catalog, catalog_origami
@@ -61,6 +62,9 @@ def load_origami(args) -> Origami:
             squares = data["n"] if pts is None else abs(twice_area(pts)) // 2
             _check_bound("an --origami file's squares", squares, *_BOUNDS["squares"])
             if pts is not None:
+                _check_bound("a polygon file's bounding-box cells",
+                             prod(max(c) - min(c) for c in zip(*pts)),
+                             *_BOUNDS["cells"])
                 return polygon_to_origami(pts)
             return make_origami(data["n"], Perm(data["r"]), Perm(data["u"]),
                                 data.get("base", 0))
@@ -102,10 +106,13 @@ def _parse_dir(text: str) -> tuple[int, int]:
 
 # the least and the most accepted value of each bounded integer option (None:
 # no bound); --q stops at 41, whose surface's 164 squares are the most an
-# --origami file may hold (its n, or its polygon's area); --level stops at 32,
-# whose report takes seconds and megabytes, growing as the cube of the level
+# --origami file may hold (its n, or its polygon's area); a polygon's bounding
+# box may hold 10,000 unit cells, since rasterizing visits every one (0.2 s
+# for a four-sided polygon at the cap); --level stops at 32, whose report
+# takes seconds and megabytes, growing as the cube of the level
 _BOUNDS = {"cap": (1, None), "len": (1, None), "trials": (1, None),
-           "level": (2, 32), "q": (None, 41), "squares": (None, 164)}
+           "level": (2, 32), "q": (None, 41), "squares": (None, 164),
+           "cells": (None, 10_000)}
 
 
 def _check_bound(name: str, value, least, most) -> None:

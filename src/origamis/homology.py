@@ -6,7 +6,8 @@ modulo the square-boundary relations
 
 Flat coordinates are (sigma_0..sigma_{n-1}, zeta_0..zeta_{n-1}). Canonical
 forms are unique coset representatives obtained by zeroing the unit-pivot
-columns of the relation lattice; integer chains stay integer, and the n + 1
+columns of the relation lattice; integer chains stay integer, a rational
+chain is reduced on its integer numerators over their lcm, and the n + 1
 free columns they keep are a Z-basis of H_1(M, Sigma', Z). Every subspace
 cut out by the boundary (absolute, marked, zero holonomy) and the Z-basis of
 H_1(M, Z) come from one integer kernel of the boundary, read from the table
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
@@ -103,16 +105,29 @@ class Subspace(NamedTuple):
         return len(self.basis)
 
     def coords_of(self, v: Vec) -> Vec | None:
-        """Coordinates in basis order, or None if v is outside the span."""
-        coords = []
-        v = list(v)
-        for row, p in zip(self.basis, self.pivots):
-            coords.append(v[p])
-            if v[p] != 0:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        if any(x != 0 for x in v):
+        """Coordinates in basis order, or None if v is outside the span.
+
+        The basis is in reduced echelon form (int 1 at its pivot, int 0 at
+        the others'), so the coordinates are v's entries at the pivots; v is
+        in the span when v * d_v * d_b equals the sum of those (scaled)
+        entries times the basis rows scaled by d_b, both sides integers. A
+        coordinate is a Fraction when its entry is one or an earlier nonzero
+        one is, as eliminating pivot by pivot over Q types it."""
+        d_b, rows, ints = 1, self.basis, v
+        if Fraction in set(map(type, chain(v, *self.basis))):
+            d_b, rows, _ = linalg._over_lcm(self.basis)
+            _, (ints,), _ = linalg._over_lcm((v,))
+        residual = [d_b * x for x in ints]
+        for row, p in zip(rows, self.pivots):
+            if f := ints[p]:
+                residual = [x - f * y for x, y in zip(residual, row)]
+        if any(residual):
             return None
+        coords, fraction_seen = [], False
+        for p in self.pivots:
+            x = v[p]
+            coords.append(Fraction(x) if fraction_seen else x)
+            fraction_seen |= type(x) is Fraction and x != 0
         return tuple(coords)
 
 
@@ -166,12 +181,34 @@ class ChainSpace:
         return len(self.reducer)
 
     def canonical_vec(self, v: Vec) -> Vec:
+        if Fraction in set(map(type, v)):
+            d, (ints,), _ = linalg._over_lcm((v,))
+            return self.canonical_over(ints, d, [type(x) is Fraction for x in v])
         v = list(v)
         for p, row in self.reducer:
             if v[p] != 0:
                 f = v[p]
                 v = [x - f * y for x, y in zip(v, row)]
         return tuple(v)
+
+    def canonical_over(self, ints: Sequence[int], d: int,
+                       fractional: Sequence[bool]) -> Vec:
+        """The canonical form of the vector ints / d, typed as canonical_vec
+        types a vector whose entry j is a Fraction exactly when fractional[j].
+
+        The reducer rows are zero at each other's pivots, so the pivot
+        values met are the input's; eliminating by one that is a nonzero
+        Fraction makes every entry a Fraction, and by ints keeps each type."""
+        ints = list(ints)
+        all_fractions = False
+        for p, row in self.reducer:
+            if f := ints[p]:
+                ints = [x - f * y for x, y in zip(ints, row)]
+                all_fractions |= fractional[p]
+        if all_fractions:
+            return tuple([Fraction(x, d) for x in ints])
+        return tuple([Fraction(x, d) if frac else x // d
+                      for x, frac in zip(ints, fractional)])
 
     def equivalent(self, a: EdgeChain, b: EdgeChain) -> bool:
         return self.canonical_vec(a.flat()) == self.canonical_vec(b.flat())

@@ -3,7 +3,13 @@
 The number rule: a value built from ints by +, - and * stays an int, and a
 Fraction appears only where a division leaves a denominator. The
 eliminations (rref, det, and through rref solve and mat_inv) return an int
-for every entry of denominator 1. `vec` and `mat` coerce outside input.
+for every entry of denominator 1. `vec` coerces outside input.
+
+The exact kernels run on integer numerators over one common denominator,
+scaled by the one helper `_over_lcm`: the products here, `rref` here, and
+in `homology` and `affine` the canonical forms, the subspace coordinates
+and the lift images. Each divides once at the end and keeps the entry types
+the entrywise Fraction arithmetic would give.
 
 Products (mat_mul, mat_vec) share one kernel and keep the type an entrywise
 sum of x * y would give: an entry is a Fraction exactly when its row of a or
@@ -17,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, repeat
-from math import lcm
+from math import gcd, lcm
 from operator import attrgetter, floordiv, mul
 from typing import Iterable, Sequence
 
@@ -96,27 +102,37 @@ def exact(x):
 
 
 def rref(a: Mat) -> tuple[Mat, list[int]]:
-    """Reduced row echelon form over Q; returns (rref, pivot column list)."""
-    rows = [list(row) for row in a]
+    """Reduced row echelon form over Q; returns (rref, pivot column list).
+
+    Gauss-Jordan on the integer rows of `_over_lcm`: each other row r gains
+    a column's zero as p * r - f * (pivot row), and is divided by the gcd of
+    its entries. The pivots are divided out once at the end; the RREF is
+    unique, so it is the one of a over Q."""
+    _, rows, _ = _over_lcm(a)
+    rows = [list(row) for row in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
     rank = 0
     for col in range(ncols):
-        pivot_row = next((i for i in range(rank, nrows) if rows[i][col] != 0), None)
+        pivot_row = next((i for i in range(rank, nrows) if rows[i][col]), None)
         if pivot_row is None:
             continue
         rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        p = rows[rank][col]
-        inv = p if p in (1, -1) else Fraction(1) / p
-        rows[rank] = [x * inv for x in rows[rank]]
+        prow = rows[rank]
+        p = prow[col]
         for i in range(nrows):
-            if i != rank and rows[i][col] != 0:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+            if i != rank and (f := rows[i][col]):
+                row = [p * x - f * y for x, y in zip(rows[i], prow)]
+                g = gcd(*row)
+                rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
         rank += 1
-    return tuple(tuple(map(exact, row)) for row in rows[:rank]), pivots
+    reduced = []
+    for row, col in zip(rows, pivots):
+        p = row[col]
+        reduced.append(tuple([x // p if x % p == 0 else Fraction(x, p) for x in row]))
+    return tuple(reduced), pivots
 
 
 def rank_mod(a: Mat, p: int) -> int:

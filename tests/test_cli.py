@@ -222,6 +222,12 @@ def test_bad_origami_file_is_usage_error(tmp_path, argv, content, error):
 SQUARES = 100_000
 
 
+def _parallelogram(n):
+    """A one-square unimodular parallelogram whose bounding box holds about
+    4 n^2 cells."""
+    return [[0, 0], [n, n + 1], [2 * n - 1, 2 * n + 1], [n - 1, n]]
+
+
 @pytest.mark.parametrize("argv,content", [
     (["info", "--name", "ornithorynque", "--q", "10001"], None),
     (["verify", "theorem-b", "--q", "43"], None),
@@ -230,13 +236,15 @@ SQUARES = 100_000
     (FILE, json.dumps({"vertices": [[0, 0], [1000, 0], [1000, 1000],
                                     [0, 1000]]})),
     (FILE, json.dumps({"vertices": [[0, 0], [15, 0], [15, 11], [0, 11]]})),
+    (FILE, json.dumps({"vertices": _parallelogram(10_000)})),
     (["congruence", "--level", "33"], None),
 ], ids=["q-10001", "verify-q-43", "file-n", "polygon-area", "polygon-165",
-        "congruence-level-33"])
+        "polygon-bbox", "congruence-level-33"])
 def test_size_above_its_cap_is_usage_error_at_once(tmp_path, argv, content):
     """--q above 41, an --origami file of more than 164 squares (its n,
-    or its polygon's area), and --level above 32 answer BadArgument with
-    exit code 2 before any surface or group is built."""
+    or its polygon's area), a polygon whose bounding box holds more than
+    10,000 cells, and --level above 32 answer BadArgument with exit code 2
+    before any surface or group is built."""
     path = tmp_path / "origami.json"
     if content is not None:
         path.write_text(content)
@@ -255,6 +263,14 @@ def test_sizes_at_their_caps_are_accepted(tmp_path):
     path.write_text(json.dumps({k: report[k] for k in ("n", "r", "u")}))
     code, text = capture(["info", "--origami", str(path)])
     assert code == 0 and json.loads(text) == report
+
+
+def test_small_slanted_parallelogram_is_accepted(tmp_path):
+    path = tmp_path / "origami.json"
+    path.write_text(json.dumps({"vertices": _parallelogram(3)}))
+    code, text = capture(["info", "--origami", str(path)])
+    report = json.loads(text)
+    assert code == 0 and report["n"] == 1 and report["genus"] == 1
 
 
 def test_level_at_its_cap_is_accepted(monkeypatch):

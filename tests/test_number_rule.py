@@ -1,11 +1,23 @@
 """The number rule: exact values built from ints by +, - and * stay ints, and
-a Fraction appears only where a division can leave a denominator."""
+a Fraction appears only where a division can leave a denominator.
+
+The integer-numerator kernels (`linalg.rref`, `ChainSpace.canonical_vec`,
+`Subspace.coords_of`, `AffineLift.image`) are checked against the entry by
+entry Fraction eliminations they replaced, kept here as `_reference_*`
+helpers: equal values and equal `type()` of every entry.
+"""
 
 import random
 from fractions import Fraction
+from math import lcm
 
-from origamis.affine import matrix_on
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from origamis import linalg
+from origamis.affine import lift_all, matrix_on
 from origamis.homology import chain_space
+from origamis.sl2z import S_MAT, T_MAT, mat_pow
 from origamis.origami import make_origami
 from origamis.permutations import random_transitive_pair
 from origamis.rootsys import FiniteMatrixGroup, finite_closure
@@ -81,3 +93,175 @@ def test_subspace_bases_from_rref_are_int(orn3_report, orn5_report):
         space = chain_space(report.origami)
         assert _all_int(report.subspaces["H_breve"].basis)
         assert _all_int(space.marked_subspace(space.singular_vertices()).basis)
+
+
+# -- the integer-numerator kernels against the Fraction eliminations ----------
+
+
+def _reference_rref(a):
+    """Gauss-Jordan over Q entry by entry, integral entries made ints."""
+    rows = [list(row) for row in a]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    pivots = []
+    rank = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(rank, nrows) if rows[i][col] != 0), None)
+        if pivot_row is None:
+            continue
+        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
+        p = rows[rank][col]
+        inv = p if p in (1, -1) else Fraction(1) / p
+        rows[rank] = [x * inv for x in rows[rank]]
+        for i in range(nrows):
+            if i != rank and rows[i][col] != 0:
+                f = rows[i][col]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        pivots.append(col)
+        rank += 1
+    return tuple(tuple(map(linalg.exact, row)) for row in rows[:rank]), pivots
+
+
+def _reference_canonical_vec(space, v):
+    v = list(v)
+    for p, row in space.reducer:
+        if v[p] != 0:
+            f = v[p]
+            v = [x - f * y for x, y in zip(v, row)]
+    return tuple(v)
+
+
+def _reference_coords_of(sub, v):
+    coords = []
+    v = list(v)
+    for row, p in zip(sub.basis, sub.pivots):
+        coords.append(v[p])
+        if v[p] != 0:
+            f = v[p]
+            v = [x - f * y for x, y in zip(v, row)]
+    if any(x != 0 for x in v):
+        return None
+    return tuple(coords)
+
+
+def _reference_image(lift_, v):
+    space = chain_space(lift_.origami)
+    return _reference_canonical_vec(
+        space, tuple(sum(x * v[j] for j, x in row) for row in lift_.rows))
+
+
+def _typed(entries):
+    return None if entries is None else [(type(x), x) for x in entries]
+
+
+def _rational(rng):
+    """An int, an integral Fraction, a Fraction zero or a Fraction of
+    denominator up to 4, all within 5."""
+    kind = rng.randrange(5)
+    n = rng.randint(-5, 5)
+    if kind == 0:
+        return n
+    if kind == 1:
+        return Fraction(n)
+    if kind == 2:
+        return rng.choice((0, Fraction(0)))
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+
+def _vector(rng, width, mix):
+    """A vector whose entries are ints, rationals of `_rational` with
+    probability mix, and zeros."""
+    return tuple(_rational(rng) if rng.random() < mix else
+                 rng.choice((0, rng.randint(-3, 3))) for _ in range(width))
+
+
+def _matrix(rng, rows, cols):
+    mix = rng.choice((0, 0.2, 1))
+    m = [_vector(rng, cols, mix) for _ in range(rows)]
+    if rows > 1 and rng.random() < 0.3:
+        m[-1] = tuple(0 for _ in range(cols))
+    if rows > 1 and rng.random() < 0.3:
+        m[0] = tuple(2 * x for x in m[-1])
+    return tuple(m)
+
+
+_RATIONALS = st.one_of(st.integers(-5, 5), st.integers(-5, 5).map(Fraction),
+                       st.fractions(-5, 5, max_denominator=4))
+
+
+def test_rref_matches_reference_on_seeded_rational_matrices():
+    rng = random.Random(19)
+    for _ in range(1500):
+        a = _matrix(rng, rng.randrange(0, 7), rng.randrange(1, 8))
+        reduced, pivots = linalg.rref(a)
+        expected, expected_pivots = _reference_rref(a)
+        assert pivots == expected_pivots
+        assert list(map(_typed, reduced)) == list(map(_typed, expected))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 7).flatmap(lambda cols: st.lists(
+    st.lists(_RATIONALS, min_size=cols, max_size=cols), max_size=6)))
+def test_rref_matches_reference_on_hypothesis_matrices(rows):
+    a = tuple(map(tuple, rows))
+    reduced, pivots = linalg.rref(a)
+    expected, expected_pivots = _reference_rref(a)
+    assert pivots == expected_pivots
+    assert list(map(_typed, reduced)) == list(map(_typed, expected))
+
+
+def _surfaces(ew, orn3, appendix_b, count=6):
+    rng = random.Random(23)
+    return [ew.origami, orn3.origami, appendix_b.origami] + \
+        [make_origami(n, *random_transitive_pair(n, rng))
+         for n in (3, 4, 5, 6, 7, 8)[:count]]
+
+
+def test_canonical_vec_coords_of_and_image_match_references(ew, orn3, appendix_b):
+    """Every entry typing occurs: all int, mixed, all Fraction (a Fraction
+    pivot applied), and coordinates that are None or mixed."""
+    rng = random.Random(29)
+    seen = set()
+    for origami in _surfaces(ew, orn3, appendix_b):
+        space = chain_space(origami)
+        width = 2 * origami.n
+        # T^a and S^b with a, b the orders of r and u are in every Veech group
+        lifts = [lift_all(origami, mat_pow(m, lcm(*map(len, p.cycles()))))[0]
+                 for m, p in ((T_MAT, origami.r), (S_MAT, origami.u))]
+        subspaces = [space.full_subspace(), space.absolute_subspace(),
+                     space.subspace_from_vecs(
+                         [_vector(rng, width, 0.5) for _ in range(3)])]
+        for _ in range(25):
+            v = _vector(rng, width, rng.choice((0, 0.1, 0.5, 1)))
+            canonical = space.canonical_vec(v)
+            assert _typed(canonical) == _typed(_reference_canonical_vec(space, v))
+            seen.add(frozenset(map(type, canonical)))
+            for lift_ in lifts:
+                assert _typed(lift_.image(v)) == _typed(_reference_image(lift_, v))
+            for sub in subspaces:
+                # a vector of the span, with rational coordinates, and v
+                inside = [0] * width
+                for row in sub.basis:
+                    c = _rational(rng)
+                    inside = [x + c * y for x, y in zip(inside, row)]
+                for w in (tuple(inside), space.canonical_vec(v), v):
+                    coords = sub.coords_of(w)
+                    assert _typed(coords) == _typed(_reference_coords_of(sub, w))
+                    seen.add(("coords", None if coords is None
+                              else frozenset(map(type, coords))))
+    assert {frozenset({int}), frozenset({Fraction}),
+            frozenset({int, Fraction})} <= seen
+    assert {("coords", None), ("coords", frozenset({int, Fraction}))} <= seen
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(_RATIONALS, min_size=16, max_size=16))
+def test_canonical_vec_and_image_match_references_on_hypothesis_vectors(ew, v):
+    space = chain_space(ew.origami)
+    v = tuple(v)
+    assert _typed(space.canonical_vec(v)) == _typed(_reference_canonical_vec(space, v))
+    for lift_ in lift_all(ew.origami, T_MAT)[:2]:
+        assert _typed(lift_.image(v)) == _typed(_reference_image(lift_, v))
+    sub = space.subspace_from_vecs([v, v[::-1]])
+    for w in (space.canonical_vec(v), v):
+        assert _typed(sub.coords_of(w)) == _typed(_reference_coords_of(sub, w))

@@ -1,6 +1,6 @@
-"""Package-wide checks: the public names, no `assert` in the library, verify
-suites under `python -O`, what importing the CLI loads, and the value
-semantics of the records."""
+"""Package-wide checks: the public names, no `assert` in the library, no
+`fractions` in the polygon module, verify suites under `python -O`, what
+importing the CLI loads, and the value semantics of the records."""
 
 import ast
 import collections
@@ -146,6 +146,29 @@ def test_lint_sees_arithmetic_error(tmp_path):
     bad.write_text("raise ArithmeticError('x')\nraise ArithmeticError\n"
                    "raise ValueError('z')\n")
     assert _assertions(bad) == [1, 2]
+
+
+def _imported_modules(path: Path) -> set[str]:
+    """The top-level names of the modules a file imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_polygons_import_no_fractions():
+    # the rasterization runs on a scaled integer lattice
+    assert "fractions" not in _imported_modules(SRC / "origamis" / "polygons.py")
+
+
+def test_import_lint_sees_both_forms(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("from fractions import Fraction\nimport math, os.path\n"
+                   "from . import linalg\n")
+    assert _imported_modules(bad) == {"fractions", "math", "os"}
 
 
 def _src_env() -> dict:

@@ -1,9 +1,14 @@
+import random
+
 import pytest
 
-from origamis.errors import NotSimple, UnpairedSides
+from _polygon_reference import ReferencePolygonSurface
+from origamis.catalog import APPENDIX_B_VERTICES
+from origamis.errors import NotSimple, OrigamiError, UnpairedSides
 from origamis.homology import chain_space
 from origamis.origami import stratum_and_genus, vertex_classes
-from origamis.polygons import polygon_to_origami
+from origamis.polygons import PolygonSurface, polygon_to_origami
+from origamis.sl2z import ID2, S_MAT, T_MAT, mat_mul, mat_pow
 from test_homology import _holonomy
 
 
@@ -89,3 +94,77 @@ def test_identified_vertices_on_decagon(appendix_b):
     odd = {(1, 2), (3, 3), (5, 1), (3, -2), (1, -1)}
     assert len({_point_class(surface, p) for p in even}) == 1
     assert len({_point_class(surface, p) for p in odd}) == 1
+
+
+# -- the scaled integer lattice against the Fraction reference ------------------
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the name of the OrigamiError it raises."""
+    try:
+        return fn(*args)
+    except OrigamiError as err:
+        return type(err).__name__
+
+
+def _assert_same_surface(vertices):
+    """The two rasterizations agree on the origami, the cells, the lattice
+    point classes and the path chain between every pair of lattice points,
+    or raise the same error. Returns the surface, or None."""
+    surface = _outcome(PolygonSurface, vertices)
+    reference = _outcome(ReferencePolygonSurface, vertices)
+    if isinstance(reference, str):
+        assert surface == reference, vertices
+        return None
+    assert surface.origami == reference.origami
+    assert surface.cells == reference.cells
+    assert surface._point_class == reference._point_class
+    points = sorted(surface._point_class)
+    for p in points:
+        for q in points:
+            assert _outcome(surface.path_chain, p, q) == \
+                _outcome(reference.path_chain, p, q), (vertices, p, q)
+    return surface
+
+
+L_SHAPE = [(0, 0), (1, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2), (0, 1)]
+RECTANGLES = [[(0, 0), (w, 0), (w, h), (0, h)] for w, h in ((1, 1), (2, 1), (3, 2))]
+
+
+def test_scaled_lattice_matches_reference_on_fixed_polygons():
+    for vertices in [APPENDIX_B_VERTICES, L_SHAPE] + RECTANGLES:
+        assert _assert_same_surface(vertices) is not None
+
+
+def _unimodular_parallelogram(rng):
+    """The parallelogram on the columns of a random product of S and T
+    powers, a matrix of determinant 1."""
+    m = ID2
+    for _ in range(rng.randint(1, 4)):
+        m = mat_mul(m, mat_pow(rng.choice((S_MAT, T_MAT)), rng.choice((-2, -1, 1, 2))))
+    (a, b), (c, d) = m
+    return [(0, 0), (a, c), (a + b, c + d), (b, d)]
+
+
+def _hexagon(rng):
+    """The centrally symmetric hexagon of sides u, v, w, -u, -v, -w."""
+    u, v, w = ((rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(3))
+    pts, p = [], (0, 0)
+    for e in (u, v, w, (-u[0], -u[1]), (-v[0], -v[1])):
+        pts.append(p)
+        p = (p[0] + e[0], p[1] + e[1])
+    return pts + [p]
+
+
+def test_scaled_lattice_matches_reference_on_seeded_polygons():
+    """Unimodular parallelograms, parallelograms and hexagons whose sides
+    have components of 2 or more, so that the scale's side factor is not 1."""
+    rng = random.Random(1919)
+    assert all(_assert_same_surface(_unimodular_parallelogram(rng))
+               for _ in range(12))
+    parallelograms = [[(0, 0), (2, 1), (3, 4), (1, 3)],
+                      [(0, 0), (3, -2), (5, 1), (2, 3)]]
+    surfaces = [_assert_same_surface(vertices) for vertices
+                in parallelograms + [_hexagon(rng) for _ in range(40)]]
+    scales = [s.scale for s in surfaces if s is not None]
+    assert len(scales) >= 20 and sum(d % (2 * 924) == 0 for d in scales) >= 5
