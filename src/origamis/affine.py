@@ -58,7 +58,7 @@ from .linalg import Mat, Vec
 from .origami import Origami, isomorphisms, sl2z_act, vertex_of_square
 from .permutations import Perm
 from .sl2z import (ID2, Mat2, Runs, inverse_runs, mat_inv, mat_mul,
-                   reduced_runs, sl2z_word)
+                   sl2z_word)
 
 Row = tuple[tuple[int, int], ...]  # ((col, coeff), ...), columns ascending
 
@@ -144,13 +144,12 @@ def transport(origami: Origami, runs: Runs, rows: Sequence[dict] | None = None
               ) -> tuple[Origami, tuple[Row, ...]]:
     """Push the substitutions of a word's runs (rightmost run first) through
     the {col: coeff} rows of a map into the chain space (the identity if
-    None), one step per run of the reduced word: (final origami, the rows of
-    the chain map into it times that map). Reducing changes neither, as runs
-    need not be maximal and opposite letters undo each other."""
+    None), one step per run: (final origami, the rows of the chain map into
+    it times that map)."""
     current = origami
     if rows is None:
         rows = [{j: 1} for j in range(2 * origami.n)]
-    for letter, k in reversed(reduced_runs(runs)):
+    for letter, k in reversed(runs):
         rows, current = (_run_rows(letter, k, current, rows),
                          sl2z_act(letter, current, k))
     return current, tuple(map(_row, rows))
@@ -193,17 +192,14 @@ class AffineLift(NamedTuple):
         return EdgeChain.from_flat(_times(self.rows, chain.flat()))
 
     def image(self, v: Vec) -> Vec:
-        """The canonical form of the image of the flat vector v. A v holding
-        a Fraction is mapped as its integer numerators over their lcm; an
-        image entry is typed a Fraction when its row reads one."""
-        space = chain_space(self.origami)
-        if Fraction not in set(map(type, v)):
-            return space.canonical_vec(_times(self.rows, v))
-        d, (ints,), _ = linalg._over_lcm((v,))
-        fractional = [type(x) is Fraction for x in v]
-        return space.canonical_over(
+        """The canonical form of the image of the flat vector v, mapped as
+        its integer numerators over their lcm (1 for an all-int v); an image
+        entry is typed a Fraction when its row reads one."""
+        d, (ints,), (some_fraction,) = linalg._over_lcm((v,))
+        return chain_space(self.origami).canonical_over(
             _times(self.rows, ints), d,
-            [any([fractional[j] for j, _ in row]) for row in self.rows])
+            [some_fraction and any([type(v[j]) is Fraction for j, _ in row])
+             for row in self.rows])
 
     def compose(self, other: "AffineLift") -> "AffineLift":
         """self after other."""

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from itertools import chain
 from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
@@ -95,7 +94,8 @@ def zeta_chain(n: int, g: int, coeff=1) -> EdgeChain:
 
 
 class Subspace(NamedTuple):
-    """Row-echelon basis of canonical-form flat vectors."""
+    """Reduced row-echelon basis of canonical-form flat vectors: each row
+    has int 1 at its pivot and int 0 at the other rows' pivots."""
 
     basis: tuple[Vec, ...]
     pivots: tuple[int, ...]
@@ -113,10 +113,8 @@ class Subspace(NamedTuple):
         entries times the basis rows scaled by d_b, both sides integers. A
         coordinate is a Fraction when its entry is one or an earlier nonzero
         one is, as eliminating pivot by pivot over Q types it."""
-        d_b, rows, ints = 1, self.basis, v
-        if Fraction in set(map(type, chain(v, *self.basis))):
-            d_b, rows, _ = linalg._over_lcm(self.basis)
-            _, (ints,), _ = linalg._over_lcm((v,))
+        d_b, rows, _ = linalg._over_lcm(self.basis)
+        _, (ints,), _ = linalg._over_lcm((v,))
         residual = [d_b * x for x in ints]
         for row, p in zip(rows, self.pivots):
             if f := ints[p]:
@@ -181,15 +179,8 @@ class ChainSpace:
         return len(self.reducer)
 
     def canonical_vec(self, v: Vec) -> Vec:
-        if Fraction in set(map(type, v)):
-            d, (ints,), _ = linalg._over_lcm((v,))
-            return self.canonical_over(ints, d, [type(x) is Fraction for x in v])
-        v = list(v)
-        for p, row in self.reducer:
-            if v[p] != 0:
-                f = v[p]
-                v = [x - f * y for x, y in zip(v, row)]
-        return tuple(v)
+        d, (ints,), _ = linalg._over_lcm((v,))
+        return self.canonical_over(ints, d, [type(x) is Fraction for x in v])
 
     def canonical_over(self, ints: Sequence[int], d: int,
                        fractional: Sequence[bool]) -> Vec:

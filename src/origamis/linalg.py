@@ -77,11 +77,15 @@ def _scaled_products(rows: Mat, cols: Mat) -> Mat:
 
 def _over_lcm(rows: Mat) -> tuple[int, list[tuple[int, ...]], list[bool]]:
     """(d, the rows times d as ints, whether each row holds a Fraction), d
-    the lcm of the entries' denominators."""
+    the lcm of the entries' denominators: 1 and the rows themselves when no
+    entry is a Fraction."""
+    fractional = [Fraction in set(map(type, row)) for row in rows]
+    if not any(fractional):
+        return 1, list(map(tuple, rows)), fractional
     d = lcm(*map(_DENOMINATOR, chain.from_iterable(rows)))
     return d, [tuple(map(mul, map(_NUMERATOR, row),
                          map(floordiv, repeat(d), map(_DENOMINATOR, row))))
-               for row in rows], [Fraction in set(map(type, row)) for row in rows]
+               for row in rows], fractional
 
 
 def vec_add(a: Vec, b: Vec) -> Vec:

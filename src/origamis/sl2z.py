@@ -76,23 +76,6 @@ def inverse_runs(runs: Runs) -> Runs:
     return tuple((INVERSE_LETTER[x], k) for x, k in reversed(runs))
 
 
-def reduced_runs(runs: Runs) -> Runs:
-    """The runs with adjacent runs of one generator merged and the runs that
-    cancel dropped, by a stack of [generator, signed exponent]: the same
-    element of SL(2,Z) in as few runs as adjacent merging gives."""
-    stack: list[list] = []
-    for letter, k in runs:
-        gen, k = (letter[0], -k) if letter in ("S-", "T-") else (letter, k)
-        if stack and stack[-1][0] == gen:
-            stack[-1][1] += k
-            if not stack[-1][1]:
-                stack.pop()
-        else:
-            stack.append([gen, k])
-    return tuple((gen, k) if k > 0 else (INVERSE_LETTER[gen], -k)
-                 for gen, k in stack)
-
-
 def eval_letters(letters: Iterable[str]) -> Mat2:
     out = ID2
     for letter in letters:

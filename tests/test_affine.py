@@ -12,13 +12,13 @@ from origamis.catalog import QUATERNION_ORDER, catalog, quaternion_mul
 from origamis.errors import (NotAutomorphism, NotInVeechGroup, OrderExceedsCap,
                              WrongSurface)
 from origamis.homology import EdgeChain, chain_space
-from origamis.invariants import cylinders, multitwist, normalize_direction
+from origamis.invariants import cylinders
 from origamis.origami import (Origami, act_by_letters, automorphisms,
                               make_origami, sl2z_act, veech_group,
                               vertex_of_square)
 from origamis.permutations import Perm, random_transitive_pair
 from origamis.sl2z import (ID2, J_MAT, LETTER_MATS, S_MAT, T_MAT, mat_mul,
-                           mat_neg, mat_pow, reduced_runs, sl2z_word)
+                           mat_neg, mat_pow, sl2z_word)
 from test_homology import _holonomy
 
 TORUS = make_origami(1, Perm([0]), Perm([0]))
@@ -169,34 +169,6 @@ def test_transport_matches_dense_reference(ew, orn3, appendix_b):
             assert final == ref_final == act_by_letters(word, origami)
             assert matrix == ref_matrix
             assert all(type(x) is int for row in matrix for x in row)
-
-
-def _stepwise_transport(origami, runs):
-    """transport one run at a time, so that no run is merged or cancelled."""
-    rows = tuple(((j, 1),) for j in range(2 * origami.n))
-    for run in reversed(runs):
-        origami, rows = transport(origami, (run,), [dict(row) for row in rows])
-    return origami, rows
-
-
-def test_transport_on_reduced_runs_matches_stepwise(ew, orn3, appendix_b):
-    """Merging and cancelling runs keeps the rows and the final origami, on
-    the cylinder normalizers' words and the multitwists' words in three
-    directions; the lifts keep the unreduced word."""
-    rng = random.Random(1919)
-    origamis = [ew.origami, orn3.origami, appendix_b.origami] + \
-        [make_origami(n, *random_transitive_pair(n, rng))
-         for n in (2, 3, 4, 5, 6, 7, 8) * 3][:20]
-    shortened = 0
-    for origami in origamis:
-        for direction in ((1, 0), (0, 1), (1, 1)):
-            twist = multitwist(origami, direction)
-            assert twist.lift.runs == sl2z_word(twist.linear).exact_runs()
-            for runs in (sl2z_word(normalize_direction(*direction)[1]).exact_runs(),
-                         twist.lift.runs):
-                assert transport(origami, runs) == _stepwise_transport(origami, runs)
-                shortened += len(reduced_runs(runs)) < len(runs)
-    assert shortened >= 2 * len(origamis)
 
 
 def _random_origamis():

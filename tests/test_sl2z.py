@@ -5,8 +5,7 @@ import pytest
 from origamis.sl2z import (INVERSE_LETTER, CongruenceSubgroup, ID2, J_MAT,
                            LETTER_MATS, NEG_ID, S_MAT, T_MAT, Sl2zWord,
                            congruence_generators, eval_letters, mat_mod,
-                           mat_mul, mat_neg, mat_pow, reduced_runs,
-                           sl2z_word)
+                           mat_mul, mat_neg, mat_pow, sl2z_word)
 
 
 def random_matrix(rng, length=14):
@@ -114,16 +113,3 @@ def test_rewrite_rejects_non_members():
     sub = CongruenceSubgroup(2)
     with pytest.raises(ValueError):
         rewrite(sub, ("S",))
-
-
-def test_reduced_runs_keep_the_matrix_and_alternate_generators():
-    rng = random.Random(19)
-    for _ in range(300):
-        runs = tuple((rng.choice(["S", "S-", "T", "T-"]), rng.randint(1, 3))
-                     for _ in range(rng.randint(0, 8)))
-        reduced = reduced_runs(runs)
-        assert Sl2zWord(reduced).matrix() == Sl2zWord(runs).matrix()
-        assert all(k >= 1 for _, k in reduced)
-        assert all(a[0] != b[0] for (a, _), (b, _) in zip(reduced, reduced[1:]))
-        assert reduced_runs(reduced) == reduced
-    assert reduced_runs((("T", 5), ("T-", 1), ("S", 2), ("S-", 2), ("T-", 4))) == ()
