@@ -46,7 +46,6 @@ inverse is its inverse word's transport closed by the inverse relabeling.
 from __future__ import annotations
 
 import functools
-from fractions import Fraction
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
@@ -193,13 +192,9 @@ class AffineLift(NamedTuple):
 
     def image(self, v: Vec) -> Vec:
         """The canonical form of the image of the flat vector v, mapped as
-        its integer numerators over their lcm (1 for an all-int v); an image
-        entry is typed a Fraction when its row reads one."""
-        d, (ints,), (some_fraction,) = linalg._over_lcm((v,))
-        return chain_space(self.origami).canonical_over(
-            _times(self.rows, ints), d,
-            [some_fraction and any([type(v[j]) is Fraction for j, _ in row])
-             for row in self.rows])
+        its integer numerators over their lcm (1 for an all-int v)."""
+        d, (ints,) = linalg._over_lcm((v,))
+        return chain_space(self.origami).canonical_over(_times(self.rows, ints), d)
 
     def compose(self, other: "AffineLift") -> "AffineLift":
         """self after other."""
@@ -306,27 +301,22 @@ def power_order(lift_: AffineLift, cap: int) -> int:
 
 def matrix_on(lift_: AffineLift, subspace: Subspace) -> Mat:
     """Matrix of the lift in the subspace basis (columns are images)."""
-    return _matrix_in(chain_space(lift_.origami), lift_, subspace.basis,
-                      subspace.coords_of)
+    return _matrix_in(lift_, subspace.basis, subspace.coords_of)
 
 
 def matrix_in_chain_basis(lift_: AffineLift, basis: "list[Vec] | tuple"):
     """Matrix of the lift in an explicit (ordered, non-echelonized) basis."""
     space = chain_space(lift_.origami)
     cols_of_basis = linalg.transpose(tuple(space.canonical_vec(b) for b in basis))
-    return _matrix_in(space, lift_, basis,
-                      lambda image: linalg.solve(cols_of_basis, image))
+    return _matrix_in(lift_, basis, lambda image: linalg.solve(cols_of_basis, image))
 
 
-def _matrix_in(space, lift_: AffineLift, basis, coords_of) -> Mat:
-    """Columns are the coordinates of the basis images, each entry of
-    denominator 1 an int. rref already keeps integral entries int; the
-    coordinates in a basis with halves, as H1_0 of the Wollmilchsau has, come
-    out of Fraction arithmetic and are turned back here."""
+def _matrix_in(lift_: AffineLift, basis, coords_of) -> Mat:
+    """Columns are the coordinates of the basis images."""
     columns = []
     for b in basis:
         coords = coords_of(lift_.image(b))
         if coords is None:
             raise NotInvariant("the lift does not preserve the span of the basis")
-        columns.append(tuple(map(linalg.exact, coords)))
+        columns.append(coords)
     return linalg.transpose(tuple(columns))

@@ -110,23 +110,16 @@ class Subspace(NamedTuple):
         The basis is in reduced echelon form (int 1 at its pivot, int 0 at
         the others'), so the coordinates are v's entries at the pivots; v is
         in the span when v * d_v * d_b equals the sum of those (scaled)
-        entries times the basis rows scaled by d_b, both sides integers. A
-        coordinate is a Fraction when its entry is one or an earlier nonzero
-        one is, as eliminating pivot by pivot over Q types it."""
-        d_b, rows, _ = linalg._over_lcm(self.basis)
-        _, (ints,), _ = linalg._over_lcm((v,))
+        entries times the basis rows scaled by d_b, both sides integers."""
+        d_b, rows = linalg._over_lcm(self.basis)
+        d, (ints,) = linalg._over_lcm((v,))
         residual = [d_b * x for x in ints]
         for row, p in zip(rows, self.pivots):
             if f := ints[p]:
                 residual = [x - f * y for x, y in zip(residual, row)]
         if any(residual):
             return None
-        coords, fraction_seen = [], False
-        for p in self.pivots:
-            x = v[p]
-            coords.append(Fraction(x) if fraction_seen else x)
-            fraction_seen |= type(x) is Fraction and x != 0
-        return tuple(coords)
+        return linalg._divided([ints[p] for p in self.pivots], d)
 
 
 class StandardSplitting(NamedTuple):
@@ -179,27 +172,15 @@ class ChainSpace:
         return len(self.reducer)
 
     def canonical_vec(self, v: Vec) -> Vec:
-        d, (ints,), _ = linalg._over_lcm((v,))
-        return self.canonical_over(ints, d, [type(x) is Fraction for x in v])
+        d, (ints,) = linalg._over_lcm((v,))
+        return self.canonical_over(ints, d)
 
-    def canonical_over(self, ints: Sequence[int], d: int,
-                       fractional: Sequence[bool]) -> Vec:
-        """The canonical form of the vector ints / d, typed as canonical_vec
-        types a vector whose entry j is a Fraction exactly when fractional[j].
-
-        The reducer rows are zero at each other's pivots, so the pivot
-        values met are the input's; eliminating by one that is a nonzero
-        Fraction makes every entry a Fraction, and by ints keeps each type."""
-        ints = list(ints)
-        all_fractions = False
+    def canonical_over(self, ints: Sequence[int], d: int) -> Vec:
+        """The canonical form of the vector ints / d."""
         for p, row in self.reducer:
             if f := ints[p]:
                 ints = [x - f * y for x, y in zip(ints, row)]
-                all_fractions |= fractional[p]
-        if all_fractions:
-            return tuple([Fraction(x, d) for x in ints])
-        return tuple([Fraction(x, d) if frac else x // d
-                      for x, frac in zip(ints, fractional)])
+        return linalg._divided(ints, d)
 
     def equivalent(self, a: EdgeChain, b: EdgeChain) -> bool:
         return self.canonical_vec(a.flat()) == self.canonical_vec(b.flat())

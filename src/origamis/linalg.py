@@ -1,22 +1,14 @@
 """Exact linear algebra over Q and Z on tuple-of-tuples matrices.
 
-The number rule: a value built from ints by +, - and * stays an int, and a
-Fraction appears only where a division leaves a denominator. The
-eliminations (rref, det, and through rref solve and mat_inv) return an int
-for every entry of denominator 1. `vec` coerces outside input.
+The number rule: every entry an exact kernel returns is an int when it is
+integral and a Fraction otherwise. `vec` coerces outside input.
 
-The exact kernels run on integer numerators over one common denominator,
-scaled by the one helper `_over_lcm`: the products here, `rref` here, and
-in `homology` and `affine` the canonical forms, the subspace coordinates
-and the lift images. Each divides once at the end and keeps the entry types
-the entrywise Fraction arithmetic would give.
-
-Products (mat_mul, mat_vec) share one kernel and keep the type an entrywise
-sum of x * y would give: an entry is a Fraction exactly when its row of a or
-its column of b (its vector v) holds a Fraction, else an int. All-int
-operands are multiplied as ints. An operand holding a Fraction is scaled to
-integer rows over the lcm of its denominators; the integer sums over the
-product d of the two lcms become Fraction(s, d) or the exact int s // d.
+The exact kernels run on integer numerators over one common denominator d,
+scaled by `_over_lcm` and divided once at the end by `_divided`: the
+products (mat_mul, mat_vec) and `rref` here, through rref `solve` and
+`mat_inv`, and in `homology` and `affine` the canonical forms, the subspace
+coordinates and the lift images. All-int operands of a product are
+multiplied as ints.
 """
 
 from __future__ import annotations
@@ -64,28 +56,30 @@ _DENOMINATOR = attrgetter("denominator")
 
 def _scaled_products(rows: Mat, cols: Mat) -> Mat:
     """The sums of x * y of each row against each col, taken on the integer
-    rows and cols over their lcms, with the entry types of the docstring."""
-    d_rows, int_rows, frac_rows = _over_lcm(rows)
-    d_cols, int_cols, frac_cols = _over_lcm(cols)
+    rows and cols over their lcms."""
+    d_rows, int_rows = _over_lcm(rows)
+    d_cols, int_cols = _over_lcm(cols)
     d = d_rows * d_cols
-    return tuple([
-        tuple([Fraction(s, d) if frac_row or frac_col else s // d
-               for s, frac_col in zip([sum(map(mul, row, col)) for col in int_cols],
-                                      frac_cols)])
-        for row, frac_row in zip(int_rows, frac_rows)])
+    return tuple([_divided([sum(map(mul, row, col)) for col in int_cols], d)
+                  for row in int_rows])
 
 
-def _over_lcm(rows: Mat) -> tuple[int, list[tuple[int, ...]], list[bool]]:
-    """(d, the rows times d as ints, whether each row holds a Fraction), d
-    the lcm of the entries' denominators: 1 and the rows themselves when no
-    entry is a Fraction."""
-    fractional = [Fraction in set(map(type, row)) for row in rows]
-    if not any(fractional):
-        return 1, list(map(tuple, rows)), fractional
+def _over_lcm(rows: Mat) -> tuple[int, list[tuple[int, ...]]]:
+    """(d, the rows times d as ints), d the lcm of the entries'
+    denominators: 1 and the rows themselves when no entry is a Fraction."""
+    if Fraction not in set(map(type, chain.from_iterable(rows))):
+        return 1, list(map(tuple, rows))
     d = lcm(*map(_DENOMINATOR, chain.from_iterable(rows)))
     return d, [tuple(map(mul, map(_NUMERATOR, row),
                          map(floordiv, repeat(d), map(_DENOMINATOR, row))))
-               for row in rows], fractional
+               for row in rows]
+
+
+def _divided(ints: Sequence[int], d: int) -> Vec:
+    """The entries x / d, each an int when d divides x, else a Fraction."""
+    if d == 1:
+        return tuple(ints)
+    return tuple([x // d if x % d == 0 else Fraction(x, d) for x in ints])
 
 
 def vec_add(a: Vec, b: Vec) -> Vec:
@@ -112,7 +106,7 @@ def rref(a: Mat) -> tuple[Mat, list[int]]:
     a column's zero as p * r - f * (pivot row), and is divided by the gcd of
     its entries. The pivots are divided out once at the end; the RREF is
     unique, so it is the one of a over Q."""
-    _, rows, _ = _over_lcm(a)
+    _, rows = _over_lcm(a)
     rows = [list(row) for row in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
@@ -132,11 +126,7 @@ def rref(a: Mat) -> tuple[Mat, list[int]]:
                 rows[i] = [x // g for x in row] if g > 1 else row
         pivots.append(col)
         rank += 1
-    reduced = []
-    for row, col in zip(rows, pivots):
-        p = row[col]
-        reduced.append(tuple([x // p if x % p == 0 else Fraction(x, p) for x in row]))
-    return tuple(reduced), pivots
+    return tuple([_divided(row, row[col]) for row, col in zip(rows, pivots)]), pivots
 
 
 def rank_mod(a: Mat, p: int) -> int:

@@ -53,10 +53,10 @@ def test_criterion_2_theorem_b():
     report(2, "Theorem B suite (q=3)", result["pass"])
 
 
-@pytest.mark.parametrize("q", [7, 9, 11, 13, 15])
+@pytest.mark.parametrize("q", [7, 9, 11, 13, 15, 21, 25, 27])
 def test_odd_q_family_sweep(q):
-    """`verify theorem-b --q` passes through q = 15, with q = 9 and 15 where
-    Psi_q is not the cyclotomic Phi_q: H_tau and H_breve of dimensions
+    """`verify theorem-b --q` passes through q = 27, with q = 9, 15, 21, 25
+    and 27 where Psi_q is not the cyclotomic Phi_q: H_tau and H_breve of dimensions
     q - 1 and 2q - 2 (the decomposition's dim checks), Veech index 3."""
     result = verify_theorem_b(q)
     assert result["pass"] is True and result["suite"] == f"family-q{q}"

@@ -199,7 +199,7 @@ def test_unit_pivot_eliminations_stay_int():
 
 def entrywise_mat_mul(a, b):
     """The product as one sum of x * y per entry: the reference for the
-    kernel's values and entry types."""
+    kernel's values."""
     bt = linalg.transpose(b)
     return tuple(
         tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
@@ -251,6 +251,12 @@ def _typed(entries):
     return [(type(x), x) for x in entries]
 
 
+def _canonical(entries):
+    """The entries typed by the number rule: int exactly when the
+    denominator is 1."""
+    return [(int if x.denominator == 1 else Fraction, x) for x in entries]
+
+
 def test_product_operands_cover_the_cases():
     cases = [c for seed in SEEDS for c in _operands(seed)]
     shapes = {(len(a), len(v), len(b[0]) if b else 0) for a, b, v in cases}
@@ -263,6 +269,13 @@ def test_product_operands_cover_the_cases():
     # products whose entries are partly int and partly Fraction
     assert any(len(set(map(type, itertools.chain(*linalg.mat_mul(a, b))))) == 2
                for a, b, _ in cases)
+    # entries whose entrywise sum is an integral Fraction come out as ints
+    made_int = [type(x) for a, b, _ in cases
+                for row, expected_row in zip(linalg.mat_mul(a, b),
+                                             entrywise_mat_mul(a, b))
+                for x, y in zip(row, expected_row)
+                if type(y) is Fraction and y.denominator == 1]
+    assert made_int and set(made_int) == {int}
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -272,13 +285,13 @@ def test_mat_mul_matches_entrywise_values_and_types(seed):
         product = linalg.mat_mul(a, b)
         assert len(product) == len(expected)
         for row, expected_row in zip(product, expected):
-            assert _typed(row) == _typed(expected_row)
+            assert _typed(row) == _canonical(expected_row)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_mat_vec_matches_entrywise_values_and_types(seed):
     for a, b, v in _operands(seed):
-        assert _typed(linalg.mat_vec(a, v)) == _typed(entrywise_mat_vec(a, v))
+        assert _typed(linalg.mat_vec(a, v)) == _canonical(entrywise_mat_vec(a, v))
         for col in linalg.transpose(b):
             assert _typed(linalg.mat_vec(a, col)) == \
-                _typed(entrywise_mat_vec(a, col))
+                _canonical(entrywise_mat_vec(a, col))

@@ -1,10 +1,10 @@
-"""The number rule: exact values built from ints by +, - and * stay ints, and
-a Fraction appears only where a division can leave a denominator.
+"""The number rule: every entry an exact kernel returns is an int when it is
+integral and a Fraction otherwise.
 
 The integer-numerator kernels (`linalg.rref`, `ChainSpace.canonical_vec`,
 `Subspace.coords_of`, `AffineLift.image`) are checked against the entry by
 entry Fraction eliminations they replaced, kept here as `_reference_*`
-helpers: equal values and equal `type()` of every entry.
+helpers: equal values, each entry typed by the rule.
 """
 
 import random
@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from origamis import linalg
-from origamis.affine import lift_all, matrix_on
+from origamis.affine import lift_all, matrix_in_chain_basis, matrix_on
 from origamis.homology import chain_space
+from origamis.invariants import multitwist
 from origamis.sl2z import S_MAT, T_MAT, mat_pow
 from origamis.origami import make_origami
 from origamis.permutations import random_transitive_pair
@@ -95,6 +96,42 @@ def test_subspace_bases_from_rref_are_int(orn3_report, orn5_report):
         assert _all_int(space.marked_subspace(space.singular_vertices()).basis)
 
 
+def test_lift_matrices_solve_and_mat_inv_follow_the_rule(
+        ew_root_system, orn3, orn3_report, appendix_b):
+    """On ew, orn q = 3 and appendix-b, with bases holding halves (theorem
+    A's D4 frame, the orn eps/2 frame, appendix-b's integral basis halved):
+    every entry of matrix_on, matrix_in_chain_basis, solve and mat_inv is an
+    int exactly when it is integral, and both kinds occur."""
+    _, ew_report, ew_space, system = ew_root_system
+    _, eps = _orn_root_system(orn3, orn3_report)
+    ab_space = chain_space(appendix_b.origami)
+    ab_frame = [tuple(Fraction(x, 2) for x in b)
+                for b in ab_space.integral_absolute_basis()]
+    cases = [
+        (ew_space, _generators(ew_report), ew_report.subspaces.values(),
+         system.ambient_frame()),
+        (chain_space(orn3.origami), _generators(orn3_report),
+         orn3_report.subspaces.values(), [c.flat() for c in eps.values()]),
+        (ab_space, [multitwist(appendix_b.origami, d).lift
+                    for d in ((0, 1), (1, 0), (1, 1))],
+         [ab_space.full_subspace(), ab_space.absolute_subspace()], ab_frame),
+    ]
+    outputs = [linalg.mat_inv(ab_space.gram(ab_frame))]
+    for space, lifts, subspaces, frame in cases:
+        assert any(type(x) is Fraction for b in frame for x in b)
+        cols = linalg.transpose(tuple(space.canonical_vec(b) for b in frame))
+        for lift_ in lifts:
+            outputs += [matrix_on(lift_, sub) for sub in subspaces]
+            z = matrix_in_chain_basis(lift_, frame)
+            outputs += [z, linalg.mat_inv(z)]
+            outputs.append([linalg.solve(cols, lift_.image(b)) for b in frame])
+            outputs.append([linalg.solve(cols, lift_.image(tuple(2 * x for x in b)))
+                            for b in frame])
+    entries = [x for m in outputs for row in m for x in row]
+    assert all(type(x) is (int if x.denominator == 1 else Fraction) for x in entries)
+    assert set(map(type, entries)) == {int, Fraction}
+
+
 # -- the integer-numerator kernels against the Fraction eliminations ----------
 
 
@@ -152,6 +189,22 @@ def _reference_image(lift_, v):
 
 def _typed(entries):
     return None if entries is None else [(type(x), x) for x in entries]
+
+
+def _canonical(entries):
+    """The entries typed by the number rule: int exactly when the
+    denominator is 1."""
+    return None if entries is None else \
+        [(int if x.denominator == 1 else Fraction, x) for x in entries]
+
+
+def _made_int(entries, reference) -> bool:
+    """Whether some entry's reference is an integral Fraction; each such
+    entry must be an int."""
+    made = [type(x) for x, y in zip(entries or (), reference or ())
+            if type(y) is Fraction and y.denominator == 1]
+    assert set(made) <= {int}
+    return bool(made)
 
 
 def _rational(rng):
@@ -218,8 +271,9 @@ def _surfaces(ew, orn3, appendix_b, count=6):
 
 
 def test_canonical_vec_coords_of_and_image_match_references(ew, orn3, appendix_b):
-    """Every entry typing occurs: all int, mixed, all Fraction (a Fraction
-    pivot applied), and coordinates that are None or mixed."""
+    """Every entry typing occurs: all int and mixed vectors, coordinates
+    that are None or mixed, and for each kernel an entry whose reference is
+    an integral Fraction, which comes out as an int."""
     rng = random.Random(29)
     seen = set()
     for origami in _surfaces(ew, orn3, appendix_b):
@@ -234,10 +288,16 @@ def test_canonical_vec_coords_of_and_image_match_references(ew, orn3, appendix_b
         for _ in range(25):
             v = _vector(rng, width, rng.choice((0, 0.1, 0.5, 1)))
             canonical = space.canonical_vec(v)
-            assert _typed(canonical) == _typed(_reference_canonical_vec(space, v))
+            expected = _reference_canonical_vec(space, v)
+            assert _typed(canonical) == _canonical(expected)
             seen.add(frozenset(map(type, canonical)))
+            if _made_int(canonical, expected):
+                seen.add("canonical_vec")
             for lift_ in lifts:
-                assert _typed(lift_.image(v)) == _typed(_reference_image(lift_, v))
+                image, expected = lift_.image(v), _reference_image(lift_, v)
+                assert _typed(image) == _canonical(expected)
+                if _made_int(image, expected):
+                    seen.add("image")
             for sub in subspaces:
                 # a vector of the span, with rational coordinates, and v
                 inside = [0] * width
@@ -246,12 +306,15 @@ def test_canonical_vec_coords_of_and_image_match_references(ew, orn3, appendix_b
                     inside = [x + c * y for x, y in zip(inside, row)]
                 for w in (tuple(inside), space.canonical_vec(v), v):
                     coords = sub.coords_of(w)
-                    assert _typed(coords) == _typed(_reference_coords_of(sub, w))
+                    expected = _reference_coords_of(sub, w)
+                    assert _typed(coords) == _canonical(expected)
                     seen.add(("coords", None if coords is None
                               else frozenset(map(type, coords))))
-    assert {frozenset({int}), frozenset({Fraction}),
-            frozenset({int, Fraction})} <= seen
+                    if _made_int(coords, expected):
+                        seen.add("coords_of")
+    assert {frozenset({int}), frozenset({int, Fraction})} <= seen
     assert {("coords", None), ("coords", frozenset({int, Fraction}))} <= seen
+    assert {"canonical_vec", "image", "coords_of"} <= seen
 
 
 @settings(max_examples=80, deadline=None)
@@ -259,9 +322,10 @@ def test_canonical_vec_coords_of_and_image_match_references(ew, orn3, appendix_b
 def test_canonical_vec_and_image_match_references_on_hypothesis_vectors(ew, v):
     space = chain_space(ew.origami)
     v = tuple(v)
-    assert _typed(space.canonical_vec(v)) == _typed(_reference_canonical_vec(space, v))
+    assert _typed(space.canonical_vec(v)) == \
+        _canonical(_reference_canonical_vec(space, v))
     for lift_ in lift_all(ew.origami, T_MAT)[:2]:
-        assert _typed(lift_.image(v)) == _typed(_reference_image(lift_, v))
+        assert _typed(lift_.image(v)) == _canonical(_reference_image(lift_, v))
     sub = space.subspace_from_vecs([v, v[::-1]])
     for w in (space.canonical_vec(v), v):
-        assert _typed(sub.coords_of(w)) == _typed(_reference_coords_of(sub, w))
+        assert _typed(sub.coords_of(w)) == _canonical(_reference_coords_of(sub, w))

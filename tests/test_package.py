@@ -1,6 +1,7 @@
 """Package-wide checks: the public names, no `assert` in the library, no
-`fractions` in the polygon module, verify suites under `python -O`, what
-importing the CLI loads, and the value semantics of the records."""
+`fractions` in the polygon module, entry types tested against Fraction only
+in `linalg` and `cli`, verify suites under `python -O`, what importing the
+CLI loads, and the value semantics of the records."""
 
 import ast
 import collections
@@ -169,6 +170,45 @@ def test_import_lint_sees_both_forms(tmp_path):
     bad.write_text("from fractions import Fraction\nimport math, os.path\n"
                    "from . import linalg\n")
     assert _imported_modules(bad) == {"fractions", "math", "os"}
+
+
+def _fraction_type_tests(path: Path) -> list[int]:
+    """Lines that test a value's type against Fraction: a comparison with
+    the name Fraction as an operand (`type(x) is Fraction`, `Fraction in
+    set(map(type, xs))`) or an isinstance whose types name it."""
+    def names_fraction(node) -> bool:
+        return any(isinstance(n, ast.Name) and n.id == "Fraction"
+                   for n in ast.walk(node))
+
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Compare) and any(
+                isinstance(o, ast.Name) and o.id == "Fraction"
+                for o in (node.left, *node.comparators)):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "isinstance" and len(node.args) == 2
+              and names_fraction(node.args[1])):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_linalg_and_cli_test_entry_types():
+    # the number rule lives in linalg's kernels; cli's _jsonable prints a
+    # Fraction as a string
+    found = {path.stem: _fraction_type_tests(path) for path in MODULES
+             if path.stem not in ("linalg", "cli")}
+    assert {stem: lines for stem, lines in found.items() if lines} == {}
+
+
+def test_fraction_type_lint_sees_every_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("type(x) is Fraction\nisinstance(x, Fraction)\n"
+                   "Fraction in set(map(type, xs))\nisinstance(x, (int, Fraction))\n"
+                   "x == Fraction(1, 2)\nisinstance(x, int)\n")
+    assert _fraction_type_tests(bad) == [1, 2, 3, 4]
+    assert _fraction_type_tests(SRC / "origamis" / "linalg.py")
+    assert _fraction_type_tests(SRC / "origamis" / "cli.py")
 
 
 def _src_env() -> dict:
