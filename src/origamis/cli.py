@@ -219,13 +219,19 @@ def cmd_decompose(args) -> dict:
     }
 
 
-def cmd_group(args) -> dict:
+def _generators_on(args, automorphisms: bool) -> tuple[str, list[str], list]:
+    """(subspace key, the S, T, S2, T2, J lift names present, the matrix_on
+    blocks on --subspace of those lifts, then of the aut_ lifts if asked)."""
     rep = _named_subspaces(args)
     key = {"H0": "H1_0", "Hbreve": "H_breve"}.get(args.subspace, args.subspace)
     sub = _subspace(rep, key)
     gen_names = [k for k in ("S", "T", "S2", "T2", "J") if k in rep.lifts]
-    gens = [matrix_on(rep.lifts[k], sub) for k in gen_names]
-    gens += [matrix_on(rep.lifts[k], sub) for k in rep.lifts if k.startswith("aut_")]
+    auts = [k for k in rep.lifts if k.startswith("aut_")] if automorphisms else []
+    return key, gen_names, [matrix_on(rep.lifts[k], sub) for k in gen_names + auts]
+
+
+def cmd_group(args) -> dict:
+    key, gen_names, gens = _generators_on(args, automorphisms=True)
     closure = finite_closure(gens, args.cap)
     if isinstance(closure, FiniteMatrixGroup):
         report = {"finite": True, "order": closure.order}
@@ -250,11 +256,7 @@ def cmd_congruence(args) -> dict:
 
 
 def cmd_growth(args) -> dict:
-    rep = _named_subspaces(args)
-    key = {"H0": "H1_0", "Hbreve": "H_breve"}.get(args.subspace, args.subspace)
-    sub = _subspace(rep, key)
-    gen_names = [k for k in ("S", "T", "S2", "T2", "J") if k in rep.lifts]
-    gens = [matrix_on(rep.lifts[k], sub) for k in gen_names]
+    key, _, gens = _generators_on(args, automorphisms=False)
     result = cocycle_growth(gens, args.len, args.trials, args.seed)
     return {
         "command": "growth", "subspace": key, "length": args.len,

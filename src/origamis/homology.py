@@ -15,8 +15,10 @@ of edge endpoints, on those free columns.
 
 The intersection form on absolute classes needs no walks: with F_v(p) the
 signed sum of b over the first p germs of the ribbon (quarter-sector)
-structure at vertex v, <a, b> = sum_e a_e (F_head(in-germ of e) -
-F_tail(out-germ of e + 1)), exact by `ChainSpace.intersection`. The closed
+structure at vertex v, <a, b> = a . w for the dual row w_e = F_head(in-germ
+of e) - F_tail(out-germ of e + 1) of b, built once per integer class by
+`ChainSpace._dual`; `intersection` and `gram` pair integer numerators with
+it and divide once, so an integral value is an int. The closed
 edge walks that only the spin form needs are the cycles of the map sending
 the i-th use arriving at a vertex to the i-th use leaving it, a permutation
 because the chain has no boundary.
@@ -26,6 +28,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
@@ -154,14 +157,18 @@ class ChainSpace:
         self.edge_ends = [(self.vowner[g], self.vowner[r(g)]) for g in range(n)] + \
             [(self.vowner[g], self.vowner[u(g)]) for g in range(n)]
         self._germs = self._build_germs()
-        self._germ_pos: dict[tuple[str, str, int], tuple[int, int]] = {}
-        for vidx, germs in enumerate(self._germs):
-            for pos, germ in enumerate(germs):
-                if germ in self._germ_pos:
-                    raise Inconsistent("duplicate germ")
-                self._germ_pos[germ] = (vidx, pos)
-        if len(self._germ_pos) != 4 * n:
-            raise Inconsistent("the germs do not cover the 4n edge ends")
+        self._germ_pos = {germ: (vidx, pos) for vidx, germs in enumerate(self._germs)
+                          for pos, germ in enumerate(germs)}
+        # the germs vertex by vertex: (flat column, +1 out / -1 in) each, and
+        # per flat column the indices of its in-germ and of its out-germ + 1
+        flat = [germ for germs in self._germs for germ in germs]
+        if len(flat) != 4 * n or len(self._germ_pos) != 4 * n:
+            raise Inconsistent("the germs do not cover the 4n edge ends once each")
+        self._germ_terms = [(g if etype == "s" else n + g, 1 if kind == "out" else -1)
+                            for kind, etype, g in flat]
+        index = {germ: k for k, germ in enumerate(flat)}
+        self._edge_germs = [(index["in", etype, g], index["out", etype, g] + 1)
+                            for etype in "sz" for g in range(n)]
 
     # -- relations and canonical forms ------------------------------------
 
@@ -288,9 +295,6 @@ class ChainSpace:
             out.append(germs)
         return out
 
-    def germ_position(self, kind: str, etype: str, g: int) -> tuple[int, int]:
-        return self._germ_pos[(kind, etype, g)]
-
     # -- walks ----------------------------------------------------------------
 
     def edge_endpoints(self, etype: str, g: int) -> tuple[int, int]:
@@ -342,8 +346,8 @@ class ChainSpace:
             raise NotClosed("empty walk")
         out = []
         for prev, nxt in zip(walk, walk[1:] + walk[:1]):
-            v1, p1 = self.germ_position("in" if prev[2] == 1 else "out", *prev[:2])
-            v2, p2 = self.germ_position("out" if nxt[2] == 1 else "in", *nxt[:2])
+            v1, p1 = self._germ_pos["in" if prev[2] == 1 else "out", *prev[:2]]
+            v2, p2 = self._germ_pos["out" if nxt[2] == 1 else "in", *nxt[:2]]
             if v1 != v2:
                 raise NotClosed("walk is not connected through vertices")
             out.append((v1, p1, p2))
@@ -383,8 +387,9 @@ class ChainSpace:
 
     # -- intersection form -----------------------------------------------------
 
-    def intersection(self, a: EdgeChain, b: EdgeChain) -> int | Fraction:
-        """Algebraic intersection number of absolute classes.
+    def _dual(self, b: Sequence[int]) -> list[int]:
+        """The integer row w with <a, b> = a . w for every absolute a, for
+        an absolute integer class b.
 
         A closed walk of a, pushed to its left, crosses b's edge strands on
         each vertex circle in the open ccw arc from its departure germ to its
@@ -395,34 +400,34 @@ class ChainSpace:
         gives F_head(in-germ of e) - F_tail(out-germ of e + 1), negated when
         e is walked backwards (the two germs' own terms cancel), so <a, b> =
         sum_e a_e (F_head(in-germ of e) - F_tail(out-germ of e + 1)): linear
-        in a, with no walks. Integer classes meet in an int.
+        in a, with no walks. Each vertex's germs sum to 0, so one running sum
+        over the germs vertex by vertex reads F_v(p) at v's p-th germ, and
+        F_v(4 m_v) = 0 at the next vertex's first.
         """
-        av, bv = a.flat(), b.flat()
-        if any(x != 0 for x in self.boundary_vec(av)) or \
-           any(x != 0 for x in self.boundary_vec(bv)):
+        if any(self.boundary_vec(b)):
             raise NotAbsolute("intersection form needs absolute classes")
-        n = self.n
-        prefix = []
-        for germs in self._germs:
-            sums = [0]
-            for kind, etype, g in germs:
-                coeff = bv[g if etype == "s" else n + g]
-                sums.append(sums[-1] + (coeff if kind == "out" else -coeff))
-            prefix.append(sums)
-        total = 0
-        for j, coeff in enumerate(av):
-            if coeff:
-                etype = "s" if j < n else "z"
-                head, arrival = self.germ_position("in", etype, j % n)
-                tail, departure = self.germ_position("out", etype, j % n)
-                total += coeff * (prefix[head][arrival] - prefix[tail][departure + 1])
-        return total
+        prefix = [0]
+        for j, sign in self._germ_terms:
+            prefix.append(prefix[-1] + sign * b[j])
+        return [prefix[arrival] - prefix[departure]
+                for arrival, departure in self._edge_germs]
+
+    def intersection(self, a: EdgeChain, b: EdgeChain) -> int | Fraction:
+        """Algebraic intersection number of absolute classes: a . `_dual(b)`
+        on the integer numerators of a and b, divided once."""
+        d_a, (av,) = linalg._over_lcm((a.flat(),))
+        if any(self.boundary_vec(av)):
+            raise NotAbsolute("intersection form needs absolute classes")
+        d_b, (bv,) = linalg._over_lcm((b.flat(),))
+        return linalg._divided((sum(map(mul, av, self._dual(bv))),), d_a * d_b)[0]
 
     def gram(self, basis: Sequence[Vec]) -> Mat:
-        chains = [EdgeChain.from_flat(v) for v in basis]
-        return tuple(
-            tuple(self.intersection(a, b) for b in chains) for a in chains
-        )
+        """The <basis_i, basis_j>: one dual row per class, on the integer
+        numerators over their lcm d, each entry divided once by d^2."""
+        d, rows = linalg._over_lcm(basis)
+        duals = [self._dual(b) for b in rows]
+        return tuple(linalg._divided([sum(map(mul, a, w)) for w in duals], d * d)
+                     for a in rows)
 
 
 def _chords_interleave(a1, a2, b1, b2) -> bool:

@@ -237,22 +237,23 @@ def quadratic_form_value(origami: Origami, chain: EdgeChain,
     """The spin quadratic form on an absolute integer class.
 
     Per immersed walk q = ind + 1 + #self-crossings (Johnson's formula);
-    walks combine by q(a+b) = q(a) + q(b) + <a,b>, all mod 2.
+    walks combine by q(a+b) = q(a) + q(b) + <a,b>, all mod 2. The pairs
+    sum_{i<j} <c_i, c_j> of the walks' chains are taken by bilinearity as
+    sum_j <c_1 + ... + c_{j-1}, c_j>, a sum of closed walks, so absolute.
     """
     space = chain_space(origami)
-    walks = space.decompose_walks(chain.flat())
+    n = origami.n
     parity_fn = index_parity_clockwise if clockwise else index_parity
     total = 0
-    chains = []
-    for walk in walks:
+    earlier = EdgeChain.zero(n)
+    for walk in space.decompose_walks(chain.flat()):
         total += parity_fn(origami, walk) + 1 + space.walk_self_crossings(walk)
-        c = EdgeChain.zero(origami.n)
+        flat = [0] * (2 * n)
         for etype, g, direction in walk:
-            c = c + EdgeChain.unit(origami.n, etype, g, direction)
-        chains.append(c)
-    for i in range(len(chains)):
-        for j in range(i + 1, len(chains)):
-            total += space.intersection(chains[i], chains[j])
+            flat[g if etype == "s" else n + g] += direction
+        c = EdgeChain.from_flat(flat)
+        total += space.intersection(earlier, c)
+        earlier = earlier + c
     return total % 2
 
 

@@ -364,41 +364,37 @@ class PolygonSurface:
         return not any(_segments_cross_properly(a, b, c, d)
                        for c, d in self._scaled_sides)
 
-    def _sigma_edge_of(self, z) -> tuple[int, int] | None:
-        """Square whose bottom edge is the horizontal segment [z, z+(1,0)]."""
+    def _candidate_cells(self, z, z1):
+        """The cells that may hold the unit segment [z, z1]: z itself, then
+        z translated by each side containing the segment, where a cell."""
         candidates = [z]
-        z1 = (z[0] + 1, z[1])
         for idx, (a, b) in enumerate(self.sides):
             if _on_segment(z, a, b) and _on_segment(z1, a, b):
                 tau = self.translation[idx]
                 candidates.append((z[0] + tau[0], z[1] + tau[1]))
+        return [c for c in candidates if c in self.square_of_cell]
+
+    def _sigma_edge_of(self, z) -> tuple[int, int] | None:
+        """Square whose bottom edge is the horizontal segment [z, z+(1,0)]."""
         half = self.scale // 2
-        for c in candidates:
-            if c in self.square_of_cell:
-                x, y = self._scaled(c)
-                mid = (x + half, y)
-                top = (mid[0], y + self.offset[1])
-                if self._mini_clear(mid, top):
-                    return ("s", self.square_of_cell[c])
+        for c in self._candidate_cells(z, (z[0] + 1, z[1])):
+            x, y = self._scaled(c)
+            mid = (x + half, y)
+            top = (mid[0], y + self.offset[1])
+            if self._mini_clear(mid, top):
+                return ("s", self.square_of_cell[c])
         return None
 
     def _zeta_edge_of(self, z) -> tuple[int, int] | None:
         """Square whose left edge is the vertical segment [z, z+(0,1)]."""
-        candidates = [z]
-        z1 = (z[0], z[1] + 1)
-        for idx, (a, b) in enumerate(self.sides):
-            if _on_segment(z, a, b) and _on_segment(z1, a, b):
-                tau = self.translation[idx]
-                candidates.append((z[0] + tau[0], z[1] + tau[1]))
         half = self.scale // 2
-        for c in candidates:
-            if c in self.square_of_cell:
-                x, y = self._scaled(c)
-                mid = (x, y + half)
-                knee = (x + self.offset[0], mid[1])
-                rep = self._at_offset(c)
-                if self._mini_clear(mid, knee) and self._mini_clear(knee, rep):
-                    return ("z", self.square_of_cell[c])
+        for c in self._candidate_cells(z, (z[0], z[1] + 1)):
+            x, y = self._scaled(c)
+            mid = (x, y + half)
+            knee = (x + self.offset[0], mid[1])
+            rep = self._at_offset(c)
+            if self._mini_clear(mid, knee) and self._mini_clear(knee, rep):
+                return ("z", self.square_of_cell[c])
         return None
 
     def _usable_steps(self, z):

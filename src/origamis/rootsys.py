@@ -17,7 +17,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import cached_property, reduce
-from math import lcm
 from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
@@ -234,12 +233,9 @@ def detect_d4(vectors: Iterable[Vec], frame: Sequence[Vec]) -> RootSystemD4:
 
 
 def symplectic_subgroup(group: FiniteMatrixGroup, gram: Mat) -> FiniteMatrixGroup:
-    """Elements g with g^T gram g = gram, tested as g^T (d gram) g = d gram
-    for d the lcm of gram's denominators, so integer g take integer products."""
-    d = lcm(*(x.denominator for row in gram for x in row))
-    scaled = tuple(tuple((d * x).numerator for x in row) for row in gram)
+    """Elements g with g^T gram g = gram."""
     kept = tuple(
         m for m in group.elements
-        if linalg.mat_mul(linalg.mat_mul(linalg.transpose(m), scaled), m) == scaled
+        if linalg.mat_mul(linalg.mat_mul(linalg.transpose(m), gram), m) == gram
     )
     return FiniteMatrixGroup(kept)

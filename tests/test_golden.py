@@ -49,13 +49,18 @@ COMMANDS = {
 }
 
 
-# the whole appendix-b orbit (1,344 surfaces) and its edge table: 611 KB
+# the whole appendix-b orbit (1,344 surfaces) and its edge table: 611 KB;
+# the spin bases of ornithorynque at q = 15 and q = 41 (122 classes at q = 41)
 PINNED_SHA256 = {
     "veech-appendix-b": (["veech", "--name", "appendix-b"],
                          "c2a27762be03ecd613e4ec15cc088d8d9e284079868befd65b417860171defa1"),
     "veech-appendix-b-long-power": (
         ["veech", "--name", "appendix-b", "--matrix", "[[1,30000000],[0,1]]"],
         "e5b1e064d0e528a50c546a8a9ee4aa4078f8b59bd1fad7d6fcb935b9f2d1a2ae"),
+    "spin-orn-q-15": (["spin", "--name", "ornithorynque", "--q", "15"],
+                      "a471c263c062e1902f66a319f8b22d7f434e408a92dd0375757df18a14803844"),
+    "spin-orn-q-41": (["spin", "--name", "ornithorynque", "--q", "41"],
+                      "47092ccd89e875c569fb39aad59a3672cd90d839c61211d77423fd31c741968f"),
 }
 
 

@@ -2,21 +2,24 @@
 integral and a Fraction otherwise.
 
 The integer-numerator kernels (`linalg.rref`, `ChainSpace.canonical_vec`,
-`Subspace.coords_of`, `AffineLift.image`) are checked against the entry by
-entry Fraction eliminations they replaced, kept here as `_reference_*`
-helpers: equal values, each entry typed by the rule.
+`Subspace.coords_of`, `AffineLift.image`, and `ChainSpace.intersection` and
+`gram` on the dual row) are checked against the entry by entry Fraction
+computations they replaced, kept here as `_reference_*` helpers: equal
+values, each entry typed by the rule.
 """
 
 import random
 from fractions import Fraction
 from math import lcm
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from origamis import linalg
 from origamis.affine import lift_all, matrix_in_chain_basis, matrix_on
-from origamis.homology import chain_space
+from origamis.errors import NotAbsolute
+from origamis.homology import EdgeChain, chain_space
 from origamis.invariants import multitwist
 from origamis.sl2z import S_MAT, T_MAT, mat_pow
 from origamis.origami import make_origami
@@ -329,3 +332,74 @@ def test_canonical_vec_and_image_match_references_on_hypothesis_vectors(ew, v):
     sub = space.subspace_from_vecs([v, v[::-1]])
     for w in (space.canonical_vec(v), v):
         assert _typed(sub.coords_of(w)) == _canonical(_reference_coords_of(sub, w))
+
+
+def _reference_intersection(space, a, b):
+    """The intersection form with b's germ prefix table rebuilt for each
+    pair, both boundaries checked and the terms summed entry by entry, so an
+    integral value of chains holding halves is a Fraction."""
+    av, bv = a.flat(), b.flat()
+    if any(x != 0 for x in space.boundary_vec(av)) or \
+       any(x != 0 for x in space.boundary_vec(bv)):
+        raise NotAbsolute("intersection form needs absolute classes")
+    n = space.n
+    prefix = []
+    for germs in space._germs:
+        sums = [0]
+        for kind, etype, g in germs:
+            coeff = bv[g if etype == "s" else n + g]
+            sums.append(sums[-1] + (coeff if kind == "out" else -coeff))
+        prefix.append(sums)
+    total = 0
+    for j, coeff in enumerate(av):
+        if coeff:
+            etype = "s" if j < n else "z"
+            head, arrival = space._germ_pos["in", etype, j % n]
+            tail, departure = space._germ_pos["out", etype, j % n]
+            total += coeff * (prefix[head][arrival] - prefix[tail][departure + 1])
+    return total
+
+
+def test_intersection_and_gram_match_reference(ew_root_system, orn3, orn3_report,
+                                               appendix_b):
+    """Theorem A's D4 frame of halves, the orn q = 3 eps/2 frame,
+    appendix-b's integral basis halved and the integral bases of seeded
+    random origamis with n <= 9: every intersection number and gram entry
+    equals the reference, an int exactly when it is integral. The ew
+    frame's gram is all int, though its reference entries are Fractions."""
+    _, _, ew_space, system = ew_root_system
+    _, eps = _orn_root_system(orn3, orn3_report)
+    ab_space = chain_space(appendix_b.origami)
+    cases = [(ew_space, system.ambient_frame()),
+             (chain_space(orn3.origami), [c.flat() for c in eps.values()]),
+             (ab_space, [tuple(Fraction(x, 2) for x in b)
+                         for b in ab_space.integral_absolute_basis()])]
+    rng = random.Random(31)
+    for n in (1, 2, 3, 4, 5, 6, 7, 8, 9, 9):
+        space = chain_space(make_origami(n, *random_transitive_pair(n, rng)))
+        cases.append((space, space.integral_absolute_basis()))
+    seen = set()
+    for space, basis in cases:
+        chains = [EdgeChain.from_flat(v) for v in basis]
+        expected = [[_reference_intersection(space, a, b) for b in chains]
+                    for a in chains]
+        gram = space.gram(basis)
+        assert list(map(_typed, gram)) == list(map(_canonical, expected))
+        for a, row in zip(chains, expected):
+            assert _typed([space.intersection(a, b) for b in chains]) == _canonical(row)
+        seen |= {type(x) for row in gram for x in row}
+    assert _all_int(ew_space.gram(system.ambient_frame()))
+    assert seen == {int, Fraction}
+
+
+def test_intersection_and_gram_reject_a_relative_class(ew):
+    space = chain_space(ew.origami)
+    absolute = EdgeChain.from_flat(space.integral_absolute_basis()[0])
+    relative = ew.sigma("1")
+    for bad in (relative, relative.scale(Fraction(1, 2))):
+        with pytest.raises(NotAbsolute):
+            space.intersection(bad, absolute)
+        with pytest.raises(NotAbsolute):
+            space.intersection(absolute, bad)
+        with pytest.raises(NotAbsolute):
+            space.gram([absolute.flat(), bad.flat()])
