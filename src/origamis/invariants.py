@@ -14,7 +14,7 @@ from operator import mul
 from typing import Callable, NamedTuple, Sequence
 
 from . import linalg
-from .affine import AffineLift, Row, dense_view, lift_all, transport
+from .affine import AffineLift, Row, lift_all, transport
 from .errors import (EvenConeMultiplicity, Inconsistent, NoMatchingLift,
                      NotClosed, NotUnimodular, OddOrderZeros, ProbeMovesMarks)
 from .homology import EdgeChain, chain_space
@@ -45,9 +45,7 @@ class Cylinder(NamedTuple):
 
 
 class CylinderDecomposition(NamedTuple):
-    """`to_rows` are the sparse rows of the chain map original -> normalized;
-    `to_normalized` is their dense view, and `from_normalized` the dense map
-    back, transported along the inverse word when read."""
+    """`to_rows` are the sparse rows of the chain map original -> normalized."""
 
     origami: Origami
     direction: tuple[int, int]
@@ -55,10 +53,6 @@ class CylinderDecomposition(NamedTuple):
     normalized: Origami
     cylinders: list[Cylinder]
     to_rows: tuple[Row, ...]
-
-    to_normalized = property(lambda self: dense_view(self.to_rows))
-    from_normalized = property(lambda self: dense_view(transport(
-        self.normalized, inverse_runs(sl2z_word(self.normalizer).exact_runs()))[1]))
 
 
 def _pairing_row(decomp: CylinderDecomposition,

@@ -149,51 +149,44 @@ def act_by_letters(letters: Iterable[str], origami: Origami) -> Origami:
     return out
 
 
-def _cycle_lengths(images: Sequence[int]) -> list[int]:
-    """square -> length of its cycle under the permutation ``images``."""
-    lengths = [0] * len(images)
-    for start, x in enumerate(images):
-        if not lengths[start]:
-            cycle = [start]
-            while x != start:
-                cycle.append(x)
-                x = images[x]
-            size = len(cycle)
-            for x in cycle:
-                lengths[x] = size
-    return lengths
+def _key_starts(origami: Origami) -> list[int]:
+    """The squares whose vertex multiplicity is the rarest among the squares,
+    the least multiplicity on a tie: the BFS starts of ``canonical_images``."""
+    squares: dict[int, list[int]] = {}
+    for v in vertex_classes(origami):
+        squares.setdefault(v.multiplicity, []).extend(v.cycle)
+    return min(squares.items(), key=lambda item: (len(item[1]), item[0]))[1]
 
 
 def canonical_pair(origami: Origami) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Hashable isomorphism key of the pair: ``canonical_images`` of its images."""
-    r, u = origami.r.images, origami.u.images
-    return canonical_images(r, u, _cycle_lengths(r), _cycle_lengths(u))
+    """Isomorphism key of the pair as its relabeled images (r, u): the
+    de-interleaved ``canonical_images`` from ``_key_starts``."""
+    flat = canonical_images(origami.r.images, origami.u.images, _key_starts(origami))
+    return flat[0::2], flat[1::2]
 
 
-def canonical_images(r: Sequence[int], u: Sequence[int],
-                     r_lengths: Sequence[int], u_lengths: Sequence[int]
-                     ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """The relabeled pair (r, u) whose interleaved images r_0, u_0, r_1, u_1,
-    ... are least over the forward BFS relabelings (square k's r-image, then
-    its u-image, get the next free labels) from the squares of least
-    (r-cycle length, u-cycle length), read off ``r_lengths``/``u_lengths``.
+def canonical_images(r: Sequence[int], u: Sequence[int], starts: Iterable[int]
+                     ) -> tuple[int, ...]:
+    """The least interleaved images r_0, u_0, r_1, u_1, ... of the relabeled
+    pair over the forward BFS relabelings from ``starts`` (square k's
+    r-image, then its u-image, get the next free labels).
 
     <r, u> is finite, so forward edges reach every square of a transitive
-    pair; an isomorphism carries the starts and their relabelings of one pair
-    onto those of the other, so two pairs get the same key exactly when they
-    are isomorphic. A start is dropped at its first entry above the best so
-    far. Raises ``NotTransitive`` when a BFS labels fewer than n squares.
+    pair. The key is complete when the starts are those of ``_key_starts``:
+    an isomorphism phi conjugates the commutators, so it carries each
+    square's vertex multiplicity, hence the starts and their relabelings of
+    one pair onto those of the other, and two pairs get the same key exactly
+    when they are isomorphic. A start is dropped at its first entry above
+    the best so far. Raises ``NotTransitive`` when a BFS labels fewer than n
+    squares.
     """
     n = len(r)
-    least = min(zip(r_lengths, u_lengths))
     best = None
-    for start in range(n):
-        if (r_lengths[start], u_lengths[start]) != least:
-            continue
+    for start in starts:
         label = [-1] * n
         label[start] = 0
         order = [start]
-        pairs = []
+        flat = []
         smaller = best is None
         for x in order:  # BFS: `order` grows while it is read
             y, z = r[x], u[x]
@@ -203,20 +196,24 @@ def canonical_images(r: Sequence[int], u: Sequence[int],
             if label[z] < 0:
                 label[z] = len(order)
                 order.append(z)
-            pair = (label[y], label[z])
+            a, b = label[y], label[z]
             if not smaller:
-                other = best[len(pairs)]
-                if pair > other:
-                    break
-                smaller = pair < other
-            pairs.append(pair)
+                k = len(flat)
+                if a != best[k]:
+                    if a > best[k]:
+                        break
+                    smaller = True
+                elif b != best[k + 1]:
+                    if b > best[k + 1]:
+                        break
+                    smaller = True
+            flat += a, b
         else:
             if len(order) < n:
                 raise NotTransitive("<r, u> is not transitive")
             if smaller:
-                best = pairs
-    r_new, u_new = zip(*best)
-    return r_new, u_new
+                best = flat
+    return tuple(best)
 
 
 class VeechGroup:
@@ -269,8 +266,11 @@ BRAID_WALKS = {"S": (("T-", "S", "T-", "S-", "T"),),
 def veech_group(origami: Origami) -> VeechGroup:
     """BFS over the S, T orbit on image tuples, numbering nodes as found.
 
-    Each node carries the cycle lengths of its r and u: S keeps u and T keeps
-    r, so an edge computes the lengths of one new permutation.
+    Every node is keyed from the root's ``_key_starts``. S and T fix the
+    commutator u r u^-1 r^-1 square by square: S gives r' = r u^-1 and
+    u r' u^-1 r'^-1 = u r u^-1 u^-1 u r^-1 = u r u^-1 r^-1; T gives
+    u' = u r^-1 and u' r u'^-1 r^-1 = u r^-1 r r u^-1 r^-1 = u r u^-1 r^-1.
+    So every node has the root's vertex classes, and its starts.
 
     An edge (v, L) is first deduced along the walks of ``BRAID_WALKS[L]``;
     only when each meets an unknown step is L.v computed and canonicalized.
@@ -286,14 +286,14 @@ def veech_group(origami: Origami) -> VeechGroup:
     search finds an existing key and numbers nothing, so ``edges`` and
     ``images`` are those of canonicalizing every edge.
     """
-    r, u = origami.r.images, origami.u.images
-    nodes = [(r, u, _cycle_lengths(r), _cycle_lengths(u))]
-    node_of_key = {canonical_images(*nodes[0]): 0}
+    starts = _key_starts(origami)
+    nodes = [(origami.r.images, origami.u.images)]
+    node_of_key = {canonical_images(*nodes[0], starts): 0}
     edges = {}
     step = {letter: [-1] for letter in INVERSE_LETTER}  # -1 while unknown
     walks = {letter: [tuple(map(step.get, walk)) for walk in letter_walks]
              for letter, letter_walks in BRAID_WALKS.items()}
-    for node, (r, u, r_lengths, u_lengths) in enumerate(nodes):  # BFS
+    for node, (r, u) in enumerate(nodes):  # BFS
         for letter in ("S", "T"):
             for walk in walks[letter]:
                 target = node
@@ -304,12 +304,8 @@ def veech_group(origami: Origami) -> VeechGroup:
                 else:
                     break
             else:
-                r_new, u_new = act_on_images(letter, r, u)
-                if letter == "S":
-                    new = (r_new, u_new, _cycle_lengths(r_new), u_lengths)
-                else:
-                    new = (r_new, u_new, r_lengths, _cycle_lengths(u_new))
-                target = node_of_key.setdefault(canonical_images(*new),
+                new = act_on_images(letter, r, u)
+                target = node_of_key.setdefault(canonical_images(*new, starts),
                                                 len(nodes))
                 if target == len(nodes):
                     nodes.append(new)
@@ -317,4 +313,4 @@ def veech_group(origami: Origami) -> VeechGroup:
                         table.append(-1)
             edges[(node, letter)] = target
             step[letter][node], step[letter + "-"][target] = target, node
-    return VeechGroup(origami, [node[:2] for node in nodes], edges)
+    return VeechGroup(origami, nodes, edges)

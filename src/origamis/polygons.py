@@ -79,12 +79,23 @@ def _side_groups(sides) -> dict[Point, list[int]]:
 
 
 def side_matchings(vertices: Sequence[Sequence[int]]) -> int:
-    """How many side matchings `PolygonSurface` enumerates: the orderings of
-    each group of equal side vectors against its opposite group."""
+    """How many side matchings `PolygonSurface` enumerates at most, when the
+    central one is missing or fails: the orderings of each group of equal
+    side vectors against its opposite group."""
     pts = [_pt(v) for v in vertices]
     groups = _side_groups(zip(pts, pts[1:] + pts[:1]))
     return prod(factorial(len(members)) for (x, y), members in groups.items()
                 if (x, y) > (-x, -y))
+
+
+def _partner_of(combo) -> dict[int, int]:
+    """The side involution of one choice of pairs per group."""
+    partner = {}
+    for pairs in combo:
+        for i, j in pairs:
+            partner[i] = j
+            partner[j] = i
+    return partner
 
 
 class PolygonSurface:
@@ -143,38 +154,30 @@ class PolygonSurface:
             seen.add(v)
             seen.add(minus)
             group_pairs.append((members, groups[minus]))
-        # enumerate matchings group by group; keep those closing up to a
-        # translation surface (every corner cycle has total angle in 2*pi*Z);
-        # when several close up, a centrally symmetric matching wins (all
-        # midpoint sums equal), else the first in enumeration order
-        options = []
-        for members, others in group_pairs:
-            options.append([list(zip(members, pi))
-                            for pi in itertools.permutations(others)])
-        valid: list[dict[int, int]] = []
-        for combo in itertools.product(*options):
-            partner = {}
-            for pairs in combo:
-                for i, j in pairs:
-                    partner[i] = j
-                    partner[j] = i
-            if self._angles_close_up(partner):
-                valid.append(partner)
-        if not valid:
+        # the first matching that closes up to a translation surface (every
+        # corner cycle has total angle in 2*pi*Z) wins, the centrally
+        # symmetric one (all doubled-midpoint sums equal) tried first and
+        # then every matching, group by group. Summed over the pairs, the
+        # common sum is S = 2 sum(a + b) / #sides, which fixes each side's
+        # partner: there is at most one central matching. Both sides of
+        # S = mid_i + mid_j are scaled by #sides, so nothing is divided
+        n = self.n_sides
+        mids = [(a[0] + b[0], a[1] + b[1]) for a, b in self.sides]
+        side_at = {(n * x, n * y): i for i, (x, y) in enumerate(mids)}
+        s_x, s_y = (2 * sum(m[k] for m in mids) for k in range(2))
+        central = [[(i, side_at.get((s_x - n * mids[i][0], s_y - n * mids[i][1])))
+                    for i in members] for members, _ in group_pairs]
+        combos = itertools.product(*([list(zip(members, pi))
+                                      for pi in itertools.permutations(others)]
+                                     for members, others in group_pairs))
+        if all(j in others for (_, others), pairs in zip(group_pairs, central)
+               for _, j in pairs):
+            combos = itertools.chain([central], combos)
+        partner = next((p for p in map(_partner_of, combos)
+                        if self._angles_close_up(p)), None)
+        if partner is None:
             raise UnpairedSides(
                 "no side matching closes up to a translation surface")
-
-        def is_central(partner: dict[int, int]) -> bool:
-            sums = set()
-            for i, j in partner.items():
-                mid_i = tuple(self.sides[i][0][k] + self.sides[i][1][k]
-                              for k in range(2))
-                mid_j = tuple(self.sides[j][0][k] + self.sides[j][1][k]
-                              for k in range(2))
-                sums.add((mid_i[0] + mid_j[0], mid_i[1] + mid_j[1]))
-            return len(sums) == 1
-
-        partner = next((p for p in valid if is_central(p)), valid[0])
         translation = {}
         for i, j in partner.items():
             # side i = (A, B) glues to side j = (C, D) by A -> D

@@ -17,7 +17,7 @@ from origamis.origami import make_origami, vertex_of_square
 from origamis.permutations import Perm, random_transitive_pair
 from origamis.sl2z import inverse_runs, sl2z_word
 
-from test_affine import _reference_transport
+from test_affine import _reference_transport, from_normalized, to_normalized
 from test_homology import (_fractions, _horizontal_core_pairing,
                            _vertical_core_pairing)
 
@@ -78,8 +78,8 @@ def test_sparse_cylinders_match_dense_references(ew, orn3, appendix_b):
             back, from_dense = _reference_transport(
                 normalized, _letters(inverse_runs(runs)))
             assert normalized == decomp.normalized and back == origami
-            assert decomp.to_normalized == to_dense
-            assert decomp.from_normalized == from_dense
+            assert to_normalized(decomp) == to_dense
+            assert from_normalized(decomp) == from_dense
             n = normalized.n
             for cyl in decomp.cylinders:
                 bottom = cyl.rows[0]
@@ -159,8 +159,9 @@ def _formula_matrix(tw):
     size, m = 2 * decomp.origami.n, decomp.normalized.n
     sign = 1 if decomp.direction[0] else -1
     matrix = [[int(i == j) for j in range(size)] for i in range(size)]
+    to_dense = to_normalized(decomp)
     for cyl, count in zip(decomp.cylinders, tw.twist_counts):
-        pi = [sum(decomp.to_normalized[m + g][j] for g in cyl.rows[0])
+        pi = [sum(to_dense[m + g][j] for g in cyl.rows[0])
               for j in range(size)]
         core = cyl.core.flat()
         for i in range(size):
@@ -186,7 +187,7 @@ def _reference_twist(origami, direction):
         for g in cyl.rows[0]:
             core_norm = core_norm + EdgeChain.unit(decomp.normalized.n, "s", g)
         core = EdgeChain.from_flat(
-            linalg.mat_vec(decomp.from_normalized, core_norm.flat()))
+            linalg.mat_vec(from_normalized(decomp), core_norm.flat()))
         assert core == cyl.core
         cores.append(core)
     num, den = 1, 0
@@ -209,10 +210,10 @@ def _reference_twist(origami, direction):
     sign = signs[0]
     linear = ((int(1 - sign * k * v[0] * v[1]), int(sign * k * v[0] * v[0])),
               (int(-sign * k * v[1] * v[1]), int(1 + sign * k * v[1] * v[0])))
-    columns = []
+    columns, to_dense = [], to_normalized(decomp)
     for j in range(2 * n):
         unit = tuple(Fraction(int(i == j)) for i in range(2 * n))
-        moved = linalg.mat_vec(decomp.to_normalized, unit)
+        moved = linalg.mat_vec(to_dense, unit)
         image = EdgeChain.from_flat(unit)
         for cyl, core, count in zip(decomp.cylinders, cores, counts):
             pairing = sign * count * sum(

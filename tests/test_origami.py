@@ -175,10 +175,11 @@ def test_orbit_is_built_on_first_read(orn5):
 
 
 def test_canonical_images_rejects_intransitive_pair():
-    # r swaps 0, 1 and swaps (or fixes) the rest; u fixes every square
-    for r, r_lengths in (((1, 0, 3, 2), [2, 2, 2, 2]), ((1, 0, 2), [2, 2, 1])):
+    # r swaps 0, 1 and swaps (or fixes) the rest; u fixes every square, so
+    # the commutator is the identity and every square is a start
+    for r in ((1, 0, 3, 2), (1, 0, 2)):
         with pytest.raises(NotTransitive):
-            canonical_images(r, tuple(range(len(r))), r_lengths, [1] * len(r))
+            canonical_images(r, tuple(range(len(r))), range(len(r)))
 
 
 def test_veech_orbit_deterministic(orn5):
@@ -333,6 +334,19 @@ def test_veech_group_matches_all_starts_reference():
         orbit, edges = _veech_orbit_reference(origami)
         assert group.orbit == orbit
         assert group.edges == edges
+
+
+def test_every_veech_node_has_the_root_commutator(ew, orn3, orn5, appendix_b):
+    """S and T fix u r u^-1 r^-1 square by square, so every node of the
+    orbit has the root's vertex classes, and the key starts the search reads
+    once from the root are those of every node."""
+    surfaces = ([ew.origami, orn3.origami, orn5.origami, appendix_b.origami,
+                 TORUS] + _random_origamis(68, [2, 3, 4, 5, 6, 7, 8] * 2 + [9]))
+    for origami in surfaces:
+        c = origami.commutator().images
+        for r, u in veech_group(origami).images:
+            # c = u r u^-1 r^-1 sends r(u(x)) to u(r(x))
+            assert all(c[r[u[x]]] == u[r[x]] for x in range(origami.n))
 
 
 def test_veech_contains_agrees_with_keys():

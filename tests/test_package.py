@@ -59,11 +59,23 @@ def _names_read(node) -> set:
     return names
 
 
+def _method_names(node) -> list:
+    """The names a class-body statement defines as methods: a function, or
+    the targets of an assigned ``property(...)``."""
+    if isinstance(node, ast.FunctionDef):
+        return [node.name]
+    if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) \
+            and isinstance(node.value.func, ast.Name) \
+            and node.value.func.id == "property":
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    return []
+
+
 def _unused(trees, roots) -> list:
-    """The top-level functions and classes, and the non-dunder methods, of
-    the parsed modules {name: tree} whose name is neither in `roots` nor read
-    outside the definition itself (a method counts reads by the rest of its
-    class)."""
+    """The top-level functions and classes, and the non-dunder methods and
+    assigned properties, of the parsed modules {name: tree} whose name is
+    neither in `roots` nor read outside the definition itself (a method
+    counts reads by the rest of its class)."""
     units, defined = [], []  # units: the statements whose reads are counted
     for module, tree in trees.items():
         for node in tree.body:
@@ -76,9 +88,9 @@ def _unused(trees, roots) -> list:
                               type_ignores=[])
             units += [head, *node.body]
             defined.append((f"{module}.{node.name}", [head, *node.body]))
-            defined += [(f"{module}.{node.name}.{sub.name}", [sub])
-                        for sub in node.body if isinstance(sub, ast.FunctionDef)
-                        and not sub.name.startswith("__")]
+            defined += [(f"{module}.{node.name}.{name}", [sub])
+                        for sub in node.body for name in _method_names(sub)
+                        if not name.startswith("__")]
     reads = {id(unit): _names_read(unit) for unit in units}
     count = collections.Counter(name for names in reads.values() for name in names)
     unused = []
@@ -91,11 +103,11 @@ def _unused(trees, roots) -> list:
 
 
 def test_every_library_definition_is_used():
-    """Each top-level function and class, and each non-dunder method, of the
-    library is named in `__all__`, read by another definition of the library
-    (the CLI among them), or read by the benchmark harness in `perfbench/`
-    (its imports, calls and the dotted names it wraps); nothing is left that
-    only the tests call."""
+    """Each top-level function and class, and each non-dunder method and
+    assigned property, of the library is named in `__all__`, read by another
+    definition of the library (the CLI among them), or read by the benchmark
+    harness in `perfbench/` (its imports, calls and the dotted names it
+    wraps); nothing is left that only the tests call."""
     trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
     harness = set().union(*(_names_read(ast.parse(path.read_text())) for path
                             in sorted((SRC.parent / "perfbench").glob("*.py"))))
@@ -106,11 +118,13 @@ def test_usage_check_sees_unused_definitions():
     tree = ast.parse("def used():\n    return 1\n\n"
                      "def unused():\n    return used() + unused()\n\n"
                      "class C:\n    def m(self):\n        return self.m()\n"
-                     "    def n(self):\n        return C()\n\n"
+                     "    def n(self):\n        return C()\n"
+                     "    p = property(lambda self: self.p)\n\n"
                      "class D(C):\n    def __len__(self):\n        return 0\n")
     # recursion and a class's own methods are not uses; D's base C is
-    assert _unused({"m": tree}, set()) == ["m.unused", "m.C.m", "m.C.n", "m.D"]
-    assert _unused({"m": tree}, {"unused", "m", "n", "D"}) == []
+    assert _unused({"m": tree}, set()) == ["m.unused", "m.C.m", "m.C.n",
+                                           "m.C.p", "m.D"]
+    assert _unused({"m": tree}, {"unused", "m", "n", "p", "D"}) == []
 
 
 # library checks raise typed errors, never these builtins

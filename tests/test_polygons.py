@@ -7,8 +7,10 @@ from origamis.catalog import APPENDIX_B_VERTICES
 from origamis.errors import NotSimple, OrigamiError, UnpairedSides
 from origamis.homology import chain_space
 from origamis.origami import stratum_and_genus, vertex_classes
-from origamis.polygons import PolygonSurface, polygon_to_origami
+from origamis.polygons import (PolygonSurface, polygon_to_origami,
+                               side_matchings)
 from origamis.sl2z import ID2, S_MAT, T_MAT, mat_mul, mat_pow
+from test_cli import _staircase_band
 from test_homology import _holonomy
 
 
@@ -78,6 +80,21 @@ def test_decagon_pairing_is_central(appendix_b):
     assert len(sums) == 1
 
 
+def test_central_matching_is_read_directly(monkeypatch):
+    """The staircase band at k = 5 has 86,400 side matchings; its central
+    one is read off the doubled midpoints and checked once, with no
+    enumeration. The L shape has no central matching and enumerates."""
+    calls = []
+    checked = PolygonSurface._angles_close_up
+    monkeypatch.setattr(PolygonSurface, "_angles_close_up",
+                        lambda self, partner: calls.append(1) or checked(self, partner))
+    band = _staircase_band(5)
+    assert side_matchings(band) == 86_400
+    assert PolygonSurface(band).origami.n == 10 and len(calls) == 1
+    calls.clear()
+    assert PolygonSurface(L_SHAPE).origami.n == 3 and len(calls) >= 1
+
+
 def test_unpaired_sides_rejected():
     with pytest.raises(UnpairedSides):
         polygon_to_origami([(0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)])
@@ -132,7 +149,7 @@ RECTANGLES = [[(0, 0), (w, 0), (w, h), (0, h)] for w, h in ((1, 1), (2, 1), (3, 
 
 
 def test_scaled_lattice_matches_reference_on_fixed_polygons():
-    for vertices in [APPENDIX_B_VERTICES, L_SHAPE] + RECTANGLES:
+    for vertices in [APPENDIX_B_VERTICES, L_SHAPE, _staircase_band(3)] + RECTANGLES:
         assert _assert_same_surface(vertices) is not None
 
 
