@@ -16,7 +16,7 @@ from math import prod
 
 from .affine import automorphism_lift, lift, matrix_on
 from .catalog import catalog, catalog_origami
-from .errors import BadArgument, BadInputFile, OrigamiError
+from .errors import BadArgument, BadInputFile, NotInvariant, OrigamiError
 from .homology import EdgeChain, chain_space
 from .invariants import cylinders, invariant_supplement, multitwist, spin_parity
 from .origami import (Origami, automorphisms, make_origami, stratum_and_genus,
@@ -219,19 +219,22 @@ def cmd_decompose(args) -> dict:
     }
 
 
-def _generators_on(args, automorphisms: bool) -> tuple[str, list[str], list]:
-    """(subspace key, the S, T, S2, T2, J lift names present, the matrix_on
-    blocks on --subspace of those lifts, then of the aut_ lifts if asked)."""
+def _generators_on(args) -> tuple[str, tuple[str, ...], list]:
+    """(subspace key, the decomposition's Veech lift names, the matrix_on
+    blocks on --subspace of its generators, the Veech lifts first)."""
     rep = _named_subspaces(args)
     key = {"H0": "H1_0", "Hbreve": "H_breve"}.get(args.subspace, args.subspace)
-    sub = _subspace(rep, key)
-    gen_names = [k for k in ("S", "T", "S2", "T2", "J") if k in rep.lifts]
-    auts = [k for k in rep.lifts if k.startswith("aut_")] if automorphisms else []
-    return key, gen_names, [matrix_on(rep.lifts[k], sub) for k in gen_names + auts]
+    _subspace(rep, key)
+    if rep.blocks[key] is None:
+        raise NotInvariant(f"the generators do not preserve {key}")
+    return key, rep.veech_generators, rep.blocks[key]
 
 
 def cmd_group(args) -> dict:
-    key, gen_names, gens = _generators_on(args, automorphisms=True)
+    """The closure of the decomposition's generators on --subspace, the group
+    of every lift's action; a witness word indexes the generators, whose
+    Veech lifts come first, at the indices they had before every aut_ lift."""
+    key, gen_names, gens = _generators_on(args)
     closure = finite_closure(gens, args.cap)
     if isinstance(closure, FiniteMatrixGroup):
         report = {"finite": True, "order": closure.order}
@@ -256,8 +259,8 @@ def cmd_congruence(args) -> dict:
 
 
 def cmd_growth(args) -> dict:
-    key, _, gens = _generators_on(args, automorphisms=False)
-    result = cocycle_growth(gens, args.len, args.trials, args.seed)
+    key, veech, gens = _generators_on(args)
+    result = cocycle_growth(gens[:len(veech)], args.len, args.trials, args.seed)
     return {
         "command": "growth", "subspace": key, "length": args.len,
         "trials": args.trials, "seed": args.seed,
@@ -330,7 +333,7 @@ def cmd_supplement(args) -> dict:
 def cmd_verify(args) -> dict:
     fn = VERIFY_SUITES[args.suite]
     if args.suite == "theorem-b":
-        return fn(args.q or 3)
+        return fn(3 if args.q is None else args.q)
     return fn()
 
 

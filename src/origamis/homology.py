@@ -114,15 +114,24 @@ class Subspace(NamedTuple):
         the others'), so the coordinates are v's entries at the pivots; v is
         in the span when v * d_v * d_b equals the sum of those (scaled)
         entries times the basis rows scaled by d_b, both sides integers."""
-        d_b, rows = linalg._over_lcm(self.basis)
+        d_b, rows = _sparse_over_lcm(self.basis)
         d, (ints,) = linalg._over_lcm((v,))
         residual = [d_b * x for x in ints]
         for row, p in zip(rows, self.pivots):
             if f := ints[p]:
-                residual = [x - f * y for x, y in zip(residual, row)]
+                for j, y in row:
+                    residual[j] -= f * y
         if any(residual):
             return None
         return linalg._divided([ints[p] for p in self.pivots], d)
+
+
+@functools.lru_cache(16)
+def _sparse_over_lcm(basis: tuple[Vec, ...]) -> tuple[int, tuple]:
+    """`linalg._over_lcm` of a basis, each row as its nonzero (col, int)
+    pairs: one basis reads many vectors, and its rows are sparse."""
+    d, rows = linalg._over_lcm(basis)
+    return d, tuple(tuple((j, y) for j, y in enumerate(row) if y) for row in rows)
 
 
 class StandardSplitting(NamedTuple):

@@ -12,7 +12,7 @@ from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import Inconsistent, NotTransitive
-from .permutations import Perm, are_transitive, power_images
+from .permutations import Perm, are_transitive, inverse_images, power_images
 from .sl2z import INVERSE_LETTER, Mat2, sl2z_word
 
 
@@ -24,7 +24,8 @@ class Origami(NamedTuple):
 
     def commutator(self) -> Perm:
         """u r u^-1 r^-1 (applied right to left); its orbits are the vertices."""
-        return self.u * self.r * self.u.inverse() * self.r.inverse()
+        r, u, u_inv = self.r.images, self.u.images, inverse_images(self.u.images)
+        return Perm([u[r[u_inv[y]]] for y in inverse_images(r)])
 
     def __repr__(self) -> str:
         return f"Origami(n={self.n}, r={list(self.r.images)}, u={list(self.u.images)})"

@@ -15,7 +15,7 @@ import functools
 import math
 import random
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from .affine import AffineLift, automorphism_lift, lift, matrix_on
@@ -30,33 +30,51 @@ from .sl2z import CongruenceSubgroup, ID2, J_MAT, S_MAT, T_MAT, mat_pow
 
 
 class DecompositionReport:
+    """A decomposition's subspaces, named chains, lifts and checks, with an
+    invariant_<name> check per subspace under `generators`: the names of
+    the Veech lifts (S, T, or S2, T2, J), then of generators of Aut (aut_i,
+    aut_j on the Wollmilchsau, aut_1 on the odd-q family). Aut is <i, j> = Q8
+    or <1> = Z/q, so their closure is the group of every lift's action; a
+    witness word indexes them, the Veech lifts first, at the indices they
+    had in front of every aut_ lift. `blocks` maps each subspace to the
+    generators' matrix_on blocks on it, or to None when one of them does not
+    map it into itself, as its invariant_<name> check reports."""
+
     def __init__(self, origami: Origami, subspaces: dict[str, Subspace],
                  chains: dict[str, EdgeChain], lifts: dict[str, AffineLift],
-                 checks: dict[str, bool]):
+                 generators: tuple[str, ...], checks: dict[str, bool]):
         self.origami = origami
         self.subspaces = subspaces
         self.chains = chains
         self.lifts = lifts
+        self.generators = generators
         self.checks = checks
+        self.blocks = {name: _blocks_on(sub, self.generator_lifts)
+                       for name, sub in subspaces.items()}
+        checks.update((f"invariant_{k}", b is not None) for k, b in self.blocks.items())
+
+    @property
+    def generator_lifts(self) -> list[AffineLift]:
+        return [self.lifts[k] for k in self.generators]
+
+    @property
+    def veech_generators(self) -> tuple[str, ...]:
+        return tuple(k for k in self.generators if not k.startswith("aut_"))
 
     @property
     def all_ok(self) -> bool:
         return all(self.checks.values())
 
 
-def _invariant_under(sub: Subspace, lifts: Iterable[AffineLift]) -> bool:
-    """Whether every lift maps sub into itself. Callers pass generators: a
-    lift is invertible, so one that maps sub into itself maps it onto
-    itself, and so does its inverse; invariance under generators is then
-    invariance under every product of them, which covers the report's other
-    lifts (its Aut lifts are products of aut_i and aut_j on the
-    Wollmilchsau, and powers of aut_1 on the odd-q family)."""
+def _blocks_on(sub: Subspace, lifts: Sequence[AffineLift]) -> list[Mat] | None:
+    """The lifts' matrix_on blocks on sub, or None when one does not map sub
+    into itself. Callers pass generators: a lift is invertible, so one that
+    maps sub into itself maps it onto itself, and so does its inverse;
+    invariance under generators is then invariance under their products."""
     try:
-        for lf in lifts:
-            matrix_on(lf, sub)
+        return [matrix_on(lf, sub) for lf in lifts]
     except NotInvariant:
-        return False
-    return True
+        return None
 
 
 _PRIME = 2 ** 61 - 1  # a Mersenne prime: the direct-sum certificate's modulus
@@ -79,9 +97,7 @@ def decompose_ew(ew: Wollmilchsau) -> DecompositionReport:
         raise WrongSurface("decompose_ew needs the quaternion origami")
     origami = ew.origami
     space = chain_space(origami)
-    st = lift(origami, S_MAT)
-    tt = lift(origami, T_MAT)
-    lifts = {"S": st, "T": tt}
+    lifts = {"S": lift(origami, S_MAT), "T": lift(origami, T_MAT)}
     for g in QUATERNION_ORDER:
         lifts[f"aut_{g}"] = automorphism_lift(origami, ew.left_mult(g))
     chains: dict[str, EdgeChain] = {}
@@ -108,9 +124,6 @@ def decompose_ew(ew: Wollmilchsau) -> DecompositionReport:
     checks["direct_sum"] = _direct_sum_ok(
         space, [subspaces[k] for k in ("H1_st", "H1_0", "H_rel")],
         space.full_subspace().dim)
-    generators = [lifts[k] for k in ("S", "T", "aut_i", "aut_j")]
-    for name, sub in subspaces.items():
-        checks[f"invariant_{name}"] = _invariant_under(sub, generators)
     checks["epsilon_negation"] = all(
         space.equivalent(ew.epsilon(quaternion_mul("-1", g)),
                          ew.epsilon(g).scale(-1))
@@ -125,7 +138,8 @@ def decompose_ew(ew: Wollmilchsau) -> DecompositionReport:
                          (ew.epsilon(g) + ew.epsilon(quaternion_mul(g, "i")))
                          .scale(Fraction(1, 2)))
         for g in QUATERNION_ORDER)
-    return DecompositionReport(origami, subspaces, chains, lifts, checks)
+    return DecompositionReport(origami, subspaces, chains, lifts,
+                               ("S", "T", "aut_i", "aut_j"), checks)
 
 
 def decompose_orn(orn: Ornithorynque) -> DecompositionReport:
@@ -134,14 +148,9 @@ def decompose_orn(orn: Ornithorynque) -> DecompositionReport:
     origami = orn.origami
     q = orn.q
     space = chain_space(origami)
-    lifts: dict[str, AffineLift] = {}
-    if q == 3:
-        lifts["S"] = lift(origami, S_MAT)
-        lifts["T"] = lift(origami, T_MAT)
-    else:
-        lifts["S2"] = lift(origami, mat_pow(S_MAT, 2))
-        lifts["T2"] = lift(origami, mat_pow(T_MAT, 2))
-        lifts["J"] = lift(origami, J_MAT)
+    veech = {"S": S_MAT, "T": T_MAT} if q == 3 else \
+        {"S2": mat_pow(S_MAT, 2), "T2": mat_pow(T_MAT, 2), "J": J_MAT}
+    lifts = {k: lift(origami, m) for k, m in veech.items()}
     for g in range(q):
         lifts[f"aut_{g}"] = automorphism_lift(origami, orn.shift(g))
     chains: dict[str, EdgeChain] = {
@@ -172,11 +181,8 @@ def decompose_orn(orn: Ornithorynque) -> DecompositionReport:
     marked = space.marked_subspace(space.singular_vertices())
     parts = [subspaces[k] for k in ("H1_st", "H_rel", "H_tau", "H_breve")]
     checks["direct_sum"] = _direct_sum_ok(space, parts, marked.dim)
-    generators = [lf for k, lf in lifts.items() if not k.startswith("aut_")]
-    generators.append(lifts["aut_1"])
-    for name, sub in subspaces.items():
-        checks[f"invariant_{name}"] = _invariant_under(sub, generators)
-    return DecompositionReport(origami, subspaces, chains, lifts, checks)
+    return DecompositionReport(origami, subspaces, chains, lifts,
+                               (*veech, "aut_1"), checks)
 
 
 # -- tau character and breve blocks -----------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .affine import AffineLift, lift, matrix_in_chain_basis, matrix_on
+from .affine import AffineLift, lift, matrix_in_chain_basis
 from .catalog import QUATERNION_ORDER, catalog
 from .errors import OddOrderZeros
 from .homology import EdgeChain, chain_space
@@ -49,12 +49,9 @@ def _ew_root_system():
     ew = catalog("eierlegende-wollmilchsau")
     rep = decompose_ew(ew)
     space = chain_space(ew.origami)
-    seeds = [space.canonical_vec(ew.sigma_hat(g).flat()) for g in ("1", "i", "j", "k")]
-    seeds += [space.canonical_vec(ew.zeta_hat(g).flat()) for g in ("1", "i", "j", "k")]
-    gens = [rep.lifts[k] for k in ("S", "T")] + \
-        [rep.lifts["aut_i"], rep.lifts["aut_j"]]
     orbit = set()
-    frontier = [tuple(v) for v in seeds]
+    frontier = [space.canonical_vec(c(g).flat()) for c in (ew.sigma_hat, ew.zeta_hat)
+                for g in ("1", "i", "j", "k")]
     while frontier:
         new = []
         for v in frontier:
@@ -62,7 +59,7 @@ def _ew_root_system():
                 continue
             orbit.add(v)
             orbit.add(tuple(-x for x in v))
-            for lf in gens:
+            for lf in rep.generator_lifts:
                 w = lf.image(v)
                 if w not in orbit:
                     new.append(w)
@@ -76,7 +73,6 @@ def _ew_root_system():
 def verify_theorem_a() -> dict:
     suite = Suite("theorem-a")
     ew, rep, space, system = _ew_root_system()
-    origami = ew.origami
     suite.check("decomposition", rep.all_ok, rep.checks)
     weyl = system.weyl_group()
     frame_amb = system.ambient_frame()
@@ -84,9 +80,9 @@ def verify_theorem_a() -> dict:
     def z_of(lf: AffineLift):
         return matrix_in_chain_basis(lf, frame_amb)
 
-    z_s, z_t = z_of(rep.lifts["S"]), z_of(rep.lifts["T"])
-    z_i, z_j = z_of(rep.lifts["aut_i"]), z_of(rep.lifts["aut_j"])
-    closure = finite_closure([z_s, z_t, z_i, z_j], 500)
+    z = {k: z_of(rep.lifts[k]) for k in rep.generators}
+    z_s, z_t, z_i, z_j = (z[k] for k in ("S", "T", "aut_i", "aut_j"))
+    closure = finite_closure(list(z.values()), 500)
     order96 = isinstance(closure, FiniteMatrixGroup) and closure.order == 96
     suite.check("(a) image of Z has order 96", order96,
                 closure.order if isinstance(closure, FiniteMatrixGroup) else "unbounded")
@@ -131,7 +127,7 @@ def verify_theorem_a() -> dict:
                     mat_pow(S_MAT, 2))]
     ident = linalg.identity(sub0.dim + subrel.dim)
     named_ok = all(
-        any(combined_action(a.compose(lift(origami, m)), [sub0, subrel]) == ident
+        any(combined_action(a.compose(lift(ew.origami, m)), [sub0, subrel]) == ident
             for a in auts)
         for m in five)
     suite.check("(d) Gamma(4) generators lift into the kernel; order accounting",
@@ -139,12 +135,10 @@ def verify_theorem_a() -> dict:
                 {"image_order": congruence.image_order,
                  "expected": congruence.expected_order,
                  "named_generators_in_kernel": named_ok})
-    hrel_group = finite_closure(
-        [matrix_on(lf, subrel) for lf in (s_lift, t_lift)] +
-        [matrix_on(a, subrel) for a in auts], 100)
+    hrel_group = finite_closure(rep.blocks["H_rel"], 100)
     labels = ["1", "i", "j", "k"]
     tetra_ok = True
-    for lf in (s_lift, t_lift, rep.lifts["aut_i"], rep.lifts["aut_j"]):
+    for lf in rep.generator_lifts:
         for ci, v in enumerate(labels):
             image = lf.apply(rep.chains[f"w_hat_{v}"])
             target = rep.chains[f"w_hat_{labels[lf.vertex_perm(ci)]}"]
@@ -157,7 +151,7 @@ def verify_theorem_a() -> dict:
     return suite.report()
 
 
-def _orn_root_system(orn, rep):
+def _orn_root_system(orn):
     space = chain_space(orn.origami)
     vecs = set()
     for i in range(3):
@@ -167,18 +161,11 @@ def _orn_root_system(orn, rep):
             v = tuple(space.canonical_vec(c.flat()))
             vecs.add(v)
             vecs.add(tuple(-x for x in v))
-    half = Fraction(1, 2)
-    eps = {
-        (1, 0): (orn.sigma_breve(2).scale(-1) + orn.zeta_breve(0)
-                 - orn.zeta_breve(1)).scale(half),
-        (1, 1): (orn.sigma_breve(2).scale(-1) - orn.zeta_breve(2)).scale(half),
-        (1, 2): (orn.sigma_breve(2).scale(-1) + orn.zeta_breve(2)).scale(half),
-        (0, 1): (orn.sigma_breve(0).scale(-1) + orn.sigma_breve(1)
-                 - orn.zeta_breve(2)).scale(half),
-    }
-    frame = [tuple(space.canonical_vec(eps[v].flat()))
-             for v in ((1, 0), (1, 1), (1, 2), (0, 1))]
-    return detect_d4(vecs, frame), eps
+    s, z = orn.sigma_breve, orn.zeta_breve
+    frame = [tuple(space.canonical_vec(c.scale(Fraction(1, 2)).flat()))
+             for c in (s(2).scale(-1) + z(0) - z(1), s(2).scale(-1) - z(2),
+                       s(2).scale(-1) + z(2), s(0).scale(-1) + s(1) - z(2))]
+    return detect_d4(vecs, frame)
 
 
 def verify_theorem_b(q: int = 3) -> dict:
@@ -191,19 +178,18 @@ def _verify_theorem_b_q3() -> dict:
     suite = Suite("theorem-b")
     orn = catalog("ornithorynque", q=3)
     rep = decompose_orn(orn)
-    origami = orn.origami
-    space = chain_space(origami)
+    space = chain_space(orn.origami)
     suite.check("decomposition", rep.all_ok, rep.checks)
-    system, eps = _orn_root_system(orn, rep)
+    system = _orn_root_system(orn)
     weyl = system.weyl_group()
     frame_amb = system.ambient_frame()
 
     def z_of(lf):
         return matrix_in_chain_basis(lf, frame_amb)
 
-    z_s, z_t = z_of(rep.lifts["S"]), z_of(rep.lifts["T"])
-    z_1 = z_of(rep.lifts["aut_1"])
-    closure = finite_closure([z_s, z_t, z_1], 500)
+    z = {k: z_of(rep.lifts[k]) for k in rep.generators}
+    z_s, z_t, z_1 = (z[k] for k in ("S", "T", "aut_1"))
+    closure = finite_closure(list(z.values()), 500)
     suite.check("(a) image on H_breve has order 72",
                 isinstance(closure, FiniteMatrixGroup) and closure.order == 72,
                 closure.order if isinstance(closure, FiniteMatrixGroup) else "unbounded")
@@ -227,10 +213,9 @@ def _verify_theorem_b_q3() -> dict:
                 and all(all(k != v for k, v in dict(t).items())
                         for t in three_cycles),
                 sorted(tri))
-    auts = [rep.lifts[f"aut_{g}"] for g in range(3)]
-    congruence = kernel_is_congruence([rep.subspaces["H_breve"]], 3,
-                                      [rep.lifts["S"], rep.lifts["T"]], auts,
-                                      cap=500)
+    congruence = kernel_is_congruence(
+        [rep.subspaces["H_breve"]], 3, [rep.lifts["S"], rep.lifts["T"]],
+        [rep.lifts[f"aut_{g}"] for g in range(3)], cap=500)
     suite.check("(d) Gamma(3) generators act trivially on H_breve;"
                 " order accounting",
                 congruence.holds,
@@ -242,13 +227,10 @@ def _verify_theorem_b_q3() -> dict:
     suite.check("(e) H_tau action factors through Z/6 with the stated values",
                 tau_vals == {"T": 1, "S": 5, "aut_1": 2, "aut_2": 4},
                 tau_vals)
-    hrel = rep.subspaces["H_rel"]
-    hrel_group = finite_closure(
-        [matrix_on(rep.lifts[k], hrel) for k in ("S", "T")] +
-        [matrix_on(a, hrel) for a in auts], 50)
+    hrel_group = finite_closure(rep.blocks["H_rel"], 50)
     # the action is the permutation action on Sigma: boundary equivariance
     perm_ok = True
-    for lf in (rep.lifts["S"], rep.lifts["T"], rep.lifts["aut_1"]):
+    for lf in rep.generator_lifts:
         for name in ("sigma_flat", "zeta_flat"):
             chain = rep.chains[name]
             image_boundary = space.boundary(lf.apply(chain))
@@ -268,9 +250,8 @@ def _verify_family_q(q: int) -> dict:
     suite = Suite(f"family-q{q}")
     orn = catalog("ornithorynque", q=q)
     rep = decompose_orn(orn)
-    origami = orn.origami
     suite.check("decomposition", rep.all_ok, rep.checks)
-    group = veech_group(origami)
+    group = veech_group(orn.origami)
     suite.check("Veech index 3 with membership mod 2",
                 group.index == 3 and group.contains(mat_pow(S_MAT, 2))
                 and group.contains(J_MAT) and not group.contains(T_MAT))
@@ -279,8 +260,8 @@ def _verify_family_q(q: int) -> dict:
     expected = {"T2": 2, "S2": 2 * q - 2, "J": q, "aut_1": 2}
     suite.check("H_tau values through Z/2q", tau_vals == expected,
                 {"got": tau_vals, "expected": expected})
-    sub = rep.subspaces["H_breve"]
-    w = linalg.mat_mul(*(matrix_on(rep.lifts[k], sub) for k in ("S2", "T2")))
+    breve = dict(zip(rep.generators, rep.blocks["H_breve"]))
+    w = linalg.mat_mul(breve["S2"], breve["T2"])
     trace = sum(w[i][i] for i in range(len(w)))
     suite.check("H_breve action unbounded with witness S2 T2 of trace 2(q-3)",
                 grows(w) and trace == 2 * (q - 3),

@@ -200,22 +200,26 @@ AB = ["--name", "appendix-b"]
     (["group", *EW, "--subspace", "nope"], None, "BadArgument"),
     (["supplement", *AB, "--probes", "foo"], None, "BadArgument"),
     (["supplement", *AB, "--probes", ""], None, "BadArgument"),
+    (["verify", "theorem-b", "--q", "0"], None, "EvenQ"),
+    (["verify", "theorem-b", "--q", "1"], None, "EvenQ"),
 ], ids=["missing", "unreadable", "not-json", "missing-key", "wrong-type",
         "not-object", "dir-one-number", "dir-not-integers", "dir-zero",
         "matrix-not-json", "matrix-not-2x2", "matrix-not-integer",
         "veech-matrix-det-2", "action-matrix-det-0", "aut-not-json",
         "cap-negative", "len-zero", "trials-zero", "level-one",
-        "basis-unknown", "subspace-unknown", "probes-unknown", "probes-empty"])
+        "basis-unknown", "subspace-unknown", "probes-unknown", "probes-empty",
+        "verify-q-zero", "verify-q-one"])
 def test_bad_origami_file_is_usage_error(tmp_path, argv, content, error):
-    """Bad --origami files and bad option values answer a JSON error with
-    exit code 2, not a traceback."""
+    """Bad --origami files and bad option values answer a JSON error, not a
+    traceback: exit code 2 for a usage error, 1 for a domain error such as
+    an even or too small --q (0 is a value, not "not given")."""
     path = tmp_path / "origami.json"
     if content == "directory":
         path.mkdir()
     elif content is not None:
         path.write_text(content)
     code, text = capture([str(path) if a == "{path}" else a for a in argv])
-    assert code == 2
+    assert code == (2 if error in ("BadArgument", "BadInputFile") else 1)
     assert json.loads(text)["error"] == error
 
 

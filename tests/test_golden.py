@@ -51,6 +51,8 @@ COMMANDS = {
 
 # the whole appendix-b orbit (1,344 surfaces) and its edge table: 611 KB;
 # the spin bases of ornithorynque at q = 15 and q = 41 (122 classes at q = 41)
+# and `group` on ornithorynque's H_tau at q = 41 and H_breve at q = 21, the
+# largest closures the CLI runs within a test's time
 PINNED_SHA256 = {
     "veech-appendix-b": (["veech", "--name", "appendix-b"],
                          "c2a27762be03ecd613e4ec15cc088d8d9e284079868befd65b417860171defa1"),
@@ -61,6 +63,12 @@ PINNED_SHA256 = {
                       "a471c263c062e1902f66a319f8b22d7f434e408a92dd0375757df18a14803844"),
     "spin-orn-q-41": (["spin", "--name", "ornithorynque", "--q", "41"],
                       "47092ccd89e875c569fb39aad59a3672cd90d839c61211d77423fd31c741968f"),
+    "group-orn-q-41-H_tau": (
+        ["group", "--name", "ornithorynque", "--q", "41", "--subspace", "H_tau"],
+        "3286610dfa343f5b0621a5f54ff8a91055fd4c901204166dbcecfc2a66777d05"),
+    "group-orn-q-21-Hbreve": (
+        ["group", "--name", "ornithorynque", "--q", "21", "--subspace", "Hbreve"],
+        "f70d9ac08935ca657367dc92c8c1d7de3f0472d2f9243b306690898f00a3e4bb"),
 }
 
 

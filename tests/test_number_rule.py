@@ -76,8 +76,8 @@ def test_canonical_vec_keeps_ints_and_halves(ew):
     assert space.canonical_vec(half) == half
 
 
-def test_root_systems_hold_no_float(ew_root_system, orn3, orn3_report):
-    systems = [ew_root_system[3], _orn_root_system(orn3, orn3_report)[0]]
+def test_root_systems_hold_no_float(ew_root_system, orn3):
+    systems = [ew_root_system[3], _orn_root_system(orn3)]
     for system in systems:
         for value in (system.span_basis, system.roots, system.frame,
                       system.roots_frame_coords(), system.ambient_frame()):
@@ -99,6 +99,15 @@ def test_subspace_bases_from_rref_are_int(orn3_report, orn5_report):
         assert _all_int(space.marked_subspace(space.singular_vertices()).basis)
 
 
+def _orn_eps_frame(orn):
+    """The flat chains eps/2 whose classes are theorem B's pinned D4 frame;
+    they hold halves, though the frame's canonical vectors are integral."""
+    s, z = orn.sigma_breve, orn.zeta_breve
+    return [c.scale(Fraction(1, 2)).flat()
+            for c in (s(2).scale(-1) + z(0) - z(1), s(2).scale(-1) - z(2),
+                      s(2).scale(-1) + z(2), s(0).scale(-1) + s(1) - z(2))]
+
+
 def test_lift_matrices_solve_and_mat_inv_follow_the_rule(
         ew_root_system, orn3, orn3_report, appendix_b):
     """On ew, orn q = 3 and appendix-b, with bases holding halves (theorem
@@ -106,7 +115,6 @@ def test_lift_matrices_solve_and_mat_inv_follow_the_rule(
     every entry of matrix_on, matrix_in_chain_basis, solve and mat_inv is an
     int exactly when it is integral, and both kinds occur."""
     _, ew_report, ew_space, system = ew_root_system
-    _, eps = _orn_root_system(orn3, orn3_report)
     ab_space = chain_space(appendix_b.origami)
     ab_frame = [tuple(Fraction(x, 2) for x in b)
                 for b in ab_space.integral_absolute_basis()]
@@ -114,7 +122,7 @@ def test_lift_matrices_solve_and_mat_inv_follow_the_rule(
         (ew_space, _generators(ew_report), ew_report.subspaces.values(),
          system.ambient_frame()),
         (chain_space(orn3.origami), _generators(orn3_report),
-         orn3_report.subspaces.values(), [c.flat() for c in eps.values()]),
+         orn3_report.subspaces.values(), _orn_eps_frame(orn3)),
         (ab_space, [multitwist(appendix_b.origami, d).lift
                     for d in ((0, 1), (1, 0), (1, 1))],
          [ab_space.full_subspace(), ab_space.absolute_subspace()], ab_frame),
@@ -360,18 +368,16 @@ def _reference_intersection(space, a, b):
     return total
 
 
-def test_intersection_and_gram_match_reference(ew_root_system, orn3, orn3_report,
-                                               appendix_b):
+def test_intersection_and_gram_match_reference(ew_root_system, orn3, appendix_b):
     """Theorem A's D4 frame of halves, the orn q = 3 eps/2 frame,
     appendix-b's integral basis halved and the integral bases of seeded
     random origamis with n <= 9: every intersection number and gram entry
     equals the reference, an int exactly when it is integral. The ew
     frame's gram is all int, though its reference entries are Fractions."""
     _, _, ew_space, system = ew_root_system
-    _, eps = _orn_root_system(orn3, orn3_report)
     ab_space = chain_space(appendix_b.origami)
     cases = [(ew_space, system.ambient_frame()),
-             (chain_space(orn3.origami), [c.flat() for c in eps.values()]),
+             (chain_space(orn3.origami), _orn_eps_frame(orn3)),
              (ab_space, [tuple(Fraction(x, 2) for x in b)
                          for b in ab_space.integral_absolute_basis()])]
     rng = random.Random(31)

@@ -344,6 +344,9 @@ def test_every_veech_node_has_the_root_commutator(ew, orn3, orn5, appendix_b):
                  TORUS] + _random_origamis(68, [2, 3, 4, 5, 6, 7, 8] * 2 + [9]))
     for origami in surfaces:
         c = origami.commutator().images
+        # the image-tuple composition against the Perm product it replaced
+        r, u = origami.r, origami.u
+        assert c == (u * r * u.inverse() * r.inverse()).images
         for r, u in veech_group(origami).images:
             # c = u r u^-1 r^-1 sends r(u(x)) to u(r(x))
             assert all(c[r[u[x]]] == u[r[x]] for x in range(origami.n))

@@ -1,6 +1,7 @@
 """Package-wide checks: the public names, no `assert` in the library, no
 `fractions` in the polygon module, entry types tested against Fraction only
-in `linalg` and `cli`, verify suites under `python -O`, what importing the
+in `linalg` and `cli`, lifts selected by the "aut_" prefix only in
+`structure`, verify suites under `python -O`, what importing the
 CLI loads, and the value semantics of the records."""
 
 import ast
@@ -223,6 +224,36 @@ def test_fraction_type_lint_sees_every_form(tmp_path):
     assert _fraction_type_tests(bad) == [1, 2, 3, 4]
     assert _fraction_type_tests(SRC / "origamis" / "linalg.py")
     assert _fraction_type_tests(SRC / "origamis" / "cli.py")
+
+
+def _aut_prefix_selections(path: Path) -> list[int]:
+    """Lines that select lifts by the "aut_" prefix: the string "aut_" as a
+    constant of its own, as in `k.startswith("aut_")` or `"aut_" in k`. The
+    literal part of an f-string such as f"aut_{g}", which names one lift, is
+    not counted."""
+    tree = ast.parse(path.read_text())
+    literal_parts = {id(part) for node in ast.walk(tree)
+                     if isinstance(node, ast.JoinedStr) for part in node.values}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and node.value == "aut_"
+                  and id(node) not in literal_parts)
+
+
+def test_only_structure_selects_lifts_by_aut_prefix():
+    # a decomposition names its generating set once, in structure, and every
+    # other module reads DecompositionReport.generators
+    found = {path.stem: _aut_prefix_selections(path) for path in MODULES
+             if path.stem != "structure"}
+    assert {stem: lines for stem, lines in found.items() if lines} == {}
+
+
+def test_aut_prefix_lint_sees_every_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text('[k for k in lifts if k.startswith("aut_")]\n'
+                   '"aut_" in k\nk[:4] == "aut_"\n'
+                   'lifts[f"aut_{g}"]\nlifts["aut_1"]\n')
+    assert _aut_prefix_selections(bad) == [1, 2, 3]
+    assert _aut_prefix_selections(SRC / "origamis" / "structure.py")
 
 
 def _src_env() -> dict:

@@ -169,6 +169,38 @@ def test_decompositions_pass(ew_report, orn3_report, orn5_report):
     assert orn5_report.all_ok
 
 
+def _every_lift_generators(rep):
+    """The reference generator list: the Veech lifts, then every aut_ lift,
+    as `group` closed them before the decompositions named generators."""
+    veech = [k for k in ("S", "T", "S2", "T2", "J") if k in rep.lifts]
+    return veech + [k for k in rep.lifts if k.startswith("aut_")]
+
+
+@pytest.mark.parametrize("family", ["ew", 3, 5, 7])
+def test_generators_close_to_the_group_of_every_lift(request, family):
+    """On every named subspace, the report's blocks are the generators'
+    matrix_on blocks, and their closure has the elements of the closure over
+    every lift, or the same witness word: the Veech lifts come first in both
+    lists."""
+    rep = request.getfixturevalue("ew_report") if family == "ew" else \
+        decompose_orn(catalog("ornithorynque", q=family))
+    reference = _every_lift_generators(rep)
+    assert rep.generators[:len(rep.veech_generators)] == rep.veech_generators
+    assert list(rep.veech_generators) == reference[:len(rep.veech_generators)]
+    for name, sub in rep.subspaces.items():
+        assert rep.blocks[name] == [matrix_on(rep.lifts[k], sub)
+                                    for k in rep.generators], name
+        got, want = (finite_closure([matrix_on(rep.lifts[k], sub) for k in names],
+                                    2000)
+                     for names in (rep.generators, reference))
+        assert type(got) is type(want), name
+        if isinstance(want, FiniteMatrixGroup):
+            assert got.order == want.order, name
+            assert set(got.elements) == set(want.elements), name
+        else:
+            assert got.word == want.word, name
+
+
 def test_tau_characters_q3(orn3, orn3_report):
     assert tau_character(orn3, orn3_report.lifts["T"]) == 1
     assert tau_character(orn3, orn3_report.lifts["S"]) == 5
@@ -307,9 +339,9 @@ def _pinned_frame_is_a_searched_frame(system):
     return sum(set(system.frame) <= klass for klass in classes) == 1
 
 
-def test_pinned_frame_is_one_of_the_three_frames(ew_root_system, orn3, orn3_report):
+def test_pinned_frame_is_one_of_the_three_frames(ew_root_system, orn3):
     assert _pinned_frame_is_a_searched_frame(ew_root_system[3])
-    assert _pinned_frame_is_a_searched_frame(_orn_root_system(orn3, orn3_report)[0])
+    assert _pinned_frame_is_a_searched_frame(_orn_root_system(orn3))
 
 
 @functools.lru_cache(maxsize=None)
@@ -378,7 +410,7 @@ def test_triality_matches_weyl_coset_search_ew(ew_root_system):
 
 
 def test_triality_matches_weyl_coset_search_orn3(orn3, orn3_report):
-    system, _ = _orn_root_system(orn3, orn3_report)
+    system = _orn_root_system(orn3)
     frame = system.ambient_frame()
     z_s, z_t, z_1 = (matrix_in_chain_basis(orn3_report.lifts[k], frame)
                      for k in ("S", "T", "aut_1"))
@@ -500,7 +532,8 @@ def _closure_over_raw_list(gens):
 
 def _paper_closure_generators(ew_report, orn3_report):
     """The generator lists of the kernel and H_rel closures of theorems A
-    and B, as the verify suites pass them."""
+    and B with S, T and every Aut lift, the identity lift among them, as
+    `kernel_is_congruence` closes them."""
     for rep, subspaces, aut_keys in (
             (ew_report, ["H1_0", "H_rel"], [f"aut_{g}" for g in QUATERNION_ORDER]),
             (orn3_report, ["H_breve"], [f"aut_{g}" for g in range(3)])):
