@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 verification failure or domain error, 2 usage error
 (including an --origami file that cannot be read as an origami and an option
 value that does not parse or is out of range).
+
+Each command imports the library modules it runs, inside the command, so that
+a process compiles and runs only those (see the package docstring).
 """
 
 from __future__ import annotations
@@ -14,20 +17,12 @@ import sys
 from fractions import Fraction
 from math import prod
 
-from .affine import automorphism_lift, lift, matrix_on
-from .catalog import catalog, catalog_origami
 from .errors import BadArgument, BadInputFile, NotInvariant, OrigamiError
-from .homology import EdgeChain, chain_space
-from .invariants import cylinders, invariant_supplement, multitwist, spin_parity
-from .origami import (Origami, automorphisms, make_origami, stratum_and_genus,
-                      veech_group, vertex_classes)
 from .permutations import Perm
-from .polygons import polygon_to_origami, side_matchings, twice_area
-from .rootsys import FiniteMatrixGroup, finite_closure
-from .sl2z import congruence_generators
-from .structure import (cocycle_growth, decompose_ew, decompose_orn,
-                        operator_norm)
-from .verification import VERIFY_SUITES
+
+# the keys of verification.VERIFY_SUITES, sorted; the parser reads them
+# without running that module
+SUITE_NAMES = ("appendix-a", "appendix-b", "theorem-a", "theorem-b")
 
 
 def _jsonable(obj):
@@ -36,9 +31,9 @@ def _jsonable(obj):
         return str(obj)
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, EdgeChain):  # a tuple, so before the list branch
-        return obj.to_json_dict()
     if isinstance(obj, (list, tuple)):
+        if hasattr(obj, "to_json_dict"):  # an EdgeChain, a tuple of chains
+            return obj.to_json_dict()
         if set(map(type, obj)) <= {int}:
             return obj
         return [_jsonable(x) for x in obj]
@@ -51,23 +46,27 @@ def emit(report: dict) -> None:
     print(json.dumps(_jsonable(report), sort_keys=True, indent=2))
 
 
-def load_origami(args) -> Origami:
+def load_origami(args):
     if getattr(args, "name", None):
+        from .catalog import catalog_origami
         return catalog_origami(args.name, q=getattr(args, "q", None))
     if getattr(args, "origami", None):
+        from . import polygons
+        from .origami import make_origami
         try:
             with open(args.origami) as handle:
                 data = json.load(handle)
             pts = data["vertices"] if "vertices" in data else None
-            squares = data["n"] if pts is None else abs(twice_area(pts)) // 2
+            squares = data["n"] if pts is None else abs(polygons.twice_area(pts)) // 2
             _check_bound("an --origami file's squares", squares, *_BOUNDS["squares"])
             if pts is not None:
                 _check_bound("a polygon file's bounding-box cells",
                              prod(max(c) - min(c) for c in zip(*pts)),
                              *_BOUNDS["cells"])
                 _check_bound("a polygon file's side matchings",
-                             side_matchings(pts), *_BOUNDS["matchings"])
-                return polygon_to_origami(pts)
+                             polygons.side_matchings(pts),
+                             *_BOUNDS["matchings"])
+                return polygons.polygon_to_origami(pts)
             return make_origami(data["n"], Perm(data["r"]), Perm(data["u"]),
                                 data.get("base", 0))
         except (OSError, ValueError, KeyError, TypeError) as err:
@@ -126,6 +125,8 @@ def _check_bound(name: str, value, least, most) -> None:
 
 
 def _named_subspaces(args):
+    from .catalog import catalog
+    from .structure import decompose_ew, decompose_orn
     if args.name == "eierlegende-wollmilchsau":
         return decompose_ew(catalog(args.name))
     if args.name == "ornithorynque":
@@ -141,6 +142,8 @@ def _subspace(rep, name: str):
 
 
 def cmd_info(args) -> dict:
+    from .origami import (automorphisms, stratum_and_genus, veech_group,
+                          vertex_classes)
     origami = load_origami(args)
     stratum = stratum_and_genus(origami)
     group = veech_group(origami)
@@ -159,6 +162,7 @@ def cmd_info(args) -> dict:
 
 
 def cmd_veech(args) -> dict:
+    from .origami import veech_group
     origami = load_origami(args)
     group = veech_group(origami)
     report = {"command": "veech", "index": group.index,
@@ -172,6 +176,7 @@ def cmd_veech(args) -> dict:
 
 
 def cmd_homology(args) -> dict:
+    from .homology import chain_space
     origami = load_origami(args)
     space = chain_space(origami)
     split = space.standard_splitting()
@@ -187,6 +192,7 @@ def cmd_homology(args) -> dict:
 
 
 def cmd_action(args) -> dict:
+    from .affine import automorphism_lift, lift, matrix_on
     origami = load_origami(args)
     matrix = _parse_matrix(args.matrix)
     lifted = lift(origami, matrix)
@@ -234,6 +240,8 @@ def cmd_group(args) -> dict:
     """The closure of the decomposition's generators on --subspace, the group
     of every lift's action; a witness word indexes the generators, whose
     Veech lifts come first, at the indices they had before every aut_ lift."""
+    from .rootsys import FiniteMatrixGroup, finite_closure
+    from .structure import operator_norm
     key, gen_names, gens = _generators_on(args)
     closure = finite_closure(gens, args.cap)
     if isinstance(closure, FiniteMatrixGroup):
@@ -248,6 +256,7 @@ def cmd_group(args) -> dict:
 
 
 def cmd_congruence(args) -> dict:
+    from .sl2z import congruence_generators
     gens = congruence_generators(args.level)
     return {
         "command": "congruence",
@@ -259,6 +268,7 @@ def cmd_congruence(args) -> dict:
 
 
 def cmd_growth(args) -> dict:
+    from .structure import cocycle_growth
     key, veech, gens = _generators_on(args)
     result = cocycle_growth(gens[:len(veech)], args.len, args.trials, args.seed)
     return {
@@ -270,6 +280,7 @@ def cmd_growth(args) -> dict:
 
 
 def cmd_cylinders(args) -> dict:
+    from .invariants import cylinders
     origami = load_origami(args)
     decomp = cylinders(origami, _parse_dir(args.dir))
     return {
@@ -283,6 +294,7 @@ def cmd_cylinders(args) -> dict:
 
 
 def cmd_twist(args) -> dict:
+    from .invariants import multitwist
     origami = load_origami(args)
     tw = multitwist(origami, _parse_dir(args.dir))
     return {
@@ -295,6 +307,7 @@ def cmd_twist(args) -> dict:
 
 
 def cmd_spin(args) -> dict:
+    from .invariants import spin_parity
     origami = load_origami(args)
     result = spin_parity(origami)
     return {
@@ -306,6 +319,9 @@ def cmd_spin(args) -> dict:
 
 
 def cmd_supplement(args) -> dict:
+    from .catalog import catalog
+    from .homology import chain_space
+    from .invariants import invariant_supplement, multitwist
     if args.name != "appendix-b":
         raise OrigamiError("supplement probes are cataloged for appendix-b")
     ab = catalog("appendix-b")
@@ -331,6 +347,7 @@ def cmd_supplement(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
+    from .verification import VERIFY_SUITES
     fn = VERIFY_SUITES[args.suite]
     if args.suite == "theorem-b":
         return fn(3 if args.q is None else args.q)
@@ -411,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_supplement)
 
     p = sub.add_parser("verify", help="run a theorem or appendix suite")
-    p.add_argument("suite", choices=sorted(VERIFY_SUITES))
+    p.add_argument("suite", choices=SUITE_NAMES)
     p.add_argument("--q", type=int)
     p.set_defaults(fn=cmd_verify)
     return parser

@@ -68,6 +68,13 @@ def test_verify_exit_code():
     assert json.loads(text)["pass"] is True
 
 
+def test_verify_choices_are_the_suites():
+    # the parser lists the suites without running `verification`
+    from origamis.cli import SUITE_NAMES
+    from origamis.verification import VERIFY_SUITES
+    assert list(SUITE_NAMES) == sorted(VERIFY_SUITES)
+
+
 def test_spin_error_exit_code():
     code, text = capture(["spin", "--name", "eierlegende-wollmilchsau"])
     assert code == 1

@@ -2,16 +2,20 @@
 recorded outputs in tests/golden (regenerate one with
 `python -m origamis.cli ARGS > tests/golden/NAME.json` after a deliberate
 change of output). Outputs too large for a golden file are pinned by the
-sha256 of their bytes."""
+sha256 of their bytes. The help texts and one usage error are compared the
+same way, from a fresh `python -m origamis` at 80 columns."""
 
 import contextlib
 import hashlib
 import io
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from origamis.cli import run
+from test_cli import _src_env
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -93,3 +97,23 @@ def test_golden_stdout(name):
 def test_pinned_stdout_sha256(name):
     args, digest = PINNED_SHA256[name]
     assert hashlib.sha256(_stdout(args)).hexdigest() == digest
+
+
+# argv, the stream it writes, its exit code and the golden file of that text
+HELP_TEXTS = {
+    "help": (["--help"], "stdout", 0),
+    "help-verify": (["verify", "--help"], "stdout", 0),
+    "usage-verify-bad-suite": (["verify", "nosuch"], "stderr", 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HELP_TEXTS))
+def test_help_and_usage_texts(name):
+    argv, stream, code = HELP_TEXTS[name]
+    # argparse wraps at the terminal width
+    proc = subprocess.run([sys.executable, "-m", "origamis", *argv],
+                          capture_output=True, env=_src_env() | {"COLUMNS": "80"},
+                          timeout=120)
+    assert proc.returncode == code
+    assert getattr(proc, stream) == (GOLDEN / f"{name}.txt").read_bytes()
+    assert getattr(proc, "stderr" if stream == "stdout" else "stdout") == b""

@@ -10,6 +10,7 @@ import importlib.util
 import itertools
 import json
 import os
+import shlex
 import subprocess
 import sys
 import types
@@ -34,14 +35,35 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 MODULES = sorted((SRC / "origamis").glob("*.py"))
 
 
+# the public names, in the order `__all__` has always listed them
+PUBLIC = [
+    "catalog", "catalog_origami", "OrigamiError", "EdgeChain", "Subspace",
+    "chain_space", "Origami", "Stratum", "VertexClass", "automorphisms",
+    "isomorphisms", "make_origami", "sl2z_act", "stratum_and_genus",
+    "veech_group", "vertex_classes", "AffineLift", "automorphism_lift",
+    "lift", "lift_all", "matrix_on", "power_order",
+    "cylinders", "index_parity", "invariant_supplement", "multitwist",
+    "spin_parity", "symplectic_basis", "Perm", "polygon_to_origami",
+    "detect_d4", "finite_closure", "symplectic_subgroup", "Sl2zWord",
+    "congruence_generators", "sl2z_word", "cocycle_growth", "decompose_ew",
+    "decompose_orn", "kernel_is_congruence", "tau_character",
+]
+
+
 def test_all_lists_exactly_the_imported_names():
-    tree = ast.parse((SRC / "origamis" / "__init__.py").read_text())
-    imported = [alias.asname or alias.name for node in tree.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names]
-    assert sorted(origamis.__all__) == sorted(imported)
-    for name in origamis.__all__:
+    """`__all__` is the package's name -> module table in its order; each
+    name is a non-module object read from the module the table names, `from
+    origamis import *` binds every name, and `origamis.catalog` is the
+    function, not the module."""
+    assert origamis.__all__ == list(origamis._HOME) == PUBLIC
+    for name, module in origamis._HOME.items():
         value = getattr(origamis, name)
         assert not isinstance(value, types.ModuleType), name
+        assert value is getattr(sys.modules[f"origamis.{module}"], name), name
+    namespace = {}
+    exec("from origamis import *", namespace)
+    assert sorted(namespace.keys() - {"__builtins__"}) == sorted(PUBLIC)
+    assert origamis.catalog is sys.modules["origamis.catalog"].catalog
 
 
 def _names_read(node) -> set:
@@ -108,11 +130,14 @@ def test_every_library_definition_is_used():
     assigned property, of the library is named in `__all__`, read by another
     definition of the library (the CLI among them), or read by the benchmark
     harness in `perfbench/` (its imports, calls and the dotted names it
-    wraps); nothing is left that only the tests call."""
+    wraps); nothing is left that only the tests call. The package's
+    `__getattr__` (PEP 562), which the interpreter calls, is the one
+    exception."""
     trees = {path.stem: ast.parse(path.read_text()) for path in MODULES}
     harness = set().union(*(_names_read(ast.parse(path.read_text())) for path
                             in sorted((SRC.parent / "perfbench").glob("*.py"))))
-    assert _unused(trees, set(origamis.__all__) | harness) == []
+    assert _unused(trees, set(origamis.__all__) | harness) == \
+        ["__init__.__getattr__"]
 
 
 def test_usage_check_sees_unused_definitions():
@@ -276,23 +301,92 @@ def test_verify_under_optimize_flag(suite):
     assert json.loads(proc.stdout)["pass"] is True
 
 
+# prints the origamis modules that have run, after the script's own work
+RAN = ("import json, sys, types\n{}\nsys.stdout.flush()\n"
+       "print(json.dumps(sorted(m for m, module in sys.modules.items() if "
+       "m.startswith('origamis.') and type(module) is types.ModuleType)), "
+       "file=sys.stderr)")
+
+
+def _modules_run(script: str) -> tuple[set, subprocess.CompletedProcess]:
+    """The `origamis.*` modules that ran in a fresh `python -S` (no site
+    hooks) by the end of the script: a lazily registered module keeps the
+    type `importlib.util._LazyModule` until it is first read."""
+    proc = subprocess.run([sys.executable, "-S", "-c", RAN.format(script)],
+                          capture_output=True, text=True, env=_src_env(),
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return set(json.loads(proc.stderr.splitlines()[-1])), proc
+
+
 def test_cli_import_loads_no_dataclasses_and_every_traced_module():
     """`import origamis.cli` in a fresh interpreter loads neither
-    `dataclasses` nor `inspect`, which every CLI process would pay for, and
-    loads every module the benchmark tracer wraps right after that import.
-    -S keeps site hooks out of the module list."""
+    `dataclasses` nor `inspect`, which every CLI process would pay for, puts
+    every module the benchmark tracer wraps right after that import in
+    `sys.modules`, and runs none of the modules that only some commands
+    use."""
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", SRC.parent / "perfbench" / "tracer.py")
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    proc = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import json, sys, origamis.cli; print(json.dumps(sorted(sys.modules)))"],
-        capture_output=True, text=True, env=_src_env(), timeout=120)
-    assert proc.returncode == 0, proc.stderr[-2000:]
+    ran, proc = _modules_run(
+        "import origamis.cli; print(json.dumps(sorted(sys.modules)))")
     loaded = set(json.loads(proc.stdout))
     assert not loaded & {"dataclasses", "inspect"}
     assert {f"origamis.{mod}" for mod, _ in tracer.SPANS} <= loaded
+    assert not ran & {f"origamis.{mod}" for mod in COMMAND_ONLY}
+
+
+# the modules that only some commands run
+COMMAND_ONLY = ("affine", "invariants", "polygons", "rootsys", "structure",
+                "verification")
+# the README's commands and verify suites, as argument lists
+README_COMMANDS = [shlex.split(line.split("#")[0])[1:] for line in
+                   (SRC.parent / "README.md").read_text().splitlines()
+                   if line.startswith("origamis ")]
+# commands that read a named surface and run none of COMMAND_ONLY
+LIGHT = [[command, *surface] for command in ("info", "veech", "homology")
+         for surface in (["--name", "ornithorynque", "--q", "3"],
+                         ["--name", "eierlegende-wollmilchsau"])]
+
+
+@pytest.fixture(scope="module")
+def modules_run(tmp_path_factory):
+    """{command: the origamis modules it ran}, each in its own process, for
+    the README commands, `info`, `veech` and `homology` on both named
+    surfaces, `info` on an origami file and on a polygon file, and a bare
+    `import origamis`."""
+    folder = tmp_path_factory.mktemp("files")
+    files = {"origami": {"n": 2, "r": [1, 0], "u": [0, 1]},
+             "polygon": {"vertices": [[0, 0], [2, 0], [2, 1], [0, 1]]}}
+    runs = {" ".join(argv): argv for argv in README_COMMANDS + LIGHT}
+    for kind, data in files.items():
+        path = folder / f"{kind}.json"
+        path.write_text(json.dumps(data))
+        runs[f"info {kind}-file"] = ["info", "--origami", str(path)]
+    out = {name: _modules_run("from origamis.cli import run\n"
+                              f"sys.exit(1) if run({argv!r}) else None")[0]
+           for name, argv in runs.items()}
+    out["import origamis"] = _modules_run("import origamis")[0]
+    return out
+
+
+def test_readme_lists_twelve_commands_and_five_suites():
+    assert len(README_COMMANDS) == 17
+    assert sum(argv[0] == "verify" for argv in README_COMMANDS) == 5
+
+
+def test_each_command_runs_only_the_modules_it_uses(modules_run):
+    assert modules_run["import origamis"] == set()
+    assert modules_run["congruence --level 4"] == {
+        "origamis.cli", "origamis.errors", "origamis.permutations",
+        "origamis.sl2z"}
+    for argv in LIGHT:
+        assert not modules_run[" ".join(argv)] & {
+            f"origamis.{m}" for m in COMMAND_ONLY}
+    for name, ran in modules_run.items():
+        uses_polygons = "appendix-b" in name or name == "info polygon-file"
+        assert ("origamis.polygons" in ran) == uses_polygons, name
 
 
 # -- records compare and hash by value ---------------------------------------
