@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from math import prod
 
 from .errors import BadArgument, BadInputFile, NotInvariant, OrigamiError
@@ -26,7 +25,10 @@ SUITE_NAMES = ("appendix-a", "appendix-b", "theorem-a", "theorem-b")
 
 
 def _jsonable(obj):
-    """obj as JSON data; a list or tuple of plain ints is passed as it is."""
+    """obj as JSON data; a list or tuple of plain ints is passed as it is.
+    A Fraction exists only once `fractions` is imported, so its type is read
+    from `sys.modules`: a command such as `congruence` never imports it."""
+    Fraction = getattr(sys.modules.get("fractions"), "Fraction", ())
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, dict):

@@ -178,6 +178,7 @@ class ChainSpace:
         index = {germ: k for k, germ in enumerate(flat)}
         self._edge_germs = [(index["in", etype, g], index["out", etype, g] + 1)
                             for etype in "sz" for g in range(n)]
+        self._lattices: dict[tuple[frozenset[int], bool], tuple[Vec, ...]] = {}
 
     # -- relations and canonical forms ------------------------------------
 
@@ -231,11 +232,18 @@ class ChainSpace:
                         self.free)
 
     def _cycle_lattice(self, allowed_vertices: set[int],
-                       zero_holonomy: bool) -> list[Vec]:
+                       zero_holonomy: bool) -> tuple[Vec, ...]:
         """Z-basis, as canonical integer vectors, of the classes whose boundary
         is supported on the allowed vertex classes, and whose holonomy is zero
         if asked: the integer kernel of those constraints on the free columns.
+
+        Memoized for the allowed sets the library asks for, none and the
+        singular vertices, so at most 4 per space; a tuple of tuples, which
+        no caller can change.
         """
+        key = (frozenset(allowed_vertices), zero_holonomy)
+        if key in self._lattices:
+            return self._lattices[key]
         n = self.n
         columns = []
         for j in self.free:
@@ -252,7 +260,10 @@ class ChainSpace:
             for j, c in zip(self.free, x):
                 v[j] = c
             vecs.append(tuple(v))
-        return vecs
+        lattice = tuple(vecs)
+        if key[0] in (frozenset(), frozenset(self.singular_vertices())):
+            self._lattices[key] = lattice
+        return lattice
 
     def marked_subspace(self, marks: Sequence[int]) -> Subspace:
         if not marks:

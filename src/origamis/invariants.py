@@ -8,6 +8,7 @@ and everything is transported back through the exact edge substitutions.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -68,8 +69,21 @@ def _pairing_row(decomp: CylinderDecomposition,
 
 
 def cylinders(origami: Origami, direction: tuple[int, int]) -> CylinderDecomposition:
+    """The cylinders in a rational direction, from immutable parts cached for
+    16 (origami, primitive direction) pairs; every call returns a fresh
+    record, a new list of new `Cylinder`s, so no caller reaches the cache."""
     (p, q), normalizer = normalize_direction(*direction)
-    runs = sl2z_word(normalizer).exact_runs()
+    normalized, to_rows, found = _decomposition(origami, (p, q))
+    return CylinderDecomposition(origami, (p, q), normalizer, normalized,
+                                 [Cylinder(*cyl) for cyl in found], to_rows)
+
+
+@functools.lru_cache(16)
+def _decomposition(origami: Origami, direction: tuple[int, int]
+                   ) -> tuple[Origami, tuple[Row, ...], tuple[tuple, ...]]:
+    """(normalized origami, `to_rows`, each cylinder's (rows, width, height,
+    core)) in a primitive direction."""
+    runs = sl2z_word(normalize_direction(*direction)[1]).exact_runs()
     normalized, to_rows = transport(origami, runs)
     # the lower-left corner of square g is a regular point exactly when the
     # commutator, whose cycles are the vertex classes, fixes g
@@ -118,13 +132,11 @@ def cylinders(origami: Origami, direction: tuple[int, int]) -> CylinderDecomposi
         for g in cyl_rows[0]:
             columns[g] = {c: 1}
     _, cores = transport(normalized, inverse_runs(runs), columns)
-    cyls = [Cylinder(*cyl, EdgeChain.from_flat([dict(row).get(c, 0)
-                                                for row in cores]))
-            for c, cyl in enumerate(found)]
-    if sum(c.width * c.height for c in cyls) != origami.n:
+    if sum(width * height for _, width, height in found) != origami.n:
         raise Inconsistent("cylinder areas must tile the surface")
-    return CylinderDecomposition(origami, (p, q), normalizer, normalized,
-                                 cyls, to_rows)
+    return normalized, to_rows, tuple(
+        (*cyl, EdgeChain.from_flat([dict(row).get(c, 0) for row in cores]))
+        for c, cyl in enumerate(found))
 
 
 def _rational_lcm(values: Sequence[Fraction]) -> Fraction:

@@ -3,19 +3,22 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from origamis import linalg
+from origamis import invariants, linalg
 from origamis.affine import automorphism_lift, lift_all
-from origamis.errors import (EvenConeMultiplicity, NotClosed, NotUnimodular,
-                             OddOrderZeros, ProbeMovesMarks)
-from origamis.homology import EdgeChain, chain_space
+from origamis.errors import (EvenConeMultiplicity, NotClosed, NotInVeechGroup,
+                             NotUnimodular, OddOrderZeros, ProbeMovesMarks)
+from origamis.homology import ChainSpace, EdgeChain, chain_space
 from origamis.invariants import (_pairing_row, cylinders, index_parity,
                                  index_parity_clockwise, invariant_supplement,
                                  multitwist, quadratic_form_value, spin_parity,
                                  symplectic_basis)
-from origamis.origami import make_origami, vertex_of_square
+from origamis.origami import (automorphisms, make_origami, veech_group,
+                              vertex_of_square)
 from origamis.permutations import Perm, random_transitive_pair
-from origamis.sl2z import inverse_runs, sl2z_word
+from origamis.sl2z import T_MAT, eval_letters, inverse_runs, mat_pow, sl2z_word
 
 from test_affine import _reference_transport, from_normalized, to_normalized
 from test_homology import (_fractions, _horizontal_core_pairing,
@@ -467,3 +470,54 @@ def test_supplement_rejects_probes_leaving_marks(orn3, orn3_report):
     marks = [owner[orn3.idx(0, 0, 0)], owner[orn3.idx(0, 1, 1)]]
     with pytest.raises(ProbeMovesMarks):
         invariant_supplement(origami, marks, [orn3_report.lifts["aut_1"]])
+
+
+# the readers of the four lattices the library asks for
+LATTICE_READERS = (
+    ChainSpace.absolute_subspace, ChainSpace.standard_splitting,
+    ChainSpace.integral_absolute_basis,
+    lambda space: space.marked_subspace(space.singular_vertices())
+    if space.singular_vertices() else None)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 9), st.randoms(use_true_random=False),
+       st.lists(st.lists(st.sampled_from(["S", "S-", "T", "T-"]), max_size=6),
+                min_size=1, max_size=3))
+def test_cached_decompositions_and_lattices_match_fresh_ones(n, rng, words):
+    """The cached cylinders equal a fresh computation and survive a caller
+    changing its record; the memoized lattices equal freshly computed ones
+    and stay at most 4 per space; the cusp-width lifts are a torsor under
+    Aut; and a short word lifts exactly when the Veech group contains it."""
+    origami = make_origami(n, *random_transitive_pair(n, rng))
+    for direction in ((1, 0), (0, 1), (1, 1)):
+        first = cylinders(origami, direction)
+        first.cylinders[0] = first.cylinders[0]._replace(width=0)
+        first.cylinders.append(first.cylinders[0])
+        again = cylinders(origami, direction)
+        invariants._decomposition.cache_clear()
+        fresh = cylinders(origami, direction)
+        assert again == fresh and again.cylinders is not fresh.cylinders
+        assert sum(c.width * c.height for c in again.cylinders) == n
+    space = chain_space(origami)
+    for read in LATTICE_READERS:  # fills the memo
+        read(space)
+    # each fresh value from a space of its own, whose memo is empty
+    assert [read(space) for read in LATTICE_READERS] == \
+        [read(ChainSpace(origami)) for read in LATTICE_READERS]
+    for vertex in range(len(space.vclasses)):
+        space.marked_subspace([vertex])
+    assert len(space._lattices) <= 4
+    group = veech_group(origami)
+    node, width = group.edges[(0, "T")], 1
+    while node != 0:
+        node, width = group.edges[(node, "T")], width + 1
+    assert len(lift_all(origami, mat_pow(T_MAT, width))) == \
+        len(automorphisms(origami))
+    for word in words:
+        m = eval_letters(word)
+        try:
+            lifted = bool(lift_all(origami, m))
+        except NotInVeechGroup:
+            lifted = False
+        assert group.contains(m) == lifted

@@ -1,8 +1,9 @@
 """Package-wide checks: the public names, no `assert` in the library, no
 `fractions` in the polygon module, entry types tested against Fraction only
 in `linalg` and `cli`, lifts selected by the "aut_" prefix only in
-`structure`, verify suites under `python -O`, what importing the
-CLI loads, and the value semantics of the records."""
+`structure`, no unbounded cache, verify suites under `python -O`, what
+importing the CLI and running `congruence` load, and the value semantics
+of the records."""
 
 import ast
 import collections
@@ -251,6 +252,49 @@ def test_fraction_type_lint_sees_every_form(tmp_path):
     assert _fraction_type_tests(SRC / "origamis" / "cli.py")
 
 
+def _unbounded_caches(path: Path) -> list[int]:
+    """Lines of an unbounded cache: `functools.cache` (or its import by
+    name), or `lru_cache` with the size None, as its first argument or as
+    `maxsize`."""
+    def is_none(node) -> bool:
+        return isinstance(node, ast.Constant) and node.value is None
+
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Attribute) and node.attr == "cache"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "functools") or (
+                isinstance(node, ast.ImportFrom) and node.module == "functools"
+                and any(alias.name == "cache" for alias in node.names)):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.Call) and "lru_cache" in (
+                getattr(node.func, "id", None), getattr(node.func, "attr", None)) and (
+                any(map(is_none, node.args[:1]))
+                or any(k.arg == "maxsize" and is_none(k.value)
+                       for k in node.keywords)):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_library_caches_are_bounded():
+    # ROADMAP aim 3: every cache in the library has a bound
+    found = {path.stem: _unbounded_caches(path) for path in MODULES}
+    assert {stem: lines for stem, lines in found.items() if lines} == {}
+
+
+def test_cache_lint_sees_every_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("@functools.lru_cache(None)\ndef f(): pass\n"
+                   "@lru_cache(maxsize=None)\ndef g(): pass\n"
+                   "@functools.cache\ndef h(): pass\n"
+                   "@functools.lru_cache(16)\ndef i(): pass\n"
+                   "@functools.lru_cache(maxsize=256)\ndef j(): pass\n"
+                   "@functools.lru_cache\ndef k(): pass\n"
+                   "from functools import cache, lru_cache\n"
+                   "self.cache = {}\n")
+    assert _unbounded_caches(bad) == [1, 3, 5, 13]
+
+
 def _aut_prefix_selections(path: Path) -> list[int]:
     """Lines that select lifts by the "aut_" prefix: the string "aut_" as a
     constant of its own, as in `k.startswith("aut_")` or `"aut_" in k`. The
@@ -387,6 +431,23 @@ def test_each_command_runs_only_the_modules_it_uses(modules_run):
     for name, ran in modules_run.items():
         uses_polygons = "appendix-b" in name or name == "info polygon-file"
         assert ("origamis.polygons" in ran) == uses_polygons, name
+
+
+def test_congruence_imports_neither_fractions_nor_decimal():
+    """`congruence` prints no Fraction, so its process never imports
+    `fractions`, nor the `decimal` that `fractions` pulls in: `_jsonable`
+    reads the Fraction type from `sys.modules`. Its JSON is the golden's."""
+    script = ("import sys\nfrom origamis.cli import run\n"
+              "run(['congruence', '--level', '4'])\nsys.stdout.flush()\n"
+              "print(sorted({'fractions', 'decimal'} & set(sys.modules)), "
+              "file=sys.stderr)")
+    proc = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, env=_src_env(),
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stderr.splitlines()[-1] == "[]"
+    golden = SRC.parent / "tests" / "golden" / "congruence.json"
+    assert proc.stdout == golden.read_text()
 
 
 # -- records compare and hash by value ---------------------------------------
