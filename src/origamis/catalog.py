@@ -17,6 +17,8 @@ Square index conventions (these never change; golden tests depend on them):
 
 from __future__ import annotations
 
+import functools
+
 from .errors import EvenQ, UnknownName
 from .homology import EdgeChain, sigma_chain, zeta_chain
 from .origami import Origami, make_origami
@@ -220,14 +222,11 @@ class AppendixB:
         self.surface = polygons.PolygonSurface(APPENDIX_B_VERTICES)
         self.origami = self.surface.origami
 
-    def _side_chain(self, start, end) -> EdgeChain:
-        return self.surface.path_chain(start, end)
-
     def zeta_side(self, letter: str) -> EdgeChain:
         ends = {"a": ((0, 0), (1, 2)), "b": ((1, 2), (2, 3)),
                 "c": ((2, 3), (3, 3)), "d": ((3, 3), (4, 2)),
                 "e": ((4, 2), (5, 1))}[letter]
-        return self._side_chain(*ends)
+        return self.surface.path_chain(*ends)
 
     def zeta0(self) -> EdgeChain:
         za, zb, zd, ze = (self.zeta_side(x) for x in "abde")
@@ -241,29 +240,26 @@ class AppendixB:
         return self.zeta_side("e") - self.zeta_side("d")
 
 
-_CATALOG = {}
+# each name's constructor, given q (which only the ornithorynque reads)
+_CONSTRUCTORS = {"eierlegende-wollmilchsau": lambda q: Wollmilchsau(),
+                 "ornithorynque": Ornithorynque,
+                 "appendix-b": lambda q: AppendixB()}
 
 
 def catalog(name: str, q: int | None = None):
-    """Catalog entry: a Wollmilchsau, Ornithorynque, or AppendixB object."""
-    if name == "eierlegende-wollmilchsau":
-        key = name
-    elif name == "ornithorynque":
-        if q is None:
-            raise UnknownName("ornithorynque requires q")
-        key = (name, q)
-    elif name == "appendix-b":
-        key = name
-    else:
+    """Catalog entry: a Wollmilchsau, Ornithorynque, or AppendixB object,
+    built once per name (and q, for the ornithorynque) while among the 16
+    most recently asked for."""
+    if name not in _CONSTRUCTORS:
         raise UnknownName(f"unknown catalog name {name!r}")
-    if key not in _CATALOG:
-        if name == "eierlegende-wollmilchsau":
-            _CATALOG[key] = Wollmilchsau()
-        elif name == "ornithorynque":
-            _CATALOG[key] = Ornithorynque(q)
-        else:
-            _CATALOG[key] = AppendixB()
-    return _CATALOG[key]
+    if name == "ornithorynque" and q is None:
+        raise UnknownName("ornithorynque requires q")
+    return _entry(name, q if name == "ornithorynque" else None)
+
+
+@functools.lru_cache(16)
+def _entry(name: str, q: int | None):
+    return _CONSTRUCTORS[name](q)
 
 
 def catalog_origami(name: str, q: int | None = None) -> Origami:

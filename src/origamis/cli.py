@@ -65,9 +65,6 @@ def load_origami(args):
                 _check_bound("a polygon file's bounding-box cells",
                              prod(max(c) - min(c) for c in zip(*pts)),
                              *_BOUNDS["cells"])
-                _check_bound("a polygon file's side matchings",
-                             polygons.side_matchings(pts),
-                             *_BOUNDS["matchings"])
                 return polygons.polygon_to_origami(pts)
             return make_origami(data["n"], Perm(data["r"]), Perm(data["u"]),
                                 data.get("base", 0))
@@ -111,12 +108,13 @@ def _parse_dir(text: str) -> tuple[int, int]:
 # no bound); --q stops at 41, whose surface's 164 squares are the most an
 # --origami file may hold (its n, or its polygon's area); a polygon's bounding
 # box may hold 10,000 unit cells, since rasterizing visits every one (0.2 s
-# for a four-sided polygon at the cap), and its sides 100,000 matchings,
-# since each is tried in turn (about 2 s at the cap); --level stops at 32,
-# whose report takes seconds and megabytes, growing as the cube of the level
+# for a four-sided polygon at the cap), and its sides, paired in one pass,
+# are at most 2(A + 1) = 330 at A = 164 squares by Pick's theorem; --level
+# stops at 32, whose report takes seconds and megabytes, growing as the
+# cube of the level
 _BOUNDS = {"cap": (1, None), "len": (1, None), "trials": (1, None),
            "level": (2, 32), "q": (None, 41), "squares": (None, 164),
-           "cells": (None, 10_000), "matchings": (None, 100_000)}
+           "cells": (None, 10_000)}
 
 
 def _check_bound(name: str, value, least, most) -> None:

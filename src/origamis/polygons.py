@@ -19,9 +19,8 @@ polygon's own vertices, sides and translations stay unscaled.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
-from math import factorial, lcm, prod
+from math import lcm
 from typing import Sequence
 
 from .errors import Inconsistent, NotSimple, UnpairedSides
@@ -70,34 +69,6 @@ def twice_area(pts: Sequence[Sequence[int]]) -> int:
     return sum(x0 * y1 - x1 * y0 for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]))
 
 
-def _side_groups(sides) -> dict[Point, list[int]]:
-    """The indices of the sides (a, b), grouped by their vector b - a."""
-    groups: dict[Point, list[int]] = {}
-    for i, (a, b) in enumerate(sides):
-        groups.setdefault((b[0] - a[0], b[1] - a[1]), []).append(i)
-    return groups
-
-
-def side_matchings(vertices: Sequence[Sequence[int]]) -> int:
-    """How many side matchings `PolygonSurface` enumerates at most, when the
-    central one is missing or fails: the orderings of each group of equal
-    side vectors against its opposite group."""
-    pts = [_pt(v) for v in vertices]
-    groups = _side_groups(zip(pts, pts[1:] + pts[:1]))
-    return prod(factorial(len(members)) for (x, y), members in groups.items()
-                if (x, y) > (-x, -y))
-
-
-def _partner_of(combo) -> dict[int, int]:
-    """The side involution of one choice of pairs per group."""
-    partner = {}
-    for pairs in combo:
-        for i, j in pairs:
-            partner[i] = j
-            partner[j] = i
-    return partner
-
-
 class PolygonSurface:
     """The origami associated to a simple lattice polygon with paired sides."""
 
@@ -142,77 +113,53 @@ class PolygonSurface:
                     raise NotSimple("vertex lies on a non-adjacent side")
 
     def _match_sides(self):
-        groups = _side_groups(self.sides)
-        seen = set()
+        """Each side's partner, and the translation that glues it there.
+
+        Sides of vector v glue to the sides of vector -v, of which there
+        must be as many: by the centrally symmetric matching when there is
+        one (all doubled-midpoint sums equal), else each group's sides
+        paired in index order. Summed over the pairs, the common sum is
+        S = 2 sum(a + b) / #sides, which fixes each side's partner, so
+        there is at most one central matching; both sides of
+        S = mid_i + mid_j are scaled by #sides, so nothing is divided.
+
+        Every such matching closes up to a translation surface, so none is
+        tested. Corner k, at vertex k, turns from the direction of side k
+        to that of side k - 1 reversed, and crossing side k leads to corner
+        j + 1 of its partner j, where side j reversed has the direction of
+        side k: the gluings are translations, with trivial linear holonomy.
+        So round each cycle of corners the directions telescope, and the
+        corner angles sum to a positive multiple of 2 pi.
+        """
+        groups: dict[Point, list[int]] = {}
+        for i, (a, b) in enumerate(self.sides):
+            groups.setdefault((b[0] - a[0], b[1] - a[1]), []).append(i)
         group_pairs = []
         for v, members in sorted(groups.items()):
-            if v in seen:
-                continue
-            minus = tuple(-x for x in v)
-            if minus not in groups or len(groups[minus]) != len(members):
+            minus = (-v[0], -v[1])
+            if len(groups.get(minus, ())) != len(members):
                 raise UnpairedSides(f"no opposite partner group for side vector {v}")
-            seen.add(v)
-            seen.add(minus)
-            group_pairs.append((members, groups[minus]))
-        # the first matching that closes up to a translation surface (every
-        # corner cycle has total angle in 2*pi*Z) wins, the centrally
-        # symmetric one (all doubled-midpoint sums equal) tried first and
-        # then every matching, group by group. Summed over the pairs, the
-        # common sum is S = 2 sum(a + b) / #sides, which fixes each side's
-        # partner: there is at most one central matching. Both sides of
-        # S = mid_i + mid_j are scaled by #sides, so nothing is divided
+            if v < minus:
+                group_pairs.append((members, groups[minus]))
         n = self.n_sides
         mids = [(a[0] + b[0], a[1] + b[1]) for a, b in self.sides]
         side_at = {(n * x, n * y): i for i, (x, y) in enumerate(mids)}
         s_x, s_y = (2 * sum(m[k] for m in mids) for k in range(2))
-        central = [[(i, side_at.get((s_x - n * mids[i][0], s_y - n * mids[i][1])))
-                    for i in members] for members, _ in group_pairs]
-        combos = itertools.product(*([list(zip(members, pi))
-                                      for pi in itertools.permutations(others)]
-                                     for members, others in group_pairs))
-        if all(j in others for (_, others), pairs in zip(group_pairs, central)
-               for _, j in pairs):
-            combos = itertools.chain([central], combos)
-        partner = next((p for p in map(_partner_of, combos)
-                        if self._angles_close_up(p)), None)
-        if partner is None:
-            raise UnpairedSides(
-                "no side matching closes up to a translation surface")
+        mates = [[side_at.get((s_x - n * mids[i][0], s_y - n * mids[i][1]))
+                  for i in members] for members, _ in group_pairs]
+        if not all(j in others for (_, others), js in zip(group_pairs, mates)
+                   for j in js):
+            mates = [others for _, others in group_pairs]
+        partner = {}
+        for (members, _), js in zip(group_pairs, mates):
+            for i, j in zip(members, js):
+                partner[i], partner[j] = j, i
         translation = {}
         for i, j in partner.items():
             # side i = (A, B) glues to side j = (C, D) by A -> D
             translation[i] = tuple(self.sides[j][1][k] - self.sides[i][0][k]
                                    for k in range(2))
         return partner, translation
-
-    def _angles_close_up(self, partner: dict[int, int]) -> bool:
-        n = self.n_sides
-        # corner k sits at vertex k between sides k-1 and k; rotating across
-        # side k lands at the corner after the partner side
-        corner_cycle = {k: (partner[k] + 1) % n for k in range(n)}
-        seen = set()
-        for start in range(n):
-            if start in seen:
-                continue
-            prod = (1, 0)
-            k = start
-            while True:
-                seen.add(k)
-                vx = self.vertices[k][0] - self.vertices[(k - 1) % n][0]
-                vy = self.vertices[k][1] - self.vertices[(k - 1) % n][1]
-                wx = self.vertices[(k + 1) % n][0] - self.vertices[k][0]
-                wy = self.vertices[(k + 1) % n][1] - self.vertices[k][1]
-                # angle from outgoing w to reversed incoming -v: (-v) * conj(w)
-                zx, zy = -vx, -vy
-                cx = zx * wx + zy * wy
-                cy = zy * wx - zx * wy
-                prod = (prod[0] * cx - prod[1] * cy, prod[0] * cy + prod[1] * cx)
-                k = corner_cycle[k]
-                if k == start:
-                    break
-            if prod[1] != 0 or prod[0] <= 0:
-                return False
-        return True
 
     # -- point location, on the lattice scaled by D -------------------------------
 

@@ -204,6 +204,19 @@ def test_catalog_errors():
         catalog("ornithorynque", q=4)
     with pytest.raises(EvenQ):
         catalog("ornithorynque", q=1)
+    with pytest.raises(UnknownName, match="requires q"):
+        catalog("ornithorynque")
+
+
+def test_catalog_keeps_the_16_latest_entries():
+    from origamis.catalog import _entry, catalog
+    first = catalog("ornithorynque", q=3)
+    assert catalog("ornithorynque", q=3) is first
+    assert catalog("appendix-b", q=3) is catalog("appendix-b")
+    for q in range(3, 39, 2):
+        catalog("ornithorynque", q=q)
+    assert _entry.cache_info().currsize == 16
+    assert catalog("ornithorynque", q=3) is not first
 
 
 # -- reference: the orbit search with a BFS relabeling from every square -------

@@ -1,9 +1,9 @@
 """Package-wide checks: the public names, no `assert` in the library, no
 `fractions` in the polygon module, entry types tested against Fraction only
 in `linalg` and `cli`, lifts selected by the "aut_" prefix only in
-`structure`, no unbounded cache, verify suites under `python -O`, what
-importing the CLI and running `congruence` load, and the value semantics
-of the records."""
+`structure`, no unbounded cache or module-level memo, verify suites under
+`python -O`, what importing the CLI and running `congruence` load, and the
+value semantics of the records."""
 
 import ast
 import collections
@@ -276,9 +276,49 @@ def _unbounded_caches(path: Path) -> list[int]:
     return sorted(lines)
 
 
+# the methods of a dict, list or set that change it
+MUTATORS = {"__setitem__", "add", "append", "clear", "discard", "extend",
+            "insert", "pop", "popitem", "remove", "setdefault", "update"}
+
+
+def _module_memos(path: Path) -> list[int]:
+    """Lines where a function writes into a dict, list or set bound at
+    module level, a hand-rolled memo with no bound: a subscript assignment
+    or deletion, or a call of one of MUTATORS."""
+    tree = ast.parse(path.read_text())
+
+    def is_container(value) -> bool:
+        return isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp,
+                                  ast.ListComp, ast.SetComp)) or (
+            isinstance(value, ast.Call) and getattr(value.func, "id", None)
+            in ("dict", "list", "set", "defaultdict"))
+
+    containers = {target.id for node in tree.body
+                  if isinstance(node, (ast.Assign, ast.AnnAssign))
+                  and is_container(node.value)
+                  for target in (node.targets if isinstance(node, ast.Assign)
+                                 else [node.target])
+                  if isinstance(target, ast.Name)}
+
+    def is_container_name(node) -> bool:
+        return isinstance(node, ast.Name) and node.id in containers
+
+    return sorted({node.lineno for func in ast.walk(tree)
+                   if isinstance(func, (ast.FunctionDef, ast.Lambda))
+                   for node in ast.walk(func)
+                   if (isinstance(node, ast.Subscript)
+                       and isinstance(node.ctx, (ast.Store, ast.Del))
+                       and is_container_name(node.value))
+                   or (isinstance(node, ast.Call)
+                       and isinstance(node.func, ast.Attribute)
+                       and node.func.attr in MUTATORS
+                       and is_container_name(node.func.value))})
+
+
 def test_library_caches_are_bounded():
     # ROADMAP aim 3: every cache in the library has a bound
-    found = {path.stem: _unbounded_caches(path) for path in MODULES}
+    found = {path.stem: _unbounded_caches(path) + _module_memos(path)
+             for path in MODULES}
     assert {stem: lines for stem, lines in found.items() if lines} == {}
 
 
@@ -293,6 +333,27 @@ def test_cache_lint_sees_every_form(tmp_path):
                    "from functools import cache, lru_cache\n"
                    "self.cache = {}\n")
     assert _unbounded_caches(bad) == [1, 3, 5, 13]
+
+
+def test_memo_lint_sees_every_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("MEMO = {}\nSEEN: list = []\nKEYS = set()\n"
+                   "TABLE = {'a': 1}\nLOCAL = dict(a=1)\nMEMO['x'] = 0\n"
+                   "def f(key):\n"
+                   "    MEMO[key] = 1\n"
+                   "    MEMO.setdefault(key, 2)\n"
+                   "    SEEN.append(key)\n"
+                   "    KEYS.add(key)\n"
+                   "    del MEMO[key]\n"
+                   "    return TABLE[key] + LOCAL['a']\n"
+                   "class C:\n"
+                   "    def g(self, key):\n"
+                   "        self.memo = {}\n"
+                   "        self.memo[key] = 1\n"
+                   "        KEYS.update((key,))\n"
+                   "h = lambda key: MEMO.update({key: 3})\n")
+    assert _module_memos(bad) == [8, 9, 10, 11, 12, 18, 19]
+    assert _module_memos(SRC / "origamis" / "polygons.py") == []
 
 
 def _aut_prefix_selections(path: Path) -> list[int]:

@@ -1,3 +1,5 @@
+import functools
+import itertools
 import random
 
 import pytest
@@ -7,8 +9,7 @@ from origamis.catalog import APPENDIX_B_VERTICES
 from origamis.errors import NotSimple, OrigamiError, UnpairedSides
 from origamis.homology import chain_space
 from origamis.origami import stratum_and_genus, vertex_classes
-from origamis.polygons import (PolygonSurface, polygon_to_origami,
-                               side_matchings)
+from origamis.polygons import PolygonSurface, polygon_to_origami
 from origamis.sl2z import ID2, S_MAT, T_MAT, mat_mul, mat_pow
 from test_cli import _staircase_band
 from test_homology import _holonomy
@@ -61,38 +62,32 @@ def test_zeta_star_has_zero_holonomy(appendix_b):
 
 
 def test_l_shape_with_split_sides():
-    # ambiguous pairing, no centrally symmetric matching: first valid wins
-    origami = polygon_to_origami([(0, 0), (1, 0), (2, 0), (2, 1),
-                                  (1, 1), (1, 2), (0, 2), (0, 1)])
-    assert origami.n == 3
-    assert stratum_and_genus(origami).genus in (1, 2)
+    # no centrally symmetric matching: each group's sides pair in index order
+    origami = polygon_to_origami(L_SHAPE)
+    assert (origami.r.images, origami.u.images) == ((2, 0, 1), (1, 2, 0))
+    assert stratum_and_genus(origami).genus == 1
+
+
+def _is_central(surface):
+    """All sums of the doubled midpoints of paired sides are equal."""
+    mids = [(a[0] + b[0], a[1] + b[1]) for a, b in surface.sides]
+    return len({(mids[i][0] + mids[j][0], mids[i][1] + mids[j][1])
+                for i, j in surface.partner.items()}) == 1
 
 
 def test_decagon_pairing_is_central(appendix_b):
-    surface = appendix_b.surface
-    sums = set()
-    for i, j in surface.partner.items():
-        mid_i = tuple(surface.sides[i][0][k] + surface.sides[i][1][k]
-                      for k in range(2))
-        mid_j = tuple(surface.sides[j][0][k] + surface.sides[j][1][k]
-                      for k in range(2))
-        sums.add((mid_i[0] + mid_j[0], mid_i[1] + mid_j[1]))
-    assert len(sums) == 1
+    assert _is_central(appendix_b.surface)
 
 
-def test_central_matching_is_read_directly(monkeypatch):
-    """The staircase band at k = 5 has 86,400 side matchings; its central
-    one is read off the doubled midpoints and checked once, with no
-    enumeration. The L shape has no central matching and enumerates."""
-    calls = []
-    checked = PolygonSurface._angles_close_up
-    monkeypatch.setattr(PolygonSurface, "_angles_close_up",
-                        lambda self, partner: calls.append(1) or checked(self, partner))
-    band = _staircase_band(5)
-    assert side_matchings(band) == 86_400
-    assert PolygonSurface(band).origami.n == 10 and len(calls) == 1
-    calls.clear()
-    assert PolygonSurface(L_SHAPE).origami.n == 3 and len(calls) >= 1
+def test_pairing_is_central_when_there_is_one_else_in_index_order():
+    """The decagon and the staircase band at k = 5 (86,400 matchings) take
+    their central matchings; the L shape has none, and pairs the sides of
+    each vector with those of the opposite vector in index order."""
+    for vertices in (APPENDIX_B_VERTICES, _staircase_band(5)):
+        assert _is_central(PolygonSurface(vertices))
+    surface = PolygonSurface(L_SHAPE)
+    assert not _is_central(surface)
+    assert surface.partner == {0: 3, 3: 0, 1: 5, 5: 1, 2: 6, 6: 2, 4: 7, 7: 4}
 
 
 def test_unpaired_sides_rejected():
@@ -124,18 +119,22 @@ def _outcome(fn, *args):
         return type(err).__name__
 
 
-def _assert_same_surface(vertices):
-    """The two rasterizations agree on the origami, the cells, the lattice
-    point classes and the path chain between every pair of lattice points,
-    or raise the same error. Returns the surface, or None."""
+def _assert_same_surface(vertices, paths=True):
+    """The two rasterizations agree on the side pairing, the origami, the
+    cells, the lattice point classes and, with paths, the path chain
+    between every pair of lattice points, or raise the same error. Returns
+    the surface, or None."""
     surface = _outcome(PolygonSurface, vertices)
     reference = _outcome(ReferencePolygonSurface, vertices)
     if isinstance(reference, str):
         assert surface == reference, vertices
         return None
+    assert surface.partner == reference.partner, vertices
     assert surface.origami == reference.origami
     assert surface.cells == reference.cells
     assert surface._point_class == reference._point_class
+    if not paths:
+        return surface
     points = sorted(surface._point_class)
     for p in points:
         for q in points:
@@ -185,3 +184,61 @@ def test_scaled_lattice_matches_reference_on_seeded_polygons():
                 in parallelograms + [_hexagon(rng) for _ in range(40)]]
     scales = [s.scale for s in surfaces if s is not None]
     assert len(scales) >= 20 and sum(d % (2 * 924) == 0 for d in scales) >= 5
+
+
+def _matchings(surface):
+    """Every side involution that pairs each side with one of the opposite
+    vector: each group of equal side vectors against its opposite group,
+    in every order."""
+    groups = {}
+    for i, (a, b) in enumerate(surface.sides):
+        groups.setdefault((b[0] - a[0], b[1] - a[1]), []).append(i)
+    pairs = [(members, groups[-x, -y]) for (x, y), members in groups.items()
+             if (x, y) > (-x, -y)]
+    for combo in itertools.product(*(itertools.permutations(others)
+                                     for _, others in pairs)):
+        partner = {}
+        for (members, _), js in zip(pairs, combo):
+            for i, j in zip(members, js):
+                partner[i], partner[j] = j, i
+        yield partner
+
+
+@functools.lru_cache(maxsize=1)
+def _side_paired_polygons():
+    """Distinct simple polygons whose sides are 3 to 7 vectors drawn from
+    (1,0), (0,1), (1,1) and their negatives, in a shuffled order, drawn
+    until 200 of them have more than one side matching."""
+    rng = random.Random(2027)
+    kept, ambiguous = [], 0
+    while ambiguous < 200:
+        sides = [rng.choice(((1, 0), (0, 1), (1, 1))) for _ in range(rng.randint(3, 7))]
+        sides += [(-x, -y) for x, y in sides]
+        rng.shuffle(sides)
+        vertices = list(itertools.accumulate(
+            sides[:-1], lambda p, e: (p[0] + e[0], p[1] + e[1]), initial=(0, 0)))
+        surface = _outcome(PolygonSurface, vertices)
+        if isinstance(surface, str) or vertices in kept:
+            continue
+        kept.append(vertices)
+        ambiguous += len(list(itertools.islice(_matchings(surface), 2))) > 1
+    return kept
+
+
+def test_pairing_matches_reference_on_random_side_paired_polygons():
+    """The one-step pairing is the reference's, which searches every
+    matching, and gives the same surface; the path chains are left to the
+    fixed and seeded polygons above."""
+    assert all(_assert_same_surface(vertices, paths=False)
+               for vertices in _side_paired_polygons())
+
+
+def test_every_matching_closes_up_to_a_translation_surface():
+    """The reference's angle test accepts every matching: gluings by
+    translations have trivial linear holonomy, so the pairing never runs
+    it. The test reads only the vertices and the side count, which the two
+    surfaces keep alike."""
+    for vertices in _side_paired_polygons():
+        surface = PolygonSurface(vertices)
+        assert all(ReferencePolygonSurface._angles_close_up(surface, partner)
+                   for partner in _matchings(surface)), vertices
