@@ -111,8 +111,13 @@ def _parse_dir(text: str) -> tuple[int, int]:
 # for a four-sided polygon at the cap), and its sides, paired in one pass,
 # are at most 2(A + 1) = 330 at A = 164 squares by Pick's theorem; --level
 # stops at 32, whose report takes seconds and megabytes, growing as the
-# cube of the level
-_BOUNDS = {"cap": (1, None), "len": (1, None), "trials": (1, None),
+# cube of the level; --cap stops at 20,000, where `group --q 41 --subspace
+# Hbreve` takes 17.9 s and 51 MB (3.7 s at the default 2,000), about linear
+# in the cap; a growth probe multiplies --trials words of --len letters,
+# which stop at 10,000 and 100 (ew H0 at the defaults 1,000 and 3: 0.15 s,
+# at --len 10,000: 0.4 s, at --trials 100: 1.4 s; Hbreve at q = 15, whose
+# entries grow: 6.0 s at the defaults, 128 s at --len 10,000)
+_BOUNDS = {"cap": (1, 20_000), "len": (1, 10_000), "trials": (1, 100),
            "level": (2, 32), "q": (None, 41), "squares": (None, 164),
            "cells": (None, 10_000)}
 

@@ -1,7 +1,7 @@
 """Exact linear algebra over Q and Z on tuple-of-tuples matrices.
 
 The number rule: every entry an exact kernel returns is an int when it is
-integral and a Fraction otherwise. `vec` coerces outside input.
+integral and a Fraction otherwise.
 
 The exact kernels run on integer numerators over one common denominator d,
 scaled by `_over_lcm` and divided once at the end by `_divided`: the
@@ -17,16 +17,12 @@ from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, lcm
 from operator import attrgetter, floordiv, mul
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import Inconsistent
 
 Vec = tuple[int | Fraction, ...]
 Mat = tuple[Vec, ...]
-
-
-def vec(xs: Iterable) -> Vec:
-    return tuple(Fraction(x) for x in xs)
 
 
 def identity(n: int) -> Mat:

@@ -2,9 +2,11 @@
 
 A D4 system is exactly the 24 vectors {+-e_a +- e_b, a < b} over a frame
 (e_1..e_4) (Bourbaki, Lie Groups, ch. VI 4.8), so `detect_d4` certifies a
-vector set against the frame its caller pins: the set spans 4 dimensions,
-the frame lies in that span, and the set equals {+-e_a +- e_b} over it. All
-matrices act on frame coordinates, where the frame is declared orthonormal.
+vector set in ambient coordinates against the frame its caller pins: 24
+distinct vectors, four linearly independent frame rows, and the set equal
+to {+-f_a +- f_b} over them. The frame is all a system keeps, since in
+frame coordinates its roots are the constant {+-e_a +- e_b}. All matrices
+act on frame coordinates, where the frame is declared orthonormal.
 There W(D4) is the signed permutation matrices with an even number of -1
 entries, and the three frame classes ({+-e_i}, and half-vectors with an odd
 or an even number of minus signs) are the W-orbits of the outer fundamental
@@ -128,38 +130,11 @@ def grows(m: Mat) -> bool:
     return False
 
 
-class RootSystemD4:
-    def __init__(self, span_basis: tuple[Vec, ...], roots: tuple[Vec, ...],
-                 frame: tuple[Vec, ...]):
-        self.span_basis = span_basis   # rows spanning the ambient 4-space
-        self.roots = roots             # in span coordinates
-        self.frame = frame             # 4 frame vectors, span coordinates
-
-    def _key(self) -> tuple:
-        return (self.span_basis, self.roots, self.frame)
-
-    def __eq__(self, other) -> bool:
-        return type(other) is RootSystemD4 and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    def frame_coords(self, v_span: Vec) -> Vec:
-        coords = linalg.solve(linalg.transpose(self.frame), v_span)
-        if coords is None:
-            raise NotD4("vector outside the frame span")
-        return coords
-
-    def ambient_frame(self) -> tuple[Vec, ...]:
-        """Frame vectors in ambient coordinates."""
-        return linalg.mat_mul(self.frame, self.span_basis)
-
-    def roots_frame_coords(self) -> tuple[Vec, ...]:
-        return self._roots_frame
-
-    @cached_property
-    def _roots_frame(self) -> tuple[Vec, ...]:
-        return tuple(self.frame_coords(r) for r in self.roots)
+class RootSystemD4(NamedTuple):
+    """A certified D4 system, kept as its frame: four ambient rows e_1..e_4
+    over which the roots are {+-e_a +- e_b}, so in frame coordinates the
+    roots are the constant `_ROOTS`."""
+    frame: tuple[Vec, ...]
 
     def weyl_group(self) -> FiniteMatrixGroup:
         """W(D4): the 192 signed permutation matrices with an even number
@@ -169,8 +144,7 @@ class RootSystemD4:
             if signs.count(-1) % 2 == 0))
 
     def preserves_roots(self, m: Mat) -> bool:
-        root_set = set(self.roots_frame_coords())
-        return {tuple(linalg.mat_vec(m, r)) for r in root_set} == root_set
+        return {tuple(linalg.mat_vec(m, r)) for r in _ROOTS} == _ROOTS
 
     def triality_image(self, m: Mat) -> dict[int, int]:
         """The permutation of {1, 3, 4} labeling the coset of m in A(R)/W(R):
@@ -179,6 +153,15 @@ class RootSystemD4:
             raise NotInAut("matrix does not preserve the root system")
         return {a: _frame_class(linalg.mat_vec(m, w)) for a, w in _WEIGHTS.items()}
 
+
+def _plus_minus_pairs(frame: Sequence[Vec]) -> frozenset[Vec]:
+    """{+-f_a +- f_b, a < b} over the rows f of frame."""
+    return frozenset(tuple(sa * x + sb * y for x, y in zip(e, f))
+                     for e, f in itertools.combinations(frame, 2)
+                     for sa in (1, -1) for sb in (1, -1))
+
+
+_ROOTS = _plus_minus_pairs(linalg.identity(4))
 
 _HALF = Fraction(1, 2)
 _WEIGHTS = {1: (1, 0, 0, 0),
@@ -206,30 +189,20 @@ def _signed_maps(frame: Sequence[Vec]):
 
 
 def detect_d4(vectors: Iterable[Vec], frame: Sequence[Vec]) -> RootSystemD4:
-    """Certify that 24 ambient vectors are {+-e_a +- e_b} over the frame
-    (ambient coordinates), whose order and signs fix the triality labels."""
-    vecs = list(dict.fromkeys(tuple(v) for v in vectors))
+    """Certify that 24 ambient vectors are {+-f_a +- f_b} over four linearly
+    independent ambient frame rows f, whose order and signs fix the triality
+    labels. A vector of another length or outside the frame's span fails the
+    set test."""
+    vecs = set(map(tuple, vectors))
     if len(vecs) != 24:
         raise NotD4(f"expected 24 distinct vectors, got {len(vecs)}")
-    basis, pivots = linalg.rref(tuple(vecs))
-    if len(basis) != 4:
-        raise NotD4(f"vectors span dimension {len(basis)}, need 4")
-    if any(len(f) != len(vecs[0]) for f in frame):
-        raise NotD4("frame vectors and vectors differ in length")
-
-    def coords(v: Vec) -> Vec:
-        return tuple(v[p] for p in pivots)
-
-    roots = tuple(coords(v) for v in vecs)
-    system = RootSystemD4(basis, roots, tuple(coords(linalg.vec(f)) for f in frame))
-    if system.ambient_frame() != tuple(map(tuple, frame)):
-        raise NotD4("the frame lies outside the span of the vectors")
-    expected = {tuple(sa * x + sb * y for x, y in zip(e, f))
-                for e, f in itertools.combinations(system.frame, 2)
-                for sa in (1, -1) for sb in (1, -1)}
-    if expected != set(roots):
+    frame = tuple(map(tuple, frame))
+    if (len(frame) != 4 or len(set(map(len, frame))) != 1
+            or len(linalg.rref(frame)[0]) != 4):
+        raise NotD4("the frame is not 4 linearly independent rows of one length")
+    if vecs != _plus_minus_pairs(frame):
         raise NotD4("vectors are not {+-e_a +- e_b} over the frame")
-    return system
+    return RootSystemD4(frame)
 
 
 def symplectic_subgroup(group: FiniteMatrixGroup, gram: Mat) -> FiniteMatrixGroup:

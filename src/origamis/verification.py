@@ -17,8 +17,8 @@ from .homology import EdgeChain, chain_space
 from .invariants import (cylinders, invariant_supplement, multitwist,
                          quadratic_form_value, spin_parity)
 from .origami import veech_group
-from .rootsys import (FiniteMatrixGroup, detect_d4, finite_closure, grows,
-                      symplectic_subgroup)
+from .rootsys import (FiniteMatrixGroup, RootSystemD4, detect_d4,
+                      finite_closure, grows, symplectic_subgroup)
 from .sl2z import J_MAT, S_MAT, T_MAT, mat_mul, mat_neg, mat_pow
 from .structure import (combined_action, decompose_ew, decompose_orn,
                         kernel_is_congruence, tau_character)
@@ -43,52 +43,50 @@ class Suite:
         }
 
 
-def _ew_root_system():
-    """Detected D4 system for the quaternion origami, frame pinned to the
-    epsilon classes, together with the decomposition report."""
-    ew = catalog("eierlegende-wollmilchsau")
-    rep = decompose_ew(ew)
-    space = chain_space(ew.origami)
-    orbit = set()
-    frontier = [space.canonical_vec(c(g).flat()) for c in (ew.sigma_hat, ew.zeta_hat)
-                for g in ("1", "i", "j", "k")]
-    while frontier:
-        new = []
-        for v in frontier:
-            if v in orbit:
-                continue
-            orbit.add(v)
-            orbit.add(tuple(-x for x in v))
-            for lf in rep.generator_lifts:
-                w = lf.image(v)
-                if w not in orbit:
-                    new.append(w)
-        frontier = new
-    frame = [tuple(Fraction(x, 2) for x in space.canonical_vec(ew.epsilon(g).flat()))
-             for g in ("1", "i", "j", "k")]
-    system = detect_d4(orbit, frame)
-    return ew, rep, space, system
+def _d4_system(rep, seed: EdgeChain, frame_chains) -> RootSystemD4:
+    """The D4 system of the orbit of seed's class, with its negatives, under
+    the generator lifts of rep, certified against the frame of the classes
+    c / 2 of frame_chains. A 25th class stops the orbit, and `detect_d4`
+    rejects it."""
+    space = chain_space(rep.origami)
+    orbit = [space.canonical_vec(seed.flat())]
+    seen = set(orbit)
+    for v in orbit:
+        for w in (tuple(-x for x in v), *(lf.image(v) for lf in rep.generator_lifts)):
+            if w not in seen and len(seen) <= 24:
+                seen.add(w)
+                orbit.append(w)
+    frame = [space.canonical_vec(c.scale(Fraction(1, 2)).flat()) for c in frame_chains]
+    return detect_d4(orbit, frame)
+
+
+def _d4_image(rep, system: RootSystemD4):
+    """Theorems' (a)/(b) reading: the generators' frame matrices, their
+    closure, W(R), the closure's part in W(R) and W(R)'s symplectic part."""
+    z = {k: matrix_in_chain_basis(rep.lifts[k], system.frame) for k in rep.generators}
+    closure = finite_closure(list(z.values()), 500)
+    weyl = system.weyl_group()
+    in_weyl = [m for m in closure.elements if m in weyl]
+    sym = symplectic_subgroup(weyl, chain_space(rep.origami).gram(system.frame))
+    return z, closure, weyl, in_weyl, sym
 
 
 def verify_theorem_a() -> dict:
     suite = Suite("theorem-a")
-    ew, rep, space, system = _ew_root_system()
+    ew = catalog("eierlegende-wollmilchsau")
+    rep = decompose_ew(ew)
+    space = chain_space(ew.origami)
     suite.check("decomposition", rep.all_ok, rep.checks)
-    weyl = system.weyl_group()
-    frame_amb = system.ambient_frame()
+    system = _d4_system(rep, ew.sigma_hat("1"), [ew.epsilon(g) for g in "1ijk"])
+    z, closure, weyl, in_weyl, sym = _d4_image(rep, system)
 
     def z_of(lf: AffineLift):
-        return matrix_in_chain_basis(lf, frame_amb)
+        return matrix_in_chain_basis(lf, system.frame)
 
-    z = {k: z_of(rep.lifts[k]) for k in rep.generators}
     z_s, z_t, z_i, z_j = (z[k] for k in ("S", "T", "aut_i", "aut_j"))
-    closure = finite_closure(list(z.values()), 500)
     order96 = isinstance(closure, FiniteMatrixGroup) and closure.order == 96
     suite.check("(a) image of Z has order 96", order96,
                 closure.order if isinstance(closure, FiniteMatrixGroup) else "unbounded")
-    gram = space.gram(frame_amb)
-    sym = symplectic_subgroup(weyl, gram)
-    in_weyl = [m for m in closure.elements if m in weyl]
     suite.check("(b) image ∩ W(R) has order 16 and is the symplectic subgroup",
                 len(in_weyl) == 16 and set(in_weyl) == set(sym.elements)
                 and sym.order == 16,
@@ -151,23 +149,6 @@ def verify_theorem_a() -> dict:
     return suite.report()
 
 
-def _orn_root_system(orn):
-    space = chain_space(orn.origami)
-    vecs = set()
-    for i in range(3):
-        for c in (orn.sigma_breve(i), orn.zeta_breve(i),
-                  orn.sigma_breve(i) + orn.zeta_breve(i - 1),
-                  orn.sigma_breve(i) - orn.zeta_breve(i + 1)):
-            v = tuple(space.canonical_vec(c.flat()))
-            vecs.add(v)
-            vecs.add(tuple(-x for x in v))
-    s, z = orn.sigma_breve, orn.zeta_breve
-    frame = [tuple(space.canonical_vec(c.scale(Fraction(1, 2)).flat()))
-             for c in (s(2).scale(-1) + z(0) - z(1), s(2).scale(-1) - z(2),
-                       s(2).scale(-1) + z(2), s(0).scale(-1) + s(1) - z(2))]
-    return detect_d4(vecs, frame)
-
-
 def verify_theorem_b(q: int = 3) -> dict:
     if q == 3:
         return _verify_theorem_b_q3()
@@ -180,22 +161,15 @@ def _verify_theorem_b_q3() -> dict:
     rep = decompose_orn(orn)
     space = chain_space(orn.origami)
     suite.check("decomposition", rep.all_ok, rep.checks)
-    system = _orn_root_system(orn)
-    weyl = system.weyl_group()
-    frame_amb = system.ambient_frame()
-
-    def z_of(lf):
-        return matrix_in_chain_basis(lf, frame_amb)
-
-    z = {k: z_of(rep.lifts[k]) for k in rep.generators}
+    s, zeta = orn.sigma_breve, orn.zeta_breve
+    system = _d4_system(rep, s(0), (
+        s(2).scale(-1) + zeta(0) - zeta(1), s(2).scale(-1) - zeta(2),
+        s(2).scale(-1) + zeta(2), s(0).scale(-1) + s(1) - zeta(2)))
+    z, closure, weyl, in_weyl, sym = _d4_image(rep, system)
     z_s, z_t, z_1 = (z[k] for k in ("S", "T", "aut_1"))
-    closure = finite_closure(list(z.values()), 500)
     suite.check("(a) image on H_breve has order 72",
                 isinstance(closure, FiniteMatrixGroup) and closure.order == 72,
                 closure.order if isinstance(closure, FiniteMatrixGroup) else "unbounded")
-    gram = space.gram(frame_amb)
-    sym = symplectic_subgroup(weyl, gram)
-    in_weyl = [m for m in closure.elements if m in weyl]
     identity4 = linalg.identity(4)
     involutions = [m for m in in_weyl
                    if m != identity4 and linalg.mat_mul(m, m) == identity4]

@@ -4,6 +4,8 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from origamis import linalg
 from origamis.affine import (Row, automorphism_lift, dense_view, identity_lift,
@@ -196,6 +198,22 @@ def _cusp_power(origami):
     while node != 0:
         node, width = edges[(node, "T")], width + 1
     return mat_pow(T_MAT, width)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 9), st.randoms(use_true_random=False))
+def test_lifts_preserve_the_intersection_form(n, rng):
+    """Every lift of T^(cusp width) and every automorphism lift of a random
+    transitive origami keeps the gram matrix of the integral absolute basis:
+    the symplectic subgroup of theorem (b) rests on this."""
+    origami = make_origami(n, *random_transitive_pair(n, rng))
+    space = chain_space(origami)
+    basis = space.integral_absolute_basis()
+    gram = space.gram(basis)
+    lifts = lift_all(origami, _cusp_power(origami)) + [
+        automorphism_lift(origami, a) for a in automorphisms(origami)]
+    for lf in lifts:
+        assert space.gram([lf.image(b) for b in basis]) == gram
 
 
 def test_lift_invariants(ew, orn3):

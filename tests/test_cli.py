@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from origamis.cli import run
+from origamis.cli import _BOUNDS, build_parser, run
 
 
 def capture(argv):
@@ -259,13 +260,21 @@ def _parallelogram(n):
     (FILE, json.dumps({"vertices": [[0, 0], [15, 0], [15, 11], [0, 11]]})),
     (FILE, json.dumps({"vertices": _parallelogram(10_000)})),
     (["congruence", "--level", "33"], None),
+    (["group", "--name", "ornithorynque", "--q", "41", "--subspace", "Hbreve",
+      "--cap", "20001"], None),
+    (["growth", "--name", "ornithorynque", "--q", "41", "--subspace", "Hbreve",
+      "--len", "10001"], None),
+    (["growth", "--name", "ornithorynque", "--q", "41", "--subspace", "Hbreve",
+      "--trials", "101"], None),
 ], ids=["q-10001", "verify-q-43", "file-n", "polygon-area", "polygon-165",
-        "polygon-bbox", "congruence-level-33"])
+        "polygon-bbox", "congruence-level-33", "group-cap-20001",
+        "growth-len-10001", "growth-trials-101"])
 def test_size_above_its_cap_is_usage_error_at_once(tmp_path, argv, content):
     """--q above 41, an --origami file of more than 164 squares (its n,
     or its polygon's area), a polygon whose bounding box holds more than
-    10,000 cells, and --level above 32 answer BadArgument with exit code 2
-    before any surface or group is built."""
+    10,000 cells, --level above 32, --cap above 20,000, --len above 10,000
+    and --trials above 100 answer BadArgument with exit code 2 before any
+    surface or group is built."""
     path = tmp_path / "origami.json"
     if content is not None:
         path.write_text(content)
@@ -274,6 +283,19 @@ def test_size_above_its_cap_is_usage_error_at_once(tmp_path, argv, content):
     assert time.perf_counter() - start < 1
     assert code == 2
     assert json.loads(text)["error"] == "BadArgument"
+
+
+def test_every_integer_option_but_the_seed_has_an_upper_bound():
+    """Each type=int option of every command, --seed aside, has a finite
+    most value in _BOUNDS, so that no size comes back unbounded."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    options = {a.dest for p in commands.values() for a in p._actions
+               if a.type is int}
+    assert {"cap", "len", "trials", "level", "q", "seed"} <= options
+    for option in options - {"seed"}:
+        assert option in _BOUNDS and _BOUNDS[option][1] is not None, option
 
 
 def test_sizes_at_their_caps_are_accepted(tmp_path):

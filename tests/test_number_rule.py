@@ -26,7 +26,6 @@ from origamis.origami import make_origami
 from origamis.permutations import random_transitive_pair
 from origamis.rootsys import FiniteMatrixGroup, finite_closure
 from origamis.structure import combined_action
-from origamis.verification import _orn_root_system
 
 
 def _all_int(rows) -> bool:
@@ -76,12 +75,13 @@ def test_canonical_vec_keeps_ints_and_halves(ew):
     assert space.canonical_vec(half) == half
 
 
-def test_root_systems_hold_no_float(ew_root_system, orn3):
-    systems = [ew_root_system[3], _orn_root_system(orn3)]
-    for system in systems:
-        for value in (system.span_basis, system.roots, system.frame,
-                      system.roots_frame_coords(), system.ambient_frame()):
-            assert _no_float(value)
+def test_root_systems_hold_no_float(ew_root_system, orn3_root_system,
+                                    ew_roots, orn3_roots):
+    for system, roots in ((ew_root_system[3], ew_roots),
+                          (orn3_root_system, orn3_roots)):
+        assert _no_float(system) and _no_float(tuple(roots))
+        assert all(type(x) is int or x.denominator > 1
+                   for row in system.frame for x in row)
 
 
 def test_integral_basis_is_int_and_its_gram_exact(ew, orn3, appendix_b):
@@ -99,17 +99,14 @@ def test_subspace_bases_from_rref_are_int(orn3_report, orn5_report):
         assert _all_int(space.marked_subspace(space.singular_vertices()).basis)
 
 
-def _orn_eps_frame(orn):
+def _orn_eps_frame(orn3_d4_args):
     """The flat chains eps/2 whose classes are theorem B's pinned D4 frame;
     they hold halves, though the frame's canonical vectors are integral."""
-    s, z = orn.sigma_breve, orn.zeta_breve
-    return [c.scale(Fraction(1, 2)).flat()
-            for c in (s(2).scale(-1) + z(0) - z(1), s(2).scale(-1) - z(2),
-                      s(2).scale(-1) + z(2), s(0).scale(-1) + s(1) - z(2))]
+    return [c.scale(Fraction(1, 2)).flat() for c in orn3_d4_args[1]]
 
 
 def test_lift_matrices_solve_and_mat_inv_follow_the_rule(
-        ew_root_system, orn3, orn3_report, appendix_b):
+        ew_root_system, orn3, orn3_report, orn3_d4_args, appendix_b):
     """On ew, orn q = 3 and appendix-b, with bases holding halves (theorem
     A's D4 frame, the orn eps/2 frame, appendix-b's integral basis halved):
     every entry of matrix_on, matrix_in_chain_basis, solve and mat_inv is an
@@ -120,9 +117,9 @@ def test_lift_matrices_solve_and_mat_inv_follow_the_rule(
                 for b in ab_space.integral_absolute_basis()]
     cases = [
         (ew_space, _generators(ew_report), ew_report.subspaces.values(),
-         system.ambient_frame()),
+         system.frame),
         (chain_space(orn3.origami), _generators(orn3_report),
-         orn3_report.subspaces.values(), _orn_eps_frame(orn3)),
+         orn3_report.subspaces.values(), _orn_eps_frame(orn3_d4_args)),
         (ab_space, [multitwist(appendix_b.origami, d).lift
                     for d in ((0, 1), (1, 0), (1, 1))],
          [ab_space.full_subspace(), ab_space.absolute_subspace()], ab_frame),
@@ -368,7 +365,8 @@ def _reference_intersection(space, a, b):
     return total
 
 
-def test_intersection_and_gram_match_reference(ew_root_system, orn3, appendix_b):
+def test_intersection_and_gram_match_reference(ew_root_system, orn3, orn3_d4_args,
+                                               appendix_b):
     """Theorem A's D4 frame of halves, the orn q = 3 eps/2 frame,
     appendix-b's integral basis halved and the integral bases of seeded
     random origamis with n <= 9: every intersection number and gram entry
@@ -376,8 +374,8 @@ def test_intersection_and_gram_match_reference(ew_root_system, orn3, appendix_b)
     frame's gram is all int, though its reference entries are Fractions."""
     _, _, ew_space, system = ew_root_system
     ab_space = chain_space(appendix_b.origami)
-    cases = [(ew_space, system.ambient_frame()),
-             (chain_space(orn3.origami), _orn_eps_frame(orn3)),
+    cases = [(ew_space, system.frame),
+             (chain_space(orn3.origami), _orn_eps_frame(orn3_d4_args)),
              (ab_space, [tuple(Fraction(x, 2) for x in b)
                          for b in ab_space.integral_absolute_basis()])]
     rng = random.Random(31)
@@ -394,7 +392,7 @@ def test_intersection_and_gram_match_reference(ew_root_system, orn3, appendix_b)
         for a, row in zip(chains, expected):
             assert _typed([space.intersection(a, b) for b in chains]) == _canonical(row)
         seen |= {type(x) for row in gram for x in row}
-    assert _all_int(ew_space.gram(system.ambient_frame()))
+    assert _all_int(ew_space.gram(system.frame))
     assert seen == {int, Fraction}
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from origamis import linalg, structure
+from origamis import linalg, structure, verification
 from origamis.affine import (automorphism_lift, lift, matrix_in_chain_basis,
                              matrix_on)
 from origamis.catalog import QUATERNION_ORDER, catalog
@@ -22,7 +22,6 @@ from origamis.structure import (cocycle_growth, combined_action,
                                 _direct_sum_ok, _log_abs, decompose_ew,
                                 decompose_orn, kernel_is_congruence,
                                 operator_norm, tau_character)
-from origamis.verification import _orn_root_system
 from test_homology import _fractions
 
 
@@ -262,11 +261,26 @@ def test_breve_trace_identity(q):
     assert sum(m[i][i] for i in range(len(m))) == 2 * (q - 3)
 
 
-def test_detect_d4_properties(ew_root_system):
+def _frame_coords(system, vectors):
+    """Ambient vectors solved against the frame rows of system."""
+    cols = linalg.transpose(system.frame)
+    coords = tuple(linalg.solve(cols, v) for v in vectors)
+    assert None not in coords
+    return coords
+
+
+def _d4_by_hand():
+    """{+-e_a +- e_b, a < b} in R^4, written out."""
+    return {tuple(sa * (k == a) + sb * (k == b) for k in range(4))
+            for a in range(4) for b in range(a + 1, 4)
+            for sa in (1, -1) for sb in (1, -1)}
+
+
+def test_detect_d4_properties(ew_root_system, ew_roots):
     system = ew_root_system[3]
-    roots = system.roots_frame_coords()
-    assert len(roots) == 24
+    roots = _frame_coords(system, ew_roots)
     root_set = set(roots)
+    assert len(roots) == 24 and root_set == _d4_by_hand()
     for r in roots:
         assert tuple(-x for x in r) in root_set
         assert sum(x * x for x in r) == 2
@@ -276,12 +290,40 @@ def test_detect_d4_properties(ew_root_system):
             image = tuple(b - dot * a for a, b in zip(r, r2))
             assert image in root_set
     weyl = system.weyl_group()
-    aut = _automorphism_group(system)
+    aut = _automorphism_group(roots)
     assert weyl.order == 192
     assert aut.order == 1152
     assert aut.order // weyl.order == 6
     for w in weyl.elements:
         assert system.preserves_roots(w)
+
+
+@pytest.mark.parametrize("family", ["ew", "orn3"])
+def test_one_seed_orbit_is_the_listed_root_set(request, monkeypatch, family):
+    """The orbit of one seed under the generator lifts, which `_d4_system`
+    builds, is the root set as first built: the eight-seed orbit of theorem
+    A and the 24 hand-listed classes of theorem B."""
+    report = request.getfixturevalue(f"{family}_report")
+    expected = request.getfixturevalue(f"{family}_roots")
+    seen = []
+
+    def recording(vectors, frame):
+        seen.append(frozenset(vectors))
+        return detect_d4(vectors, frame)
+
+    monkeypatch.setattr(verification, "detect_d4", recording)
+    system = verification._d4_system(
+        report, *request.getfixturevalue(f"{family}_d4_args"))
+    assert seen == [expected] and len(expected) == 24
+    assert detect_d4(expected, system.frame) == system
+
+
+def test_an_unbounded_orbit_stops_at_its_25th_class(orn5, orn5_report):
+    """On H_breve of q = 5 the image is infinite: the orbit stops at 25
+    classes and `detect_d4` rejects it."""
+    with pytest.raises(NotD4, match="got 25"):
+        verification._d4_system(orn5_report, orn5.sigma_breve(0),
+                                [orn5.sigma_breve(i) for i in range(4)])
 
 
 def test_triality_is_weyl_coset_map(ew_root_system):
@@ -301,12 +343,11 @@ def _negate(v):
     return tuple(-x for x in v)
 
 
-def _frames_by_search(system):
-    """The three unsigned frames of a D4 system (span coordinates), found
-    intrinsically: the nonzero half-sums of root pairs that occur three times
-    are the 24 frame vectors, and a frame collects mutual frame-mates e, e'
-    with both e + e' and e - e' roots."""
-    roots = system.roots
+def _frames_by_search(roots):
+    """The three unsigned frames of a D4 system (in the coordinates of its
+    roots), found intrinsically: the nonzero half-sums of root pairs that
+    occur three times are the 24 frame vectors, and a frame collects mutual
+    frame-mates e, e' with both e + e' and e - e' roots."""
     root_set = set(roots)
     halves = collections.Counter(tuple(Fraction(x + y, 2) for x, y in zip(a, b))
                                  for a, b in itertools.combinations(roots, 2))
@@ -333,24 +374,27 @@ def _frames_by_search(system):
     return frames
 
 
-def _pinned_frame_is_a_searched_frame(system):
+def _pinned_frame_is_a_searched_frame(system, roots):
+    """The pinned frame rows lie in exactly one of the three frames that
+    the search finds among the ambient roots."""
     classes = [{v for f in fr for v in (f, _negate(f))}
-               for fr in _frames_by_search(system)]
+               for fr in _frames_by_search(sorted(roots))]
     return sum(set(system.frame) <= klass for klass in classes) == 1
 
 
-def test_pinned_frame_is_one_of_the_three_frames(ew_root_system, orn3):
-    assert _pinned_frame_is_a_searched_frame(ew_root_system[3])
-    assert _pinned_frame_is_a_searched_frame(_orn_root_system(orn3))
+def test_pinned_frame_is_one_of_the_three_frames(
+        ew_root_system, ew_roots, orn3_root_system, orn3_roots):
+    assert _pinned_frame_is_a_searched_frame(ew_root_system[3], ew_roots)
+    assert _pinned_frame_is_a_searched_frame(orn3_root_system, orn3_roots)
 
 
 @functools.lru_cache(maxsize=None)
-def _automorphism_group(system):
-    """All orthogonal maps preserving the roots: frame to signed frame."""
-    frames = [tuple(system.frame_coords(f) for f in fr)
-              for fr in _frames_by_search(system)]
-    order = list(dict.fromkeys(m for fr in frames for _, m in _signed_maps(fr)))
-    root_set = set(system.roots_frame_coords())
+def _automorphism_group(roots):
+    """All orthogonal maps preserving the roots (frame coordinates): frame
+    to signed frame."""
+    order = list(dict.fromkeys(m for fr in _frames_by_search(roots)
+                               for _, m in _signed_maps(fr)))
+    root_set = set(roots)
     for m in order:
         image = {tuple(linalg.mat_vec(m, r)) for r in root_set}
         if image != root_set:
@@ -358,10 +402,10 @@ def _automorphism_group(system):
     return FiniteMatrixGroup(tuple(order))
 
 
-def _reflection_closure(system):
-    """W(R) as the closure of the root reflections."""
+def _reflection_closure(roots):
+    """W(R) as the closure of the root reflections (frame coordinates)."""
     gens = []
-    for root in system.roots_frame_coords():
+    for root in roots:
         norm2 = sum(x * x for x in root)
         gens.append(tuple(tuple(int(i == j) - Fraction(2 * root[i] * root[j], norm2)
                                 for j in range(4)) for i in range(4)))
@@ -386,9 +430,10 @@ def _triality_by_weyl_search(m, weyl_inverses):
     raise NotInAut("no Weyl correction matches")
 
 
-def _check_triality_against_search(system, generator_images):
-    inverses = [linalg.mat_inv(w) for w in _reflection_closure(system).elements]
-    sample = random.Random(4).sample(_automorphism_group(system).elements, 36)
+def _check_triality_against_search(system, ambient_roots, generator_images):
+    roots = _frame_coords(system, sorted(ambient_roots))
+    inverses = [linalg.mat_inv(w) for w in _reflection_closure(roots).elements]
+    sample = random.Random(4).sample(_automorphism_group(roots).elements, 36)
     labels = set()
     for m in generator_images + sample:
         expected = _triality_by_weyl_search(m, inverses)
@@ -400,27 +445,27 @@ def _check_triality_against_search(system, generator_images):
                                           [0, 0, 1, 0], [0, 0, 0, 1]]))
 
 
-def test_triality_matches_weyl_coset_search_ew(ew_root_system):
+def test_triality_matches_weyl_coset_search_ew(ew_root_system, ew_roots):
     _, rep, _, system = ew_root_system
-    frame = system.ambient_frame()
     s, t = rep.lifts["S"], rep.lifts["T"]
-    images = [matrix_in_chain_basis(lf, frame) for lf in
+    images = [matrix_in_chain_basis(lf, system.frame) for lf in
               (s, t, s.compose(t), rep.lifts["aut_i"], rep.lifts["aut_j"])]
-    _check_triality_against_search(system, images + [linalg.identity(4)])
+    _check_triality_against_search(system, ew_roots,
+                                   images + [linalg.identity(4)])
 
 
-def test_triality_matches_weyl_coset_search_orn3(orn3, orn3_report):
-    system = _orn_root_system(orn3)
-    frame = system.ambient_frame()
-    z_s, z_t, z_1 = (matrix_in_chain_basis(orn3_report.lifts[k], frame)
+def test_triality_matches_weyl_coset_search_orn3(
+        orn3_report, orn3_root_system, orn3_roots):
+    system = orn3_root_system
+    z_s, z_t, z_1 = (matrix_in_chain_basis(orn3_report.lifts[k], system.frame)
                      for k in ("S", "T", "aut_1"))
-    _check_triality_against_search(system, [z_s, z_t, z_1,
-                                            linalg.mat_mul(z_1, z_1)])
+    _check_triality_against_search(system, orn3_roots, [
+        z_s, z_t, z_1, linalg.mat_mul(z_1, z_1)])
 
 
-def test_weyl_group_is_the_reflection_closure(ew_root_system):
+def test_weyl_group_is_the_reflection_closure(ew_root_system, ew_roots):
     system = ew_root_system[3]
-    closure = _reflection_closure(system)
+    closure = _reflection_closure(_frame_coords(system, sorted(ew_roots)))
     weyl = system.weyl_group()
     assert weyl.order == closure.order == 192
     assert set(weyl.elements) == set(closure.elements)
@@ -469,26 +514,25 @@ def test_congruence_needs_lifts_of_s_then_t(ew_report):
                              [ew_report.lifts["T"], ew_report.lifts["S"]], auts)
 
 
-def _ambient(system, v):
-    return tuple(sum(v[k] * system.span_basis[k][j] for k in range(4))
-                 for j in range(len(system.span_basis[0])))
-
-
-def test_detect_d4_certifies_the_pinned_frame(ew_root_system):
+def test_detect_d4_certifies_the_pinned_frame(ew_root_system, ew_roots):
     system = ew_root_system[3]
-    vectors = [_ambient(system, r) for r in system.roots]
-    frame = system.ambient_frame()
+    vectors = sorted(ew_roots)
+    frame = system.frame
     assert detect_d4(vectors, frame) == system
     outside = next(e for e in linalg.identity(len(vectors[0]))
-                   if len(linalg.rref(system.span_basis + (e,))[1]) == 5)
-    with pytest.raises(NotD4, match="outside the span"):
+                   if len(linalg.rref(frame + (e,))[1]) == 5)
+    with pytest.raises(NotD4, match="over the frame"):
         detect_d4(vectors, (linalg.vec_add(frame[0], outside),) + frame[1:])
     with pytest.raises(NotD4, match="over the frame"):
         detect_d4(vectors, (linalg.vec_scale(2, frame[0]),) + frame[1:])
-    with pytest.raises(NotD4, match="over the frame"):
+    with pytest.raises(NotD4, match="4 linearly independent"):
         detect_d4(vectors, frame[:3])
-    with pytest.raises(NotD4, match="differ in length"):
+    with pytest.raises(NotD4, match="4 linearly independent"):
+        detect_d4(vectors, frame[:3] + (linalg.vec_add(frame[0], frame[1]),))
+    with pytest.raises(NotD4, match="over the frame"):
         detect_d4(vectors, tuple(f[:-1] for f in frame))
+    with pytest.raises(NotD4, match="of one length"):
+        detect_d4(vectors, frame[:3] + (frame[3][:-1],))
 
 
 def test_detect_d4_rejects_garbage():
@@ -502,8 +546,9 @@ def test_detect_d4_rejects_garbage():
                    for v in ((1, 0, 0, 0), (-1, 0, 0, 0))], frame)
     with pytest.raises(NotD4, match="over the frame"):
         detect_d4(d4[:-1] + [(1, 2, 3, 4)], frame)
+    # 24 vectors spanning 5 dimensions
     padded = [v + (0,) for v in d4[:-1]] + [(0, 0, 0, 0, 1)]
-    with pytest.raises(NotD4, match="dimension 5"):
+    with pytest.raises(NotD4, match="over the frame"):
         detect_d4(padded, [e + (0,) for e in frame])
 
 
@@ -821,8 +866,7 @@ def test_s2t2_grows_on_breve(q):
 def test_grows_on_a_shear_not_on_the_theorem_a_image(ew_root_system):
     assert grows(_fractions([[1, 1], [0, 1]]))
     _, rep, _, system = ew_root_system
-    frame = system.ambient_frame()
-    gens = [matrix_in_chain_basis(rep.lifts[k], frame)
+    gens = [matrix_in_chain_basis(rep.lifts[k], system.frame)
             for k in ("S", "T", "aut_i", "aut_j")]
     image = finite_closure(gens, 500)
     assert image.order == 96
