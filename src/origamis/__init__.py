@@ -27,8 +27,8 @@ _PUBLIC = {
                 "stratum_and_genus", "veech_group", "vertex_classes"),
     "affine": ("AffineLift", "automorphism_lift", "lift", "lift_all",
                "matrix_on", "power_order"),
-    "invariants": ("cylinders", "index_parity", "invariant_supplement",
-                   "multitwist", "spin_parity", "symplectic_basis"),
+    "invariants": ("cylinders", "invariant_supplement", "multitwist",
+                   "spin_parity", "symplectic_basis"),
     "permutations": ("Perm",),
     "polygons": ("polygon_to_origami",),
     "rootsys": ("detect_d4", "finite_closure", "symplectic_subgroup"),

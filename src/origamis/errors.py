@@ -77,10 +77,6 @@ class EvenConeMultiplicity(OrigamiError):
     """Index parity is ill-defined: some cone angle is an even multiple of 2*pi."""
 
 
-class NotClosed(OrigamiError):
-    """Edge walk does not close up."""
-
-
 class OddOrderZeros(OrigamiError):
     """Spin parity requires all zero orders to be even."""
 

@@ -18,10 +18,9 @@ signed sum of b over the first p germs of the ribbon (quarter-sector)
 structure at vertex v, <a, b> = a . w for the dual row w_e = F_head(in-germ
 of e) - F_tail(out-germ of e + 1) of b, built once per integer class by
 `ChainSpace._dual`; `intersection` and `gram` pair integer numerators with
-it and divide once, so an integral value is an int. The closed
-edge walks that only the spin form needs are the cycles of the map sending
-the i-th use arriving at a vertex to the i-th use leaving it, a permutation
-because the chain has no boundary.
+it and divide once, so an integral value is an int. The same germ table,
+`edge_germs`, places each edge's strands on the vertex circles for the spin
+form of `invariants.quadratic_form_value`.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from operator import mul
 from typing import Iterable, NamedTuple, Sequence
 
 from . import linalg
-from .errors import Inconsistent, NotAbsolute, NotClosed
+from .errors import Inconsistent, NotAbsolute
 from .linalg import Mat, Vec
 from .origami import Origami, VertexClass, vertex_classes, vertex_of_square
 
@@ -55,10 +54,6 @@ class EdgeChain(NamedTuple):
         (sigma if etype == "s" else zeta)[g] = coeff
         return EdgeChain(tuple(sigma), tuple(zeta))
 
-    @property
-    def n(self) -> int:
-        return len(self.sigma)
-
     def flat(self) -> Vec:
         return self.sigma + self.zeta
 
@@ -75,9 +70,6 @@ class EdgeChain(NamedTuple):
     def __sub__(self, other: "EdgeChain") -> "EdgeChain":
         return EdgeChain(linalg.vec_sub(self.sigma, other.sigma),
                          linalg.vec_sub(self.zeta, other.zeta))
-
-    def __neg__(self) -> "EdgeChain":
-        return self.scale(-1)
 
     def scale(self, c) -> "EdgeChain":
         return EdgeChain(linalg.vec_scale(c, self.sigma), linalg.vec_scale(c, self.zeta))
@@ -166,18 +158,16 @@ class ChainSpace:
         self.edge_ends = [(self.vowner[g], self.vowner[r(g)]) for g in range(n)] + \
             [(self.vowner[g], self.vowner[u(g)]) for g in range(n)]
         self._germs = self._build_germs()
-        self._germ_pos = {germ: (vidx, pos) for vidx, germs in enumerate(self._germs)
-                          for pos, germ in enumerate(germs)}
         # the germs vertex by vertex: (flat column, +1 out / -1 in) each, and
-        # per flat column the indices of its in-germ and of its out-germ + 1
+        # per flat column the indices of its in-germ and of its out-germ
         flat = [germ for germs in self._germs for germ in germs]
-        if len(flat) != 4 * n or len(self._germ_pos) != 4 * n:
+        index = {germ: k for k, germ in enumerate(flat)}
+        if len(flat) != 4 * n or len(index) != 4 * n:
             raise Inconsistent("the germs do not cover the 4n edge ends once each")
         self._germ_terms = [(g if etype == "s" else n + g, 1 if kind == "out" else -1)
                             for kind, etype, g in flat]
-        index = {germ: k for k, germ in enumerate(flat)}
-        self._edge_germs = [(index["in", etype, g], index["out", etype, g] + 1)
-                            for etype in "sz" for g in range(n)]
+        self.edge_germs = [(index["in", etype, g], index["out", etype, g])
+                           for etype in "sz" for g in range(n)]
         self._lattices: dict[tuple[frozenset[int], bool], tuple[Vec, ...]] = {}
 
     # -- relations and canonical forms ------------------------------------
@@ -315,96 +305,6 @@ class ChainSpace:
             out.append(germs)
         return out
 
-    # -- walks ----------------------------------------------------------------
-
-    def edge_endpoints(self, etype: str, g: int) -> tuple[int, int]:
-        """(tail vertex class, head vertex class) of the oriented edge."""
-        return self.edge_ends[g if etype == "s" else self.n + g]
-
-    def decompose_walks(self, v: Vec) -> list[list[tuple[str, int, int]]]:
-        """Closed walks (etype, g, dir) covering an integer absolute chain.
-
-        The edge uses, |v_e| copies of (etype, g, sign v_e) each, are listed
-        in sorted order; at each vertex class the i-th use arriving there is
-        followed by the i-th use departing from it. A vertex's arrivals minus
-        its departures are its boundary coefficient, zero for an absolute
-        chain, so this successor map is a permutation of the uses and the
-        walks are its cycles, each started at its least use.
-        """
-        n = self.n
-        if any(x.denominator != 1 for x in v):
-            raise ValueError("integer chain required")
-        if any(x != 0 for x in self.boundary_vec(v)):
-            raise NotAbsolute("chain has nonzero boundary")
-        # flat order (sigma_0.., zeta_0..) is the sorted order of the uses
-        uses = [("s" if j < n else "z", j % n, 1 if x > 0 else -1)
-                for j, x in enumerate(v) for _ in range(abs(int(x)))]
-        arrivals: dict[int, list[int]] = {}
-        departures: dict[int, list[int]] = {}
-        for k, (etype, g, direction) in enumerate(uses):
-            tail, head = self.edge_endpoints(etype, g)[::direction]
-            departures.setdefault(tail, []).append(k)
-            arrivals.setdefault(head, []).append(k)
-        successor = {}
-        for vertex, ks in arrivals.items():
-            successor.update(zip(ks, departures[vertex]))
-        walks = []
-        for start in range(len(uses)):
-            walk, k = [], start
-            while k in successor:
-                walk.append(uses[k])
-                k = successor.pop(k)
-            if walk:
-                walks.append(walk)
-        return walks
-
-    def walk_passages(self, walk: Sequence[tuple[str, int, int]]
-                      ) -> list[tuple[int, int, int]]:
-        """(vertex class, arrival germ position, departure germ position) per
-        visit; raises NotClosed unless the walk is a nonempty closed walk."""
-        if not walk:
-            raise NotClosed("empty walk")
-        out = []
-        for prev, nxt in zip(walk, walk[1:] + walk[:1]):
-            v1, p1 = self._germ_pos["in" if prev[2] == 1 else "out", *prev[:2]]
-            v2, p2 = self._germ_pos["out" if nxt[2] == 1 else "in", *nxt[:2]]
-            if v1 != v2:
-                raise NotClosed("walk is not connected through vertices")
-            out.append((v1, p1, p2))
-        return out
-
-    def walk_self_crossings(self, walk: list[tuple[str, int, int]]) -> int:
-        """Transverse self-crossings of an immersed realization of the walk.
-
-        Parallel strands on one edge are separated by traversal order, placed
-        consistently at both edge ends (reversed at incoming germs); each
-        vertex passage becomes a chord on the vertex circle and crossings are
-        interleaved chord pairs. Any consistent depth choice yields the same
-        value mod 2.
-        """
-        counter: dict[tuple[str, int, int], int] = {}
-        use_depth = []
-        for use in walk:
-            d = counter.get(use, 0)
-            counter[use] = d + 1
-            use_depth.append(d)
-        k = len(walk)
-        chords = []
-        for i, (v, p_arr, p_dep) in enumerate(self.walk_passages(walk)):
-            # depths are reversed at incoming germs
-            d_prev, d_next = use_depth[i], use_depth[(i + 1) % k]
-            entry = (p_arr, -d_prev if walk[i][2] == 1 else d_prev)
-            exit_ = (p_dep, d_next if walk[(i + 1) % k][2] == 1 else -d_next)
-            chords.append((v, entry, exit_))
-        crossings = 0
-        for i in range(len(chords)):
-            for j in range(i + 1, len(chords)):
-                if chords[i][0] != chords[j][0]:
-                    continue
-                crossings += _chords_interleave(chords[i][1], chords[i][2],
-                                                chords[j][1], chords[j][2])
-        return crossings
-
     # -- intersection form -----------------------------------------------------
 
     def _dual(self, b: Sequence[int]) -> list[int]:
@@ -429,8 +329,8 @@ class ChainSpace:
         prefix = [0]
         for j, sign in self._germ_terms:
             prefix.append(prefix[-1] + sign * b[j])
-        return [prefix[arrival] - prefix[departure]
-                for arrival, departure in self._edge_germs]
+        return [prefix[arrival] - prefix[departure + 1]
+                for arrival, departure in self.edge_germs]
 
     def intersection(self, a: EdgeChain, b: EdgeChain) -> int | Fraction:
         """Algebraic intersection number of absolute classes: a . `_dual(b)`
@@ -448,15 +348,6 @@ class ChainSpace:
         duals = [self._dual(b) for b in rows]
         return tuple(linalg._divided([sum(map(mul, a, w)) for w in duals], d * d)
                      for a in rows)
-
-
-def _chords_interleave(a1, a2, b1, b2) -> bool:
-    """Whether chords {a1,a2}, {b1,b2} cross, endpoints as cyclic sort keys."""
-    points = sorted([(a1, "a"), (a2, "a"), (b1, "b"), (b2, "b")])
-    if len({p for p, _ in points}) != 4:
-        raise NotClosed("chord endpoints collide")
-    labels = [lab for _, lab in points]
-    return labels in (["a", "b", "a", "b"], ["b", "a", "b", "a"])
 
 
 @functools.lru_cache(maxsize=256)

@@ -1,9 +1,12 @@
-"""Cylinder decompositions, parabolic multitwists, turning numbers, spin
-parity, and the invariant-supplement feasibility test.
+"""Cylinder decompositions, parabolic multitwists, the spin quadratic form
+and spin parity, and the invariant-supplement feasibility test.
 
 Directions are primitive integer vectors; a direction is normalized to
 horizontal by an SL(2,Z) word, cylinders are read off as merged r-cycle rows,
 and everything is transported back through the exact edge substitutions.
+The spin form q = ind + 1 + self-crossings (Johnson) is read off one pass
+over a chain's vertex passages, and the spin parity is its Arf invariant on
+a symplectic basis (Kontsevich-Zorich).
 """
 
 from __future__ import annotations
@@ -12,12 +15,12 @@ import functools
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from . import linalg
 from .affine import AffineLift, Row, lift_all, transport
 from .errors import (EvenConeMultiplicity, Inconsistent, NoMatchingLift,
-                     NotClosed, NotUnimodular, OddOrderZeros, ProbeMovesMarks)
+                     NotAbsolute, NotUnimodular, OddOrderZeros, ProbeMovesMarks)
 from .homology import EdgeChain, chain_space
 from .linalg import Mat, Vec
 from .origami import Origami
@@ -202,65 +205,76 @@ def multitwist(origami: Origami, direction: tuple[int, int]) -> MultiTwist:
     return MultiTwist(decomp.direction, k, linear, counts, decomp, best)
 
 
-# -- turning numbers and spin parity ------------------------------------------
+# -- the spin form and spin parity -------------------------------------------
 
 
-def _walk_parity(origami: Origami, walk: Sequence[tuple[str, int, int]],
-                 turn: Callable[[int, int, int], int]) -> int:
-    """Parity of (sum of turn(arrival, departure, sector count) over the
-    vertex passages) / 4; the sum is in quarter turns."""
+def quadratic_form_value(origami: Origami, chain: EdgeChain) -> int:
+    """The spin quadratic form q on an absolute integer class, in one pass
+    over the vertex passages of the chain's edge uses.
+
+    The uses, |c_e| copies of each edge e walked in the sign of c_e, are
+    taken in flat order, and at each vertex class the i-th use arriving there
+    is followed by the i-th use leaving it: a permutation of the uses, since
+    c has no boundary, whose k cycles are closed walks c_1, ..., c_k with sum
+    c. A passage from arrival germ a to departure germ d at a vertex of
+    multiplicity m turns (d - a) mod 4m - 2 quarter turns. The j-th copy of e
+    runs at depth j, keyed +j at e's out-germ and -j at its in-germ (its left
+    side comes after e counterclockwise at the tail and before it at the
+    head), so the strands run parallel along the edges, each passage is a
+    chord on its vertex's circle of germs, and the walks together are one
+    transverse multicurve whose crossings are the interleaved chord pairs.
+    Between two walks these number <c_i, c_j> mod 2; within one walk they
+    are its self-crossings, whose parity no consistent choice of depths
+    changes. So
+
+        q(c) = quarter turns / 4 + k + crossings  (mod 2)
+
+    is sum_i (ind c_i + 1 + self c_i) + sum_{i<j} <c_i, c_j>: Johnson's
+    q = ind + 1 + self-crossings per walk, summed by q(a + b) = q(a) + q(b)
+    + <a, b>. With every cone multiplicity m odd, the parity does not depend
+    on the side by which a passage goes round its vertex: the two turnings
+    differ by m - 1 full turns.
+    """
     space = chain_space(origami)
-    if any(v.multiplicity % 2 == 0 for v in space.vclasses):
+    v = chain.flat()
+    if any(x.denominator != 1 for x in v):
+        raise ValueError("integer chain required")
+    if any(space.boundary_vec(v)):
+        raise NotAbsolute("chain has nonzero boundary")
+    if any(v) and any(c.multiplicity % 2 == 0 for c in space.vclasses):
         raise EvenConeMultiplicity(
             "parity needs all cone multiplicities odd (even zero orders)")
-    quarters = sum(turn(arr, dep, 4 * space.vclasses[v].multiplicity)
-                   for v, arr, dep in space.walk_passages(walk))
-    if quarters % 4 != 0:
-        raise NotClosed("total turning is not a multiple of 2*pi")
-    return (quarters // 4) % 2
-
-
-def index_parity(origami: Origami, walk: Sequence[tuple[str, int, int]]) -> int:
-    """Turning parity of a closed edge walk [(etype, square, dir), ...].
-
-    Each vertex passage contributes t - 2 quarter turns, t the ccw sector
-    count from the arrival germ to the departure germ; the total is a
-    multiple of 4 quarters and ind = total / 4.
-    """
-    return _walk_parity(origami, walk,
-                        lambda arr, dep, size: (dep - arr) % size - 2)
-
-
-def index_parity_clockwise(origami: Origami,
-                           walk: Sequence[tuple[str, int, int]]) -> int:
-    """Same parity computed with the clockwise sector count at each passage."""
-    return _walk_parity(origami, walk,
-                        lambda arr, dep, size: 2 - (arr - dep) % size)
-
-
-def quadratic_form_value(origami: Origami, chain: EdgeChain,
-                         clockwise: bool = False) -> int:
-    """The spin quadratic form on an absolute integer class.
-
-    Per immersed walk q = ind + 1 + #self-crossings (Johnson's formula);
-    walks combine by q(a+b) = q(a) + q(b) + <a,b>, all mod 2. The pairs
-    sum_{i<j} <c_i, c_j> of the walks' chains are taken by bilinearity as
-    sum_j <c_1 + ... + c_{j-1}, c_j>, a sum of closed walks, so absolute.
-    """
-    space = chain_space(origami)
-    n = origami.n
-    parity_fn = index_parity_clockwise if clockwise else index_parity
-    total = 0
-    earlier = EdgeChain.zero(n)
-    for walk in space.decompose_walks(chain.flat()):
-        total += parity_fn(origami, walk) + 1 + space.walk_self_crossings(walk)
-        flat = [0] * (2 * n)
-        for etype, g, direction in walk:
-            flat[g if etype == "s" else n + g] += direction
-        c = EdgeChain.from_flat(flat)
-        total += space.intersection(earlier, c)
-        earlier = earlier + c
-    return total % 2
+    # per vertex, (use, its end there as (germ, depth key)) of the uses
+    # arriving there and of those leaving it
+    arrivals: dict[int, list] = {}
+    departures: dict[int, list] = {}
+    uses = 0
+    for x, (tail, head), (into, out) in zip(v, space.edge_ends, space.edge_germs):
+        for depth in range(abs(int(x))):
+            ends = ((tail, (out, depth)), (head, (into, -depth)))
+            (start, leave), (stop, enter) = ends if x > 0 else ends[::-1]
+            departures.setdefault(start, []).append((uses, leave))
+            arrivals.setdefault(stop, []).append((uses, enter))
+            uses += 1
+    successor = [0] * uses
+    quarters = crossings = 0
+    for vertex, ins in arrivals.items():
+        size = 4 * space.vclasses[vertex].multiplicity
+        chords: list[tuple] = []
+        for (k, a), (k2, d) in zip(ins, departures[vertex]):
+            successor[k] = k2
+            quarters += (d[0] - a[0]) % size - 2
+            lo, hi = min(a, d), max(a, d)
+            crossings += sum((lo < c < hi) != (lo < e < hi) for c, e in chords)
+            chords.append((lo, hi))
+    if quarters % 4:
+        raise Inconsistent("the passages do not turn a whole number of times")
+    cycles, seen = 0, [False] * uses
+    for k in range(uses):
+        cycles += not seen[k]
+        while not seen[k]:
+            seen[k], k = True, successor[k]
+    return (quarters // 4 + cycles + crossings) % 2
 
 
 def symplectic_basis(gram: Mat) -> Mat:
@@ -340,15 +354,13 @@ class SpinResult(NamedTuple):
     indices: list[int]                 # ind mod 2 per basis element
 
 
-def spin_parity(origami: Origami, clockwise: bool = False,
-                basis_rows: Mat | None = None) -> SpinResult:
+def spin_parity(origami: Origami) -> SpinResult:
     """Arf invariant sum((ind a_i + 1)(ind b_i + 1)) over a symplectic basis."""
     space = chain_space(origami)
     if any(v.zero_order % 2 == 1 for v in space.vclasses):
         raise OddOrderZeros("spin parity needs even zero orders")
     integral = space.integral_absolute_basis()
-    gram = space.gram(integral)
-    change = symplectic_basis(gram) if basis_rows is None else basis_rows
+    change = symplectic_basis(space.gram(integral))
     chains = []
     for row in change:
         v = [0] * (2 * origami.n)
@@ -356,7 +368,7 @@ def spin_parity(origami: Origami, clockwise: bool = False,
             if c:
                 v = [x + c * y for x, y in zip(v, b)]
         chains.append(EdgeChain.from_flat(v))
-    qvals = [quadratic_form_value(origami, c, clockwise) for c in chains]
+    qvals = [quadratic_form_value(origami, c) for c in chains]
     g = len(chains) // 2
     total = sum(qvals[2 * i] * qvals[2 * i + 1] for i in range(g)) % 2
     return SpinResult("even" if total == 0 else "odd", chains,

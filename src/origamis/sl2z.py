@@ -177,9 +177,6 @@ class CongruenceSubgroup:
         self.index = len(self.transversal)
         self._tree_edges = tree_edges
 
-    def contains(self, m: Mat2) -> bool:
-        return mat_mod(m, self.n) == mat_mod(ID2, self.n)
-
     def _schreier_word(self, coset: Mat2, letter: str) -> Sl2zWord:
         target = mat_mod(mat_mul(coset, LETTER_MATS[letter]), self.n)
         w_c = self.transversal[coset]

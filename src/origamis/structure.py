@@ -100,22 +100,13 @@ def decompose_ew(ew: Wollmilchsau) -> DecompositionReport:
     lifts = {"S": lift(origami, S_MAT), "T": lift(origami, T_MAT)}
     for g in QUATERNION_ORDER:
         lifts[f"aut_{g}"] = automorphism_lift(origami, ew.left_mult(g))
-    chains: dict[str, EdgeChain] = {}
-    chains["sigma"] = space.standard_splitting().sigma
-    chains["zeta"] = space.standard_splitting().zeta
-    for axis in ("i", "j", "k"):
-        chains[f"w_{axis}"] = ew.w(axis)
-    for v in ("1", "i", "j", "k"):
-        chains[f"w_hat_{v}"] = ew.w_hat(v)
-    for g in QUATERNION_ORDER:
-        chains[f"sigma_hat_{g}"] = ew.sigma_hat(g)
-        chains[f"zeta_hat_{g}"] = ew.zeta_hat(g)
-        chains[f"epsilon_{g}"] = ew.epsilon(g)
+    splitting = space.standard_splitting()
+    chains = {"sigma": splitting.sigma, "zeta": splitting.zeta}
+    chains.update((f"w_hat_{v}", ew.w_hat(v)) for v in ("1", "i", "j", "k"))
     subspaces = {
-        "H1_st": space.subspace_from([chains["sigma"], chains["zeta"]]),
-        "H_rel": space.subspace_from([chains["w_i"], chains["w_j"], chains["w_k"]]),
-        "H1_0": space.subspace_from([chains[f"epsilon_{g}"]
-                                     for g in ("1", "i", "j", "k")]),
+        "H1_st": space.subspace_from([splitting.sigma, splitting.zeta]),
+        "H_rel": space.subspace_from([ew.w(axis) for axis in ("i", "j", "k")]),
+        "H1_0": space.subspace_from([ew.epsilon(g) for g in ("1", "i", "j", "k")]),
     }
     checks = {}
     checks["dim_H1_st"] = subspaces["H1_st"].dim == 2

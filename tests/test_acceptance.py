@@ -4,12 +4,14 @@ All comparisons are exact except the growth-rate estimate of criterion 8,
 whose stated relative tolerance is 1e-3 at word length 1e3.
 """
 
+import functools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+import _walk_reference as walks
 from origamis import linalg
 from origamis.affine import (automorphism_lift, lift, lift_all, matrix_on,
                              power_order)
@@ -27,6 +29,7 @@ from origamis.structure import (cocycle_growth, decompose_ew, decompose_orn,
                                 operator_norm)
 from origamis.verification import (verify_appendix_a, verify_appendix_b,
                                    verify_theorem_a, verify_theorem_b)
+from test_invariants import arf_parity, random_symplectic_moves
 
 import test_affine
 import test_homology
@@ -145,25 +148,14 @@ def test_criterion_5_spin_parity():
         ok = False
     except OddOrderZeros:
         pass
-    ok = ok and spin_parity(orn3.origami, clockwise=True).parity == "even"
     space = chain_space(orn3.origami)
-    gram = space.gram(space.integral_absolute_basis())
-    change = symplectic_basis(gram)
+    change = symplectic_basis(space.gram(space.integral_absolute_basis()))
+    clockwise = functools.partial(walks.quadratic_form_value, clockwise=True)
+    ok = ok and arf_parity(orn3.origami, change, clockwise) == "even"
     rng = random.Random(41)
-    g = len(change) // 2
     for _ in range(5):
-        rows = [list(row) for row in change]
-        for _ in range(8):
-            i = rng.randrange(g)
-            c = rng.randrange(-2, 3)
-            if rng.randrange(2):
-                rows[2 * i] = [x + c * y
-                               for x, y in zip(rows[2 * i], rows[2 * i + 1])]
-            else:
-                rows[2 * i + 1] = [x + c * y
-                                   for x, y in zip(rows[2 * i + 1], rows[2 * i])]
-        randomized = tuple(tuple(x) for x in rows)
-        if spin_parity(orn3.origami, basis_rows=randomized).parity != "even":
+        randomized = random_symplectic_moves(change, rng, 8)
+        if arf_parity(orn3.origami, randomized) != "even":
             ok = False
     # Arf additivity, 100 random pairs split across M4 and q=5
     for cat, count, seed in ((orn3, 60, 5), (orn5, 40, 6)):

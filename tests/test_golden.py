@@ -8,6 +8,7 @@ same way, from a fresh `python -m origamis` at 80 columns."""
 import contextlib
 import hashlib
 import io
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -76,6 +77,21 @@ PINNED_SHA256 = {
 }
 
 
+# `spin --origami` on (n, r, u) files: odd parity in H(2), H(4) and H(2,2)
+# and the even hyperelliptic H(4), each with a basis chain that is a sum of
+# several closed walks
+PINNED_SPIN_FILES = {
+    "spin-h2-odd": ((4, [3, 1, 0, 2], [0, 3, 2, 1]),
+                    "18c4c1ffdda86764cbac1a89c850781a1b7ab1b7d0707fef353c75ef8f5ea31d"),
+    "spin-h4-odd": ((5, [3, 1, 0, 4, 2], [2, 3, 0, 1, 4]),
+                    "5270d6033a654855ab32f8f992e80be8cf8303b2c36b87e3f81824b2f6a305f3"),
+    "spin-h4-hyp-even": ((5, [3, 0, 2, 4, 1], [4, 1, 3, 2, 0]),
+                         "47e1fc0bfdbe6e7306e20b1f17103975f6ca6ae67062253ae7f0a8f1b2dbe9ee"),
+    "spin-h22-odd": ((6, [1, 3, 4, 2, 5, 0], [4, 3, 1, 5, 2, 0]),
+                     "8af5fffd4e3e3188cb7fcf2096c721d7544ae6b74a475d12f92bccc8a4eae415"),
+}
+
+
 def _stdout(args):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -97,6 +113,14 @@ def test_golden_stdout(name):
 def test_pinned_stdout_sha256(name):
     args, digest = PINNED_SHA256[name]
     assert hashlib.sha256(_stdout(args)).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_SPIN_FILES))
+def test_pinned_spin_file_sha256(name, tmp_path):
+    (n, r, u), digest = PINNED_SPIN_FILES[name]
+    path = tmp_path / "origami.json"
+    path.write_text(json.dumps({"n": n, "r": r, "u": u}))
+    assert hashlib.sha256(_stdout(["spin", "--origami", str(path)])).hexdigest() == digest
 
 
 # argv, the stream it writes, its exit code and the golden file of that text

@@ -1,3 +1,4 @@
+import functools
 import random
 from fractions import Fraction
 from math import gcd
@@ -6,22 +7,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _walk_reference as walks
 from origamis import invariants, linalg
 from origamis.affine import automorphism_lift, lift_all
-from origamis.errors import (EvenConeMultiplicity, NotClosed, NotInVeechGroup,
+from origamis.errors import (EvenConeMultiplicity, NotAbsolute, NotInVeechGroup,
                              NotUnimodular, OddOrderZeros, ProbeMovesMarks)
 from origamis.homology import ChainSpace, EdgeChain, chain_space
-from origamis.invariants import (_pairing_row, cylinders, index_parity,
-                                 index_parity_clockwise, invariant_supplement,
+from origamis.invariants import (_pairing_row, cylinders, invariant_supplement,
                                  multitwist, quadratic_form_value, spin_parity,
                                  symplectic_basis)
-from origamis.origami import (automorphisms, make_origami, veech_group,
-                              vertex_of_square)
+from origamis.origami import (automorphisms, make_origami, sl2z_act, veech_group,
+                              vertex_classes, vertex_of_square)
 from origamis.permutations import Perm, random_transitive_pair
 from origamis.sl2z import T_MAT, eval_letters, inverse_runs, mat_pow, sl2z_word
 
 from test_affine import _reference_transport, from_normalized, to_normalized
-from test_homology import (_fractions, _horizontal_core_pairing,
+from test_homology import (_edge_cycles, _fractions, _horizontal_core_pairing,
                            _vertical_core_pairing)
 
 TORUS = make_origami(1, Perm([0]), Perm([0]))
@@ -284,28 +285,39 @@ def test_transversal_pairing_row_sums(ew):
 
 
 def test_index_parity_torus():
-    assert index_parity(TORUS, [("s", 0, 1)]) == 0
+    space = chain_space(TORUS)
     square = [("s", 0, 1), ("z", 0, 1), ("s", 0, -1), ("z", 0, -1)]
-    assert index_parity(TORUS, square) == 1
-    assert index_parity_clockwise(TORUS, square) == 1
+    for clockwise in (False, True):
+        assert walks.index_parity(space, [("s", 0, 1)], clockwise) == 0
+        assert walks.index_parity(space, square, clockwise) == 1
+    assert quadratic_form_value(TORUS, EdgeChain((1,), (0,))) == 1
+    assert quadratic_form_value(TORUS, EdgeChain((1,), (1,))) == 1
+    assert quadratic_form_value(TORUS, EdgeChain((2,), (0,))) == 0
 
 
 def test_index_parity_rejects_even_multiplicity(ew):
+    space = chain_space(ew.origami)
     with pytest.raises(EvenConeMultiplicity):
-        index_parity(ew.origami, [("s", 0, 1)])
+        walks.index_parity(space, [("s", 0, 1)])
+    with pytest.raises(EvenConeMultiplicity):
+        quadratic_form_value(ew.origami, EdgeChain.from_flat(space.integral_absolute_basis()[0]))
+    assert quadratic_form_value(ew.origami, EdgeChain.zero(ew.origami.n)) == 0
 
 
 def test_walks_that_do_not_close_raise(orn3):
+    """An open edge is no closed walk and its chain has a boundary; half a
+    class is not an integer chain."""
     origami = orn3.origami
     space = chain_space(origami)
-    g = next(g for g in range(origami.n)
-             if len(set(space.edge_endpoints("s", g))) == 2)
-    for parity in (index_parity, index_parity_clockwise):
-        for walk in ([], [("s", g, 1)]):
-            with pytest.raises(NotClosed):
-                parity(origami, walk)
-    with pytest.raises(NotClosed):
-        space.walk_self_crossings([("s", g, 1)])
+    g = next(g for g in range(origami.n) if len(set(space.edge_ends[g])) == 2)
+    for walk in ([], [("s", g, 1)]):
+        with pytest.raises(ValueError):
+            walks.index_parity(space, walk)
+    with pytest.raises(NotAbsolute):
+        quadratic_form_value(origami, EdgeChain.unit(origami.n, "s", g))
+    half = EdgeChain.from_flat(space.integral_absolute_basis()[0]).scale(Fraction(1, 2))
+    with pytest.raises(ValueError):
+        quadratic_form_value(origami, half)
 
 
 def test_appendix_a_loop_indices(orn3):
@@ -382,29 +394,40 @@ def test_spin_parities(orn3, orn5, ew):
         spin_parity(ew.origami)
 
 
+def arf_parity(origami, rows, q=quadratic_form_value) -> str:
+    """The Arf sum of q over the symplectic basis whose rows are coordinates
+    on `integral_absolute_basis`: "even" or "odd"."""
+    integral = chain_space(origami).integral_absolute_basis()
+    qs = [q(origami, EdgeChain.from_flat([sum(c * b[j] for c, b in zip(row, integral))
+                                          for j in range(2 * origami.n)]))
+          for row in rows]
+    return "odd" if sum(qs[i] * qs[i + 1] for i in range(0, len(qs), 2)) % 2 else "even"
+
+
+def random_symplectic_moves(change, rng, moves):
+    """The rows after `moves` random a_i += c b_i or b_i += c a_i, each of
+    which keeps the form standard."""
+    rows = [list(row) for row in change]
+    for _ in range(moves):
+        i = rng.randrange(len(rows) // 2)
+        c = rng.randrange(-2, 3)
+        a, b = (2 * i, 2 * i + 1) if rng.randrange(2) else (2 * i + 1, 2 * i)
+        rows[a] = [x + c * y for x, y in zip(rows[a], rows[b])]
+    return tuple(tuple(x) for x in rows)
+
+
 def test_spin_parity_clockwise_and_random_bases(orn3):
     origami = orn3.origami
     base = spin_parity(origami).parity
-    assert spin_parity(origami, clockwise=True).parity == base
     space = chain_space(origami)
     gram = space.gram(space.integral_absolute_basis())
     change = symplectic_basis(gram)
+    clockwise = functools.partial(walks.quadratic_form_value, clockwise=True)
+    assert arf_parity(origami, change, clockwise) == base
     rng = random.Random(17)
     g = len(change) // 2
     for _ in range(5):
-        rows = [list(row) for row in change]
-        # random symplectic moves: a_i += c b_i keeps the form standard
-        for _ in range(6):
-            i = rng.randrange(g)
-            c = rng.randrange(-2, 3)
-            which = rng.randrange(2)
-            if which == 0:
-                rows[2 * i] = [x + c * y for x, y in
-                               zip(rows[2 * i], rows[2 * i + 1])]
-            else:
-                rows[2 * i + 1] = [x + c * y for x, y in
-                                   zip(rows[2 * i + 1], rows[2 * i])]
-        randomized = tuple(tuple(x) for x in rows)
+        randomized = random_symplectic_moves(change, rng, 6)
         product = linalg.mat_mul(linalg.mat_mul(randomized, gram),
                                  linalg.transpose(randomized))
         for i in range(2 * g):
@@ -412,7 +435,66 @@ def test_spin_parity_clockwise_and_random_bases(orn3):
                 expected = (1 if (i % 2 == 0 and j == i + 1) else
                             -1 if (i % 2 == 1 and j == i - 1) else 0)
                 assert product[i][j] == expected
-        assert spin_parity(origami, basis_rows=randomized).parity == base
+        assert arf_parity(origami, randomized) == base
+
+
+@st.composite
+def odd_cone_origamis(draw):
+    """Transitive origamis with n <= 9 whose cone multiplicities are all odd
+    (every zero order even), drawn by rejection from a generator seeded by
+    the draw: a plain one, since the rejection loop draws hundreds of times
+    and a Hypothesis generator made that loop most of the test's time."""
+    n = draw(st.integers(1, 9))
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    while True:
+        origami = make_origami(n, *random_transitive_pair(n, rng))
+        if all(v.multiplicity % 2 for v in vertex_classes(origami)):
+            return origami
+
+
+def _cycle_sum(space, picks):
+    """The sum over the picks (index, coeff) of coeff times the edge cycle
+    at that index: the edge cycles span the absolute integer chains, and
+    their sums repeat edges, use loops and pass one vertex several times."""
+    cycles = _edge_cycles(space)
+    v = [0] * (2 * space.n)
+    for index, coeff in picks:
+        v = [x + coeff * y for x, y in zip(v, cycles[index % len(cycles)])]
+    return EdgeChain.from_flat(v)
+
+
+_PICKS = st.lists(st.tuples(st.integers(0, 63), st.integers(-3, 3)), max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(odd_cone_origamis(), _PICKS)
+def test_quadratic_form_matches_the_walk_reference(origami, picks):
+    """The one-pass q equals q summed over the closed walks, with the
+    turning counted counterclockwise and clockwise."""
+    chain = _cycle_sum(chain_space(origami), picks)
+    assert quadratic_form_value(origami, chain) == \
+        walks.quadratic_form_value(origami, chain) == \
+        walks.quadratic_form_value(origami, chain, clockwise=True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(odd_cone_origamis(), _PICKS, _PICKS)
+def test_quadratic_form_refines_the_intersection_form(origami, picks_a, picks_b):
+    space = chain_space(origami)
+    a, b = _cycle_sum(space, picks_a), _cycle_sum(space, picks_b)
+    assert quadratic_form_value(origami, a + b) == (
+        quadratic_form_value(origami, a) + quadratic_form_value(origami, b)
+        + space.intersection(a, b)) % 2
+
+
+@settings(max_examples=100, deadline=None)
+@given(odd_cone_origamis())
+def test_spin_parity_is_constant_on_the_sl2z_orbit(origami):
+    """S and T generate SL(2,Z), so equal parities at both images of every
+    origami make the parity an orbit invariant."""
+    parity = spin_parity(origami).parity
+    for letter in ("S", "T"):
+        assert spin_parity(sl2z_act(letter, origami)).parity == parity
 
 
 def test_supplement_appendix_b(appendix_b):

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _walk_reference import germ_positions
 from origamis import linalg
 from origamis.affine import lift_all, matrix_in_chain_basis, matrix_on
 from origamis.errors import NotAbsolute
@@ -355,12 +356,13 @@ def _reference_intersection(space, a, b):
             coeff = bv[g if etype == "s" else n + g]
             sums.append(sums[-1] + (coeff if kind == "out" else -coeff))
         prefix.append(sums)
+    positions = germ_positions(space)
     total = 0
     for j, coeff in enumerate(av):
         if coeff:
             etype = "s" if j < n else "z"
-            head, arrival = space._germ_pos["in", etype, j % n]
-            tail, departure = space._germ_pos["out", etype, j % n]
+            head, arrival = positions["in", etype, j % n]
+            tail, departure = positions["out", etype, j % n]
             total += coeff * (prefix[head][arrival] - prefix[tail][departure + 1])
     return total
 

@@ -43,7 +43,7 @@ PUBLIC = [
     "isomorphisms", "make_origami", "sl2z_act", "stratum_and_genus",
     "veech_group", "vertex_classes", "AffineLift", "automorphism_lift",
     "lift", "lift_all", "matrix_on", "power_order",
-    "cylinders", "index_parity", "invariant_supplement", "multitwist",
+    "cylinders", "invariant_supplement", "multitwist",
     "spin_parity", "symplectic_basis", "Perm", "polygon_to_origami",
     "detect_d4", "finite_closure", "symplectic_subgroup", "Sl2zWord",
     "congruence_generators", "sl2z_word", "cocycle_growth", "decompose_ew",
