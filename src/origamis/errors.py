@@ -90,7 +90,8 @@ class NoMatchingLift(OrigamiError):
 
 
 class ProbeMovesMarks(OrigamiError):
-    """A probe lift does not fix every marked vertex class."""
+    """A probe lift moves a marked vertex class outside the marks (it may
+    permute the marks among themselves)."""
 
 
 class WrongSurface(OrigamiError):

@@ -278,9 +278,10 @@ class ChainSpace:
         return StandardSplitting(sigma, zeta, h1_0_abs, h1_0_rel)
 
     def integral_absolute_basis(self) -> list[Vec]:
-        """Z-basis of H_1(M, Z) = ker d / relations, as canonical integer rows."""
-        lattice = self._cycle_lattice(set(), False)
-        return [tuple(row) for row in linalg.hermite_row_basis(lattice)]
+        """Z-basis of H_1(M, Z) = ker d / relations, as canonical integer rows
+        in row Hermite form: `integer_kernel` returns trailing rows of a
+        Hermite form, and inserting the non-free edges' zero columns keeps it."""
+        return list(self._cycle_lattice(set(), False))
 
     # -- ribbon structure ----------------------------------------------------
 

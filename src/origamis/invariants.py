@@ -282,16 +282,17 @@ def symplectic_basis(gram: Mat) -> Mat:
 
     Pairs are interleaved: rows (a_1, b_1, a_2, b_2, ...), and
     <a_i, b_i> = 1.
+
+    The pairing-gcd test is the whole unimodularity check: each round keeps
+    a Z-basis v1, w + L' of the lattice, so finishing gives a unimodular C
+    with C gram C^T = J, whence det gram = 1, and with an odd rank the last
+    row pairs to 0 with everything and raises "degenerate block".
     """
     m = len(gram)
-    if m % 2 != 0:
-        raise NotUnimodular("odd rank")
     for i in range(m):
         for j in range(m):
             if gram[i][j] != -gram[j][i] or gram[i][j].denominator != 1:
                 raise NotUnimodular("not an integer antisymmetric matrix")
-    if abs(linalg.det(gram)) != 1:
-        raise NotUnimodular(f"determinant {linalg.det(gram)}")
 
     def form(x: Vec, gy: Vec):
         """<x, y> for gy = gram y."""
@@ -315,22 +316,17 @@ def symplectic_basis(gram: Mat) -> Mat:
             cur, x0, y0 = _xgcd(cur, vals[i])
             w = tuple(x0 * wx + y0 * bx for wx, bx in zip(w, basis[i]))
         if cur < 0:
-            w = tuple(-x for x in w)
-            cur = -cur
+            w, cur = tuple(-x for x in w), -cur
         if cur != 1:
             raise NotUnimodular("pairing gcd exceeds 1")
-        v2 = w
-        out.append(v1)
-        out.append(v2)
-        g2 = linalg.mat_vec(gram, v2)
-        new_basis = []
+        out += (v1, w)
+        g2 = linalg.mat_vec(gram, w)
+        # L': the projections of the basis that pair to 0 with v1 and w
+        projections = []
         for x in basis:
             c1, c2 = form(x, g1), form(x, g2)
-            proj = tuple(
-                xx + c1 * v2x - c2 * v1x
-                for xx, v1x, v2x in zip(x, v1, v2))
-            new_basis.append(proj)
-        basis = [tuple(row) for row in linalg.hermite_row_basis(new_basis)]
+            projections.append([y + c1 * b - c2 * a for y, a, b in zip(x, v1, w)])
+        basis = [tuple(row) for row in linalg.hermite_row_basis(projections)]
     return tuple(out)
 
 
@@ -361,13 +357,7 @@ def spin_parity(origami: Origami) -> SpinResult:
         raise OddOrderZeros("spin parity needs even zero orders")
     integral = space.integral_absolute_basis()
     change = symplectic_basis(space.gram(integral))
-    chains = []
-    for row in change:
-        v = [0] * (2 * origami.n)
-        for c, b in zip(row, integral):
-            if c:
-                v = [x + c * y for x, y in zip(v, b)]
-        chains.append(EdgeChain.from_flat(v))
+    chains = list(map(EdgeChain.from_flat, linalg.mat_mul(change, integral)))
     qvals = [quadratic_form_value(origami, c) for c in chains]
     g = len(chains) // 2
     total = sum(qvals[2 * i] * qvals[2 * i + 1] for i in range(g)) % 2
@@ -393,94 +383,72 @@ def invariant_supplement(origami: Origami, marks: Sequence[int],
                          ) -> SupplementCertificate:
     """Decide whether the marked relative classes admit an invariant supplement.
 
-    Probes must preserve the marked vertex set. For each probe P the section
-    condition is P (rep_k + corr_k) = sum_l c_kl (rep_l + corr_l), where the
-    coefficients c_kl are forced exactly by the boundary action (when every
-    probe fixes each mark, c is the identity and the condition is the familiar
-    (P - Id)(rep + corr) = 0). Feasible: returns the corrected sections.
-    Infeasible: returns the correction forced by the longest consistent probe
-    prefix, the first violated probe, and its nonzero residual.
+    Probes may permute the marked vertex classes. A probe P keeps the span
+    of the sections sigma_k = rep_k + sum_b s_kb corr_b when every residual
+    r_k(s) = P sigma_k - sum_l c_kl sigma_l vanishes, where c_kl solves
+    d(P rep_k) = sum_l c_kl d rep_l (c is the identity when every probe fixes
+    each mark). The corrections are absolute, so d sigma_l = d rep_l: c is
+    the boundary action on the sections for every s, d r_k(s) = 0, and r is
+    affine in s, r(s) = r(0) + sum_j s_j (r(e_j) - r(0)) on the unit vectors
+    e_j. So each probe adds the columns r(e_j) - r(0) and the right-hand
+    side -r(0) to one linear system in s. Feasible: returns the corrected
+    sections. Infeasible: returns the s forced by the longest consistent
+    probe prefix, the first violated probe, and its first nonzero residual
+    at that s.
     """
     space = chain_space(origami)
-    mark_set = set(marks)
-    for p in probes:
-        if any(p.vertex_perm(m) not in mark_set for m in marks):
-            raise ProbeMovesMarks("a probe moves a marked vertex class"
-                                  " outside the marks")
+    if any(p.vertex_perm(m) not in marks for p in probes for m in marks):
+        raise ProbeMovesMarks("a probe moves a marked vertex class"
+                              " outside the marks")
     if correction_basis is None:
         correction_basis = [EdgeChain.from_flat(v)
                             for v in space.absolute_subspace().basis]
-    if reps is None:
-        marked = space.marked_subspace(marks)
-        absolute = space.absolute_subspace()
-        reps = []
-        taken = list(absolute.basis)
-        for b in marked.basis:
-            stacked, _ = linalg.rref(tuple(taken + [b]))
-            if len(stacked) > len(taken):
+    if reps is None:  # marked classes independent modulo the absolute ones
+        taken, reps = list(space.absolute_subspace().basis), []
+        for b in space.marked_subspace(marks).basis:
+            if len(linalg.rref(tuple(taken + [b]))[0]) > len(taken):
                 reps.append(EdgeChain.from_flat(b))
                 taken.append(b)
-    reps = list(reps)
-    n_reps = len(reps)
-    n_corr = len(correction_basis)
-    corr_cols = tuple(space.canonical_vec(c.flat()) for c in correction_basis)
-    rep_cols = tuple(space.canonical_vec(c.flat()) for c in reps)
+    n_reps, n_corr = len(reps), len(correction_basis)
+    # the reps' then the corrections' canonical vectors
+    chains = tuple(space.canonical_vec(c.flat())
+                   for c in (*reps, *correction_basis))
     boundary_matrix = linalg.transpose(tuple(space.boundary_vec(c)
-                                             for c in rep_cols))
-    n2 = 2 * origami.n
+                                             for c in chains[:n_reps]))
 
-    rows_a: list[Vec] = []
-    rhs: list[Fraction] = []
-    solution: Vec | None = (0,) * (n_reps * n_corr)
+    def residuals(moved: Mat, c: Mat, s: Vec) -> list[Vec]:
+        # sigma = a . chains, a_k = (e_k, s_k0, ...); moved = P chains
+        a = [e + tuple(s[k * n_corr:(k + 1) * n_corr])
+             for k, e in enumerate(linalg.identity(n_reps))]
+        return list(map(linalg.vec_sub, linalg.mat_mul(a, moved),
+                        linalg.mat_mul(c, linalg.mat_mul(a, chains))))
+
+    zero = (0,) * (n_reps * n_corr)
+    rows_a, rhs = [], []
+    solution: Vec | None = zero
     for pidx, probe in enumerate(probes):
-        moved_reps = [probe.image(c) for c in rep_cols]
-        moved_corr = [probe.image(c) for c in corr_cols]
-        coeffs = []
-        for k in range(n_reps):
-            c_k = linalg.solve(boundary_matrix,
-                               space.boundary_vec(moved_reps[k]))
-            if c_k is None:
-                raise ProbeMovesMarks(
-                    "probe boundary action leaves the span of the sections")
-            coeffs.append(c_k)
-        for k in range(n_reps):
-            # P corr_k - sum_l c_kl corr_l = sum_l c_kl rep_l - P rep_k
-            columns = []
-            for l in range(n_reps):
-                for b in range(n_corr):
-                    col = [0] * n2
-                    if l == k:
-                        col = list(moved_corr[b])
-                    if coeffs[k][l]:
-                        col = [x - coeffs[k][l] * y
-                               for x, y in zip(col, corr_cols[b])]
-                    columns.append(tuple(col))
-            target = [0] * n2
-            for l in range(n_reps):
-                if coeffs[k][l]:
-                    target = [x + coeffs[k][l] * y
-                              for x, y in zip(target, rep_cols[l])]
-            target = [x - y for x, y in zip(target, moved_reps[k])]
-            for row_idx in range(n2):
-                rows_a.append(tuple(col[row_idx] for col in columns))
-                rhs.append(target[row_idx])
+        moved = tuple(map(probe.image, chains))
+        c = tuple(linalg.solve(boundary_matrix, space.boundary_vec(m))
+                  for m in moved[:n_reps])
+        if None in c:
+            raise ProbeMovesMarks(
+                "probe boundary action leaves the span of the sections")
+        at_zero = residuals(moved, c, zero)
+        columns = [list(map(linalg.vec_sub, residuals(moved, c, e), at_zero))
+                   for e in linalg.identity(len(zero))]
+        for k, r in enumerate(at_zero):
+            rows_a += (tuple(col[k][i] for col in columns) for i in range(len(r)))
+            rhs += (-x for x in r)
         prefix, solution = solution, linalg.solve(tuple(rows_a), tuple(rhs))
         if solution is None:  # the earlier probes' solution is forced
             forced = ({f"s_{b}": prefix[b] for b in range(n_corr)}
                       if n_reps == 1 else
                       {f"s_{k}_{b}": prefix[k * n_corr + b]
                        for k in range(n_reps) for b in range(n_corr)})
-            corrected = reps[0]
-            for b, c in enumerate(correction_basis):
-                corrected = corrected + c.scale(prefix[b])
-            flat = corrected.flat()
-            residual = EdgeChain.from_flat(linalg.vec_sub(
-                probe.image(flat), space.canonical_vec(flat)))
-            return SupplementCertificate(False, None, forced, pidx, residual)
-    section = []
-    for k in range(n_reps):
-        corrected = reps[k]
-        for b, c in enumerate(correction_basis):
-            corrected = corrected + c.scale(solution[k * n_corr + b])
-        section.append(corrected)
+            residual = next(r for r in residuals(moved, c, prefix) if any(r))
+            return SupplementCertificate(False, None, forced, pidx,
+                                         EdgeChain.from_flat(residual))
+    section = [sum((corr.scale(solution[k * n_corr + b])
+                    for b, corr in enumerate(correction_basis)), rep)
+               for k, rep in enumerate(reps)]
     return SupplementCertificate(True, section, None, None, None)

@@ -74,6 +74,18 @@ PINNED_SHA256 = {
     "group-orn-q-21-Hbreve": (
         ["group", "--name", "ornithorynque", "--q", "21", "--subspace", "Hbreve"],
         "f70d9ac08935ca657367dc92c8c1d7de3f0472d2f9243b306690898f00a3e4bb"),
+    # `supplement` in its three outcomes: feasible with a unique section,
+    # feasible with a particular solution of an underdetermined system, and
+    # infeasible at the last probe with s = (5/12, -5/24) forced
+    "supplement-vert-hor": (
+        ["supplement", "--name", "appendix-b", "--probes", "vert,hor"],
+        "e3e58efcbfceb6e1231265f9efa8b7a3f25a35f4fd0dc400f5b66afd1350b8d6"),
+    "supplement-hor": (
+        ["supplement", "--name", "appendix-b", "--probes", "hor"],
+        "883125d577cfe874b6cec2c413e3c00684dae81b2a54b5edfd543e9141eb4fdb"),
+    "supplement-diag-vert-hor": (
+        ["supplement", "--name", "appendix-b", "--probes", "diag,vert,hor"],
+        "b4965439d8b2db970b00eda65782b8b1565040ff0633e03c812672ac3742afa2"),
 }
 
 

@@ -364,6 +364,38 @@ def test_symplectic_basis_standard_j():
 def test_symplectic_basis_rejects_non_unimodular():
     with pytest.raises(NotUnimodular):
         symplectic_basis(_fractions([[0, 2], [-2, 0]]))
+    # an odd rank needs no check of its own: the last row pairs to 0 with
+    # everything and stops the reduction as a degenerate block
+    for gram in ([[0]], [[0, 1, 1], [-1, 0, 1], [-1, -1, 0]],
+                 [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]):
+        with pytest.raises(NotUnimodular, match="degenerate block"):
+            symplectic_basis(_fractions(gram))
+
+
+def test_symplectic_basis_accepts_exactly_the_unimodular_forms():
+    """The pairing-gcd test alone decides unimodularity: on random integer
+    antisymmetric matrices symplectic_basis succeeds exactly when
+    |det| = 1, and then returns a unimodular C with C gram C^T = J."""
+    rng = random.Random(7)
+    accepted = 0
+    for _ in range(300):
+        m = rng.choice((2, 4, 6))
+        upper = {(i, j): rng.randrange(-2, 3) for i in range(m) for j in range(i + 1, m)}
+        gram = _fractions([[upper[i, j] if i < j else -upper[j, i] if i > j else 0
+                            for j in range(m)] for i in range(m)])
+        if abs(linalg.det(gram)) != 1:
+            with pytest.raises(NotUnimodular):
+                symplectic_basis(gram)
+            continue
+        accepted += 1
+        change = symplectic_basis(gram)
+        j = tuple(tuple(1 if (i % 2 == 0 and k == i + 1) else
+                        -1 if (i % 2 == 1 and k == i - 1) else 0
+                        for k in range(m)) for i in range(m))
+        assert linalg.mat_mul(linalg.mat_mul(change, gram),
+                              linalg.transpose(change)) == j
+        assert abs(linalg.det(change)) == 1
+    assert accepted > 20
 
 
 def test_symplectic_basis_on_random_origamis():
@@ -543,6 +575,24 @@ def test_supplement_feasible_orn3(orn3, orn3_report):
     hrel = orn3_report.subspaces["H_rel"]
     assert all(hrel.coords_of(space.canonical_vec(c.flat())) is not None
                for c in cert.section)
+
+
+def test_supplement_residual_is_absolute_when_probes_permute_marks(orn3, orn3_report):
+    """S and T permute the singular vertices, so c is not the identity and
+    the reported residual is P sigma_k - sum_l c_kl sigma_l, an absolute
+    class, not P sigma_0 - sigma_0."""
+    origami = orn3.origami
+    space = chain_space(origami)
+    marks = space.singular_vertices()
+    probes = [orn3_report.lifts["S"], orn3_report.lifts["T"]]
+    assert any(p.vertex_perm(m) != m for p in probes for m in marks)
+    cert = invariant_supplement(origami, marks, probes,
+                                correction_basis=[orn3.tau(0)])
+    assert not cert.feasible
+    assert cert.violated_probe == 0
+    residual = cert.residual.flat()
+    assert any(residual)
+    assert not any(space.boundary_vec(residual))
 
 
 def test_supplement_rejects_probes_leaving_marks(orn3, orn3_report):
