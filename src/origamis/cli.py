@@ -16,7 +16,8 @@ import os
 import sys
 from math import prod
 
-from .errors import BadArgument, BadInputFile, NotInvariant, OrigamiError
+from .errors import (BadArgument, BadInputFile, NotInvariant, NotOrigami,
+                     OrigamiError)
 from .permutations import Perm
 
 # the keys of verification.VERIFY_SUITES, sorted; the parser reads them
@@ -66,9 +67,11 @@ def load_origami(args):
                              prod(max(c) - min(c) for c in zip(*pts)),
                              *_BOUNDS["cells"])
                 return polygons.polygon_to_origami(pts)
-            return make_origami(data["n"], Perm(data["r"]), Perm(data["u"]),
-                                data.get("base", 0))
-        except (OSError, ValueError, KeyError, TypeError) as err:
+            r, u = data["r"], data["u"]
+            if not all(type(x) is int for x in (*r, *u)):
+                raise TypeError("the images of r and u must be integers")
+            return make_origami(data["n"], r, u, data.get("base", 0))
+        except (OSError, ValueError, KeyError, TypeError, NotOrigami) as err:
             raise BadInputFile(f"cannot read an origami from {args.origami}: "
                                f"{type(err).__name__}: {err}") from err
     raise OrigamiError("need --name or --origami")
@@ -445,6 +448,11 @@ def run(argv=None) -> int:
     try:
         for option, (least, most) in _BOUNDS.items():
             _check_bound(f"--{option}", getattr(args, option, None), least, most)
+        if getattr(args, "q", None) is not None and (
+                args.suite != "theorem-b" if args.command == "verify"
+                else args.name != "ornithorynque"):
+            raise BadArgument("--q is read only by verify theorem-b and with "
+                              "--name ornithorynque")
         report = args.fn(args)
     except OrigamiError as err:
         emit({"error": type(err).__name__, "message": str(err)})

@@ -17,6 +17,10 @@ class NotPermutation(OrigamiError):
     """Malformed image list: not a bijection of [0, n)."""
 
 
+class NotOrigami(OrigamiError):
+    """n or the base square is not an int, or the base is not in [0, n)."""
+
+
 class NotTransitive(OrigamiError):
     """The group generated by r and u does not act transitively."""
 

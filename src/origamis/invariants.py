@@ -2,7 +2,7 @@
 and spin parity, and the invariant-supplement feasibility test.
 
 Directions are primitive integer vectors; a direction is normalized to
-horizontal by an SL(2,Z) word, cylinders are read off as merged r-cycle rows,
+horizontal by an SL(2,Z) word, cylinders are read off as r-cycle row chains,
 and everything is transported back through the exact edge substitutions.
 The spin form q = ind + 1 + self-crossings (Johnson) is read off one pass
 over a chain's vertex passages, and the spin parity is its Arf invariant on
@@ -33,7 +33,7 @@ def normalize_direction(p: int, q: int) -> tuple[tuple[int, int], Mat2]:
         raise ValueError("zero direction")
     d = gcd(abs(p), abs(q))
     p, q = p // d, q // d
-    _, x, y = _xgcd(p, q)  # x p + y q = 1
+    _, x, y = linalg.xgcd(p, q)  # x p + y q = 1
     return (p, q), ((x, y), (-q, p))
 
 
@@ -85,7 +85,17 @@ def cylinders(origami: Origami, direction: tuple[int, int]) -> CylinderDecomposi
 def _decomposition(origami: Origami, direction: tuple[int, int]
                    ) -> tuple[Origami, tuple[Row, ...], tuple[tuple, ...]]:
     """(normalized origami, `to_rows`, each cylinder's (rows, width, height,
-    core)) in a primitive direction."""
+    core)) in a primitive direction.
+
+    The rows are the r-cycles, and a cylinder is a chain of them. Square
+    u(r g) and square r(u g) have g's upper-right corner as their lower-left
+    one, so that corner is regular exactly when u r g = r u g. Across a
+    circle of regular vertices above row R, u r^j g = r^j u g for g in R:
+    u maps R onto the next row up, and u^-1 maps that row back onto R. So a
+    cylinder is the chain of rows walked up from a row with a non-regular
+    vertex on its lower circle, until the next such row. With no such row, u
+    permutes the rows in one cycle, <r, u> being transitive: one chain from 0.
+    """
     runs = sl2z_word(normalize_direction(*direction)[1]).exact_runs()
     normalized, to_rows = transport(origami, runs)
     # the lower-left corner of square g is a regular point exactly when the
@@ -93,40 +103,16 @@ def _decomposition(origami: Origami, direction: tuple[int, int]
     regular = [g == x for g, x in enumerate(normalized.commutator().images)]
     rows = normalized.r.cycles()
     row_of = {g: k for k, row in enumerate(rows) for g in row}
-    # rows merge across a circle carrying only regular vertices
-    parent = list(range(len(rows)))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for k, row in enumerate(rows):
-        up = row_of[normalized.u(row[0])]
-        if all(regular[normalized.u(g)] for g in row):
-            ra, rb = find(k), find(up)
-            if ra != rb:
-                parent[ra] = rb
-    groups: dict[int, list[int]] = {}
-    for k in range(len(rows)):
-        groups.setdefault(find(k), []).append(k)
+    up = [row_of[normalized.u(row[0])] for row in rows]
+    bottoms = [k for k, row in enumerate(rows)
+               if not all(regular[g] for g in row)] or [0]
     found = []
-    for members in groups.values():
-        # the bottom row has a non-regular circle below it, if any exists
-        bottoms = [k for k in members if not all(regular[g] for g in rows[k])]
-        bottom = min(bottoms) if bottoms else min(members)
-        ordered = [bottom]
-        while len(ordered) < len(members):
-            nxt = row_of[normalized.u(rows[ordered[-1]][0])]
-            if nxt == bottom:
-                break
-            ordered.append(nxt)
-        width = len(rows[bottom])
-        if sorted(ordered) != sorted(members) or \
-                any(len(rows[k]) != width for k in members):
-            raise Inconsistent("inconsistent cylinder rows")
-        found.append((tuple(tuple(rows[k]) for k in ordered), width, len(members)))
+    for bottom in bottoms:
+        chain = [bottom]
+        while up[chain[-1]] not in bottoms:
+            chain.append(up[chain[-1]])
+        found.append((tuple(rows[k] for k in chain), len(rows[bottom]),
+                      len(chain)))
     found.sort()
     # the cores are the bottom rows' sigma chains, transported back as the
     # columns of one map
@@ -313,7 +299,7 @@ def symplectic_basis(gram: Mat) -> Mat:
         cur = vals[idxs[0]]
         for i in idxs[1:]:
             # extended gcd on the pairing values
-            cur, x0, y0 = _xgcd(cur, vals[i])
+            cur, x0, y0 = linalg.xgcd(cur, vals[i])
             w = tuple(x0 * wx + y0 * bx for wx, bx in zip(w, basis[i]))
         if cur < 0:
             w, cur = tuple(-x for x in w), -cur
@@ -328,20 +314,6 @@ def symplectic_basis(gram: Mat) -> Mat:
             projections.append([y + c1 * b - c2 * a for y, a, b in zip(x, v1, w)])
         basis = [tuple(row) for row in linalg.hermite_row_basis(projections)]
     return tuple(out)
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        quo = old_r // r
-        old_r, r = r, old_r - quo * r
-        old_x, x = x, old_x - quo * x
-        old_y, y = y, old_y - quo * y
-    if old_r < 0:
-        return -old_r, -old_x, -old_y
-    return old_r, old_x, old_y
 
 
 class SpinResult(NamedTuple):

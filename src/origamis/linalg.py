@@ -125,23 +125,6 @@ def rref(a: Mat) -> tuple[Mat, list[int]]:
     return tuple([_divided(row, row[col]) for row, col in zip(rows, pivots)]), pivots
 
 
-def rank_mod(a: Mat, p: int) -> int:
-    """The rank modulo the prime p of the rows of a, each scaled to integers
-    over the lcm of its denominators: at most the rank over Q."""
-    pivots: list[tuple[int, list[int]]] = []
-    for row in a:
-        d = lcm(*map(_DENOMINATOR, row))
-        row = [x.numerator * (d // x.denominator) % p for x in row]
-        for c, pivot_row in pivots:
-            if f := row[c]:
-                row = [(x - f * y) % p for x, y in zip(row, pivot_row)]
-        c = next((j for j, x in enumerate(row) if x), None)
-        if c is not None:
-            inv = pow(row[c], -1, p)
-            pivots.append((c, [x * inv % p for x in row]))
-    return len(pivots)
-
-
 def solve(a: Mat, b: Vec) -> Vec | None:
     """One solution x of a x = b over Q, or None if inconsistent."""
     if not a:
@@ -235,39 +218,43 @@ def unit_pivot_reducer(rows: Sequence[Sequence[int]]) -> list[tuple[int, Vec]]:
     return [(j, tuple(row)) for j, row in done]
 
 
+def xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with g = gcd(a, b) >= 0 and x a + y b = g."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, (a, b) = a // b, (b, a % b)
+        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
+    sign = -1 if a < 0 else 1
+    return sign * a, sign * x0, sign * y0
+
+
 def hermite_row_basis(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     """Row Hermite normal form basis of the lattice spanned by integer rows:
     echelon rows with positive pivots, each entry above a pivot in
-    [0, pivot)."""
+    [0, pivot). Each column comes down to one row by 2 x 2 unimodular steps:
+    rows p, r with entries a, b there become x p + y r and (a r - b p) / g,
+    for (g, x, y) = xgcd(a, b), a step of determinant (x a + y b) / g = 1."""
     work = [list(map(int, row)) for row in rows if any(row)]
-    if not work:
-        return []
-    ncols = len(work[0])
     basis: list[list[int]] = []
-    col = 0
-    while work and col < ncols:
-        live = [r for r in work if r[col] != 0]
+    pivots: list[int] = []
+    for col in range(len(work[0]) if work else 0):
+        live = [row for row in work if row[col]]
         if not live:
-            col += 1
             continue
-        # gcd the column down to one row by repeated subtraction
-        while len([r for r in work if r[col] != 0]) > 1:
-            live = sorted((r for r in work if r[col] != 0), key=lambda r: abs(r[col]))
-            small = live[0]
-            for r in live[1:]:
-                q = r[col] // small[col]
-                for k in range(ncols):
-                    r[k] -= q * small[k]
-        pivot = next(r for r in work if r[col] != 0)
-        work.remove(pivot)
-        if pivot[col] < 0:
-            pivot = [-x for x in pivot]
-        basis.append(pivot)
-        col += 1
+        work = [row for row in work if not row[col]]
+        pivot = live[0]
+        for row in live[1:]:
+            g, x, y = xgcd(pivot[col], row[col])
+            a, b = pivot[col] // g, row[col] // g
+            pivot, row = ([x * p + y * r for p, r in zip(pivot, row)],
+                          [a * r - b * p for p, r in zip(pivot, row)])
+            if any(row):
+                work.append(row)
+        basis.append(pivot if pivot[col] > 0 else [-x for x in pivot])
+        pivots.append(col)
     # reduce above-pivot entries, first pivot first: a later pivot row is
     # zero in every earlier pivot column, so it leaves them reduced
-    for i in range(len(basis)):
-        pcol = next(j for j, x in enumerate(basis[i]) if x != 0)
+    for i, pcol in enumerate(pivots):
         for k in range(i):
             q = basis[k][pcol] // basis[i][pcol]
             if q:

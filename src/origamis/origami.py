@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import Inconsistent, NotTransitive
+from .errors import Inconsistent, NotOrigami, NotTransitive
 from .permutations import Perm, are_transitive, inverse_images, power_images
 from .sl2z import INVERSE_LETTER, Mat2, sl2z_word
 
@@ -50,6 +50,9 @@ class Stratum(NamedTuple):
 
 def make_origami(n: int, r: Perm | Sequence[int], u: Perm | Sequence[int],
                  base: int = 0) -> Origami:
+    if type(n) is not int or type(base) is not int or not 0 <= base < n:
+        raise NotOrigami(f"need an int n and a base square in [0, n), got "
+                         f"n={n!r}, base={base!r}")
     if not isinstance(r, Perm):
         r = Perm(r)
     if not isinstance(u, Perm):
@@ -91,31 +94,18 @@ def automorphisms(origami: Origami) -> list[Perm]:
 
 
 def isomorphisms(o1: Origami, o2: Origami) -> list[Perm]:
-    """All relabelings phi with phi r1 = r2 phi and phi u1 = u2 phi."""
-    if o1.n != o2.n:
+    """All relabelings phi with phi r1 = r2 phi and phi u1 = u2 phi, sorted:
+    mu^-1 lambda for each least labeling lambda of o1 in ``canonical_images``
+    and one mu of o2, none when the keys differ. Each labeling conjugates its
+    pair to the key, so these are isomorphisms; an isomorphism phi carries
+    starts to starts, so mu phi is the least labeling from phi^-1 mu^-1(0)."""
+    key, labelings = _least_labelings(o1.r.images, o1.u.images, _key_starts(o1))
+    key2, (mu, *_) = _least_labelings(o2.r.images, o2.u.images, _key_starts(o2))
+    if key != key2:
         return []
-    n = o1.n
-    # forward edges only: <r, u> is finite, so they reach every square
-    pairs = [(p1.images, p2.images) for p1, p2 in ((o1.r, o2.r), (o1.u, o2.u))]
-    found = []
-    for image0 in range(n):
-        images = [-1] * n
-        images[0] = image0
-        stack = [0]
-        ok = True
-        while stack and ok:
-            x = stack.pop()
-            for g1, g2 in pairs:
-                y, fy = g1[x], g2[images[x]]
-                if images[y] == -1:
-                    images[y] = fy
-                    stack.append(y)
-                elif images[y] != fy:
-                    ok = False
-                    break
-        if ok and all(v >= 0 for v in images) and len(set(images)) == n:
-            found.append(Perm(images))
-    return sorted(found, key=lambda p: p.images)
+    mu_inv = inverse_images(mu)
+    return [Perm(images) for images in
+            sorted([mu_inv[x] for x in label] for label in labelings)]
 
 
 def act_on_images(letter: str, r: Sequence[int], u: Sequence[int], k: int = 1
@@ -168,7 +158,14 @@ def canonical_pair(origami: Origami) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 def canonical_images(r: Sequence[int], u: Sequence[int], starts: Iterable[int]
                      ) -> tuple[int, ...]:
-    """The least interleaved images r_0, u_0, r_1, u_1, ... of the relabeled
+    """The key of ``_least_labelings``."""
+    return _least_labelings(r, u, starts)[0]
+
+
+def _least_labelings(r: Sequence[int], u: Sequence[int], starts: Iterable[int]
+                     ) -> tuple[tuple[int, ...], list[list[int]]]:
+    """(key, the labelings square -> label that give it): the key is the
+    least interleaved images r_0, u_0, r_1, u_1, ... of the relabeled
     pair over the forward BFS relabelings from ``starts`` (square k's
     r-image, then its u-image, get the next free labels).
 
@@ -182,7 +179,7 @@ def canonical_images(r: Sequence[int], u: Sequence[int], starts: Iterable[int]
     squares.
     """
     n = len(r)
-    best = None
+    best, least = None, []
     for start in starts:
         label = [-1] * n
         label[start] = 0
@@ -213,8 +210,10 @@ def canonical_images(r: Sequence[int], u: Sequence[int], starts: Iterable[int]
             if len(order) < n:
                 raise NotTransitive("<r, u> is not transitive")
             if smaller:
-                best = flat
-    return tuple(best)
+                best, least = flat, [label]
+            else:
+                least.append(label)
+    return tuple(best), least
 
 
 class VeechGroup:

@@ -21,7 +21,7 @@ class Perm:
         n = len(images)
         seen = [False] * n
         for x in images:
-            if not isinstance(x, int) or not 0 <= x < n or seen[x]:
+            if type(x) is not int or not 0 <= x < n or seen[x]:
                 raise NotPermutation(f"not a permutation of [0, {n}): {images!r}")
             seen[x] = True
         object.__setattr__(self, "images", images)

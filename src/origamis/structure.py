@@ -77,19 +77,13 @@ def _blocks_on(sub: Subspace, lifts: Sequence[AffineLift]) -> list[Mat] | None:
         return None
 
 
-_PRIME = 2 ** 61 - 1  # a Mersenne prime: the direct-sum certificate's modulus
-
-
 def _direct_sum_ok(space: ChainSpace, parts: Sequence[Subspace],
                    total_dim: int) -> bool:
-    """Whether the parts' bases are independent and span total_dim. Their
-    rank mod _PRIME is at most their rank over Q, at most the sum of their
-    dims: equal to that sum and to total_dim, it proves the check. Any other
-    outcome is decided over Q by rref, so a false is exact."""
+    """Whether the parts' bases are independent and span total_dim: the
+    rref of the stacked bases has the sum of their dims as its rank."""
     dims = sum(p.dim for p in parts)
-    stacked = [v for p in parts for v in p.basis]
-    return dims == total_dim and (linalg.rank_mod(stacked, _PRIME) == dims or
-                                  space.subspace_from_vecs(stacked).dim == dims)
+    return dims == total_dim and space.subspace_from_vecs(
+        v for p in parts for v in p.basis).dim == dims
 
 
 def decompose_ew(ew: Wollmilchsau) -> DecompositionReport:

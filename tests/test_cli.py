@@ -210,13 +210,31 @@ AB = ["--name", "appendix-b"]
     (["supplement", *AB, "--probes", ""], None, "BadArgument"),
     (["verify", "theorem-b", "--q", "0"], None, "EvenQ"),
     (["verify", "theorem-b", "--q", "1"], None, "EvenQ"),
+    (["action", "--origami", "{path}", "--matrix", "[[1,1],[0,1]]"],
+     json.dumps({"n": 1, "r": [0], "u": [0], "base": 5}), "BadInputFile"),
+    (FILE, json.dumps({"n": 2, "r": [1, 0], "u": [0, 1], "base": -1}),
+     "BadInputFile"),
+    (FILE, json.dumps({"n": 2.0, "r": [1, 0], "u": [0, 1]}), "BadInputFile"),
+    (FILE, json.dumps({"n": True, "r": [0], "u": [0]}), "BadInputFile"),
+    (FILE, json.dumps({"n": 2, "r": [True, False], "u": [0, 1]}),
+     "BadInputFile"),
+    (["verify", "theorem-a", "--q", "5"], None, "BadArgument"),
+    (["verify", "appendix-a", "--q", "5"], None, "BadArgument"),
+    (["verify", "appendix-b", "--q", "5"], None, "BadArgument"),
+    (["info", *EW, "--q", "3"], None, "BadArgument"),
+    (["decompose", *AB, "--q", "3"], None, "BadArgument"),
+    ([*FILE, "--q", "3"], json.dumps({"n": 2, "r": [1, 0], "u": [0, 1]}),
+     "BadArgument"),
 ], ids=["missing", "unreadable", "not-json", "missing-key", "wrong-type",
         "not-object", "dir-one-number", "dir-not-integers", "dir-zero",
         "matrix-not-json", "matrix-not-2x2", "matrix-not-integer",
         "veech-matrix-det-2", "action-matrix-det-0", "aut-not-json",
         "cap-negative", "len-zero", "trials-zero", "level-one",
         "basis-unknown", "subspace-unknown", "probes-unknown", "probes-empty",
-        "verify-q-zero", "verify-q-one"])
+        "verify-q-zero", "verify-q-one", "base-past-n", "base-negative",
+        "n-float", "n-bool", "images-bool", "q-unread-theorem-a",
+        "q-unread-appendix-a", "q-unread-appendix-b", "q-unread-ew",
+        "q-unread-appendix-b-name", "q-unread-origami-file"])
 def test_bad_origami_file_is_usage_error(tmp_path, argv, content, error):
     """Bad --origami files and bad option values answer a JSON error, not a
     traceback: exit code 2 for a usage error, 1 for a domain error such as

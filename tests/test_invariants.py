@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _search_reference as reference
 import _walk_reference as walks
 from origamis import invariants, linalg
 from origamis.affine import automorphism_lift, lift_all
@@ -653,3 +654,19 @@ def test_cached_decompositions_and_lattices_match_fresh_ones(n, rng, words):
         except NotInVeechGroup:
             lifted = False
         assert group.contains(m) == lifted
+
+
+GENUS_ONE = [make_origami(6, Perm([1, 2, 0, 4, 5, 3]), Perm([3, 4, 5, 1, 2, 0])),
+             make_origami(4, Perm([1, 2, 3, 0]), Perm([2, 3, 0, 1])), TORUS]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 9), st.randoms(use_true_random=False))
+def test_cylinders_match_the_union_find_reference(n, rng):
+    """The row chains are the cylinders of merging rows across regular
+    circles, with the same rows, widths, heights and cores."""
+    origami = make_origami(n, *random_transitive_pair(n, rng))
+    for surface in (origami, rng.choice(GENUS_ONE)):
+        for direction in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (3, -2)):
+            assert tuple(cylinders(surface, direction).cylinders) == \
+                reference.cylinders(surface, direction)

@@ -172,6 +172,40 @@ def test_hermite_row_basis_is_reduced(seed):
             assert all(0 <= basis[k][p] < basis[i][p] for k in range(i))
 
 
+def test_xgcd_on_a_grid_with_zeros_and_negatives():
+    for a in range(-13, 14):
+        for b in range(-13, 14):
+            g, x, y = linalg.xgcd(a, b)
+            assert g == math.gcd(a, b) >= 0 and x * a + y * b == g
+
+
+def _unimodular(rng: random.Random, k: int):
+    """A random k x k integer matrix of determinant +-1: row additions and
+    swaps applied to the identity."""
+    u = [[int(i == j) for j in range(k)] for i in range(k)]
+    for _ in range(3 * k):
+        i, j = rng.randrange(k), rng.randrange(k)
+        if i == j:
+            continue
+        if rng.random() < 0.2:
+            u[i], u[j] = u[j], u[i]
+        else:
+            c = rng.choice((-2, -1, 1, 2))
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    return tuple(map(tuple, u))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_hermite_row_basis_is_unique_under_unimodular_rows(seed):
+    # the row Hermite form depends on the lattice only, not on its basis
+    rng = random.Random(1000 + seed)
+    for a in _matrices(seed):
+        u = _unimodular(rng, len(a))
+        assert abs(sympy.Matrix(u).det()) == 1
+        assert linalg.hermite_row_basis(linalg.mat_mul(u, a)) == \
+            linalg.hermite_row_basis(a)
+
+
 def _max_minor_gcd(rows) -> int:
     k = len(rows)
     m = sympy.Matrix(rows)

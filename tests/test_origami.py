@@ -6,7 +6,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from origamis.errors import Inconsistent, NotPermutation, NotTransitive
+import _search_reference as reference
+from origamis.errors import (Inconsistent, NotOrigami, NotPermutation,
+                             NotTransitive)
 from origamis.origami import (BRAID_WALKS, VeechGroup, act_by_letters,
                               automorphisms, canonical_images, canonical_pair,
                               isomorphisms, make_origami, sl2z_act,
@@ -308,9 +310,9 @@ def test_canonical_key_is_complete_invariant():
         keys = [canonical_pair(o) for o in group]
         for o, key in zip(group, keys):
             # the key is itself a relabeling of the pair
-            assert isomorphisms(o, make_origami(o.n, *key))
+            assert reference.isomorphisms(o, make_origami(o.n, *key))
         for (o1, k1), (o2, k2) in itertools.combinations(zip(group, keys), 2):
-            assert (k1 == k2) == bool(isomorphisms(o1, o2))
+            assert (k1 == k2) == bool(reference.isomorphisms(o1, o2))
 
 
 @st.composite
@@ -336,7 +338,24 @@ def test_canonical_pair_is_a_complete_invariant_property(data):
         _transitive_origamis(origami.n),
         st.sampled_from(["S", "T", "S-", "T-"]).map(
             lambda letter: sl2z_act(letter, origami))))
-    assert (canonical_pair(other) == key) == bool(isomorphisms(origami, other))
+    assert (canonical_pair(other) == key) == \
+        bool(reference.isomorphisms(origami, other))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.data())
+def test_isomorphisms_match_the_propagation_reference(data):
+    """The relabelings read off the key's least labelings are the propagated
+    ones: on the pair itself, a relabeled copy, its S and T images, and
+    unrelated pairs of the same and of any size."""
+    origami = data.draw(_transitive_origamis())
+    sigma = data.draw(st.permutations(range(origami.n)))
+    others = [origami, _conjugated(origami, sigma), sl2z_act("S", origami),
+              sl2z_act("T", origami), data.draw(_transitive_origamis(origami.n)),
+              data.draw(_transitive_origamis())]
+    for other in others:
+        assert isomorphisms(origami, other) == \
+            reference.isomorphisms(origami, other)
 
 
 def test_veech_group_matches_all_starts_reference():

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from origamis import linalg, structure, verification
+from origamis import linalg, verification
 from origamis.affine import (automorphism_lift, lift, matrix_in_chain_basis,
                              matrix_on)
 from origamis.catalog import QUATERNION_ORDER, catalog
@@ -889,18 +889,18 @@ def test_power_growth_rate_matches_own_loop():
         assert power_growth_rate(m, 400) == _power_growth_by_own_loop(m, 400)
 
 
-# -- the modular direct-sum certificate ----------------------------------------
+# -- the direct-sum check -------------------------------------------------------
 
 
 @functools.lru_cache(maxsize=1)
 def _direct_sum_cases():
     """(name, chain space, parts, total dim) as the decompositions check them:
-    ew and the odd-q family for q = 3..15."""
+    ew and the odd-q family for q = 3, 5, 7."""
     rep = decompose_ew(catalog("eierlegende-wollmilchsau"))
     space = chain_space(rep.origami)
     cases = [("ew", space, [rep.subspaces[k] for k in ("H1_st", "H1_0", "H_rel")],
               space.full_subspace().dim)]
-    for q in range(3, 16, 2):
+    for q in (3, 5, 7):
         rep = decompose_orn(catalog("ornithorynque", q=q))
         space = chain_space(rep.origami)
         cases.append((f"q{q}", space,
@@ -925,45 +925,11 @@ def _mutations(parts):
             parts[:-1] + [Subspace(basis + basis[:1], pivots + pivots[:1])]]
 
 
-def _count_rref_fallbacks(monkeypatch):
-    calls = []
-    original = ChainSpace.subspace_from_vecs
-
-    def spy(self, vecs):
-        calls.append(1)
-        return original(self, vecs)
-    monkeypatch.setattr(ChainSpace, "subspace_from_vecs", spy)
-    return calls
-
-
-def test_direct_sum_certificate_agrees_with_rref(monkeypatch):
-    calls = _count_rref_fallbacks(monkeypatch)
-    for name, space, parts, total in _direct_sum_cases():
-        assert _rref_direct_sum(space, parts, total) is True, name
-        before = len(calls)
-        assert _direct_sum_ok(space, parts, total) is True, name
-        # the certificate decides a true answer without eliminating over Q
-        assert len(calls) == before, name
-
-
 def test_direct_sum_of_mutated_parts_is_false():
     # each wrong answer is an elimination over Q: ew and q = 3, 5, 7
-    for name, space, parts, total in _direct_sum_cases()[:4]:
+    for name, space, parts, total in _direct_sum_cases():
         for mutated in _mutations(list(parts)):
             assert _rref_direct_sum(space, mutated, total) is False, name
             assert _direct_sum_ok(space, mutated, total) is False, name
 
 
-def test_direct_sum_falls_back_to_rref_where_the_rank_drops(monkeypatch):
-    # modulo 2 the stacked bases lose rank on every case; the answer must
-    # still be the exact one, from the rref fallback
-    monkeypatch.setattr(structure, "_PRIME", 2)
-    calls = _count_rref_fallbacks(monkeypatch)
-    for name, space, parts, total in _direct_sum_cases()[:4]:
-        stacked = [v for p in parts for v in p.basis]
-        assert linalg.rank_mod(stacked, 2) < total, name
-        before = len(calls)
-        assert _direct_sum_ok(space, parts, total) is True, name
-        assert len(calls) == before + 1, name
-        for mutated in _mutations(list(parts)):
-            assert _direct_sum_ok(space, mutated, total) is False, name
