@@ -12,6 +12,9 @@ Importing the package runs none of its modules. Each library module is put in
 first read from it; each name of `__all__` is read from its module on first
 access. So a CLI command runs only the modules it uses. The CLI itself loads
 the usual way, since `python -m` runs a module that is not yet imported.
+A library module imports names only from the siblings that every one of its
+paths runs; it binds a sibling that only some run as the lazy module
+(`from . import rootsys`) and reads it at call time (`rootsys.grows(m)`).
 """
 
 import importlib.util

@@ -19,11 +19,10 @@ from __future__ import annotations
 
 import functools
 
+from . import homology, polygons
 from .errors import EvenQ, UnknownName
-from .homology import EdgeChain, sigma_chain, zeta_chain
 from .origami import Origami, make_origami
 from .permutations import Perm
-from . import polygons
 
 QUATERNION_ORDER = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
 _AXIS = {"1": 0, "i": 1, "j": 2, "k": 3}
@@ -68,33 +67,33 @@ class Wollmilchsau:
         u = Perm([quaternion_index(quaternion_mul(g, "j")) for g in QUATERNION_ORDER])
         self.origami = make_origami(n, r, u)
 
-    def sigma(self, g: str, coeff=1) -> EdgeChain:
-        return sigma_chain(8, quaternion_index(g), coeff)
+    def sigma(self, g: str, coeff=1) -> homology.EdgeChain:
+        return homology.sigma_chain(8, quaternion_index(g), coeff)
 
-    def zeta(self, g: str, coeff=1) -> EdgeChain:
-        return zeta_chain(8, quaternion_index(g), coeff)
+    def zeta(self, g: str, coeff=1) -> homology.EdgeChain:
+        return homology.zeta_chain(8, quaternion_index(g), coeff)
 
-    def sigma_hat(self, g: str) -> EdgeChain:
+    def sigma_hat(self, g: str) -> homology.EdgeChain:
         return self.sigma(g) - self.sigma(quaternion_mul("-1", g))
 
-    def zeta_hat(self, g: str) -> EdgeChain:
+    def zeta_hat(self, g: str) -> homology.EdgeChain:
         return self.zeta(g) - self.zeta(quaternion_mul("-1", g))
 
-    def epsilon(self, g: str) -> EdgeChain:
+    def epsilon(self, g: str) -> homology.EdgeChain:
         return self.sigma_hat(g) - self.sigma_hat(quaternion_mul(g, "j"))
 
-    def w(self, axis: str) -> EdgeChain:
+    def w(self, axis: str) -> homology.EdgeChain:
         """The relative classes w_i, w_j, w_k."""
         plus = {"i": ("1", "-1", "i", "-i"), "j": ("1", "-1", "j", "-j"),
                 "k": ("1", "-1", "k", "-k")}[axis]
-        out = EdgeChain.zero(8)
+        out = homology.EdgeChain.zero(8)
         for g in QUATERNION_ORDER:
             sign = 1 if g in plus else -1
             out = out + (self.zeta(g, sign) if axis in ("i", "k")
                          else self.sigma(g, sign))
         return out
 
-    def w_hat(self, vertex: str) -> EdgeChain:
+    def w_hat(self, vertex: str) -> homology.EdgeChain:
         signs = {"1": (1, 1, 1), "i": (1, -1, -1), "j": (-1, 1, -1),
                  "k": (-1, -1, 1)}[vertex]
         wi, wj, wk = self.w("i"), self.w("j"), self.w("k")
@@ -142,61 +141,61 @@ class Ornithorynque:
         self.origami = make_origami(n, Perm(r_images), Perm(u_images))
 
     # named edges per the pinned dictionary
-    def sigma(self, i: int, coeff=1) -> EdgeChain:
-        return sigma_chain(4 * self.q, self.idx(i, 1, 1), coeff)
+    def sigma(self, i: int, coeff=1) -> homology.EdgeChain:
+        return homology.sigma_chain(4 * self.q, self.idx(i, 1, 1), coeff)
 
-    def sigma_p(self, i: int, coeff=1) -> EdgeChain:
-        return sigma_chain(4 * self.q, self.idx(i, 0, 1), coeff)
+    def sigma_p(self, i: int, coeff=1) -> homology.EdgeChain:
+        return homology.sigma_chain(4 * self.q, self.idx(i, 0, 1), coeff)
 
-    def zeta(self, i: int, coeff=1) -> EdgeChain:
-        return zeta_chain(4 * self.q, self.idx(i, 1, 1), coeff)
+    def zeta(self, i: int, coeff=1) -> homology.EdgeChain:
+        return homology.zeta_chain(4 * self.q, self.idx(i, 1, 1), coeff)
 
-    def zeta_p(self, i: int, coeff=1) -> EdgeChain:
-        return zeta_chain(4 * self.q, self.idx(i, 1, 0), coeff)
+    def zeta_p(self, i: int, coeff=1) -> homology.EdgeChain:
+        return homology.zeta_chain(4 * self.q, self.idx(i, 1, 0), coeff)
 
-    def sigma_total(self) -> EdgeChain:
-        out = EdgeChain.zero(4 * self.q)
+    def sigma_total(self) -> homology.EdgeChain:
+        out = homology.EdgeChain.zero(4 * self.q)
         for i in range(self.q):
             out = out + self.sigma(i) + self.sigma_p(i)
         return out
 
-    def zeta_total(self) -> EdgeChain:
-        out = EdgeChain.zero(4 * self.q)
+    def zeta_total(self) -> homology.EdgeChain:
+        out = homology.EdgeChain.zero(4 * self.q)
         for i in range(self.q):
             out = out + self.zeta(i) + self.zeta_p(i)
         return out
 
-    def sigma_flat(self) -> EdgeChain:
-        out = EdgeChain.zero(4 * self.q)
+    def sigma_flat(self) -> homology.EdgeChain:
+        out = homology.EdgeChain.zero(4 * self.q)
         for i in range(self.q):
             out = out + self.sigma(i) - self.sigma_p(i)
         return out
 
-    def zeta_flat(self) -> EdgeChain:
-        out = EdgeChain.zero(4 * self.q)
+    def zeta_flat(self) -> homology.EdgeChain:
+        out = homology.EdgeChain.zero(4 * self.q)
         for i in range(self.q):
             out = out + self.zeta(i) - self.zeta_p(i)
         return out
 
-    def a(self, i: int) -> EdgeChain:
+    def a(self, i: int) -> homology.EdgeChain:
         return self.sigma(i) - self.sigma(i + 1)
 
-    def a_p(self, i: int) -> EdgeChain:
+    def a_p(self, i: int) -> homology.EdgeChain:
         return self.sigma_p(i) - self.sigma_p(i + 1)
 
-    def b(self, i: int) -> EdgeChain:
+    def b(self, i: int) -> homology.EdgeChain:
         return self.zeta(i) - self.zeta(i + 1)
 
-    def b_p(self, i: int) -> EdgeChain:
+    def b_p(self, i: int) -> homology.EdgeChain:
         return self.zeta_p(i) - self.zeta_p(i + 1)
 
-    def tau(self, i: int) -> EdgeChain:
+    def tau(self, i: int) -> homology.EdgeChain:
         return self.a(i) - self.a_p(i - 1)
 
-    def sigma_breve(self, i: int) -> EdgeChain:
+    def sigma_breve(self, i: int) -> homology.EdgeChain:
         return self.a(i) + self.a_p(i - 1)
 
-    def zeta_breve(self, i: int) -> EdgeChain:
+    def zeta_breve(self, i: int) -> homology.EdgeChain:
         return self.b_p(i) + self.b(i - 1)
 
     def shift(self, g: int) -> Perm:
@@ -222,21 +221,21 @@ class AppendixB:
         self.surface = polygons.PolygonSurface(APPENDIX_B_VERTICES)
         self.origami = self.surface.origami
 
-    def zeta_side(self, letter: str) -> EdgeChain:
+    def zeta_side(self, letter: str) -> homology.EdgeChain:
         ends = {"a": ((0, 0), (1, 2)), "b": ((1, 2), (2, 3)),
                 "c": ((2, 3), (3, 3)), "d": ((3, 3), (4, 2)),
                 "e": ((4, 2), (5, 1))}[letter]
         return self.surface.path_chain(*ends)
 
-    def zeta0(self) -> EdgeChain:
+    def zeta0(self) -> homology.EdgeChain:
         za, zb, zd, ze = (self.zeta_side(x) for x in "abde")
         return (za - ze).scale(2) - (zb - zd).scale(3)
 
-    def zeta1(self) -> EdgeChain:
+    def zeta1(self) -> homology.EdgeChain:
         za, zc, ze = (self.zeta_side(x) for x in "ace")
         return za - zc.scale(3) + ze.scale(2)
 
-    def zeta_star(self) -> EdgeChain:
+    def zeta_star(self) -> homology.EdgeChain:
         return self.zeta_side("e") - self.zeta_side("d")
 
 

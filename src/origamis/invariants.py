@@ -17,8 +17,7 @@ from math import gcd, lcm
 from operator import mul
 from typing import NamedTuple, Sequence
 
-from . import linalg
-from .affine import AffineLift, Row, lift_all, transport
+from . import affine, linalg
 from .errors import (EvenConeMultiplicity, Inconsistent, NoMatchingLift,
                      NotAbsolute, NotUnimodular, OddOrderZeros, ProbeMovesMarks)
 from .homology import EdgeChain, chain_space
@@ -56,7 +55,7 @@ class CylinderDecomposition(NamedTuple):
     normalizer: Mat2
     normalized: Origami
     cylinders: list[Cylinder]
-    to_rows: tuple[Row, ...]
+    to_rows: tuple[affine.Row, ...]
 
 
 def _pairing_row(decomp: CylinderDecomposition,
@@ -83,7 +82,7 @@ def cylinders(origami: Origami, direction: tuple[int, int]) -> CylinderDecomposi
 
 @functools.lru_cache(16)
 def _decomposition(origami: Origami, direction: tuple[int, int]
-                   ) -> tuple[Origami, tuple[Row, ...], tuple[tuple, ...]]:
+                   ) -> tuple[Origami, tuple[affine.Row, ...], tuple[tuple, ...]]:
     """(normalized origami, `to_rows`, each cylinder's (rows, width, height,
     core)) in a primitive direction.
 
@@ -97,7 +96,7 @@ def _decomposition(origami: Origami, direction: tuple[int, int]
     permutes the rows in one cycle, <r, u> being transitive: one chain from 0.
     """
     runs = sl2z_word(normalize_direction(*direction)[1]).exact_runs()
-    normalized, to_rows = transport(origami, runs)
+    normalized, to_rows = affine.transport(origami, runs)
     # the lower-left corner of square g is a regular point exactly when the
     # commutator, whose cycles are the vertex classes, fixes g
     regular = [g == x for g, x in enumerate(normalized.commutator().images)]
@@ -120,7 +119,7 @@ def _decomposition(origami: Origami, direction: tuple[int, int]
     for c, (cyl_rows, _, _) in enumerate(found):
         for g in cyl_rows[0]:
             columns[g] = {c: 1}
-    _, cores = transport(normalized, inverse_runs(runs), columns)
+    _, cores = affine.transport(normalized, inverse_runs(runs), columns)
     if sum(width * height for _, width, height in found) != origami.n:
         raise Inconsistent("cylinder areas must tile the surface")
     return normalized, to_rows, tuple(
@@ -139,7 +138,7 @@ class MultiTwist(NamedTuple):
     linear: Mat2
     twist_counts: list[Fraction]
     decomposition: CylinderDecomposition
-    lift: AffineLift
+    lift: affine.AffineLift
 
 
 def multitwist(origami: Origami, direction: tuple[int, int]) -> MultiTwist:
@@ -183,7 +182,7 @@ def multitwist(origami: Origami, direction: tuple[int, int]) -> MultiTwist:
     marked = space.marked_subspace(space.singular_vertices()) \
         if space.singular_vertices() else space.absolute_subspace()
     targets = [space.canonical_vec(twist_formula(b)) for b in marked.basis]
-    best = next((lf for lf in lift_all(origami, linear)
+    best = next((lf for lf in affine.lift_all(origami, linear)
                  if all(lf.image(b) == t for b, t in zip(marked.basis, targets))),
                 None)
     if best is None:
@@ -349,7 +348,7 @@ class SupplementCertificate(NamedTuple):
 
 
 def invariant_supplement(origami: Origami, marks: Sequence[int],
-                         probes: Sequence[AffineLift],
+                         probes: Sequence[affine.AffineLift],
                          reps: Sequence[EdgeChain] | None = None,
                          correction_basis: Sequence[EdgeChain] | None = None
                          ) -> SupplementCertificate:

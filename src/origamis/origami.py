@@ -100,7 +100,8 @@ def isomorphisms(o1: Origami, o2: Origami) -> list[Perm]:
     pair to the key, so these are isomorphisms; an isomorphism phi carries
     starts to starts, so mu phi is the least labeling from phi^-1 mu^-1(0)."""
     key, labelings = _least_labelings(o1.r.images, o1.u.images, _key_starts(o1))
-    key2, (mu, *_) = _least_labelings(o2.r.images, o2.u.images, _key_starts(o2))
+    key2, (mu, *_) = (key, labelings) if o2 == o1 else \
+        _least_labelings(o2.r.images, o2.u.images, _key_starts(o2))
     if key != key2:
         return []
     mu_inv = inverse_images(mu)

@@ -27,8 +27,9 @@ from .linalg import Mat, Vec
 
 
 class FiniteMatrixGroup:
-    def __init__(self, elements: tuple[Mat, ...]):
+    def __init__(self, elements: tuple[Mat, ...], actions: dict | None = None):
         self.elements = elements
+        self.actions = actions or {}
 
     @property
     def order(self) -> int:
@@ -59,8 +60,10 @@ def finite_closure(generators: Sequence[Mat], cap: int):
     each element with column k the image of e_k. It multiplies by the
     distinct generators other than the identity: a product by a repeated
     generator or by the identity is already seen, so skipping them changes
-    neither the elements nor their order. The witness word indexes the
-    generators as given."""
+    neither the elements nor their order. The group keeps as `actions` each
+    given generator, the identity included, to its permutation of X, which
+    is faithful since X holds the unit vectors; a group built from listed
+    elements keeps none. The witness word indexes the generators as given."""
     gens = tuple(generators)
     if not gens:
         raise ValueError("need at least one generator")
@@ -104,8 +107,10 @@ def finite_closure(generators: Sequence[Mat], cap: int):
                         return _unbounded_witness(gens, cap)
         queue = nxt
     cols = [index[e] for e in units]
+    actions = dict(zip(steps, perms))
     return FiniteMatrixGroup(tuple(
-        linalg.transpose([points[p[k]] for k in cols]) for p in order))
+        linalg.transpose([points[p[k]] for k in cols]) for p in order),
+        {g: actions.get(g, start) for g in gens})
 
 
 def _unbounded_witness(gens: Sequence[Mat], cap: int) -> UnboundedWitness:

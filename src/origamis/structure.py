@@ -17,7 +17,7 @@ import random
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from . import linalg
+from . import linalg, rootsys
 from .affine import AffineLift, automorphism_lift, lift, matrix_on
 from .catalog import (QUATERNION_ORDER, Ornithorynque, Wollmilchsau,
                       quaternion_mul)
@@ -25,7 +25,7 @@ from .errors import ActionNotFinite, NotInCyclicImage, NotInvariant, WrongSurfac
 from .homology import ChainSpace, EdgeChain, Subspace, chain_space
 from .linalg import Mat
 from .origami import Origami, automorphisms
-from .rootsys import UnboundedWitness, finite_closure
+from .permutations import inverse_images
 from .sl2z import CongruenceSubgroup, ID2, J_MAT, S_MAT, T_MAT, mat_pow
 
 
@@ -229,6 +229,7 @@ def kernel_is_congruence(subspaces: Sequence[Subspace], level: int,
     certifies the same as lifting the generator: a product of lifts equals
     the lift of the product up to an automorphism, and aut_lifts must be
     the lifts of every automorphism, so their actions are the Aut image.
+    Each word is composed from the permutations that the closure keeps.
     """
     if [lf.linear for lf in sl_lifts] != [S_MAT, T_MAT]:
         raise ValueError("sl_lifts must be lifts of S and then T")
@@ -238,21 +239,24 @@ def kernel_is_congruence(subspaces: Sequence[Subspace], level: int,
         raise ValueError("aut_lifts must be the lifts of every automorphism")
     s_act, t_act = (combined_action(lf, subspaces) for lf in sl_lifts)
     auts = [combined_action(lf, subspaces) for lf in aut_lifts]
-    closure = finite_closure([s_act, t_act] + auts, cap)
-    if isinstance(closure, UnboundedWitness):
+    closure = rootsys.finite_closure([s_act, t_act] + auts, cap)
+    if isinstance(closure, rootsys.UnboundedWitness):
         raise ActionNotFinite(f"combined action grows along word {closure.word}")
     subgroup = CongruenceSubgroup(level)
     expected = subgroup.index * len(set(auts))
-    letters = {"S": s_act, "S-": linalg.mat_inv(s_act),
-               "T": t_act, "T-": linalg.mat_inv(t_act)}
-    identity = linalg.identity(len(s_act))
+    s, t = closure.actions[s_act], closure.actions[t_act]
+    letters = {"S": s, "S-": tuple(inverse_images(s)),
+               "T": t, "T-": tuple(inverse_images(t))}
+    # aut k undoes a word exactly when it acts as the word's inverse, and
+    # the actions are faithful: the first such k is the first matrix witness
+    undo = {tuple(inverse_images(closure.actions[aut])): k
+            for k, aut in reversed(list(enumerate(auts)))}
     witnesses = []
     failed = []
     for word in subgroup.generators():
-        product = functools.reduce(linalg.mat_mul,
+        product = functools.reduce(lambda p, g: tuple(map(p.__getitem__, g)),
                                    (letters[x] for x in word.exact_letters()))
-        found = next((k for k, aut in enumerate(auts)
-                      if linalg.mat_mul(aut, product) == identity), None)
+        found = undo.get(product)
         if found is None:
             failed.append(str(word))
         else:

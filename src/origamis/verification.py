@@ -2,26 +2,21 @@
 
 Each suite returns a report dict with one pass/fail entry per claim; the CLI
 and the acceptance tests both run these, so everything here sticks to public
-library operations.
+library operations. The modules that only some suites run (`affine`,
+`invariants`, `rootsys`, `structure`) are read at call time, so a suite
+compiles only the modules it runs (see the package docstring).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from . import linalg
-from .affine import AffineLift, lift, matrix_in_chain_basis
+from . import affine, invariants, linalg, rootsys, structure
 from .catalog import QUATERNION_ORDER, catalog
 from .errors import OddOrderZeros
 from .homology import EdgeChain, chain_space
-from .invariants import (cylinders, invariant_supplement, multitwist,
-                         quadratic_form_value, spin_parity)
 from .origami import veech_group
-from .rootsys import (FiniteMatrixGroup, RootSystemD4, detect_d4,
-                      finite_closure, grows, symplectic_subgroup)
 from .sl2z import J_MAT, S_MAT, T_MAT, mat_mul, mat_neg, mat_pow
-from .structure import (combined_action, decompose_ew, decompose_orn,
-                        kernel_is_congruence, tau_character)
 
 
 class Suite:
@@ -43,7 +38,7 @@ class Suite:
         }
 
 
-def _d4_system(rep, seed: EdgeChain, frame_chains) -> RootSystemD4:
+def _d4_system(rep, seed: EdgeChain, frame_chains) -> rootsys.RootSystemD4:
     """The D4 system of the orbit of seed's class, with its negatives, under
     the generator lifts of rep, certified against the frame of the classes
     c / 2 of frame_chains. A 25th class stops the orbit, and `detect_d4`
@@ -57,36 +52,37 @@ def _d4_system(rep, seed: EdgeChain, frame_chains) -> RootSystemD4:
                 seen.add(w)
                 orbit.append(w)
     frame = [space.canonical_vec(c.scale(Fraction(1, 2)).flat()) for c in frame_chains]
-    return detect_d4(orbit, frame)
+    return rootsys.detect_d4(orbit, frame)
 
 
-def _d4_image(rep, system: RootSystemD4):
+def _d4_image(rep, system: rootsys.RootSystemD4):
     """Theorems' (a)/(b) reading: the generators' frame matrices, their
     closure, W(R), the closure's part in W(R) and W(R)'s symplectic part."""
-    z = {k: matrix_in_chain_basis(rep.lifts[k], system.frame) for k in rep.generators}
-    closure = finite_closure(list(z.values()), 500)
+    z = {k: affine.matrix_in_chain_basis(rep.lifts[k], system.frame)
+         for k in rep.generators}
+    closure = rootsys.finite_closure(list(z.values()), 500)
     weyl = system.weyl_group()
     in_weyl = [m for m in closure.elements if m in weyl]
-    sym = symplectic_subgroup(weyl, chain_space(rep.origami).gram(system.frame))
+    sym = rootsys.symplectic_subgroup(weyl, chain_space(rep.origami).gram(system.frame))
     return z, closure, weyl, in_weyl, sym
 
 
 def verify_theorem_a() -> dict:
     suite = Suite("theorem-a")
     ew = catalog("eierlegende-wollmilchsau")
-    rep = decompose_ew(ew)
+    rep = structure.decompose_ew(ew)
     space = chain_space(ew.origami)
     suite.check("decomposition", rep.all_ok, rep.checks)
     system = _d4_system(rep, ew.sigma_hat("1"), [ew.epsilon(g) for g in "1ijk"])
     z, closure, weyl, in_weyl, sym = _d4_image(rep, system)
 
-    def z_of(lf: AffineLift):
-        return matrix_in_chain_basis(lf, system.frame)
+    def z_of(lf: affine.AffineLift):
+        return affine.matrix_in_chain_basis(lf, system.frame)
 
     z_s, z_t, z_i, z_j = (z[k] for k in ("S", "T", "aut_i", "aut_j"))
-    order96 = isinstance(closure, FiniteMatrixGroup) and closure.order == 96
-    suite.check("(a) image of Z has order 96", order96,
-                closure.order if isinstance(closure, FiniteMatrixGroup) else "unbounded")
+    finite = isinstance(closure, rootsys.FiniteMatrixGroup)
+    suite.check("(a) image of Z has order 96", finite and closure.order == 96,
+                closure.order if finite else "unbounded")
     suite.check("(b) image ∩ W(R) has order 16 and is the symplectic subgroup",
                 len(in_weyl) == 16 and set(in_weyl) == set(sym.elements)
                 and sym.order == 16,
@@ -116,7 +112,7 @@ def verify_theorem_a() -> dict:
                 {"tri_S": tri_s, "tri_T": tri_t})
     auts = [rep.lifts[f"aut_{g}"] for g in QUATERNION_ORDER]
     sub0, subrel = rep.subspaces["H1_0"], rep.subspaces["H_rel"]
-    congruence = kernel_is_congruence([sub0, subrel], 4,
+    congruence = structure.kernel_is_congruence([sub0, subrel], 4,
                                       [s_lift, t_lift], auts, cap=2000)
     five = [mat_pow(S_MAT, 4), mat_pow(T_MAT, 4),
             mat_pow(mat_mul(T_MAT, S_MAT), 3),
@@ -125,7 +121,8 @@ def verify_theorem_a() -> dict:
                     mat_pow(S_MAT, 2))]
     ident = linalg.identity(sub0.dim + subrel.dim)
     named_ok = all(
-        any(combined_action(a.compose(lift(ew.origami, m)), [sub0, subrel]) == ident
+        any(structure.combined_action(a.compose(affine.lift(ew.origami, m)),
+                                      [sub0, subrel]) == ident
             for a in auts)
         for m in five)
     suite.check("(d) Gamma(4) generators lift into the kernel; order accounting",
@@ -133,7 +130,7 @@ def verify_theorem_a() -> dict:
                 {"image_order": congruence.image_order,
                  "expected": congruence.expected_order,
                  "named_generators_in_kernel": named_ok})
-    hrel_group = finite_closure(rep.blocks["H_rel"], 100)
+    hrel_group = rootsys.finite_closure(rep.blocks["H_rel"], 100)
     labels = ["1", "i", "j", "k"]
     tetra_ok = True
     for lf in rep.generator_lifts:
@@ -143,7 +140,7 @@ def verify_theorem_a() -> dict:
             if not space.equivalent(image, target):
                 tetra_ok = False
     suite.check("(e) H_rel action has order 24 permuting the tetrahedron as Sigma",
-                isinstance(hrel_group, FiniteMatrixGroup)
+                isinstance(hrel_group, rootsys.FiniteMatrixGroup)
                 and hrel_group.order == 24 and tetra_ok,
                 {"order": hrel_group.order})
     return suite.report()
@@ -158,7 +155,7 @@ def verify_theorem_b(q: int = 3) -> dict:
 def _verify_theorem_b_q3() -> dict:
     suite = Suite("theorem-b")
     orn = catalog("ornithorynque", q=3)
-    rep = decompose_orn(orn)
+    rep = structure.decompose_orn(orn)
     space = chain_space(orn.origami)
     suite.check("decomposition", rep.all_ok, rep.checks)
     s, zeta = orn.sigma_breve, orn.zeta_breve
@@ -167,9 +164,10 @@ def _verify_theorem_b_q3() -> dict:
         s(2).scale(-1) + zeta(2), s(0).scale(-1) + s(1) - zeta(2)))
     z, closure, weyl, in_weyl, sym = _d4_image(rep, system)
     z_s, z_t, z_1 = (z[k] for k in ("S", "T", "aut_1"))
+    finite = isinstance(closure, rootsys.FiniteMatrixGroup)
     suite.check("(a) image on H_breve has order 72",
-                isinstance(closure, FiniteMatrixGroup) and closure.order == 72,
-                closure.order if isinstance(closure, FiniteMatrixGroup) else "unbounded")
+                finite and closure.order == 72,
+                closure.order if finite else "unbounded")
     identity4 = linalg.identity(4)
     involutions = [m for m in in_weyl
                    if m != identity4 and linalg.mat_mul(m, m) == identity4]
@@ -187,7 +185,7 @@ def _verify_theorem_b_q3() -> dict:
                 and all(all(k != v for k, v in dict(t).items())
                         for t in three_cycles),
                 sorted(tri))
-    congruence = kernel_is_congruence(
+    congruence = structure.kernel_is_congruence(
         [rep.subspaces["H_breve"]], 3, [rep.lifts["S"], rep.lifts["T"]],
         [rep.lifts[f"aut_{g}"] for g in range(3)], cap=500)
     suite.check("(d) Gamma(3) generators act trivially on H_breve;"
@@ -196,12 +194,12 @@ def _verify_theorem_b_q3() -> dict:
                 {"image_order": congruence.image_order,
                  "expected": congruence.expected_order,
                  "failed": congruence.failed_words})
-    tau_vals = {k: tau_character(orn, rep.lifts[k])
+    tau_vals = {k: structure.tau_character(orn, rep.lifts[k])
                 for k in ("T", "S", "aut_1", "aut_2")}
     suite.check("(e) H_tau action factors through Z/6 with the stated values",
                 tau_vals == {"T": 1, "S": 5, "aut_1": 2, "aut_2": 4},
                 tau_vals)
-    hrel_group = finite_closure(rep.blocks["H_rel"], 50)
+    hrel_group = rootsys.finite_closure(rep.blocks["H_rel"], 50)
     # the action is the permutation action on Sigma: boundary equivariance
     perm_ok = True
     for lf in rep.generator_lifts:
@@ -214,7 +212,7 @@ def _verify_theorem_b_q3() -> dict:
             if list(image_boundary) != expected:
                 perm_ok = False
     suite.check("(f) H_rel action is the S3 permutation action on Sigma",
-                isinstance(hrel_group, FiniteMatrixGroup)
+                isinstance(hrel_group, rootsys.FiniteMatrixGroup)
                 and hrel_group.order == 6 and perm_ok,
                 {"order": hrel_group.order})
     return suite.report()
@@ -223,13 +221,13 @@ def _verify_theorem_b_q3() -> dict:
 def _verify_family_q(q: int) -> dict:
     suite = Suite(f"family-q{q}")
     orn = catalog("ornithorynque", q=q)
-    rep = decompose_orn(orn)
+    rep = structure.decompose_orn(orn)
     suite.check("decomposition", rep.all_ok, rep.checks)
     group = veech_group(orn.origami)
     suite.check("Veech index 3 with membership mod 2",
                 group.index == 3 and group.contains(mat_pow(S_MAT, 2))
                 and group.contains(J_MAT) and not group.contains(T_MAT))
-    tau_vals = {k: tau_character(orn, rep.lifts[k])
+    tau_vals = {k: structure.tau_character(orn, rep.lifts[k])
                 for k in ("T2", "S2", "J", "aut_1")}
     expected = {"T2": 2, "S2": 2 * q - 2, "J": q, "aut_1": 2}
     suite.check("H_tau values through Z/2q", tau_vals == expected,
@@ -238,7 +236,7 @@ def _verify_family_q(q: int) -> dict:
     w = linalg.mat_mul(breve["S2"], breve["T2"])
     trace = sum(w[i][i] for i in range(len(w)))
     suite.check("H_breve action unbounded with witness S2 T2 of trace 2(q-3)",
-                grows(w) and trace == 2 * (q - 3),
+                rootsys.grows(w) and trace == 2 * (q - 3),
                 {"trace": str(trace)})
     return suite.report()
 
@@ -278,15 +276,15 @@ def verify_appendix_a() -> dict:
                        -1 if (i % 2 == 1 and j == i - 1) else 0)
         for i in range(8) for j in range(8))
     suite.check("alpha_4, beta_4 complete a standard symplectic basis", std)
-    qvals = [quadratic_form_value(origami, c) for c in symp]
+    qvals = [invariants.quadratic_form_value(origami, c) for c in symp]
     suite.check("all eight basis loops have even index (q-value 1)",
                 qvals == [1] * 8, qvals)
-    result = spin_parity(origami)
+    result = invariants.spin_parity(origami)
     suite.check("spin parity of the genus-4 surface is even",
                 result.parity == "even", result.parity)
     ew = catalog("eierlegende-wollmilchsau")
     try:
-        spin_parity(ew.origami)
+        invariants.spin_parity(ew.origami)
         odd_error = False
     except OddOrderZeros:
         odd_error = True
@@ -300,9 +298,9 @@ def verify_appendix_b() -> dict:
     ab = catalog("appendix-b")
     origami = ab.origami
     space = chain_space(origami)
-    vertical = cylinders(origami, (0, 1))
-    horizontal = cylinders(origami, (1, 0))
-    diagonal = cylinders(origami, (1, 1))
+    vertical = invariants.cylinders(origami, (0, 1))
+    horizontal = invariants.cylinders(origami, (1, 0))
+    diagonal = invariants.cylinders(origami, (1, 1))
     suite.check("vertical cylinders (3,1),(5,1),(8,1)",
                 sorted((c.width, c.height) for c in vertical.cylinders)
                 == [(3, 1), (5, 1), (8, 1)])
@@ -312,9 +310,9 @@ def verify_appendix_b() -> dict:
     suite.check("slope-1 cylinders (4,1),(6,2)",
                 sorted((c.width, c.height) for c in diagonal.cylinders)
                 == [(4, 1), (6, 2)])
-    tv = multitwist(origami, (0, 1))
-    th = multitwist(origami, (1, 0))
-    td = multitwist(origami, (1, 1))
+    tv = invariants.multitwist(origami, (0, 1))
+    th = invariants.multitwist(origami, (1, 0))
+    td = invariants.multitwist(origami, (1, 1))
     suite.check("twist linear parts", tv.linear == ((1, 0), (120, 1))
                 and th.linear == ((1, 12), (0, 1))
                 and td.linear == ((-11, 12), (-12, 13)),
@@ -339,8 +337,9 @@ def verify_appendix_b() -> dict:
                              (z1 - z0.scale(2)).scale(Fraction(4, 3))))
     suite.check("all nine (A - Id) evaluations", evals_ok)
     marks = space.singular_vertices()
-    cert = invariant_supplement(origami, marks, [tv.lift, th.lift, td.lift],
-                                reps=[zs], correction_basis=[z0, z1])
+    cert = invariants.invariant_supplement(
+        origami, marks, [tv.lift, th.lift, td.lift],
+        reps=[zs], correction_basis=[z0, z1])
     suite.check("no invariant supplement: s_0 = 1/6, s_1 = -5/24,"
                 " contradicted by the diagonal twist",
                 not cert.feasible

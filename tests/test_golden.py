@@ -59,6 +59,13 @@ COMMANDS = {
 # and `group` on ornithorynque's H_tau at q = 41 and H_breve at q = 21, the
 # largest closures the CLI runs within a test's time
 PINNED_SHA256 = {
+    # the odd-q family suite beyond the q = 5 golden file
+    "verify-theorem-b-q-7": (
+        ["verify", "theorem-b", "--q", "7"],
+        "d2f3991248bc99cb71d9891bc42efcc3fc6f7972c0a7285ceb408db2dd88e54f"),
+    "verify-theorem-b-q-15": (
+        ["verify", "theorem-b", "--q", "15"],
+        "262db939f1f88003e4c8095de2f0c10d2e073d747b8419a1d13830c438d1423e"),
     "veech-appendix-b": (["veech", "--name", "appendix-b"],
                          "c2a27762be03ecd613e4ec15cc088d8d9e284079868befd65b417860171defa1"),
     "veech-appendix-b-long-power": (

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import _search_reference as reference
+import origamis.origami as origami_module
 from origamis.errors import (Inconsistent, NotOrigami, NotPermutation,
                              NotTransitive)
 from origamis.origami import (BRAID_WALKS, VeechGroup, act_by_letters,
@@ -164,6 +165,22 @@ def test_s_moves_q5(orn5):
 def test_self_isomorphisms_are_automorphisms(ew):
     origami = ew.origami
     assert isomorphisms(origami, origami) == automorphisms(origami)
+
+
+def test_automorphisms_read_the_key_once(monkeypatch, ew):
+    """Both sides of `isomorphisms(o, o)` have one key, so `automorphisms`
+    runs one least-labeling search; two distinct pairs still run two."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return least_labelings(*args)
+
+    least_labelings = origami_module._least_labelings
+    monkeypatch.setattr(origami_module, "_least_labelings", counting)
+    assert len(automorphisms(ew.origami)) == 8 and len(calls) == 1
+    assert len(isomorphisms(ew.origami, sl2z_act("T", ew.origami))) == 8
+    assert len(calls) == 3
 
 
 def test_orbit_is_built_on_first_read(orn5):

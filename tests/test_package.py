@@ -493,6 +493,26 @@ def test_each_command_runs_only_the_modules_it_uses(modules_run):
         uses_polygons = "appendix-b" in name or name == "info polygon-file"
         assert ("origamis.polygons" in ran) == uses_polygons, name
 
+    def runs(*prefixes, having=""):
+        """{command: modules} for the commands with a prefix and `having`."""
+        found = {name: ran for name, ran in modules_run.items()
+                 if name.startswith(prefixes) and having in name}
+        assert found, prefixes
+        return found.items()
+
+    def ran_none(modules, *prefixes, having=""):
+        for name, ran in runs(*prefixes, having=having):
+            assert not ran & {f"origamis.{m}" for m in modules}, name
+
+    # a module binds lazily the siblings that only some of its paths run
+    ran_none(("structure", "rootsys"), "verify appendix-")
+    ran_none(("affine",), "verify appendix-a")
+    ran_none(("invariants",), "verify theorem-")
+    assert len(runs("verify theorem-")) == 3
+    ran_none(("homology", "linalg"), "info --name", "veech ")
+    ran_none(("rootsys",), "decompose ", "growth ")
+    ran_none(("rootsys",), "action ", having="--basis")
+
 
 def test_congruence_imports_neither_fractions_nor_decimal():
     """`congruence` prints no Fraction, so its process never imports

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from origamis import linalg, verification
+from origamis import linalg, rootsys, verification
 from origamis.affine import (automorphism_lift, lift, matrix_in_chain_basis,
                              matrix_on)
 from origamis.catalog import QUATERNION_ORDER, catalog
@@ -18,10 +18,11 @@ from origamis.rootsys import (FiniteMatrixGroup, UnboundedWitness, _signed_maps,
                               grows, symplectic_subgroup)
 from origamis.sl2z import CongruenceSubgroup, J_MAT, S_MAT, T_MAT, mat_pow
 from origamis.errors import NotInvariant
-from origamis.structure import (cocycle_growth, combined_action,
-                                _direct_sum_ok, _log_abs, decompose_ew,
-                                decompose_orn, kernel_is_congruence,
-                                operator_norm, tau_character)
+from origamis.structure import (CongruenceReport, cocycle_growth,
+                                combined_action, _direct_sum_ok, _log_abs,
+                                decompose_ew, decompose_orn,
+                                kernel_is_congruence, operator_norm,
+                                tau_character)
 from test_homology import _fractions
 
 
@@ -311,7 +312,7 @@ def test_one_seed_orbit_is_the_listed_root_set(request, monkeypatch, family):
         seen.append(frozenset(vectors))
         return detect_d4(vectors, frame)
 
-    monkeypatch.setattr(verification, "detect_d4", recording)
+    monkeypatch.setattr(rootsys, "detect_d4", recording)
     system = verification._d4_system(
         report, *request.getfixturevalue(f"{family}_d4_args"))
     assert seen == [expected] and len(expected) == 24
@@ -505,6 +506,86 @@ def test_congruence_kernel_matches_relifting(request, family, name, level):
         (holds, order, expected)
     assert [word for word, _ in report.generator_witnesses] == witnessed
     assert report.failed_words == failed
+
+
+def _kernel_by_dense_words(subspaces, level, sl_lifts, aut_lifts, cap=2000):
+    """The kernel report with each Schreier word evaluated densely: the
+    product of the letter matrices, `mat_inv` for the inverse letters, and
+    the first automorphism whose action times the product is the identity."""
+    s_act, t_act = (combined_action(lf, subspaces) for lf in sl_lifts)
+    auts = [combined_action(lf, subspaces) for lf in aut_lifts]
+    closure = finite_closure([s_act, t_act] + auts, cap)
+    subgroup = CongruenceSubgroup(level)
+    expected = subgroup.index * len(set(auts))
+    letters = {"S": s_act, "S-": linalg.mat_inv(s_act),
+               "T": t_act, "T-": linalg.mat_inv(t_act)}
+    identity = linalg.identity(len(s_act))
+    witnesses, failed = [], []
+    for word in subgroup.generators():
+        product = functools.reduce(linalg.mat_mul,
+                                   (letters[x] for x in word.exact_letters()))
+        found = next((k for k, aut in enumerate(auts)
+                      if linalg.mat_mul(aut, product) == identity), None)
+        if found is None:
+            failed.append(str(word))
+        else:
+            witnesses.append((str(word), found))
+    return CongruenceReport(level, not failed and closure.order == expected,
+                            closure.order, expected, witnesses, failed)
+
+
+@pytest.mark.parametrize("family, names, level", [
+    ("ew", "H1_0+H_rel", 4), ("ew", "H1_0+H_rel", 2), ("ew", "H_rel", 2),
+    ("ew", "H1_0", 3), ("ew", "H1_0", 8), ("orn3", "H_breve", 2),
+    ("orn3", "H_breve", 3), ("orn3", "H_breve", 6)])
+def test_congruence_kernel_matches_dense_words(request, family, names, level):
+    """Words composed as permutations of the closure's vector orbit give the
+    report of the dense matrix products, witnesses and failed words
+    included."""
+    rep = request.getfixturevalue(f"{family}_report")
+    auts = [lf for key, lf in rep.lifts.items() if key.startswith("aut_")]
+    args = ([rep.subspaces[k] for k in names.split("+")], level,
+            [rep.lifts["S"], rep.lifts["T"]], auts)
+    report = kernel_is_congruence(*args)
+    assert report == _kernel_by_dense_words(*args)
+    if (names, level) == ("H1_0", 3):
+        assert len(report.failed_words) == 24
+
+
+def _vector_orbit(gens):
+    """X as `finite_closure` indexes it: each unit vector not yet reached,
+    then its orbit breadth-first under the distinct generators other than
+    the identity, in the order given."""
+    units = linalg.identity(len(gens[0]))
+    steps = [g for g in dict.fromkeys(gens) if g != units]
+    points = []
+    for e in units:
+        if e in points:
+            continue
+        points.append(e)
+        done = len(points) - 1
+        while done < len(points):
+            x = points[done]
+            done += 1
+            for g in steps:
+                y = linalg.mat_vec(g, x)
+                if y not in points:
+                    points.append(y)
+    return points
+
+
+def test_closure_actions_permute_the_vector_orbit(ew_report, orn3_report):
+    """On the closures of theorems A and B, `actions[g][i]` is the index of
+    g x_i, for every generator g given, the identity among them."""
+    for gens in _paper_closure_generators(ew_report, orn3_report):
+        closure = finite_closure(gens, 2000)
+        points = _vector_orbit(gens)
+        index = {x: i for i, x in enumerate(points)}
+        assert set(closure.actions) == set(gens)
+        for g in gens:
+            assert list(closure.actions[g]) == \
+                [index[linalg.mat_vec(g, x)] for x in points]
+    assert rootsys.RootSystemD4(linalg.identity(4)).weyl_group().actions == {}
 
 
 def test_congruence_needs_lifts_of_s_then_t(ew_report):
