@@ -110,7 +110,7 @@ def _parse_dir(text: str) -> tuple[int, int]:
 # the least and the most accepted value of each bounded integer option (None:
 # no bound); --q stops at 41, whose surface's 164 squares are the most an
 # --origami file may hold (its n, or its polygon's area); a polygon's bounding
-# box may hold 10,000 unit cells, since rasterizing visits every one (0.2 s
+# box may hold 10,000 unit cells, since rasterizing visits every one (0.03 s
 # for a four-sided polygon at the cap), and its sides, paired in one pass,
 # are at most 2(A + 1) = 330 at A = 164 squares by Pick's theorem; --level
 # stops at 32, whose report takes seconds and megabytes, growing as the

@@ -4,6 +4,12 @@ The polygon is cut along the integer grid; unit cells reassemble into the
 squares of the quotient surface. Each surface square is pinned down by the
 unique point congruent to OFFSET mod Z^2 that it contains, and the right/up
 permutations are found by tracing unit rays through the side identifications.
+OFFSET is the first candidate o with b o_x - a o_y not an integer for the
+primitive vector (a, b) of every side, which puts no point of o + Z^2 on the
+boundary (the proof is on `_choose_offset`). No candidate has an integer
+coordinate, and the side translations are integral, so a horizontal ray runs
+at a height and a vertical one at an abscissa that no vertex has: a ray
+never meets a vertex.
 
 All of it is integer arithmetic. The point tests and the rays run on the
 lattice scaled by D = G * L, with G = lcm(2, the offset candidates'
@@ -20,7 +26,7 @@ polygon's own vertices, sides and translations stay unscaled.
 from __future__ import annotations
 
 from collections import deque
-from math import lcm
+from math import gcd, lcm
 from typing import Sequence
 
 from .errors import Inconsistent, NotSimple, UnpairedSides
@@ -95,7 +101,6 @@ class PolygonSurface:
                                     for i, t in self.translation.items()}
         self.offset = self._choose_offset()
         self._build_squares()
-        self._point_class = self._identify_lattice_points()
         self._steps: dict[tuple[int, int], tuple] = {}
 
     # -- polygon combinatorics ------------------------------------------------
@@ -166,19 +171,12 @@ class PolygonSurface:
     def _scaled(self, p) -> Point:
         return (p[0] * self.scale, p[1] * self.scale)
 
-    def _bbox_cells(self):
-        xs = [v[0] for v in self.vertices]
-        ys = [v[1] for v in self.vertices]
-        for cx in range(min(xs), max(xs)):
-            for cy in range(min(ys), max(ys)):
-                yield (cx, cy)
-
     def on_boundary(self, p: Point) -> bool:
         return any(_on_segment(p, a, b) for a, b in self._scaled_sides)
 
     def interior(self, p: Point) -> bool:
-        if self.on_boundary(p):
-            return False
+        """Whether p, a point off the boundary, is inside: an odd number of
+        sides cross the ray to its right."""
         crossings = 0
         py = p[1]
         for a, b in self._scaled_sides:
@@ -194,13 +192,21 @@ class PolygonSurface:
         return self.on_boundary(p) or self.interior(p)
 
     def _choose_offset(self) -> Point:
-        """The first offset candidate off no cell's point cell + off of which
-        is on the boundary, scaled by D."""
+        """The first offset candidate o with no point of o + Z^2 on the
+        boundary, scaled by D.
+
+        A side runs from a lattice point to it plus g (a, b), with (a, b)
+        primitive, so mod Z^2 it covers a whole period of the closed curve
+        t (a, b), which is {x : b x_1 - a x_2 in Z}: a lattice vector m
+        makes b m_1 - a m_2 any integer. So o + Z^2 meets the side if and
+        only if b o_x - a o_y is an integer, that is, on the scaled lattice,
+        if g D divides e_y o_x - e_x o_y for the side vector e = g (a, b).
+        """
         d = self.scale
+        vectors = [(b[0] - a[0], b[1] - a[1]) for a, b in self.sides]
         for (nx, dx), (ny, dy) in _OFFSET_CANDIDATES:
             ox, oy = d // dx * nx, d // dy * ny
-            if not any(self.on_boundary((cx * d + ox, cy * d + oy))
-                       for cx, cy in self._bbox_cells()):
+            if all((ey * ox - ex * oy) % (gcd(ex, ey) * d) for ex, ey in vectors):
                 return (ox, oy)
         raise NotSimple("no generic offset found")
 
@@ -212,11 +218,10 @@ class PolygonSurface:
     # -- squares and neighbor permutations ---------------------------------------
 
     def _build_squares(self):
-        reps = []
-        for cell in self._bbox_cells():
-            if self.interior(self._at_offset(cell)):
-                reps.append(cell)
-        reps.sort()
+        xs, ys = zip(*self.vertices)
+        reps = sorted((cx, cy) for cx in range(min(xs), max(xs))
+                      for cy in range(min(ys), max(ys))
+                      if self.interior(self._at_offset((cx, cy))))
         if len(reps) != self.area:
             raise NotSimple(
                 f"rasterization mismatch: {len(reps)} cells vs area {self.area}")
@@ -238,7 +243,8 @@ class PolygonSurface:
 
     def _trace(self, pos: Point, direction) -> Point:
         """The end of the scaled unit ray from the scaled point pos along
-        the unit direction, continued through the side identifications."""
+        the unit direction, continued through the side identifications. It
+        never meets a vertex (module docstring)."""
         dx, dy = direction
         remaining = self.scale
         for _ in range(10000):
@@ -259,8 +265,6 @@ class PolygonSurface:
                 if denom < 0:
                     s, denom = -s, -denom
                 if s <= 0 or s >= denom:
-                    if s == 0 or s == denom:
-                        raise NotSimple("ray hits a polygon vertex")
                     continue
                 if best is None or t < best[0]:
                     best = (t, idx)
@@ -272,42 +276,7 @@ class PolygonSurface:
             remaining -= t
         raise NotSimple("ray tracing does not terminate")
 
-    # -- lattice points and path classes ------------------------------------------
-
-    def _identify_lattice_points(self) -> dict[tuple[int, int], int]:
-        pts = []
-        xs = [v[0] for v in self.vertices]
-        ys = [v[1] for v in self.vertices]
-        for x in range(min(xs), max(xs) + 1):
-            for y in range(min(ys), max(ys) + 1):
-                if self.in_closed(self._scaled((x, y))):
-                    pts.append((x, y))
-        parent = {p: p for p in pts}
-
-        def find(p):
-            while parent[p] != p:
-                parent[p] = parent[parent[p]]
-                p = parent[p]
-            return p
-
-        def union(p, q):
-            parent[find(p)] = find(q)
-
-        for idx, (a, b) in enumerate(self.sides):
-            tau = self.translation[idx]
-            for p in pts:
-                if _on_segment(p, a, b):
-                    q = (p[0] + tau[0], p[1] + tau[1])
-                    if q in parent:
-                        union(p, q)
-        classes: dict[tuple[int, int], int] = {}
-        labels: dict[tuple[int, int], int] = {}
-        for p in sorted(pts):
-            root = find(p)
-            if root not in labels:
-                labels[root] = len(labels)
-            classes[p] = labels[root]
-        return classes
+    # -- grid paths ------------------------------------------------------------
 
     def _mini_clear(self, a: Point, b: Point) -> bool:
         """No boundary side crosses the open scaled segment (a, b)."""
@@ -349,14 +318,18 @@ class PolygonSurface:
 
     def _usable_steps(self, z):
         """Unit grid steps from lattice point z that map to surface edges,
-        memoised per point, so the memo is bounded by the lattice points."""
+        memoised per point, so the memo is bounded by the lattice points.
+
+        A step is taken when its midpoint is in the closed polygon and no
+        side crosses it properly. It then ends in the closed polygon: a unit
+        grid step holds no lattice point but its ends, so no vertex, and it
+        can leave the closed polygon only through a proper crossing.
+        """
         if z in self._steps:
             return self._steps[z]
         out = []
         for dx, dy, sign in ((1, 0, 1), (-1, 0, -1), (0, 1, 1), (0, -1, -1)):
             w = (z[0] + dx, z[1] + dy)
-            if (w[0], w[1]) not in self._point_class:
-                continue
             lo = min(z, w)
             a = self._scaled(lo)
             b = (a[0] + abs(dx) * self.scale, a[1] + abs(dy) * self.scale)

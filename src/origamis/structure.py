@@ -290,31 +290,26 @@ def operator_norm(m: Mat):
 class GrowthReport(NamedTuple):
     max_log_norm: float
     growth_rate: float
-    max_norm_exceeded: bool
     trials: int
     length: int
 
 
-def cocycle_growth(mats: Sequence[Mat], length: int, trials: int, seed: int,
-                   norm_bound: Fraction | None = None) -> GrowthReport:
+def cocycle_growth(mats: Sequence[Mat], length: int, trials: int,
+                   seed: int) -> GrowthReport:
     """Random products of the given matrices; reports max norm and log slope."""
     rng = random.Random(seed)
     n = len(mats[0])
     max_log = float("-inf")
-    exceeded = False
     rates = []
     for _ in range(trials):
         acc = linalg.identity(n)
         half_log = 0.0
         for step in range(length):
             acc = linalg.mat_mul(acc, mats[rng.randrange(len(mats))])
-            if norm_bound is not None and operator_norm(acc) > norm_bound:
-                exceeded = True
             if step + 1 == length // 2:
                 half_log = _log_abs(operator_norm(acc))
         end_log = _log_abs(operator_norm(acc))
         max_log = max(max_log, end_log)
         denom = length - length // 2
         rates.append((end_log - half_log) / denom if denom else 0.0)
-    return GrowthReport(max_log, sum(rates) / len(rates), exceeded,
-                        trials, length)
+    return GrowthReport(max_log, sum(rates) / len(rates), trials, length)

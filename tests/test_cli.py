@@ -55,6 +55,20 @@ def test_polygon_file(tmp_path):
     assert code == 0 and json.loads(text)["genus"] == 1
 
 
+# sides (2,1), (5,3) and (3,2): each offset candidate o has a side (a, b)
+# with b o_x - a o_y an integer, so a point of o + Z^2 on the boundary
+NO_OFFSET_HEXAGON = [[0, 0], [2, 1], [7, 4], [10, 6], [8, 5], [3, 2]]
+
+
+def test_polygon_without_a_generic_offset_is_domain_error(tmp_path):
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"vertices": NO_OFFSET_HEXAGON}))
+    code, text = capture(["info", "--origami", str(path)])
+    assert code == 1
+    assert json.loads(text) == {"error": "NotSimple",
+                                "message": "no generic offset found"}
+
+
 def test_malformed_file_is_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 3, "r": [0, 0, 1], "u": [1, 2, 0]}))
@@ -326,14 +340,16 @@ def test_sizes_at_their_caps_are_accepted(tmp_path):
     assert code == 0 and json.loads(text) == report
 
 
-@pytest.mark.parametrize("k", [4, 6, 8])
+@pytest.mark.parametrize("k", [4, 6, 8, 82])
 def test_staircase_band_sides_are_paired_at_once(tmp_path, k):
-    # k! (k+1)! matchings: 2,880, 3,628,800 and 14,631,321,600
+    # k! (k+1)! matchings: 2,880, 3,628,800 and 14,631,321,600; k = 82 is
+    # the area cap, 164 squares, 330 sides and 6,806 bounding-box cells,
+    # with a bound of its own
     path = tmp_path / "origami.json"
     path.write_text(json.dumps({"vertices": _staircase_band(k)}))
     start = time.perf_counter()
     code, text = capture(["info", "--origami", str(path)])
-    assert time.perf_counter() - start < 1
+    assert time.perf_counter() - start < (2 if k == 82 else 1)
     assert code == 0 and json.loads(text)["n"] == 2 * k
 
 

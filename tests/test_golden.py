@@ -16,7 +16,7 @@ from pathlib import Path
 import pytest
 
 from origamis.cli import run
-from test_cli import _src_env
+from test_cli import _src_env, _staircase_band
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -111,6 +111,25 @@ PINNED_SPIN_FILES = {
 }
 
 
+# `--origami` polygon files: the staircase band at the area cap (164
+# squares, 330 sides) and two octagons in H(2), whose offsets are the third
+# candidate (3/7, 2/7) and the fourth (5/11, 3/11)
+OCT3 = [[0, 0], [2, 1], [5, 5], [5, 6], [4, 7], [2, 6], [-1, 2], [-1, 1]]
+OCT4 = [[0, 0], [2, 1], [5, 3], [6, 4], [6, 5], [4, 4], [1, 2], [0, 1]]
+PINNED_POLYGON_FILES = {
+    "band-82-info": ((_staircase_band(82), ["info"]),
+                     "253c954c532c1c58023ca42bf9ed2a2b90660db515f5c087a7f20c919a7a7e0c"),
+    "oct3-info": ((OCT3, ["info"]),
+                  "59b5493f5e61cc0489d7f75a7a283beb1cb29c69ecc4a088ba433e1b2e1e5556"),
+    "oct3-cylinders": ((OCT3, ["cylinders", "--dir", "1,1"]),
+                       "ace732ef8dc04564a3620567329780619b2baeb060e58e63166f87b505e00db8"),
+    "oct4-info": ((OCT4, ["info"]),
+                  "35e81c073d30e1ce7cc5a05472d3146b4f7bd4cc67b7322b5439f9a6af9ceb2e"),
+    "oct4-cylinders": ((OCT4, ["cylinders", "--dir", "1,1"]),
+                       "951402b79a9e61a0a06dffad484d69bc22bd644b9358b9013b5f4c3eb5667ff9"),
+}
+
+
 def _stdout(args):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
@@ -140,6 +159,15 @@ def test_pinned_spin_file_sha256(name, tmp_path):
     path = tmp_path / "origami.json"
     path.write_text(json.dumps({"n": n, "r": r, "u": u}))
     assert hashlib.sha256(_stdout(["spin", "--origami", str(path)])).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_POLYGON_FILES))
+def test_pinned_polygon_file_sha256(name, tmp_path):
+    (vertices, (command, *options)), digest = PINNED_POLYGON_FILES[name]
+    path = tmp_path / "origami.json"
+    path.write_text(json.dumps({"vertices": vertices}))
+    stdout = _stdout([command, "--origami", str(path), *options])
+    assert hashlib.sha256(stdout).hexdigest() == digest
 
 
 # argv, the stream it writes, its exit code and the golden file of that text

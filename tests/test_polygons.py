@@ -11,13 +11,14 @@ from origamis.homology import chain_space
 from origamis.origami import stratum_and_genus, vertex_classes
 from origamis.polygons import PolygonSurface, polygon_to_origami
 from origamis.sl2z import ID2, S_MAT, T_MAT, mat_mul, mat_pow
-from test_cli import _staircase_band
+from test_cli import NO_OFFSET_HEXAGON, _staircase_band
 from test_homology import _holonomy
 
 
-def _point_class(surface, p):
-    """The identified class of the lattice point p of the polygon."""
-    return surface._point_class[(int(p[0]), int(p[1]))]
+def _point_classes(surface):
+    """The identified class of each lattice point of the closed polygon,
+    read from the reference, which keeps the union-find over them."""
+    return ReferencePolygonSurface(surface.vertices)._point_class
 
 
 def test_unit_square_is_torus():
@@ -41,9 +42,8 @@ def test_decagon_surface(appendix_b):
 
 def test_decagon_side_classes(appendix_b):
     space = chain_space(appendix_b.origami)
-    surface = appendix_b.surface
-    a_even = _point_class(surface, (0, 0))
-    a_odd = _point_class(surface, (1, 2))
+    classes = _point_classes(appendix_b.surface)
+    a_even, a_odd = classes[(0, 0)], classes[(1, 2)]
     assert a_even != a_odd
     expected_holonomy = {"a": (1, 2), "b": (1, 1), "c": (1, 0),
                          "d": (1, -1), "e": (1, -1)}
@@ -101,11 +101,11 @@ def test_non_simple_rejected():
 
 
 def test_identified_vertices_on_decagon(appendix_b):
-    surface = appendix_b.surface
+    classes = _point_classes(appendix_b.surface)
     even = {(0, 0), (2, 3), (4, 2), (4, -1), (2, -2)}
     odd = {(1, 2), (3, 3), (5, 1), (3, -2), (1, -1)}
-    assert len({_point_class(surface, p) for p in even}) == 1
-    assert len({_point_class(surface, p) for p in odd}) == 1
+    assert len({classes[p] for p in even}) == 1
+    assert len({classes[p] for p in odd}) == 1
 
 
 # -- the scaled integer lattice against the Fraction reference ------------------
@@ -121,9 +121,9 @@ def _outcome(fn, *args):
 
 def _assert_same_surface(vertices, paths=True):
     """The two rasterizations agree on the side pairing, the origami, the
-    cells, the lattice point classes and, with paths, the path chain
-    between every pair of lattice points, or raise the same error. Returns
-    the surface, or None."""
+    cells and, with paths, the path chain between every pair of the
+    reference's lattice points of the closed polygon, or raise the same
+    error. Returns the surface, or None."""
     surface = _outcome(PolygonSurface, vertices)
     reference = _outcome(ReferencePolygonSurface, vertices)
     if isinstance(reference, str):
@@ -132,10 +132,9 @@ def _assert_same_surface(vertices, paths=True):
     assert surface.partner == reference.partner, vertices
     assert surface.origami == reference.origami
     assert surface.cells == reference.cells
-    assert surface._point_class == reference._point_class
     if not paths:
         return surface
-    points = sorted(surface._point_class)
+    points = sorted(reference._point_class)
     for p in points:
         for q in points:
             assert _outcome(surface.path_chain, p, q) == \
@@ -150,6 +149,10 @@ RECTANGLES = [[(0, 0), (w, 0), (w, h), (0, h)] for w, h in ((1, 1), (2, 1), (3, 
 def test_scaled_lattice_matches_reference_on_fixed_polygons():
     for vertices in [APPENDIX_B_VERTICES, L_SHAPE, _staircase_band(3)] + RECTANGLES:
         assert _assert_same_surface(vertices) is not None
+    # both raise NotSimple: every offset candidate has a point on a side
+    assert _assert_same_surface(NO_OFFSET_HEXAGON) is None
+    with pytest.raises(NotSimple, match="no generic offset found"):
+        PolygonSurface(NO_OFFSET_HEXAGON)
 
 
 def _unimodular_parallelogram(rng):
