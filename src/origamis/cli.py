@@ -60,6 +60,8 @@ def load_origami(args):
             with open(args.origami) as handle:
                 data = json.load(handle)
             pts = data["vertices"] if "vertices" in data else None
+            if pts is not None and not all(type(x) is int for v in pts for x in v):
+                raise TypeError("the vertex coordinates must be integers")
             squares = data["n"] if pts is None else abs(polygons.twice_area(pts)) // 2
             _check_bound("an --origami file's squares", squares, *_BOUNDS["squares"])
             if pts is not None:

@@ -5,13 +5,29 @@ modulo the square-boundary relations
     box_g = sigma_g + zeta_{r(g)} - zeta_g - sigma_{u(g)}.
 
 Flat coordinates are (sigma_0..sigma_{n-1}, zeta_0..zeta_{n-1}). Canonical
-forms are unique coset representatives obtained by zeroing the unit-pivot
-columns of the relation lattice; integer chains stay integer, a rational
-chain is reduced on its integer numerators over their lcm, and the n + 1
-free columns they keep are a Z-basis of H_1(M, Sigma', Z). Every subspace
-cut out by the boundary (absolute, marked, zero holonomy) and the Z-basis of
-H_1(M, Z) come from one integer kernel of the boundary, read from the table
-of edge endpoints, on those free columns.
+forms are unique coset representatives obtained by zeroing the pivot
+columns P of R, the reduced row echelon form (`linalg.rref`) of the relation
+rows A; integer chains stay integer, a rational chain is reduced on its
+integer numerators over their lcm, and the n + 1 free columns they keep are
+a Z-basis of H_1(M, Sigma', Z). Every subspace cut out by the boundary
+(absolute, marked, zero holonomy) and the Z-basis of H_1(M, Z) come from one
+integer kernel of the boundary, read from the table of edge endpoints, on
+those free columns.
+
+R is integral and spans the relation lattice. Column sigma_j of A is +1 in
+box_j and -1 in box_{u^-1 j}, column zeta_j is +1 in box_{r^-1 j} and -1 in
+box_j, and both are zero when the two boxes coincide: A is the incidence
+matrix of the dual graph (squares as nodes, edges as arcs), which is totally
+unimodular. So R has entries in {-1, 0, 1} and unit pivots. R = B^-1 A_I for
+independent rows I of A and the unimodular B = A_I[:, P], and A = A[:, P] R
+with A[:, P] an integer matrix: R is a Z-basis of the lattice of A. Its
+pivots, the columns outside the span of the earlier ones, are Kruskal's
+minimum spanning forest of the dual graph weighted by column index. So the
+unit-pivot reduction the tests compare against, whose rows are +- the cut
+vectors of the merged components and which takes the least-index edge of
+the first nonempty cut, picks the same forest by the cut property, and so
+the same rows: a lattice has one reduced basis with the identity on given
+columns.
 
 The intersection form on absolute classes needs no walks: with F_v(p) the
 signed sum of b over the first p germs of the ribbon (quarter-sector)
@@ -151,9 +167,9 @@ class ChainSpace:
             row[n + g] -= 1                # -zeta_g
             row[u(g)] -= 1                 # -sigma_{u(g)}
             self.relation_rows.append(row)
-        self.reducer = linalg.unit_pivot_reducer(self.relation_rows)
-        pivots = {p for p, _ in self.reducer}
-        self.free = tuple(j for j in range(2 * n) if j not in pivots)
+        rows, pivots = linalg.rref(self.relation_rows)
+        self.reducer = list(zip(pivots, rows))
+        self.free = tuple(sorted(set(range(2 * n)) - set(pivots)))
         # (tail, head) vertex class of sigma_g = flat g and zeta_g = flat n + g
         self.edge_ends = [(self.vowner[g], self.vowner[r(g)]) for g in range(n)] + \
             [(self.vowner[g], self.vowner[u(g)]) for g in range(n)]

@@ -19,8 +19,6 @@ from math import gcd, lcm
 from operator import attrgetter, floordiv, mul
 from typing import Sequence
 
-from .errors import Inconsistent
-
 Vec = tuple[int | Fraction, ...]
 Mat = tuple[Vec, ...]
 
@@ -168,54 +166,6 @@ def mat_inv(a: Mat) -> Mat:
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(row[n:] for row in reduced)
-
-
-def unit_pivot_reducer(rows: Sequence[Sequence[int]]) -> list[tuple[int, Vec]]:
-    """Integer row-reduce a lattice basis choosing only +-1 pivots.
-
-    Returns a list of (pivot column, row) with pivot value 1, each pivot
-    column zero in all other rows; the rows span the same lattice. Raises
-    Inconsistent if some nonzero row never offers a +-1 pivot (cannot happen
-    for boundary lattices of square complexes, where a spanning tree of the
-    dual graph always provides one).
-    """
-    work = [[int(x) for x in row] for row in rows]
-    done: list[tuple[int, list[int]]] = []
-    while True:
-        choice = None
-        for i, row in enumerate(work):
-            for j, x in enumerate(row):
-                if x in (1, -1):
-                    choice = (i, j)
-                    break
-            if choice:
-                break
-        if choice is None:
-            if any(any(row) for row in work):
-                raise Inconsistent("lattice basis without unit pivot")
-            break
-        i, j = choice
-        pivot_row = work.pop(i)
-        if pivot_row[j] == -1:
-            pivot_row = [-x for x in pivot_row]
-        for row in work:
-            if row[j]:
-                f = row[j]
-                for k in range(len(row)):
-                    row[k] -= f * pivot_row[k]
-        done.append((j, pivot_row))
-    # back-substitute so each pivot column is zero in the other kept rows
-    for idx in range(len(done) - 1, -1, -1):
-        j, row = done[idx]
-        for idx2 in range(len(done)):
-            if idx2 != idx and done[idx2][1][j]:
-                f = done[idx2][1][j]
-                done[idx2] = (
-                    done[idx2][0],
-                    [a - f * b for a, b in zip(done[idx2][1], row)],
-                )
-    done.sort(key=lambda t: t[0])
-    return [(j, tuple(row)) for j, row in done]
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

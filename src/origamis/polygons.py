@@ -114,7 +114,8 @@ class PolygonSurface:
                 if _segments_cross_properly(a, b, c, d):
                     raise NotSimple("boundary sides cross")
                 adjacent = j == i + 1 or (i == 0 and j == n - 1)
-                if not adjacent and (_on_segment(c, a, b) or _on_segment(d, a, b)):
+                if not adjacent and (_on_segment(c, a, b) or _on_segment(d, a, b)
+                                     or _on_segment(a, c, d) or _on_segment(b, c, d)):
                     raise NotSimple("vertex lies on a non-adjacent side")
 
     def _match_sides(self):

@@ -69,6 +69,18 @@ def test_polygon_without_a_generic_offset_is_domain_error(tmp_path):
                                 "message": "no generic offset found"}
 
 
+def test_vertex_on_a_later_side_is_domain_error(tmp_path):
+    """Vertex (1,-3) lies on the later side from (-2,-2) to (4,-4) once the
+    orientation is reversed."""
+    path = tmp_path / "poly.json"
+    path.write_text(json.dumps({"vertices": [[0, 0], [6, -2], [5, -3], [4, -4],
+                                             [-2, -2], [0, -4], [1, -3], [2, -2]]}))
+    code, text = capture(["info", "--origami", str(path)])
+    assert code == 1
+    assert json.loads(text) == {"error": "NotSimple",
+                                "message": "vertex lies on a non-adjacent side"}
+
+
 def test_malformed_file_is_error(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"n": 3, "r": [0, 0, 1], "u": [1, 2, 0]}))
@@ -232,6 +244,12 @@ AB = ["--name", "appendix-b"]
     (FILE, json.dumps({"n": True, "r": [0], "u": [0]}), "BadInputFile"),
     (FILE, json.dumps({"n": 2, "r": [True, False], "u": [0, 1]}),
      "BadInputFile"),
+    (FILE, json.dumps({"vertices": [[0, 0], [True, 0], [1, 1], [0, 1]]}),
+     "BadInputFile"),
+    (FILE, json.dumps({"vertices": [[0, 0], [2.0, 0], [2, 2], [0, 2]]}),
+     "BadInputFile"),
+    (FILE, json.dumps({"vertices": [[0, 0], [2.5, 0], [2, 2], [0, 2]]}),
+     "BadInputFile"),
     (["verify", "theorem-a", "--q", "5"], None, "BadArgument"),
     (["verify", "appendix-a", "--q", "5"], None, "BadArgument"),
     (["verify", "appendix-b", "--q", "5"], None, "BadArgument"),
@@ -246,7 +264,8 @@ AB = ["--name", "appendix-b"]
         "cap-negative", "len-zero", "trials-zero", "level-one",
         "basis-unknown", "subspace-unknown", "probes-unknown", "probes-empty",
         "verify-q-zero", "verify-q-one", "base-past-n", "base-negative",
-        "n-float", "n-bool", "images-bool", "q-unread-theorem-a",
+        "n-float", "n-bool", "images-bool", "vertex-bool", "vertex-float",
+        "vertex-fraction", "q-unread-theorem-a",
         "q-unread-appendix-a", "q-unread-appendix-b", "q-unread-ew",
         "q-unread-appendix-b-name", "q-unread-origami-file"])
 def test_bad_origami_file_is_usage_error(tmp_path, argv, content, error):

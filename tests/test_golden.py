@@ -78,6 +78,11 @@ PINNED_SHA256 = {
     "group-orn-q-41-H_tau": (
         ["group", "--name", "ornithorynque", "--q", "41", "--subspace", "H_tau"],
         "3286610dfa343f5b0621a5f54ff8a91055fd4c901204166dbcecfc2a66777d05"),
+    # a restricted matrix read off the canonical forms at the q cap
+    "action-orn-q-41-S-H_breve": (
+        ["action", "--name", "ornithorynque", "--q", "41", "--matrix", "[[0,-1],[1,0]]",
+         "--basis", "H_breve"],
+        "75169e8c81bb403c32436c6976ea6e908d8aaa87fc7dbcae9a090e2fad5e4ddb"),
     "group-orn-q-21-Hbreve": (
         ["group", "--name", "ornithorynque", "--q", "21", "--subspace", "Hbreve"],
         "f70d9ac08935ca657367dc92c8c1d7de3f0472d2f9243b306690898f00a3e4bb"),

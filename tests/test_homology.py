@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 
 from _walk_reference import decompose_walks, edge_endpoints, walk_chain, walk_passages
 from origamis import linalg
-from origamis.catalog import QUATERNION_ORDER, quaternion_mul
-from origamis.errors import NotAbsolute
+from origamis.catalog import QUATERNION_ORDER, catalog, quaternion_mul
+from origamis.errors import Inconsistent, NotAbsolute
 from origamis.homology import EdgeChain, chain_space
 from origamis.origami import make_origami, vertex_of_square
 from origamis.permutations import Perm, are_transitive, random_transitive_pair
+from test_origami import _transitive_origamis
 
 TORUS = make_origami(1, Perm([0]), Perm([0]))
 
@@ -56,6 +57,70 @@ def test_relation_ranks(ew, orn3):
     assert chain_space(ew.origami).relation_rank() == 7
     assert chain_space(orn3.origami).relation_rank() == 11
     assert chain_space(TORUS).relation_rank() == 0
+
+
+def _unit_pivot_reducer(rows):
+    """Integer row reduction of a lattice basis choosing only +-1 pivots:
+    (pivot column, row) pairs with pivot value 1, each pivot column zero in
+    the other rows, spanning the same lattice. Raises Inconsistent if some
+    nonzero row never offers a +-1 pivot."""
+    work = [[int(x) for x in row] for row in rows]
+    done = []
+    while True:
+        choice = None
+        for i, row in enumerate(work):
+            for j, x in enumerate(row):
+                if x in (1, -1):
+                    choice = (i, j)
+                    break
+            if choice:
+                break
+        if choice is None:
+            if any(any(row) for row in work):
+                raise Inconsistent("lattice basis without unit pivot")
+            break
+        i, j = choice
+        pivot_row = work.pop(i)
+        if pivot_row[j] == -1:
+            pivot_row = [-x for x in pivot_row]
+        for row in work:
+            if row[j]:
+                f = row[j]
+                for k in range(len(row)):
+                    row[k] -= f * pivot_row[k]
+        done.append((j, pivot_row))
+    # back-substitute so each pivot column is zero in the other kept rows
+    for idx in range(len(done) - 1, -1, -1):
+        j, row = done[idx]
+        for idx2 in range(len(done)):
+            if idx2 != idx and done[idx2][1][j]:
+                f = done[idx2][1][j]
+                done[idx2] = (done[idx2][0],
+                              [a - f * b for a, b in zip(done[idx2][1], row)])
+    done.sort(key=lambda t: t[0])
+    return [(j, tuple(row)) for j, row in done]
+
+
+def _assert_reducer_is_the_unit_pivot_one(origami):
+    """The rref's pivots and rows are the unit-pivot reduction's, and every
+    entry is -1, 0 or 1: the relation matrix is totally unimodular."""
+    space = chain_space(origami)
+    assert space.reducer == _unit_pivot_reducer(space.relation_rows)
+    assert all(x in (-1, 0, 1) for _, row in space.reducer for x in row)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_reducer_matches_the_unit_pivot_reference(data):
+    origami = data.draw(_transitive_origamis(data.draw(st.integers(1, 12))))
+    _assert_reducer_is_the_unit_pivot_one(origami)
+
+
+def test_catalog_reducers_match_the_unit_pivot_reference():
+    surfaces = [catalog("eierlegende-wollmilchsau"), catalog("appendix-b")] + \
+        [catalog("ornithorynque", q=q) for q in (3, 15, 41)]
+    for surface in surfaces:
+        _assert_reducer_is_the_unit_pivot_one(surface.origami)
 
 
 def test_relations_reduce_to_zero(ew):
