@@ -4,10 +4,10 @@ A Veech group element M is lifted by decomposing M into runs letter^k of
 the generators (``sl2z_word``), composing one edge substitution per run along
 the SL(2,Z) orbit of the origami, and closing up with a relabeling
 isomorphism from the final origami back to the start. A lift keeps its map
-on the 2n-dimensional chain space as sparse integer rows ((col, coeff), ...),
-columns ascending and no zero coefficient, so equal maps have equal rows.
-Images, products and the identity test (on the free columns only) read
-those rows; equality of classes is tested on canonical forms.
+on the 2n-dimensional chain space as sparse integer rows (`linalg.Row`), so
+equal maps have equal rows. Images, products and the identity test (on the
+free columns only) read those rows; equality of classes is tested on
+canonical forms.
 
 The letter substitutions (target origami listed first) are
 
@@ -45,57 +45,17 @@ inverse is its inverse word's transport closed by the inverse relabeling.
 
 from __future__ import annotations
 
-import functools
-from itertools import repeat
 from typing import NamedTuple, Sequence
 
 from . import linalg
 from .errors import (Inconsistent, NotAutomorphism, NotInvariant,
                      NotInVeechGroup, OrderExceedsCap, WrongSurface)
 from .homology import EdgeChain, Subspace, chain_space
-from .linalg import Mat, Vec
+from .linalg import Mat, Row, Vec, dense_view
 from .origami import Origami, isomorphisms, sl2z_act, vertex_of_square
 from .permutations import Perm
 from .sl2z import (ID2, Mat2, Runs, inverse_runs, mat_inv, mat_mul,
                    sl2z_word)
-
-Row = tuple[tuple[int, int], ...]  # ((col, coeff), ...), columns ascending
-
-
-def _row(acc: dict) -> Row:
-    """The canonical row of a sum held as {col: coeff}."""
-    return tuple(sorted([(j, x) for j, x in acc.items() if x]))
-
-
-def _add_to(acc: dict, row, c: int = 1) -> dict:
-    """acc += c * row, for row pairs (col, coeff)."""
-    get = acc.get
-    for j, x in row:
-        acc[j] = get(j, 0) + c * x
-    return acc
-
-
-@functools.lru_cache(16)
-def dense_view(rows: tuple[Row, ...]) -> Mat:
-    """The square dense matrix of sparse rows, cached for 16 row sets."""
-    width = range(len(rows))
-    return tuple(tuple(map(dict(row).get, width, repeat(0))) for row in rows)
-
-
-def _product(a: Sequence[Row], b: Sequence[Row]) -> tuple[Row, ...]:
-    """The rows of a * b."""
-    out = []
-    for row in a:
-        acc: dict = {}
-        for k, x in row:
-            _add_to(acc, b[k], x)
-        out.append(_row(acc))
-    return tuple(out)
-
-
-def _times(rows: Sequence[Row], v: Vec) -> Vec:
-    """rows times the vector v: each entry reads only the row's columns."""
-    return tuple([sum([x * v[j] for j, x in row]) for row in rows])
 
 
 def _run_rows(letter: str, k: int, origami: Origami,
@@ -123,19 +83,19 @@ def _run_rows(letter: str, k: int, origami: Origami,
         added = moved if forward else moved[1:] + moved[:1]  # row x_{t+o}
         window: dict = {}
         for row in moved if k >= c else ():
-            _add_to(window, row.items(), k // c)
+            linalg._add_to(window, row.items(), k // c)
         for row in added[:k % c]:
-            _add_to(window, row.items())
+            linalg._add_to(window, row.items())
         for t, x in enumerate(walk):
             out[moving + x] = moved[(t + k) % c]
             if k == 1:
                 terms = added[t]
             else:
                 if t:
-                    _add_to(window, added[t - 1].items(), -1)
-                    _add_to(window, added[(t - 1 + k) % c].items())
+                    linalg._add_to(window, added[t - 1].items(), -1)
+                    linalg._add_to(window, added[(t - 1 + k) % c].items())
                 terms = window
-            out[fixed + x] = _add_to(rows[fixed + x].copy(), terms.items(), sign)
+            out[fixed + x] = linalg._add_to(rows[fixed + x].copy(), terms.items(), sign)
     return out
 
 
@@ -151,7 +111,7 @@ def transport(origami: Origami, runs: Runs, rows: Sequence[dict] | None = None
     for letter, k in reversed(runs):
         rows, current = (_run_rows(letter, k, current, rows),
                          sl2z_act(letter, current, k))
-    return current, tuple(map(_row, rows))
+    return current, tuple(map(linalg._row, rows))
 
 
 def _relabel_rows(rows: Sequence[Row], phi: Perm) -> tuple[Row, ...]:
@@ -188,13 +148,14 @@ class AffineLift(NamedTuple):
     matrix = property(lambda self: dense_view(self.rows))
 
     def apply(self, chain: EdgeChain) -> EdgeChain:
-        return EdgeChain.from_flat(_times(self.rows, chain.flat()))
+        return EdgeChain.from_flat(linalg._times(self.rows, chain.flat()))
 
     def image(self, v: Vec) -> Vec:
         """The canonical form of the image of the flat vector v, mapped as
         its integer numerators over their lcm (1 for an all-int v)."""
         d, (ints,) = linalg._over_lcm((v,))
-        return chain_space(self.origami).canonical_over(_times(self.rows, ints), d)
+        space = chain_space(self.origami)
+        return space.canonical_over(linalg._times(self.rows, ints), d)
 
     def compose(self, other: "AffineLift") -> "AffineLift":
         """self after other."""
@@ -203,7 +164,7 @@ class AffineLift(NamedTuple):
         return AffineLift(
             self.origami,
             mat_mul(self.linear, other.linear),
-            _product(self.rows, other.rows),
+            linalg._product(self.rows, other.rows),
             self.vertex_perm * other.vertex_perm,
             self.relabeling * other.relabeling,
             self.runs + other.runs,
@@ -218,20 +179,14 @@ class AffineLift(NamedTuple):
 
     def is_identity(self) -> bool:
         """Whether the lift fixes the derivative, the vertex classes and the
-        class of e_j for each free column j. That is exact: those e_j span
-        the chain space modulo the relations, which every lift maps into
-        themselves."""
+        class of e_j for each free column j, which is its own canonical
+        form. That is exact: those e_j span the chain space modulo the
+        relations, which every lift maps into themselves."""
         if self.linear != ID2 or not self.vertex_perm.is_identity():
             return False
         space = chain_space(self.origami)
-        # column j of the map, less e_j
-        columns = {j: [-int(i == j) for i in range(len(self.rows))]
-                   for j in space.free}
-        for i, row in enumerate(self.rows):
-            for j, x in row:
-                if j in columns:
-                    columns[j][i] += x
-        return not any(any(space.canonical_vec(col)) for col in columns.values())
+        columns, units = linalg.transpose(self.matrix), linalg.identity(len(self.rows))
+        return all(space.canonical_vec(columns[j]) == units[j] for j in space.free)
 
     def __pow__(self, k: int) -> "AffineLift":
         if k < 0:
@@ -256,8 +211,7 @@ def automorphism_lift(origami: Origami, a: Perm) -> AffineLift:
         raise NotAutomorphism(f"permutation of {a.n} squares, not {origami.n}")
     if a * origami.r != origami.r * a or a * origami.u != origami.u * a:
         raise NotAutomorphism("permutation does not commute with r and u")
-    unit = tuple(((j, 1),) for j in range(2 * origami.n))
-    return _closed(origami, ID2, (), unit, a)
+    return _closed(origami, ID2, (), transport(origami, ())[1], a)
 
 
 def _closed(origami: Origami, m: Mat2, runs: Runs, rows: Sequence[Row],

@@ -141,7 +141,9 @@ def _named_subspaces(args):
         return decompose_ew(catalog(args.name))
     if args.name == "ornithorynque":
         return decompose_orn(catalog(args.name, q=args.q))
-    raise OrigamiError(f"no named decomposition for {args.name!r}")
+    asked = args.name or args.origami or "a surface without --name"
+    raise OrigamiError(f"no named decomposition for {asked}: only "
+                       "eierlegende-wollmilchsau and ornithorynque have one")
 
 
 def _subspace(rep, name: str):

@@ -7,12 +7,12 @@ modulo the square-boundary relations
 Flat coordinates are (sigma_0..sigma_{n-1}, zeta_0..zeta_{n-1}). Canonical
 forms are unique coset representatives obtained by zeroing the pivot
 columns P of R, the reduced row echelon form (`linalg.rref`) of the relation
-rows A; integer chains stay integer, a rational chain is reduced on its
-integer numerators over their lcm, and the n + 1 free columns they keep are
-a Z-basis of H_1(M, Sigma', Z). Every subspace cut out by the boundary
-(absolute, marked, zero holonomy) and the Z-basis of H_1(M, Z) come from one
-integer kernel of the boundary, read from the table of edge endpoints, on
-those free columns.
+rows A, as `linalg.Row`s whose nonzeros alone are read; integer chains stay
+integer, a rational chain is reduced on its integer numerators over their
+lcm, and the n + 1 free columns they keep are a Z-basis of
+H_1(M, Sigma', Z). Every subspace cut out by the boundary (absolute, marked,
+zero holonomy) and the Z-basis of H_1(M, Z) come from one integer kernel of
+the boundary, read from the table of edge endpoints, on those free columns.
 
 R is integral and spans the relation lattice. Column sigma_j of A is +1 in
 box_j and -1 in box_{u^-1 j}, column zeta_j is +1 in box_{r^-1 j} and -1 in
@@ -65,10 +65,9 @@ class EdgeChain(NamedTuple):
 
     @staticmethod
     def unit(n: int, etype: str, g: int, coeff=1) -> "EdgeChain":
-        sigma = [0] * n
-        zeta = [0] * n
-        (sigma if etype == "s" else zeta)[g] = coeff
-        return EdgeChain(tuple(sigma), tuple(zeta))
+        flat = [0] * (2 * n)
+        flat[g if etype == "s" else n + g] = coeff
+        return EdgeChain.from_flat(flat)
 
     def flat(self) -> Vec:
         return self.sigma + self.zeta
@@ -122,24 +121,15 @@ class Subspace(NamedTuple):
         the others'), so the coordinates are v's entries at the pivots; v is
         in the span when v * d_v * d_b equals the sum of those (scaled)
         entries times the basis rows scaled by d_b, both sides integers."""
-        d_b, rows = _sparse_over_lcm(self.basis)
+        d_b, rows = linalg._sparse_over_lcm(self.basis)
         d, (ints,) = linalg._over_lcm((v,))
         residual = [d_b * x for x in ints]
         for row, p in zip(rows, self.pivots):
             if f := ints[p]:
                 for j, y in row:
                     residual[j] -= f * y
-        if any(residual):
-            return None
-        return linalg._divided([ints[p] for p in self.pivots], d)
-
-
-@functools.lru_cache(16)
-def _sparse_over_lcm(basis: tuple[Vec, ...]) -> tuple[int, tuple]:
-    """`linalg._over_lcm` of a basis, each row as its nonzero (col, int)
-    pairs: one basis reads many vectors, and its rows are sparse."""
-    d, rows = linalg._over_lcm(basis)
-    return d, tuple(tuple((j, y) for j, y in enumerate(row) if y) for row in rows)
+        return None if any(residual) else \
+            linalg._divided([ints[p] for p in self.pivots], d)
 
 
 class StandardSplitting(NamedTuple):
@@ -168,7 +158,7 @@ class ChainSpace:
             row[u(g)] -= 1                 # -sigma_{u(g)}
             self.relation_rows.append(row)
         rows, pivots = linalg.rref(self.relation_rows)
-        self.reducer = list(zip(pivots, rows))
+        self.reducer = list(zip(pivots, linalg._sparse_over_lcm(rows)[1]))
         self.free = tuple(sorted(set(range(2 * n)) - set(pivots)))
         # (tail, head) vertex class of sigma_g = flat g and zeta_g = flat n + g
         self.edge_ends = [(self.vowner[g], self.vowner[r(g)]) for g in range(n)] + \
@@ -200,9 +190,11 @@ class ChainSpace:
 
     def canonical_over(self, ints: Sequence[int], d: int) -> Vec:
         """The canonical form of the vector ints / d."""
+        ints = list(ints)
         for p, row in self.reducer:
             if f := ints[p]:
-                ints = [x - f * y for x, y in zip(ints, row)]
+                for j, y in row:
+                    ints[j] -= f * y
         return linalg._divided(ints, d)
 
     def equivalent(self, a: EdgeChain, b: EdgeChain) -> bool:

@@ -55,7 +55,7 @@ class CylinderDecomposition(NamedTuple):
     normalizer: Mat2
     normalized: Origami
     cylinders: list[Cylinder]
-    to_rows: tuple[affine.Row, ...]
+    to_rows: tuple[linalg.Row, ...]
 
 
 def _pairing_row(decomp: CylinderDecomposition,
@@ -63,11 +63,10 @@ def _pairing_row(decomp: CylinderDecomposition,
     """Integer row pi with <core push-off, c> = pi . c for every chain c: the
     zeta rows of `to_rows` summed over the row's squares."""
     n = decomp.normalized.n
-    pi = [0] * (2 * n)
+    pi: dict = {}
     for g in row_squares:
-        for j, x in decomp.to_rows[n + g]:
-            pi[j] += x
-    return tuple(pi)
+        linalg._add_to(pi, decomp.to_rows[n + g])
+    return tuple([pi.get(j, 0) for j in range(2 * n)])
 
 
 def cylinders(origami: Origami, direction: tuple[int, int]) -> CylinderDecomposition:
@@ -82,7 +81,7 @@ def cylinders(origami: Origami, direction: tuple[int, int]) -> CylinderDecomposi
 
 @functools.lru_cache(16)
 def _decomposition(origami: Origami, direction: tuple[int, int]
-                   ) -> tuple[Origami, tuple[affine.Row, ...], tuple[tuple, ...]]:
+                   ) -> tuple[Origami, tuple[linalg.Row, ...], tuple[tuple, ...]]:
     """(normalized origami, `to_rows`, each cylinder's (rows, width, height,
     core)) in a primitive direction.
 
@@ -123,8 +122,8 @@ def _decomposition(origami: Origami, direction: tuple[int, int]
     if sum(width * height for _, width, height in found) != origami.n:
         raise Inconsistent("cylinder areas must tile the surface")
     return normalized, to_rows, tuple(
-        (*cyl, EdgeChain.from_flat([dict(row).get(c, 0) for row in cores]))
-        for c, cyl in enumerate(found))
+        (*cyl, EdgeChain.from_flat(core)) for cyl, core in
+        zip(found, linalg.transpose(linalg.dense_view(cores, len(found)))))
 
 
 def _rational_lcm(values: Sequence[Fraction]) -> Fraction:

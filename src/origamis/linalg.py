@@ -9,10 +9,15 @@ products (mat_mul, mat_vec) and `rref` here, through rref `solve` and
 `mat_inv`, and in `homology` and `affine` the canonical forms, the subspace
 coordinates and the lift images. All-int operands of a product are
 multiplied as ints.
+
+A `Row` is a sparse integer row, its nonzero (col, coeff) pairs: `_row`
+sums the lift maps into Rows, `_sparse_over_lcm` makes the relation reducer
+and the subspace bases from dense rows, and `dense_view` reads Rows back.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, lcm
@@ -21,6 +26,7 @@ from typing import Sequence
 
 Vec = tuple[int | Fraction, ...]
 Mat = tuple[Vec, ...]
+Row = tuple[tuple[int, int], ...]  # ((col, coeff), ...), columns ascending
 
 
 def identity(n: int) -> Mat:
@@ -76,6 +82,49 @@ def _divided(ints: Sequence[int], d: int) -> Vec:
     return tuple([x // d if x % d == 0 else Fraction(x, d) for x in ints])
 
 
+@functools.lru_cache(16)
+def _sparse_over_lcm(basis: tuple[Vec, ...]) -> tuple[int, tuple[Row, ...]]:
+    """`_over_lcm` of a basis, as Rows: one basis reads many vectors."""
+    d, rows = _over_lcm(basis)
+    return d, tuple(tuple((j, y) for j, y in enumerate(row) if y) for row in rows)
+
+
+def _row(acc: dict) -> Row:
+    """The Row of a sum held as {col: coeff}."""
+    return tuple(sorted([(j, x) for j, x in acc.items() if x]))
+
+
+def _add_to(acc: dict, row, c: int = 1) -> dict:
+    """acc += c * row, for row pairs (col, coeff)."""
+    get = acc.get
+    for j, x in row:
+        acc[j] = get(j, 0) + c * x
+    return acc
+
+
+@functools.lru_cache(16)
+def dense_view(rows: tuple[Row, ...], width: int | None = None) -> Mat:
+    """The dense matrix of Rows, `width` (or as many) columns wide."""
+    columns = range(len(rows) if width is None else width)
+    return tuple(tuple(map(dict(row).get, columns, repeat(0))) for row in rows)
+
+
+def _product(a: Sequence[Row], b: Sequence[Row]) -> tuple[Row, ...]:
+    """The Rows of a * b."""
+    out = []
+    for row in a:
+        acc: dict = {}
+        for k, x in row:
+            _add_to(acc, b[k], x)
+        out.append(_row(acc))
+    return tuple(out)
+
+
+def _times(rows: Sequence[Row], v: Vec) -> Vec:
+    """rows times the vector v: each entry reads only the row's columns."""
+    return tuple([sum([x * v[j] for j, x in row]) for row in rows])
+
+
 def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
 
@@ -96,30 +145,34 @@ def exact(x):
 def rref(a: Mat) -> tuple[Mat, list[int]]:
     """Reduced row echelon form over Q; returns (rref, pivot column list).
 
-    Gauss-Jordan on the integer rows of `_over_lcm`: each other row r gains
-    a column's zero as p * r - f * (pivot row), and is divided by the gcd of
-    its entries. The pivots are divided out once at the end; the RREF is
-    unique, so it is the one of a over Q."""
+    Gauss-Jordan on the integer rows of `_over_lcm`, at the pivot row's
+    nonzeros only: a row r with f in pivot p's column becomes r - (f / p) *
+    (pivot row) in place when p divides f (as a unit pivot does), else
+    p * r - f * (pivot row) over the gcd of its entries. The pivots are
+    divided out at the end; the RREF is unique, so it is the one of a."""
     _, rows = _over_lcm(a)
     rows = [list(row) for row in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if rows else 0
     pivots: list[int] = []
-    rank = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(rank, nrows) if rows[i][col]), None)
-        if pivot_row is None:
+    for col in range(len(rows[0]) if rows else 0):
+        rank = len(pivots)
+        found = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if found is None:
             continue
-        rows[rank], rows[pivot_row] = rows[pivot_row], rows[rank]
-        prow = rows[rank]
-        p = prow[col]
-        for i in range(nrows):
-            if i != rank and (f := rows[i][col]):
-                row = [p * x - f * y for x, y in zip(rows[i], prow)]
-                g = gcd(*row)
-                rows[i] = [x // g for x in row] if g > 1 else row
+        rows[rank], rows[found] = rows[found], rows[rank]
+        p = rows[rank][col]
+        nonzeros = [(j, y) for j, y in enumerate(rows[rank]) if y]
+        for i, row in enumerate(rows):
+            if i == rank or not (f := row[col]):
+                continue
+            c, rest = divmod(f, p)
+            if rest:
+                row = rows[i] = [p * x for x in row]
+                c = f
+            for j, y in nonzeros:
+                row[j] -= c * y
+            if rest and (g := gcd(*row)) > 1:
+                rows[i] = [x // g for x in row]
         pivots.append(col)
-        rank += 1
     return tuple([_divided(row, row[col]) for row, col in zip(rows, pivots)]), pivots
 
 

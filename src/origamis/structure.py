@@ -180,9 +180,9 @@ def tau_character(orn: Ornithorynque, lift_: AffineLift) -> int:
     if lift_.origami != orn.origami:
         raise NotInCyclicImage("lift of another surface")
     q = orn.q
-    space = chain_space(orn.origami)
-    taus = [space.canonical_vec(orn.tau(i).flat()) for i in range(q)]
-    images = [lift_.image(orn.tau(i).flat()) for i in range(q)]
+    chains = [orn.tau(i).flat() for i in range(q)]
+    taus = list(map(chain_space(orn.origami).canonical_vec, chains))
+    images = list(map(lift_.image, chains))
     shift = (q + 1) // 2
     for k in range(2 * q):
         sign = (-1) ** k

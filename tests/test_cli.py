@@ -108,6 +108,26 @@ def test_spin_error_exit_code():
     assert json.loads(text)["error"] == "OddOrderZeros"
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--origami", "FILE"],
+    ["group", "--origami", "FILE"],
+    ["growth", "--origami", "FILE"],
+    ["action", "--origami", "FILE", "--matrix", "[[1,0],[0,1]]", "--basis", "H1_0"],
+    ["decompose", "--name", "appendix-b"],
+], ids=["decompose", "group", "growth", "action-basis", "decompose-appendix-b"])
+def test_surface_without_a_named_decomposition_is_domain_error(tmp_path, argv):
+    """A surface other than the two with named decompositions answers a
+    JSON error with exit 1 that names what was asked and the two names."""
+    path = tmp_path / "torus.json"
+    path.write_text(json.dumps({"n": 1, "r": [0], "u": [0]}))
+    code, text = capture([str(path) if x == "FILE" else x for x in argv])
+    message = json.loads(text)["message"]
+    assert code == 1
+    assert "eierlegende-wollmilchsau" in message and "ornithorynque" in message
+    assert "None" not in message
+    assert (str(path) if "FILE" in argv else "appendix-b") in message
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         capture(["no-such-command"])

@@ -83,6 +83,13 @@ PINNED_SHA256 = {
         ["action", "--name", "ornithorynque", "--q", "41", "--matrix", "[[0,-1],[1,0]]",
          "--basis", "H_breve"],
         "75169e8c81bb403c32436c6976ea6e908d8aaa87fc7dbcae9a090e2fad5e4ddb"),
+    # a multitwist and the decomposition at the q cap, read off the reducer
+    "twist-orn-q-41-dir-3-2": (
+        ["twist", "--name", "ornithorynque", "--q", "41", "--dir", "3,2"],
+        "dbe0c36d803ac1215358b63946517fbce9465e1d1d3033f38556526535b95929"),
+    "decompose-orn-q-41": (
+        ["decompose", "--name", "ornithorynque", "--q", "41"],
+        "3eaa403afb8a55f5e852fd7c7298f7a511233ec8d4639488f1e398a90c24f6a2"),
     "group-orn-q-21-Hbreve": (
         ["group", "--name", "ornithorynque", "--q", "21", "--subspace", "Hbreve"],
         "f70d9ac08935ca657367dc92c8c1d7de3f0472d2f9243b306690898f00a3e4bb"),

@@ -12,6 +12,7 @@ from origamis import linalg
 from origamis.catalog import QUATERNION_ORDER, catalog, quaternion_mul
 from origamis.errors import Inconsistent, NotAbsolute
 from origamis.homology import EdgeChain, chain_space
+from origamis.linalg import dense_view
 from origamis.origami import make_origami, vertex_of_square
 from origamis.permutations import Perm, are_transitive, random_transitive_pair
 from test_origami import _transitive_origamis
@@ -102,11 +103,18 @@ def _unit_pivot_reducer(rows):
 
 
 def _assert_reducer_is_the_unit_pivot_one(origami):
-    """The rref's pivots and rows are the unit-pivot reduction's, and every
-    entry is -1, 0 or 1: the relation matrix is totally unimodular."""
+    """The rref's pivots and rows, read through `dense_view`, are the
+    unit-pivot reduction's, and every entry is -1, 0 or 1: the relation
+    matrix is totally unimodular. Each reducer row is a `Row`: the nonzero
+    (col, coeff) pairs of its dense view, columns ascending."""
     space = chain_space(origami)
-    assert space.reducer == _unit_pivot_reducer(space.relation_rows)
-    assert all(x in (-1, 0, 1) for _, row in space.reducer for x in row)
+    sparse = tuple(row for _, row in space.reducer)
+    rows = dense_view(sparse, 2 * space.n)
+    assert [(p, row) for (p, _), row in zip(space.reducer, rows)] == \
+        _unit_pivot_reducer(space.relation_rows)
+    assert all(x in (-1, 0, 1) for row in rows for x in row)
+    assert sparse == tuple(tuple((j, x) for j, x in enumerate(row) if x)
+                           for row in rows)
 
 
 @settings(max_examples=150, deadline=None, database=None)

@@ -85,6 +85,33 @@ def test_rref_matches_sympy(seed):
         assert _no_float(reduced)
 
 
+def _relation_matrix(seed: int):
+    """The relation rows of a seeded random transitive origami (n <= 12):
+    wide (2n columns), sparse (at most four nonzeros a row) and with unit
+    pivots, one row scaled by 2 or 3, so that a non-unit pivot mostly
+    follows unit ones, and a zero row put in."""
+    from origamis import chain_space, make_origami
+    from origamis.permutations import random_transitive_pair
+    rng = random.Random(seed)
+    n = rng.randint(2, 12)
+    origami = make_origami(n, *random_transitive_pair(n, rng))
+    rows = [list(row) for row in chain_space(origami).relation_rows]
+    k = rng.randrange(n)
+    rows[k] = [rng.choice((2, 3)) * x for x in rows[k]]
+    rows.insert(rng.randrange(n + 1), [0] * (2 * n))
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_rref_matches_sympy_on_wide_sparse_relation_rows(seed):
+    a = _relation_matrix(seed)
+    reduced, pivots = linalg.rref(a)
+    expected, expected_pivots = sympy.Matrix(a).rref()
+    assert pivots == list(expected_pivots)
+    assert reduced == _from_sympy(expected)[:len(pivots)]
+    assert _no_float(reduced)
+
+
 def nullspace(a):
     """Basis of the right kernel of a over Q, read off `linalg.rref`: a
     reference for the tests, which the library's integer kernels replaced."""

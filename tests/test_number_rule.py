@@ -8,6 +8,7 @@ computations they replaced, kept here as `_reference_*` helpers: equal
 values, each entry typed by the rule.
 """
 
+import functools
 import random
 from fractions import Fraction
 from math import lcm
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from _walk_reference import germ_positions
 from origamis import linalg
 from origamis.affine import lift_all, matrix_in_chain_basis, matrix_on
+from origamis.catalog import catalog
 from origamis.errors import NotAbsolute
 from origamis.homology import EdgeChain, chain_space
 from origamis.invariants import multitwist
@@ -27,6 +29,7 @@ from origamis.origami import make_origami
 from origamis.permutations import random_transitive_pair
 from origamis.rootsys import FiniteMatrixGroup, finite_closure
 from origamis.structure import combined_action
+from test_origami import _transitive_origamis
 
 
 def _all_int(rows) -> bool:
@@ -168,9 +171,17 @@ def _reference_rref(a):
     return tuple(tuple(map(linalg.exact, row)) for row in rows[:rank]), pivots
 
 
+@functools.lru_cache(16)
+def _reference_reducer(space):
+    """The space's reducer read apart from the one it checks: the pivots
+    and rows of the Fraction rref of its relation rows."""
+    rows, pivots = _reference_rref(space.relation_rows)
+    return list(zip(pivots, rows))
+
+
 def _reference_canonical_vec(space, v):
     v = list(v)
-    for p, row in space.reducer:
+    for p, row in _reference_reducer(space):
         if v[p] != 0:
             f = v[p]
             v = [x - f * y for x, y in zip(v, row)]
@@ -324,6 +335,42 @@ def test_canonical_vec_coords_of_and_image_match_references(ew, orn3, appendix_b
     assert {frozenset({int}), frozenset({int, Fraction})} <= seen
     assert {("coords", None), ("coords", frozenset({int, Fraction}))} <= seen
     assert {"canonical_vec", "image", "coords_of"} <= seen
+
+
+@functools.lru_cache(4)
+def _power_lifts(origami):
+    """One lift each of T^a and S^b, a and b the orders of r and u, which
+    lie in every Veech group."""
+    return [lift_all(origami, mat_pow(m, lcm(*map(len, p.cycles()))))[0]
+            for m, p in ((T_MAT, origami.r), (S_MAT, origami.u))]
+
+
+_WIDE_SPARSE = st.one_of(
+    st.integers(1, 12).flatmap(_transitive_origamis),
+    st.builds(lambda: catalog("ornithorynque", q=15).origami))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(st.data())
+def test_canonical_forms_match_references_on_wide_sparse_reducers(data):
+    """Random transitive origamis (n <= 12) and orn q = 15, whose reducer
+    rows are wider and sparser than the fixed surfaces': on integer and
+    half-integer vectors, `canonical_vec`, `coords_of` and `AffineLift.image`
+    equal the references, entry types included."""
+    origami = data.draw(_WIDE_SPARSE)
+    space = chain_space(origami)
+    width = 2 * origami.n
+    d = data.draw(st.sampled_from((1, 2)))
+    v = tuple(Fraction(x, d) if d > 1 else x for x in data.draw(
+        st.lists(st.integers(-4, 4), min_size=width, max_size=width)))
+    assert _typed(space.canonical_vec(v)) == \
+        _canonical(_reference_canonical_vec(space, v))
+    for lift_ in _power_lifts(origami):
+        assert _typed(lift_.image(v)) == _canonical(_reference_image(lift_, v))
+    for sub in (space.full_subspace(), space.absolute_subspace()):
+        for w in (space.canonical_vec(v), v):
+            assert _typed(sub.coords_of(w)) == \
+                _canonical(_reference_coords_of(sub, w))
 
 
 @settings(max_examples=80, deadline=None)
