@@ -255,7 +255,7 @@ def power_order(lift_: AffineLift, cap: int) -> int:
 
 def matrix_on(lift_: AffineLift, subspace: Subspace) -> Mat:
     """Matrix of the lift in the subspace basis (columns are images)."""
-    return _matrix_in(lift_, subspace.basis, subspace.coords_of)
+    return _matrix_in(lift_, subspace.basis, subspace._reader())
 
 
 def matrix_in_chain_basis(lift_: AffineLift, basis: "list[Vec] | tuple"):

@@ -17,8 +17,6 @@ Square index conventions (these never change; golden tests depend on them):
 
 from __future__ import annotations
 
-import functools
-
 from . import homology, polygons
 from .errors import EvenQ, UnknownName
 from .origami import Origami, make_origami
@@ -247,17 +245,11 @@ _CONSTRUCTORS = {"eierlegende-wollmilchsau": lambda q: Wollmilchsau(),
 
 def catalog(name: str, q: int | None = None):
     """Catalog entry: a Wollmilchsau, Ornithorynque, or AppendixB object,
-    built once per name (and q, for the ornithorynque) while among the 16
-    most recently asked for."""
+    a new one built on each call."""
     if name not in _CONSTRUCTORS:
         raise UnknownName(f"unknown catalog name {name!r}")
     if name == "ornithorynque" and q is None:
         raise UnknownName("ornithorynque requires q")
-    return _entry(name, q if name == "ornithorynque" else None)
-
-
-@functools.lru_cache(16)
-def _entry(name: str, q: int | None):
     return _CONSTRUCTORS[name](q)
 
 

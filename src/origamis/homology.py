@@ -121,15 +121,22 @@ class Subspace(NamedTuple):
         the others'), so the coordinates are v's entries at the pivots; v is
         in the span when v * d_v * d_b equals the sum of those (scaled)
         entries times the basis rows scaled by d_b, both sides integers."""
+        return self._reader()(v)
+
+    def _reader(self):
+        """`coords_of` as a function of v, with the basis made Rows once."""
         d_b, rows = linalg._sparse_over_lcm(self.basis)
-        d, (ints,) = linalg._over_lcm((v,))
-        residual = [d_b * x for x in ints]
-        for row, p in zip(rows, self.pivots):
-            if f := ints[p]:
-                for j, y in row:
-                    residual[j] -= f * y
-        return None if any(residual) else \
-            linalg._divided([ints[p] for p in self.pivots], d)
+
+        def coords_of(v: Vec) -> Vec | None:
+            d, (ints,) = linalg._over_lcm((v,))
+            residual = [d_b * x for x in ints]
+            for row, p in zip(rows, self.pivots):
+                if f := ints[p]:
+                    for j, y in row:
+                        residual[j] -= f * y
+            return None if any(residual) else \
+                linalg._divided([ints[p] for p in self.pivots], d)
+        return coords_of
 
 
 class StandardSplitting(NamedTuple):
@@ -174,7 +181,8 @@ class ChainSpace:
                             for kind, etype, g in flat]
         self.edge_germs = [(index["in", etype, g], index["out", etype, g])
                            for etype in "sz" for g in range(n)]
-        self._lattices: dict[tuple[frozenset[int], bool], tuple[Vec, ...]] = {}
+        self._lattices: dict[tuple[frozenset[int], bool],
+                             tuple[tuple[Vec, ...], Subspace]] = {}
 
     # -- relations and canonical forms ------------------------------------
 
@@ -229,15 +237,16 @@ class ChainSpace:
         return Subspace(tuple(tuple(int(k == j) for k in width) for j in self.free),
                         self.free)
 
-    def _cycle_lattice(self, allowed_vertices: set[int],
-                       zero_holonomy: bool) -> tuple[Vec, ...]:
-        """Z-basis, as canonical integer vectors, of the classes whose boundary
-        is supported on the allowed vertex classes, and whose holonomy is zero
-        if asked: the integer kernel of those constraints on the free columns.
+    def _cycle_lattice(self, allowed_vertices: set[int], zero_holonomy: bool
+                       ) -> tuple[tuple[Vec, ...], Subspace]:
+        """(Z-basis, as canonical integer vectors, of the classes whose
+        boundary is supported on the allowed vertex classes, and whose
+        holonomy is zero if asked: the integer kernel of those constraints on
+        the free columns; its reduced span).
 
         Memoized for the allowed sets the library asks for, none and the
-        singular vertices, so at most 4 per space; a tuple of tuples, which
-        no caller can change.
+        singular vertices, so at most 4 per space, each reduced once; tuples
+        of tuples, which no caller can change.
         """
         key = (frozenset(allowed_vertices), zero_holonomy)
         if key in self._lattices:
@@ -258,18 +267,18 @@ class ChainSpace:
             for j, c in zip(self.free, x):
                 v[j] = c
             vecs.append(tuple(v))
-        lattice = tuple(vecs)
+        entry = tuple(vecs), self.subspace_from_vecs(vecs)
         if key[0] in (frozenset(), frozenset(self.singular_vertices())):
-            self._lattices[key] = lattice
-        return lattice
+            self._lattices[key] = entry
+        return entry
 
     def marked_subspace(self, marks: Sequence[int]) -> Subspace:
         if not marks:
             raise ValueError("marks must be nonempty")
-        return self.subspace_from_vecs(self._cycle_lattice(set(marks), False))
+        return self._cycle_lattice(set(marks), False)[1]
 
     def absolute_subspace(self) -> Subspace:
-        return self.subspace_from_vecs(self._cycle_lattice(set(), False))
+        return self._cycle_lattice(set(), False)[1]
 
     def singular_vertices(self) -> list[int]:
         return [k for k, v in enumerate(self.vclasses) if v.multiplicity > 1]
@@ -281,15 +290,15 @@ class ChainSpace:
         sigma = EdgeChain(one, zero)
         zeta = EdgeChain(zero, one)
         singular = set(self.singular_vertices())
-        h1_0_abs = self.subspace_from_vecs(self._cycle_lattice(set(), True))
-        h1_0_rel = self.subspace_from_vecs(self._cycle_lattice(singular, True))
+        h1_0_abs = self._cycle_lattice(set(), True)[1]
+        h1_0_rel = self._cycle_lattice(singular, True)[1]
         return StandardSplitting(sigma, zeta, h1_0_abs, h1_0_rel)
 
     def integral_absolute_basis(self) -> list[Vec]:
         """Z-basis of H_1(M, Z) = ker d / relations, as canonical integer rows
         in row Hermite form: `integer_kernel` returns trailing rows of a
         Hermite form, and inserting the non-free edges' zero columns keeps it."""
-        return list(self._cycle_lattice(set(), False))
+        return list(self._cycle_lattice(set(), False)[0])
 
     # -- ribbon structure ----------------------------------------------------
 

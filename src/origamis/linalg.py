@@ -17,7 +17,6 @@ and the subspace bases from dense rows, and `dense_view` reads Rows back.
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, lcm
@@ -82,9 +81,8 @@ def _divided(ints: Sequence[int], d: int) -> Vec:
     return tuple([x // d if x % d == 0 else Fraction(x, d) for x in ints])
 
 
-@functools.lru_cache(16)
-def _sparse_over_lcm(basis: tuple[Vec, ...]) -> tuple[int, tuple[Row, ...]]:
-    """`_over_lcm` of a basis, as Rows: one basis reads many vectors."""
+def _sparse_over_lcm(basis: Sequence[Vec]) -> tuple[int, tuple[Row, ...]]:
+    """`_over_lcm` of a basis, as Rows."""
     d, rows = _over_lcm(basis)
     return d, tuple(tuple((j, y) for j, y in enumerate(row) if y) for row in rows)
 
@@ -102,8 +100,7 @@ def _add_to(acc: dict, row, c: int = 1) -> dict:
     return acc
 
 
-@functools.lru_cache(16)
-def dense_view(rows: tuple[Row, ...], width: int | None = None) -> Mat:
+def dense_view(rows: Sequence[Row], width: int | None = None) -> Mat:
     """The dense matrix of Rows, `width` (or as many) columns wide."""
     columns = range(len(rows) if width is None else width)
     return tuple(tuple(map(dict(row).get, columns, repeat(0))) for row in rows)
@@ -214,7 +211,7 @@ def det(a: Mat):
 
 def mat_inv(a: Mat) -> Mat:
     n = len(a)
-    augmented = tuple(row + identity(n)[i] for i, row in enumerate(a))
+    augmented = tuple(row + e for row, e in zip(a, identity(n)))
     reduced, pivots = rref(augmented)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")

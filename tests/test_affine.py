@@ -11,8 +11,8 @@ from origamis import linalg
 from origamis.affine import (Row, automorphism_lift, dense_view, identity_lift,
                              lift, lift_all, matrix_on, power_order, transport)
 from origamis.catalog import QUATERNION_ORDER, catalog, quaternion_mul
-from origamis.errors import (NotAutomorphism, NotInVeechGroup, OrderExceedsCap,
-                             WrongSurface)
+from origamis.errors import (NotAutomorphism, NotInvariant, NotInVeechGroup,
+                             OrderExceedsCap, WrongSurface)
 from origamis.homology import EdgeChain, chain_space
 from origamis.invariants import cylinders
 from origamis.origami import (Origami, act_by_letters, automorphisms,
@@ -191,13 +191,14 @@ def _random_origamis():
     return [make_origami(n, *random_transitive_pair(n, rng)) for n in range(5, 9)]
 
 
-def _cusp_power(origami):
-    """T^w for w the cusp width of the Veech group at the origami."""
+def _cusp_power(origami, letter="T"):
+    """T^w (or S^w) for w the width of the Veech group's cusp at the origami
+    along that letter."""
     edges = veech_group(origami).edges
-    node, width = edges[(0, "T")], 1
+    node, width = edges[(0, letter)], 1
     while node != 0:
-        node, width = edges[(node, "T")], width + 1
-    return mat_pow(T_MAT, width)
+        node, width = edges[(node, letter)], width + 1
+    return mat_pow(LETTER_MATS[letter], width)
 
 
 @settings(max_examples=40, deadline=None)
@@ -490,6 +491,56 @@ def test_matrix_on_named_bases(ew, orn3, ew_report, orn3_report):
              space3.canonical_vec(orn3.zeta_flat().flat())]
     m = matrix_in_chain_basis(orn3_report.lifts["S"], basis)
     assert m == ((1, 0), (-1, -1))
+
+
+def _random_span(space, rng):
+    """The span of three random canonical vectors with Fraction entries."""
+    width = 2 * space.n
+    return space.subspace_from_vecs(
+        tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(width))
+        for _ in range(3))
+
+
+def test_matrix_on_reads_each_column_as_coords_of(ew_report):
+    """matrix_on, which makes the basis Rows once per call, equals the
+    coords_of of each basis image, entry for entry and type for type, and
+    raises NotInvariant exactly when one of those is None: on orn q = 15's
+    H_breve and H_tau, the ew's H1_0 and H_rel, the absolute subspace of
+    random origamis, and a random span that no generator preserves."""
+    rng = random.Random(38)
+    orn = catalog("ornithorynque", q=15)
+    space = chain_space(orn.origami)
+    cases = [
+        ([lift(orn.origami, mat_pow(S_MAT, 2)), lift(orn.origami, mat_pow(T_MAT, 2)),
+          lift(orn.origami, J_MAT), automorphism_lift(orn.origami, orn.shift(1))],
+         [space.subspace_from([orn.sigma_breve(i) for i in range(15)]
+                              + [orn.zeta_breve(i) for i in range(15)]),
+          space.subspace_from([orn.tau(i) for i in range(15)])], space),
+        ([ew_report.lifts["S"], ew_report.lifts["T"]],
+         [ew_report.subspaces["H1_0"], ew_report.subspaces["H_rel"]],
+         chain_space(ew_report.origami))]
+    for n in (4, 5, 6, 7, 8, 9, 10):
+        origami = make_origami(n, *random_transitive_pair(n, rng))
+        random_space = chain_space(origami)
+        cases.append(([lift(origami, _cusp_power(origami, letter)) for letter in "ST"],
+                      [random_space.absolute_subspace()], random_space))
+    kept = raised = 0
+    for lifts, subspaces, space in cases:
+        for sub in subspaces + [_random_span(space, rng)]:
+            for lifted in lifts:
+                columns = [sub.coords_of(lifted.image(b)) for b in sub.basis]
+                if None in columns:
+                    with pytest.raises(NotInvariant):
+                        matrix_on(lifted, sub)
+                    raised += 1
+                    continue
+                block, expected = matrix_on(lifted, sub), linalg.transpose(tuple(columns))
+                assert block == expected
+                assert [list(map(type, row)) for row in block] == \
+                    [list(map(type, row)) for row in expected]
+                kept += 1
+    # every generator keeps its named subspace and moves the random span
+    assert (kept, raised) == (4 * 2 + 2 * 2 + 7 * 2, 4 + 2 + 7 * 2)
 
 
 def test_lift_rejects_non_members(orn5):

@@ -83,6 +83,15 @@ PINNED_SHA256 = {
         ["action", "--name", "ornithorynque", "--q", "41", "--matrix", "[[0,-1],[1,0]]",
          "--basis", "H_breve"],
         "75169e8c81bb403c32436c6976ea6e908d8aaa87fc7dbcae9a090e2fad5e4ddb"),
+    # the cycle lattices' reduced spans at the q cap, and a matrix_on block
+    # read through one conversion of its basis
+    "homology-orn-q-41": (
+        ["homology", "--name", "ornithorynque", "--q", "41"],
+        "cb4b92b3addad3f3daa25f6f8fdba0559c0793e8b63363162ad1aa354a296c83"),
+    "action-orn-q-15-T2-H_tau": (
+        ["action", "--name", "ornithorynque", "--q", "15", "--matrix", "[[1,2],[0,1]]",
+         "--basis", "H_tau"],
+        "59892f395ac89a6aaa5f0dad09dcb2e7b7270b2252cf3e76819cce004ac59a64"),
     # a multitwist and the decomposition at the q cap, read off the reducer
     "twist-orn-q-41-dir-3-2": (
         ["twist", "--name", "ornithorynque", "--q", "41", "--dir", "3,2"],

@@ -11,7 +11,7 @@ from _walk_reference import decompose_walks, edge_endpoints, walk_chain, walk_pa
 from origamis import linalg
 from origamis.catalog import QUATERNION_ORDER, catalog, quaternion_mul
 from origamis.errors import Inconsistent, NotAbsolute
-from origamis.homology import EdgeChain, chain_space
+from origamis.homology import ChainSpace, EdgeChain, chain_space
 from origamis.linalg import dense_view
 from origamis.origami import make_origami, vertex_of_square
 from origamis.permutations import Perm, are_transitive, random_transitive_pair
@@ -295,6 +295,27 @@ def test_standard_splitting_dims(ew, orn3):
     assert chain_space(ew.origami).standard_splitting().h1_0_abs.dim == 4
     assert chain_space(orn3.origami).standard_splitting().h1_0_abs.dim == 6
     assert chain_space(TORUS).standard_splitting().h1_0_abs.dim == 0
+
+
+def test_each_library_lattice_is_reduced_once_per_space(ew, orn3, appendix_b):
+    """The absolute, singular-marked and splitting spans come back as the
+    same objects; any other mark set is reduced again, and not kept."""
+    for origami in (ew.origami, orn3.origami, appendix_b.origami):
+        space = ChainSpace(origami)
+        singular = space.singular_vertices()
+
+        def spans():
+            splitting = space.standard_splitting()
+            return [space.absolute_subspace(), space.marked_subspace(singular),
+                    splitting.h1_0_abs, splitting.h1_0_rel]
+
+        first = spans()
+        assert all(a is b for a, b in zip(first, spans(), strict=True))
+        assert set(singular) != {0}
+        other = space.marked_subspace([0])
+        again = space.marked_subspace([0])
+        assert other == again and other is not again
+        assert len(space._lattices) <= 4
 
 
 def test_orn_boundary_sigma_flat(orn3):

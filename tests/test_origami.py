@@ -227,15 +227,12 @@ def test_catalog_errors():
         catalog("ornithorynque")
 
 
-def test_catalog_keeps_the_16_latest_entries():
-    from origamis.catalog import _entry, catalog
-    first = catalog("ornithorynque", q=3)
-    assert catalog("ornithorynque", q=3) is first
-    assert catalog("appendix-b", q=3) is catalog("appendix-b")
-    for q in range(3, 39, 2):
-        catalog("ornithorynque", q=q)
-    assert _entry.cache_info().currsize == 16
-    assert catalog("ornithorynque", q=3) is not first
+def test_catalog_builds_a_new_entry_on_equal_origamis_sharing_one_space():
+    from origamis.catalog import catalog
+    from origamis.homology import chain_space
+    first, again = catalog("ornithorynque", q=3), catalog("ornithorynque", q=3)
+    assert first is not again and first.origami == again.origami
+    assert chain_space(first.origami) is chain_space(again.origami)
 
 
 # -- reference: the orbit search with a BFS relabeling from every square -------

@@ -322,6 +322,39 @@ def test_library_caches_are_bounded():
     assert {stem: lines for stem, lines in found.items() if lines} == {}
 
 
+def _lru_caches(path: Path) -> dict[str, int]:
+    """{name: size} of the functions an `lru_cache` decorates, on the same
+    AST walk; a bare `lru_cache` has the default size 128."""
+    found = {}
+    for node in ast.walk(ast.parse(path.read_text())):
+        for dec in getattr(node, "decorator_list", ()):
+            func = getattr(dec, "func", dec)
+            if "lru_cache" in (getattr(func, "id", None), getattr(func, "attr", None)):
+                sizes = [*dec.args[:1], *(k.value for k in dec.keywords
+                                          if k.arg == "maxsize")] \
+                    if isinstance(dec, ast.Call) else []
+                found[node.name] = sizes[0].value if sizes else 128
+    return found
+
+
+def test_library_caches_are_the_measured_two():
+    # each cache earns its place on measured traffic (README, "Every cache in
+    # the library is bounded"); a new one needs an entry there and here
+    found = {f"{path.stem}.{name}": size for path in MODULES
+             for name, size in _lru_caches(path).items()}
+    assert found == {"homology.chain_space": 256, "invariants._decomposition": 16}
+
+
+def test_lru_cache_inventory_sees_every_form(tmp_path):
+    bad = tmp_path / "bad.py"
+    bad.write_text("@functools.lru_cache(16)\ndef i(): pass\n"
+                   "@lru_cache(maxsize=256)\ndef j(): pass\n"
+                   "@functools.lru_cache\ndef k(): pass\n"
+                   "class C:\n    @staticmethod\n    @lru_cache(4)\n"
+                   "    def m(): pass\n")
+    assert _lru_caches(bad) == {"i": 16, "j": 256, "k": 128, "m": 4}
+
+
 def test_cache_lint_sees_every_form(tmp_path):
     bad = tmp_path / "bad.py"
     bad.write_text("@functools.lru_cache(None)\ndef f(): pass\n"
