@@ -222,14 +222,22 @@ def _closed(origami: Origami, m: Mat2, runs: Runs, rows: Sequence[Row],
                       _vertex_map_by_label(origami, phi), phi, runs)
 
 
-def lift_all(origami: Origami, m: Mat2) -> list[AffineLift]:
-    """All lifts of m, one per closing isomorphism (torsor under Aut); they
-    share the rows of one transport."""
+def _transported(origami: Origami, m: Mat2
+                 ) -> tuple[Runs, tuple[Row, ...], list[Perm]]:
+    """(the runs of m's word, their transport's rows, the closings of the
+    transported origami onto the start, sorted)."""
     runs = sl2z_word(m).exact_runs()
     current, rows = transport(origami, runs)
     closings = isomorphisms(current, origami)
     if not closings:
         raise NotInVeechGroup(f"{m} does not stabilize the origami")
+    return runs, rows, closings
+
+
+def lift_all(origami: Origami, m: Mat2) -> list[AffineLift]:
+    """All lifts of m, one per closing isomorphism (torsor under Aut); they
+    share the rows of one transport."""
+    runs, rows, closings = _transported(origami, m)
     return [_closed(origami, m, runs, rows, phi) for phi in closings]
 
 
@@ -237,11 +245,12 @@ def lift(origami: Origami, m: Mat2) -> AffineLift:
     """Lift m to an affine diffeomorphism.
 
     The closing relabeling is the isomorphism fixing the base square when one
-    exists, else the lexicographically least.
+    exists, else the lexicographically least; only that one is closed.
     """
-    lifts = lift_all(origami, m)
-    return next((lf for lf in lifts
-                 if lf.relabeling(origami.base) == origami.base), lifts[0])
+    runs, rows, closings = _transported(origami, m)
+    phi = next((phi for phi in closings if phi(origami.base) == origami.base),
+               closings[0])
+    return _closed(origami, m, runs, rows, phi)
 
 
 def power_order(lift_: AffineLift, cap: int) -> int:

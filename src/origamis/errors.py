@@ -89,10 +89,6 @@ class NotUnimodular(OrigamiError):
     """Antisymmetric Gram matrix has determinant != +-1."""
 
 
-class NoMatchingLift(OrigamiError):
-    """No affine lift of the multitwist's derivative matches the twist formula."""
-
-
 class ProbeMovesMarks(OrigamiError):
     """A probe lift moves a marked vertex class outside the marks (it may
     permute the marks among themselves)."""

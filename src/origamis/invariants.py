@@ -18,11 +18,12 @@ from operator import mul
 from typing import NamedTuple, Sequence
 
 from . import affine, linalg
-from .errors import (EvenConeMultiplicity, Inconsistent, NoMatchingLift,
-                     NotAbsolute, NotUnimodular, OddOrderZeros, ProbeMovesMarks)
+from .errors import (EvenConeMultiplicity, Inconsistent, NotAbsolute,
+                     NotUnimodular, OddOrderZeros, ProbeMovesMarks)
 from .homology import EdgeChain, chain_space
 from .linalg import Mat, Vec
 from .origami import Origami
+from .permutations import Perm
 from .sl2z import Mat2, inverse_runs, sl2z_word
 
 
@@ -56,17 +57,6 @@ class CylinderDecomposition(NamedTuple):
     normalized: Origami
     cylinders: list[Cylinder]
     to_rows: tuple[linalg.Row, ...]
-
-
-def _pairing_row(decomp: CylinderDecomposition,
-                 row_squares: Sequence[int]) -> tuple[int, ...]:
-    """Integer row pi with <core push-off, c> = pi . c for every chain c: the
-    zeta rows of `to_rows` summed over the row's squares."""
-    n = decomp.normalized.n
-    pi: dict = {}
-    for g in row_squares:
-        linalg._add_to(pi, decomp.to_rows[n + g])
-    return tuple([pi.get(j, 0) for j in range(2 * n)])
 
 
 def cylinders(origami: Origami, direction: tuple[int, int]) -> CylinderDecomposition:
@@ -126,11 +116,6 @@ def _decomposition(origami: Origami, direction: tuple[int, int]
         zip(found, linalg.transpose(linalg.dense_view(cores, len(found)))))
 
 
-def _rational_lcm(values: Sequence[Fraction]) -> Fraction:
-    return Fraction(lcm(*(v.numerator for v in values)),
-                    gcd(*(v.denominator for v in values)))
-
-
 class MultiTwist(NamedTuple):
     direction: tuple[int, int]
     k: Fraction
@@ -143,50 +128,39 @@ class MultiTwist(NamedTuple):
 def multitwist(origami: Origami, direction: tuple[int, int]) -> MultiTwist:
     """The parabolic multitwist in a rational direction.
 
-    The linear part is Id + k v (Rv)^T with R a quarter turn, the sign pinned
-    so that the first nonzero of (upper-right, lower-left) is positive. The
-    homology matrix is the exact affine lift whose action on the marked
-    subspace matches the Dehn twist formula
-        c -> c + sum_cyl n_cyl <core~, c> core.
+    The linear part is Id + k v (Rv)^T with R a quarter turn, k the least
+    integer that every cylinder modulus w/h divides (the lcm of the
+    numerators) and the sign s pinned so that the first nonzero of
+    (upper-right, lower-left) is positive: N^-1 T^sk N for the normalizer N.
+    Its lift is that word's transport closed by the row shear phi, which
+    moves each square of row j of its cylinder (j = 0 at the bottom) by
+    r^(sk j) of the normalized origami (r, u). The letters commute with
+    relabelings and the inverse runs undo N exactly, so phi closes the word
+    when it carries T^sk (r, u) = (r, u r^-sk) onto (r, u). It does: phi r
+    = r phi; and phi u r^-sk = u phi, as u r = r u on each row below a
+    circle of regular vertices (the `_decomposition` docstring), and from a
+    top row, h rows up, u reaches a bottom row, which phi fixes, where w
+    divides sk h. The closing is checked on the transported origami.
     """
     decomp = cylinders(origami, direction)
     v = decomp.direction
-    k = _rational_lcm([c.modulus for c in decomp.cylinders])
-    if k.denominator != 1:
-        k = Fraction(k.numerator * k.denominator)
+    k = Fraction(lcm(*(c.modulus.numerator for c in decomp.cylinders)))
     counts = [k / c.modulus for c in decomp.cylinders]
     # upper-right is sign k v0^2, and lower-left -sign k v1^2 when v0 = 0
-    sign = 1 if v[0] else -1
-    sk = sign * int(k)
+    sk = (1 if v[0] else -1) * int(k)
     linear = ((1 - sk * v[0] * v[1], sk * v[0] * v[0]),
               (-sk * v[1] * v[1], 1 + sk * v[1] * v[0]))
-
-    # twist formula c -> c + sum_cyl c_cyl <pi_cyl, c> core_cyl, applied as
-    # a rank-(number of cylinders) update of c
-    terms = [(int(sign * count), _pairing_row(decomp, cyl.rows[0]),
-              cyl.core.flat())
-             for cyl, count in zip(decomp.cylinders, counts)]
-
-    def twist_formula(c: Vec) -> Vec:
-        out = c
-        for count, pi, core in terms:
-            t = count * sum(p * x for p, x in zip(pi, c) if p)
-            out = tuple(x + t * y for x, y in zip(out, core))
-        return out
-
-    # without a singular vertex, compare relative to a single marked point:
-    # the cylinders merge rows across the regular circles, so no lift can
-    # match the formula relative to every regular vertex
-    space = chain_space(origami)
-    marked = space.marked_subspace(space.singular_vertices()) \
-        if space.singular_vertices() else space.absolute_subspace()
-    targets = [space.canonical_vec(twist_formula(b)) for b in marked.basis]
-    best = next((lf for lf in affine.lift_all(origami, linear)
-                 if all(lf.image(b) == t for b, t in zip(marked.basis, targets))),
-                None)
-    if best is None:
-        raise NoMatchingLift("no affine lift matches the twist formula")
-    return MultiTwist(decomp.direction, k, linear, counts, decomp, best)
+    shear = {g: row[(i + sk * j) % len(row)] for cyl in decomp.cylinders
+             for j, row in enumerate(cyl.rows) for i, g in enumerate(row)}
+    phi = Perm([shear[g] for g in range(origami.n)])
+    runs = sl2z_word(decomp.normalizer).exact_runs()
+    word = inverse_runs(runs) + (("T" if sk > 0 else "T-", abs(sk)),)
+    twisted, rows = affine.transport(decomp.normalized, word,
+                                     [dict(row) for row in decomp.to_rows])
+    if phi * twisted.r != origami.r * phi or phi * twisted.u != origami.u * phi:
+        raise Inconsistent("the row shear does not close the twist's word")
+    return MultiTwist(v, k, linear, counts, decomp,
+                      affine._closed(origami, linear, word + runs, rows, phi))
 
 
 # -- the spin form and spin parity -------------------------------------------

@@ -548,6 +548,28 @@ def test_lift_rejects_non_members(orn5):
         lift(orn5.origami, T_MAT)
 
 
+def test_lift_is_the_base_fixing_element_of_lift_all(ew, orn3, appendix_b):
+    """`lift` closes only one closing: the one fixing the base square, or the
+    least when none does, so it equals that element of `lift_all`."""
+    rng = random.Random(3917)
+    surfaces = [ew.origami, orn3.origami, appendix_b.origami] + [
+        make_origami(n, *random_transitive_pair(n, rng))
+        for n in [2 + i % 6 for i in range(18)]]
+    branches = set()
+    for origami in surfaces:
+        for m in (_cusp_power(origami), mat_pow(S_MAT, 2), J_MAT):
+            try:
+                lifts = lift_all(origami, m)
+            except NotInVeechGroup:
+                continue
+            fixing = [lf for lf in lifts
+                      if lf.relabeling(origami.base) == origami.base]
+            assert lift(origami, m) == (fixing + lifts)[0]
+            branches.add((bool(fixing), len(lifts) > 1))
+    # a base-fixing closing among several, and none fixing the base
+    assert {(True, True), (False, False)} <= branches
+
+
 # -- the sparse lifts against the dense matrices they replaced ----------------
 
 

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from fractions import Fraction
 from math import gcd
@@ -9,16 +10,19 @@ from hypothesis import strategies as st
 
 import _search_reference as reference
 import _walk_reference as walks
+import origamis.origami as origami_module
 from origamis import invariants, linalg
 from origamis.affine import automorphism_lift, lift_all
-from origamis.errors import (EvenConeMultiplicity, NotAbsolute, NotInVeechGroup,
-                             NotUnimodular, OddOrderZeros, ProbeMovesMarks)
+from origamis.errors import (EvenConeMultiplicity, Inconsistent, NotAbsolute,
+                             NotInVeechGroup, NotUnimodular, OddOrderZeros,
+                             ProbeMovesMarks)
 from origamis.homology import ChainSpace, EdgeChain, chain_space
-from origamis.invariants import (_pairing_row, cylinders, invariant_supplement,
+from origamis.invariants import (cylinders, invariant_supplement,
                                  multitwist, quadratic_form_value, spin_parity,
                                  symplectic_basis)
-from origamis.origami import (automorphisms, make_origami, sl2z_act, veech_group,
-                              vertex_classes, vertex_of_square)
+from origamis.origami import (automorphisms, make_origami, sl2z_act,
+                              stratum_and_genus, veech_group, vertex_classes,
+                              vertex_of_square)
 from origamis.permutations import Perm, random_transitive_pair
 from origamis.sl2z import T_MAT, eval_letters, inverse_runs, mat_pow, sl2z_word
 
@@ -27,6 +31,16 @@ from test_homology import (_edge_cycles, _fractions, _horizontal_core_pairing,
                            _vertical_core_pairing)
 
 TORUS = make_origami(1, Perm([0]), Perm([0]))
+
+
+def _pairing_row(decomp, row_squares):
+    """Integer row pi with <core push-off, c> = pi . c for every chain c: the
+    zeta rows of `to_rows` summed over the row's squares."""
+    n = decomp.normalized.n
+    pi = {}
+    for g in row_squares:
+        linalg._add_to(pi, decomp.to_rows[n + g])
+    return tuple([pi.get(j, 0) for j in range(2 * n)])
 
 
 def transversal_pairing(origami, direction, row_squares, chain):
@@ -181,8 +195,9 @@ def _reference_twist(origami, direction):
     shears, and the first lift matching the formula on the marked subspace.
 
     Each core is the bottom row's sigma chain pushed through
-    `from_normalized`, and k the lcm of the moduli taken as numerator lcm
-    over denominator gcd; both are checked against the code under test."""
+    `from_normalized`, and k the least positive integer that every modulus
+    divides, found by trying 1, 2, ...; both are checked against the code
+    under test."""
     tw = multitwist(origami, direction)
     decomp = tw.decomposition
     v, n = decomp.direction, origami.n
@@ -195,14 +210,9 @@ def _reference_twist(origami, direction):
             linalg.mat_vec(from_normalized(decomp), core_norm.flat()))
         assert core == cyl.core
         cores.append(core)
-    num, den = 1, 0
-    for cyl in decomp.cylinders:
-        modulus = Fraction(cyl.width, cyl.height)
-        num = num * modulus.numerator // gcd(num, modulus.numerator)
-        den = gcd(den, modulus.denominator)
-    k = Fraction(num, den)
-    if k.denominator != 1:
-        k = Fraction(k.numerator * k.denominator)
+    moduli = [Fraction(cyl.width, cyl.height) for cyl in decomp.cylinders]
+    k = next(Fraction(k) for k in itertools.count(1)
+             if all((k / modulus).denominator == 1 for modulus in moduli))
     assert k == tw.k
     counts = [k / Fraction(cyl.width, cyl.height) for cyl in decomp.cylinders]
     assert counts == tw.twist_counts
@@ -234,7 +244,7 @@ def _reference_twist(origami, direction):
         space.canonical_vec(linalg.mat_vec(lf.matrix, b))
         == space.canonical_vec(linalg.mat_vec(formula, b))
         for b in marked.basis))
-    return tw, linear, formula, chosen.relabeling
+    return tw, linear, formula, chosen
 
 
 def _oracle_surfaces(seed, sizes):
@@ -251,24 +261,93 @@ def test_twist_formula_matches_column_reference(ew, orn3, appendix_b):
         _oracle_surfaces(41, (2, 3, 4, 5, 5, 6, 6, 7))
     for origami in surfaces:
         for direction in ((1, 0), (0, 1), (1, 1)):
-            tw, linear, formula, relabeling = _reference_twist(origami,
-                                                               direction)
+            tw, linear, formula, chosen = _reference_twist(origami, direction)
             assert tw.linear == linear
             assert _formula_matrix(tw) == formula
             assert all(type(x) is int for row in _formula_matrix(tw) for x in row)
-            assert tw.lift.relabeling == relabeling
+            assert tw.lift.compose(chosen.inverse()).is_identity()
 
 
 def test_multitwist_genus_one_without_singular_vertex():
     # every vertex is regular: the five rows merge into one cylinder
     origami = make_origami(5, Perm([0, 1, 2, 3, 4]), Perm([1, 3, 4, 2, 0]))
     tw = multitwist(origami, (1, 0))
-    assert tw.linear == ((1, 5), (0, 1)) and tw.twist_counts == [25]
+    assert tw.linear == ((1, 1), (0, 1)) and tw.twist_counts == [5]
     assert tw.lift.linear == tw.linear
     space = chain_space(origami)
     for b in space.absolute_subspace().basis:
         assert space.canonical_vec(linalg.mat_vec(tw.lift.matrix, b)) == \
             space.canonical_vec(linalg.mat_vec(_formula_matrix(tw), b))
+
+
+def test_multitwist_takes_the_least_integer_k():
+    # the 3 x 2 torus: one cylinder of modulus 3/2, which 3 is a multiple of
+    origami = make_origami(6, Perm([1, 2, 0, 4, 5, 3]), Perm([3, 4, 5, 0, 1, 2]))
+    tw = multitwist(origami, (1, 0))
+    assert tw.k == 3 and type(tw.k) is Fraction and tw.twist_counts == [2]
+    assert tw.linear == tw.lift.linear == ((1, 3), (0, 1))
+    assert veech_group(origami).contains(tw.linear)
+
+
+def test_multitwist_is_the_formula_matching_lift():
+    """On seeded random origamis, genus 1 included, the row-shear lift acts
+    as the twist formula on the marked subspace (the absolute one without a
+    singular vertex), and from genus 2 on it is the one lift of
+    `lift_all` that does."""
+    genera = set()
+    for origami in _oracle_surfaces(3911, [*range(2, 11)] * 2):
+        space = chain_space(origami)
+        marked = space.marked_subspace(space.singular_vertices()) \
+            if space.singular_vertices() else space.absolute_subspace()
+        genus = stratum_and_genus(origami).genus
+        genera.add(min(genus, 2))
+        for direction in ((1, 0), (0, 1), (1, 1), (2, 1), (1, -3), (0, -1),
+                          (-1, 0)):
+            tw = multitwist(origami, direction)
+            formula = _formula_matrix(tw)
+            targets = [space.canonical_vec(linalg.mat_vec(formula, b))
+                       for b in marked.basis]
+            assert [tw.lift.image(b) for b in marked.basis] == targets
+            if genus >= 2:
+                (match,) = [lf for lf in lift_all(origami, tw.linear)
+                            if [lf.image(b) for b in marked.basis] == targets]
+                assert tw.lift.compose(match.inverse()).is_identity()
+    assert genera == {1, 2}
+
+
+def test_multitwist_runs_no_isomorphism_search(monkeypatch, ew, orn3,
+                                               appendix_b):
+    def refuse(*args):
+        raise AssertionError("an isomorphism key search ran")
+
+    invariants._decomposition.cache_clear()
+    monkeypatch.setattr(origami_module, "_least_labelings", refuse)
+    for cat in (ew, orn3, appendix_b):
+        for direction in ((1, 0), (0, 1), (1, 1)):
+            tw = multitwist(cat.origami, direction)
+            assert tw.lift.linear == tw.linear
+
+
+def test_multitwist_checks_its_closing(monkeypatch, appendix_b):
+    """Rows read in the wrong order give a shear that does not close the
+    word: the check raises rather than return a lift."""
+    torus = make_origami(9, Perm([1, 2, 0, 4, 5, 3, 7, 8, 6]),
+                         Perm([3, 4, 5, 6, 7, 8, 0, 1, 2]))
+    cases = [(appendix_b.origami, (2, 1))] + \
+        [(torus, d) for d in ((1, 0), (0, 1), (1, 1))]
+    for origami, direction in cases:
+        multitwist(origami, direction)
+    read = invariants.cylinders
+
+    def reversed_rows(origami, direction):
+        decomp = read(origami, direction)
+        return decomp._replace(cylinders=[cyl._replace(rows=cyl.rows[::-1])
+                                          for cyl in decomp.cylinders])
+
+    monkeypatch.setattr(invariants, "cylinders", reversed_rows)
+    for origami, direction in cases:
+        with pytest.raises(Inconsistent):
+            multitwist(origami, direction)
 
 
 def test_transversal_pairing_row_sums(ew):
