@@ -8,10 +8,12 @@ feasibility.
 
 Importing the package runs none of its modules. Each library module is put in
 `sys.modules` through `importlib.util.LazyLoader` and bound here by its name
-(`catalog` names the function), and is compiled and run when an attribute is
-first read from it; each name of `__all__` is read from its module on first
-access. So a CLI command runs only the modules it uses. The CLI itself loads
-the usual way, since `python -m` runs a module that is not yet imported.
+(`catalog` names the function, which `import origamis.catalog as m` binds too;
+`from origamis.catalog import ...` and `sys.modules["origamis.catalog"]` reach
+the module), and is compiled and run when an attribute is first read from it;
+each name of `__all__` is read from its module on first access. So a CLI
+command runs only the modules it uses. The CLI itself loads the usual way,
+since `python -m` runs a module that is not yet imported.
 A library module imports names only from the siblings that every one of its
 paths runs; it binds a sibling that only some run as the lazy module
 (`from . import rootsys`) and reads it at call time (`rootsys.grows(m)`).

@@ -5,9 +5,9 @@ the generators (``sl2z_word``), composing one edge substitution per run along
 the SL(2,Z) orbit of the origami, and closing up with a relabeling
 isomorphism from the final origami back to the start. A lift keeps its map
 on the 2n-dimensional chain space as sparse integer rows (`linalg.Row`), so
-equal maps have equal rows. Images, products and the identity test (on the
-free columns only) read those rows; equality of classes is tested on
-canonical forms.
+equal maps have equal rows. Products read those rows; images and the
+identity test (on the free columns only) read them transposed into columns
+once per call. Equality of classes is tested on canonical forms.
 
 The letter substitutions (target origami listed first) are
 
@@ -45,6 +45,7 @@ inverse is its inverse word's transport closed by the inverse relabeling.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import NamedTuple, Sequence
 
 from . import linalg
@@ -133,6 +134,15 @@ def _vertex_map_by_label(origami: Origami, phi: Perm) -> Perm:
     return Perm([images[k] for k in range(len(images))])
 
 
+def _columns(rows: Sequence[Row]) -> list[list[tuple[int, int]]]:
+    """The (row, coeff) pairs of each column of the square Rows."""
+    columns: list[list[tuple[int, int]]] = [[] for _ in rows]
+    for i, row in enumerate(rows):
+        for j, x in row:
+            columns[j].append((i, x))
+    return columns
+
+
 class AffineLift(NamedTuple):
     """An affine diffeomorphism: its derivative, its chain map as sparse
     integer rows (`matrix` is their `dense_view`), its
@@ -147,15 +157,26 @@ class AffineLift(NamedTuple):
 
     matrix = property(lambda self: dense_view(self.rows))
 
+    def _reader(self):
+        """The map v -> (its image on v's integer numerators, their lcm d),
+        read at v's nonzeros off the columns the rows are transposed into."""
+        columns = _columns(self.rows)
+
+        def image_over(v: Vec) -> tuple[list[int], int]:
+            d, (ints,) = linalg._over_lcm((v,))
+            out = [0] * len(columns)
+            for f, column in zip(compress(ints, ints), compress(columns, ints)):
+                for i, x in column:
+                    out[i] += f * x
+            return out, d
+        return image_over
+
     def apply(self, chain: EdgeChain) -> EdgeChain:
-        return EdgeChain.from_flat(linalg._times(self.rows, chain.flat()))
+        return EdgeChain.from_flat(linalg._divided(*self._reader()(chain.flat())))
 
     def image(self, v: Vec) -> Vec:
-        """The canonical form of the image of the flat vector v, mapped as
-        its integer numerators over their lcm (1 for an all-int v)."""
-        d, (ints,) = linalg._over_lcm((v,))
-        space = chain_space(self.origami)
-        return space.canonical_over(linalg._times(self.rows, ints), d)
+        """The canonical form of the image of the flat vector v."""
+        return chain_space(self.origami).canonical_over(*self._reader()(v))
 
     def compose(self, other: "AffineLift") -> "AffineLift":
         """self after other."""
@@ -179,30 +200,19 @@ class AffineLift(NamedTuple):
 
     def is_identity(self) -> bool:
         """Whether the lift fixes the derivative, the vertex classes and the
-        class of e_j for each free column j, which is its own canonical
-        form. That is exact: those e_j span the chain space modulo the
-        relations, which every lift maps into themselves."""
+        class of e_j, its own canonical form, for each free column j: column
+        j - e_j reduces to 0. That is exact: those e_j span the chain space
+        modulo the relations, which every lift maps into themselves."""
         if self.linear != ID2 or not self.vertex_perm.is_identity():
             return False
-        space = chain_space(self.origami)
-        columns, units = linalg.transpose(self.matrix), linalg.identity(len(self.rows))
-        return all(space.canonical_vec(columns[j]) == units[j] for j in space.free)
-
-    def __pow__(self, k: int) -> "AffineLift":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = identity_lift(self.origami)
-        base = self
-        while k:
-            if k & 1:
-                out = out.compose(base)
-            base = base.compose(base)
-            k >>= 1
-        return out
-
-
-def identity_lift(origami: Origami) -> AffineLift:
-    return automorphism_lift(origami, Perm.identity(origami.n))
+        space, columns = chain_space(self.origami), _columns(self.rows)
+        for j in space.free:
+            moved = [0] * len(columns)
+            for i, x in columns[j] + [(j, -1)]:  # column j - e_j
+                moved[i] += x
+            if any(space.canonical_over(moved, 1)):
+                return False
+        return True
 
 
 def automorphism_lift(origami: Origami, a: Perm) -> AffineLift:
@@ -276,9 +286,10 @@ def matrix_in_chain_basis(lift_: AffineLift, basis: "list[Vec] | tuple"):
 
 def _matrix_in(lift_: AffineLift, basis, coords_of) -> Mat:
     """Columns are the coordinates of the basis images."""
+    read, canonical_over = lift_._reader(), chain_space(lift_.origami).canonical_over
     columns = []
     for b in basis:
-        coords = coords_of(lift_.image(b))
+        coords = coords_of(canonical_over(*read(b)))
         if coords is None:
             raise NotInvariant("the lift does not preserve the span of the basis")
         columns.append(coords)

@@ -111,9 +111,12 @@ def _decomposition(origami: Origami, direction: tuple[int, int]
     _, cores = affine.transport(normalized, inverse_runs(runs), columns)
     if sum(width * height for _, width, height in found) != origami.n:
         raise Inconsistent("cylinder areas must tile the surface")
+    flats = [[0] * (2 * origami.n) for _ in found]
+    for g, row in enumerate(cores):
+        for c, x in row:
+            flats[c][g] = x
     return normalized, to_rows, tuple(
-        (*cyl, EdgeChain.from_flat(core)) for cyl, core in
-        zip(found, linalg.transpose(linalg.dense_view(cores, len(found)))))
+        (*cyl, EdgeChain.from_flat(flat)) for cyl, flat in zip(found, flats))
 
 
 class MultiTwist(NamedTuple):

@@ -117,11 +117,6 @@ def _product(a: Sequence[Row], b: Sequence[Row]) -> tuple[Row, ...]:
     return tuple(out)
 
 
-def _times(rows: Sequence[Row], v: Vec) -> Vec:
-    """rows times the vector v: each entry reads only the row's columns."""
-    return tuple([sum([x * v[j] for j, x in row]) for row in rows])
-
-
 def vec_add(a: Vec, b: Vec) -> Vec:
     return tuple(x + y for x, y in zip(a, b))
 

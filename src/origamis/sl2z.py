@@ -11,6 +11,8 @@ Matrices are immutable 2x2 integer tuples ((a, b), (c, d)).
 from __future__ import annotations
 
 from collections import deque
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, NamedTuple
 
 Mat2 = tuple[tuple[int, int], tuple[int, int]]
@@ -101,7 +103,10 @@ class Sl2zWord(NamedTuple):
         return m if self.sign == 1 else mat_neg(m)
 
     def exact_runs(self) -> Runs:
-        return self.runs if self.sign == 1 else self.runs + NEG_ID_RUNS
+        """The runs with the sign folded into the pinned -Id runs, equal
+        neighbours merged (the same letters and, by the closed forms, map)."""
+        runs = self.runs if self.sign == 1 else self.runs + NEG_ID_RUNS
+        return tuple((x, sum(k for _, k in group)) for x, group in groupby(runs, itemgetter(0)))
 
     def exact_letters(self) -> tuple[str, ...]:
         return tuple(x for x, k in self.exact_runs() for _ in range(k))

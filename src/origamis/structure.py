@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from . import linalg, rootsys
-from .affine import AffineLift, automorphism_lift, lift, matrix_on
+from .affine import AffineLift, _matrix_in, automorphism_lift, lift, matrix_on
 from .catalog import (QUATERNION_ORDER, Ornithorynque, Wollmilchsau,
                       quaternion_mul)
 from .errors import ActionNotFinite, NotInCyclicImage, NotInvariant, WrongSurface
@@ -72,7 +72,8 @@ def _blocks_on(sub: Subspace, lifts: Sequence[AffineLift]) -> list[Mat] | None:
     maps sub into itself maps it onto itself, and so does its inverse;
     invariance under generators is then invariance under their products."""
     try:
-        return [matrix_on(lf, sub) for lf in lifts]
+        coords_of = sub._reader()  # the basis as Rows, once for all the lifts
+        return [_matrix_in(lf, sub.basis, coords_of) for lf in lifts]
     except NotInvariant:
         return None
 
@@ -176,20 +177,22 @@ def decompose_orn(orn: Ornithorynque) -> DecompositionReport:
 def tau_character(orn: Ornithorynque, lift_: AffineLift) -> int:
     """The k in Z/2q with lift(tau_i) = (-1)^k tau_{i + k(q+1)/2} for every i:
     the power of tau_i -> -tau_{i+(q+1)/2} (order 2q on H_tau) that the lift
-    is, read off the canonical vectors of the tau_i and of their images."""
+    is, looked up by the image of tau_0 among the (-1)^k tau_{k(q+1)/2}, 2q
+    distinct classes for odd q (the q classes tau_j span dimension q - 1),
+    and checked at every i on the canonical vectors."""
     if lift_.origami != orn.origami:
         raise NotInCyclicImage("lift of another surface")
-    q = orn.q
+    q, space = orn.q, chain_space(orn.origami)
     chains = [orn.tau(i).flat() for i in range(q)]
-    taus = list(map(chain_space(orn.origami).canonical_vec, chains))
-    images = list(map(lift_.image, chains))
-    shift = (q + 1) // 2
-    for k in range(2 * q):
-        sign = (-1) ** k
-        if all(images[i] == linalg.vec_scale(sign, taus[(i + k * shift) % q])
-               for i in range(q)):
-            return k
-    raise NotInCyclicImage("action is not a power of the cyclic generator")
+    taus = list(map(space.canonical_vec, chains))
+    read = lift_._reader()
+    images = (space.canonical_over(*read(v)) for v in chains)
+    signed, shift = (taus, [linalg.vec_scale(-1, tau) for tau in taus]), (q + 1) // 2
+    k = {signed[k % 2][k * shift % q]: k for k in range(2 * q)}.get(next(images))
+    if k is None or not all(image == signed[k % 2][(i + k * shift) % q]
+                            for i, image in enumerate(images, 1)):
+        raise NotInCyclicImage("action is not a power of the cyclic generator")
+    return k
 
 
 # -- congruence kernels -------------------------------------------------------

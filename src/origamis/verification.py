@@ -88,8 +88,9 @@ def verify_theorem_a() -> dict:
                 and sym.order == 16,
                 {"intersection": len(in_weyl), "symplectic": sym.order})
     s_lift, t_lift = rep.lifts["S"], rep.lifts["T"]
-    eipi = (s_lift.compose(t_lift.inverse()).compose(s_lift)) ** 2
-    z_s2, z_t2 = z_of(s_lift ** 2), z_of(t_lift ** 2)
+    element = s_lift.compose(t_lift.inverse()).compose(s_lift)
+    eipi = element.compose(element)
+    z_s2, z_t2 = z_of(s_lift.compose(s_lift)), z_of(t_lift.compose(t_lift))
     z_e = z_of(eipi)
     s_mat = ((1, 0, 0, 0), (0, -1, 0, 0), (0, 0, -1, 0), (0, 0, 0, 1))
     z_k = z_of(rep.lifts["aut_k"])

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 from fractions import Fraction
 from typing import NamedTuple
@@ -8,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from origamis import linalg
-from origamis.affine import (Row, automorphism_lift, dense_view, identity_lift,
-                             lift, lift_all, matrix_on, power_order, transport)
+from origamis.affine import (Row, automorphism_lift, dense_view, lift, lift_all,
+                             matrix_on, power_order, transport)
 from origamis.catalog import QUATERNION_ORDER, catalog, quaternion_mul
 from origamis.errors import (NotAutomorphism, NotInvariant, NotInVeechGroup,
                              OrderExceedsCap, WrongSurface)
@@ -19,11 +20,28 @@ from origamis.origami import (Origami, act_by_letters, automorphisms,
                               make_origami, sl2z_act, veech_group,
                               vertex_of_square)
 from origamis.permutations import Perm, random_transitive_pair
-from origamis.sl2z import (ID2, J_MAT, LETTER_MATS, S_MAT, T_MAT, inverse_runs,
-                           mat_mul, mat_neg, mat_pow, sl2z_word)
+from origamis.sl2z import (ID2, J_MAT, LETTER_MATS, NEG_ID_RUNS, S_MAT, T_MAT,
+                           inverse_runs, mat_mul, mat_neg, mat_pow, sl2z_word)
 from test_homology import _holonomy
 
 TORUS = make_origami(1, Perm([0]), Perm([0]))
+
+
+def identity_lift(origami):
+    return automorphism_lift(origami, Perm.identity(origami.n))
+
+
+def _power(lifted, k):
+    """lifted^k by repeated squaring, through the inverse for k < 0."""
+    if k < 0:
+        return _power(lifted.inverse(), -k)
+    out, base = identity_lift(lifted.origami), lifted
+    while k:
+        if k & 1:
+            out = out.compose(base)
+        base = base.compose(base)
+        k >>= 1
+    return out
 
 
 class EdgeSubstitution(NamedTuple):
@@ -411,9 +429,9 @@ def test_structural_identities_ew(ew):
     st, tt = lift(origami, S_MAT), lift(origami, T_MAT)
     neg1 = automorphism_lift(origami, ew.left_mult("-1"))
     element = st.compose(tt.inverse()).compose(st)
-    assert _same_action(element ** 4, neg1)
-    eipi = element ** 2
-    assert _same_action(eipi ** 2, neg1)
+    assert _same_action(_power(element, 4), neg1)
+    eipi = _power(element, 2)
+    assert _same_action(_power(eipi, 2), neg1)
     assert power_order(eipi, 8) == 4
     for other in (st, tt, automorphism_lift(origami, ew.left_mult("i"))):
         assert _same_action(eipi.compose(other), other.compose(eipi))
@@ -444,7 +462,7 @@ def test_gamma2_lifts_fix_vertices(ew):
     origami = ew.origami
     st, tt = lift(origami, S_MAT), lift(origami, T_MAT)
     element = st.compose(tt.inverse()).compose(st)
-    for lf in (st ** 2, tt ** 2, element ** 2):
+    for lf in (_power(st, 2), _power(tt, 2), _power(element, 2)):
         assert lf.vertex_perm.is_identity()
 
 
@@ -702,3 +720,91 @@ def test_free_column_identity_test_agrees_with_all_columns():
                 # column j gains a relation: still the identity on homology
                 moved = _add_to_column(one, j, space.relation_rows[g])
                 assert moved.is_identity() and _dense_is_identity(moved)
+
+
+# -- lift images through the transposed columns ---------------------------------
+
+
+def _image_by_rows(rows, v):
+    """The dense row product the column reader replaced: each entry one sum
+    over its row's entries, an int when it is integral."""
+    return tuple(linalg.exact(sum(x * v[j] for j, x in row)) for row in rows)
+
+
+def _typed(v):
+    """v with its entry types, so that 2 and Fraction(2) differ."""
+    return tuple((x, type(x)) for x in v)
+
+
+def _image_cases():
+    """(origami, its lifts): seeded random origamis with n = 5..8 and
+    ornithorynque at q = 3..15, with their S, T or S^2, T^2, J lifts that
+    exist, a cusp power and one automorphism each."""
+    origamis = _random_origamis() + \
+        [catalog("ornithorynque", q=q).origami for q in range(3, 17, 2)]
+    cases = []
+    for origami in origamis:
+        group = veech_group(origami)
+        matrices = [m for m in (S_MAT, T_MAT, mat_pow(S_MAT, 2), mat_pow(T_MAT, 2), J_MAT)
+                    if group.contains(m)] + [_cusp_power(origami)]
+        lifts = [lift(origami, m) for m in matrices]
+        lifts.append(automorphism_lift(origami, automorphisms(origami)[-1]))
+        cases.append((origami, lifts))
+    return cases
+
+
+def test_column_reader_and_apply_match_the_row_product():
+    """`_reader` at d = 1 and d > 1, `image` and `apply` agree with the row
+    product in values and entry types on zero, unit, sparse and dense, int
+    and Fraction vectors."""
+    rng = random.Random(4040)
+    for origami, lifts in _image_cases():
+        n2 = 2 * origami.n
+        space = chain_space(origami)
+        vectors = [(0,) * n2, _unit(n2, rng.randrange(n2)),
+                   tuple(rng.randint(-3, 3) for _ in range(n2)),
+                   tuple(Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3, 6)))
+                         for _ in range(n2)),
+                   _unit(n2, rng.randrange(n2))[:-1] + (Fraction(1, 2),),
+                   tuple(Fraction(2 * rng.randint(-2, 2), 2) for _ in range(n2))]
+        for lf in lifts:
+            read = lf._reader()
+            for v in vectors:
+                expected = _image_by_rows(lf.rows, v)
+                ints, d = read(v)
+                assert all(type(x) is int for x in ints)
+                assert _typed(linalg._divided(ints, d)) == _typed(expected)
+                assert _typed(lf.apply(EdgeChain.from_flat(v)).flat()) == _typed(expected)
+                assert _typed(lf.image(v)) == _typed(space.canonical_vec(expected))
+
+
+def test_is_identity_agrees_with_the_dense_definition(ew, orn5):
+    """On the powers J^k, of which J^4 alone is the identity, on the
+    Wollmilchsau translation (0 1)(2 3)(4 5)(6 7), whose linear part and
+    vertex action are trivial but whose chain map is not, and on the
+    identity with e_0 added to its last free column."""
+    j = lift(orn5.origami, J_MAT)
+    for k in range(1, 5):
+        power = _power(j, k)
+        assert power.is_identity() == _dense_is_identity(power) == (k == 4)
+    flip = automorphism_lift(ew.origami, Perm([1, 0, 3, 2, 5, 4, 7, 6]))
+    assert flip.linear == ID2 and flip.vertex_perm.is_identity()
+    assert not flip.is_identity() and not _dense_is_identity(flip)
+    n2 = 2 * ew.origami.n
+    last = _add_to_column(identity_lift(ew.origami), chain_space(ew.origami).free[-1],
+                          _unit(n2, 0))
+    assert not last.is_identity() and not _dense_is_identity(last)
+
+
+def test_merged_runs_transport_the_same_rows(ew, orn3, appendix_b):
+    """`exact_runs` merges neighbouring runs of one letter; the unmerged
+    runs, the word's runs and then the pinned -Id runs, transport to the
+    same origami and rows."""
+    entries = range(-4, 5)
+    for origami in (ew.origami, orn3.origami, appendix_b.origami):
+        for a, b, c, d in itertools.product(entries, repeat=4):
+            if a * d - b * c != 1:
+                continue
+            word = sl2z_word(((a, b), (c, d)))
+            unmerged = word.runs + (NEG_ID_RUNS if word.sign == -1 else ())
+            assert transport(origami, word.exact_runs()) == transport(origami, unmerged)

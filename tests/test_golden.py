@@ -66,6 +66,9 @@ PINNED_SHA256 = {
     "verify-theorem-b-q-15": (
         ["verify", "theorem-b", "--q", "15"],
         "262db939f1f88003e4c8095de2f0c10d2e073d747b8419a1d13830c438d1423e"),
+    "verify-theorem-b-q-41": (
+        ["verify", "theorem-b", "--q", "41"],
+        "c6d35b32480282e0a13eb2cd676ec01398f3fa0943e4451d264d31d02b35ce9d"),
     "veech-appendix-b": (["veech", "--name", "appendix-b"],
                          "c2a27762be03ecd613e4ec15cc088d8d9e284079868befd65b417860171defa1"),
     "veech-appendix-b-long-power": (

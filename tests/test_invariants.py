@@ -26,7 +26,7 @@ from origamis.origami import (automorphisms, make_origami, sl2z_act,
 from origamis.permutations import Perm, random_transitive_pair
 from origamis.sl2z import T_MAT, eval_letters, inverse_runs, mat_pow, sl2z_word
 
-from test_affine import _reference_transport, from_normalized, to_normalized
+from test_affine import _power, _reference_transport, from_normalized, to_normalized
 from test_homology import (_edge_cycles, _fractions, _horizontal_core_pairing,
                            _vertical_core_pairing)
 
@@ -632,8 +632,8 @@ def test_supplement_appendix_b(appendix_b):
 def test_supplement_feasible_ew(ew, ew_report):
     origami = ew.origami
     space = chain_space(origami)
-    s2 = ew_report.lifts["S"] ** 2
-    t2 = ew_report.lifts["T"] ** 2
+    s2 = _power(ew_report.lifts["S"], 2)
+    t2 = _power(ew_report.lifts["T"], 2)
     auts = [ew_report.lifts[f"aut_{g}"] for g in ("i", "j")]
     cert = invariant_supplement(origami, list(range(len(space.vclasses))),
                                 [s2, t2] + auts)

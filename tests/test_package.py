@@ -67,6 +67,20 @@ def test_all_lists_exactly_the_imported_names():
     assert origamis.catalog is sys.modules["origamis.catalog"].catalog
 
 
+def test_catalog_import_forms():
+    """`import origamis.catalog as m` binds the `catalog` function, the
+    package attribute of that name, while `from origamis.catalog import ...`
+    and `sys.modules["origamis.catalog"]` reach the module."""
+    import origamis.catalog as m
+    from origamis.catalog import QUATERNION_ORDER, Ornithorynque
+    module = sys.modules["origamis.catalog"]
+    assert m is origamis.catalog is module.catalog
+    assert not isinstance(m, types.ModuleType) and not hasattr(m, "QUATERNION_ORDER")
+    assert isinstance(module, types.ModuleType)
+    assert module.QUATERNION_ORDER is QUATERNION_ORDER
+    assert module.Ornithorynque is Ornithorynque
+
+
 def _names_read(node) -> set:
     """Names, attribute names, imported names and the dotted parts of string
     constants under the node."""

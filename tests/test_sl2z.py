@@ -1,9 +1,10 @@
+import itertools
 import random
 
 import pytest
 
 from origamis.sl2z import (INVERSE_LETTER, CongruenceSubgroup, ID2, J_MAT,
-                           LETTER_MATS, NEG_ID, S_MAT, T_MAT, Sl2zWord,
+                           LETTER_MATS, NEG_ID, NEG_ID_RUNS, S_MAT, T_MAT, Sl2zWord,
                            congruence_generators, eval_letters, mat_mod,
                            mat_mul, mat_neg, mat_pow, sl2z_word)
 
@@ -58,6 +59,28 @@ def test_word_neg_id():
     word = sl2z_word(NEG_ID)
     assert word.sign == -1
     assert eval_letters(word.exact_letters()) == NEG_ID
+
+
+def test_exact_runs_merge_neighbours_and_keep_the_letters():
+    """No two adjacent exact runs share a letter, and the letters are those
+    of the runs followed, for sign -1, by the pinned -Id runs."""
+    entries = range(-9, 10)
+    merged = 0
+    for a, b, c, d in itertools.product(entries, repeat=4):
+        if a * d - b * c != 1:
+            continue
+        word = sl2z_word(((a, b), (c, d)))
+        runs = word.exact_runs()
+        assert all(x != y for (x, _), (y, _) in zip(runs, runs[1:]))
+        assert all(k >= 1 for _, k in runs)
+        unmerged = word.runs + (NEG_ID_RUNS if word.sign == -1 else ())
+        assert word.exact_letters() == tuple(x for x, k in unmerged for _ in range(k))
+        merged += len(runs) < len(unmerged)
+    assert merged
+    # the cylinder normalizers of directions (0,1) and (1,1)
+    for normalizer in (((0, 1), (-1, 0)), ((0, 1), (-1, 1))):
+        word = sl2z_word(normalizer)
+        assert len(word.exact_runs()) == len(word.runs) + len(NEG_ID_RUNS) - 1
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -215,6 +215,55 @@ def test_tau_characters_q5(orn5, orn5_report):
     assert tau_character(orn5, orn5_report.lifts["aut_1"]) == 2
 
 
+def _tau_character_by_scan(orn, lift_):
+    """The least k in [0, 2q) whose power of the cyclic generator matches
+    every tau image, by trying each k: the scan the lookup replaced."""
+    q = orn.q
+    space = chain_space(orn.origami)
+    chains = [orn.tau(i).flat() for i in range(q)]
+    taus = [space.canonical_vec(c) for c in chains]
+    images = [lift_.image(c) for c in chains]
+    shift = (q + 1) // 2
+    for k in range(2 * q):
+        sign = (-1) ** k
+        if all(images[i] == linalg.vec_scale(sign, taus[(i + k * shift) % q])
+               for i in range(q)):
+            return k
+    raise NotInCyclicImage("action is not a power of the cyclic generator")
+
+
+def _without_column(lifted, j):
+    """The lift with column j of its map zeroed."""
+    return lifted._replace(rows=tuple(tuple((c, x) for c, x in row if c != j)
+                                      for row in lifted.rows))
+
+
+@pytest.mark.parametrize("q", range(3, 17, 2))
+def test_tau_character_matches_the_scan(q):
+    """Every named lift, and the products of the Veech generators with an
+    automorphism, read the same k by lookup as by the 2q scan; a lift whose
+    rows lose the column of sigma_0 (in tau_0) or of sigma_2 (in tau_1, not
+    in tau_0) is no power of the generator either way."""
+    orn = catalog("ornithorynque", q=q)
+    report = decompose_orn(orn)
+    lifts = dict(report.lifts)
+    for name in report.veech_generators:
+        lifts[f"{name}*aut_1"] = lifts[name].compose(lifts["aut_1"])
+    seen = set()
+    for name, lf in lifts.items():
+        k = tau_character(orn, lf)
+        assert k == _tau_character_by_scan(orn, lf), name
+        seen.add(k)
+    assert len(seen) > 2
+    for lf in (report.lifts["aut_0"], lifts[report.veech_generators[0]]):
+        for g in (orn.idx(0, 1, 1), orn.idx(2, 1, 1)):
+            mutated = _without_column(lf, g)
+            with pytest.raises(NotInCyclicImage):
+                _tau_character_by_scan(orn, mutated)
+            with pytest.raises(NotInCyclicImage):
+                tau_character(orn, mutated)
+
+
 def test_tau_rejects_foreign_lift(orn3, ew_report):
     from origamis.errors import NotInvariant
     with pytest.raises((NotInCyclicImage, NotInvariant)):
